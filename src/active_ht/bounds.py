@@ -24,16 +24,20 @@ import math
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .divergences import kl, tilted_exponent
 from .exceptions import AssumptionError, BudgetError
 from .model import ObservationModel, RandomizedRule, validate
 
-# Infinite divergences are capped at this value inside LPs / subgradient
-# solves (the optimum is insensitive to the exact cap once it dwarfs every
-# finite entry); reports carry a flag whenever the cap was exercised.
+# Infinite divergences are capped at this value inside the LPs and the
+# barrier solves (the optimum is insensitive to the exact cap once it dwarfs
+# every finite entry); reports carry a flag whenever the cap was exercised.
 KL_CAP = 1e6
+
+# Relative duality gap at which the weighted-inverse barrier solve stops.
+GAP_TOL = 1e-11
 
 _LP_OPTIONS = {
     "presolve": True,
@@ -200,122 +204,71 @@ def _stacked_rows(D: np.ndarray):
     return _cap(rows)[0]
 
 
-def _minimize_weighted_inverse(
-    stacked: np.ndarray,
-    coeffs: np.ndarray,
-    *,
-    seed: int = 0,
-    extra_starts=(),
-    grid_resolution: float = 0.01,
-):
+def _minimize_weighted_inverse(stacked: np.ndarray, coeffs: np.ndarray):
     """Minimize sum_i coeffs_i / R(i, w) over the simplex.
 
-    The objective is convex (each R(i, .) is concave, positive where it
-    matters, and x -> 1/x is convex decreasing), so projected subgradient
-    descent with diminishing steps converges; several random restarts plus
-    warm starts guard the nonsmooth kinks, and for K <= 4 the returned value
-    is checked against (and forced to dominate) a resolution-0.01 simplex
-    grid sweep.
+    Terms with coeffs_i <= 0 are dropped; with none left the value is 0.  The
+    rest is the lifted convex program  min sum_i c_i / t_i  subject to
+    t_i <= D_ij . w, t > 0, w >= 0, sum(w) = 1, solved by the log-barrier
+    method (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 11): Newton
+    centering within sum(w) = 1, with the barrier weight tau raised until the
+    duality gap m / tau of the m inequality rows is at most GAP_TOL times the
+    objective.  Each Newton step is a least-squares solve, so a flat optimal
+    face (several actions separating every pair at KL_CAP) yields a
+    minimum-norm step instead of a singular system.
     """
-    M, _, K = stacked.shape
-    active = coeffs > 0.0
-
-    if K == 1:
-        point = np.ones(1)
-        r = stacked[:, :, 0].min(axis=1)
-        bad = np.any(r[active] <= 0.0)
-        val = math.inf if bad else float(np.sum(coeffs[active] / r[active]))
-        return point, val
-
-    def f(w: np.ndarray) -> float:
-        r = (stacked @ w).min(axis=1)
-        if np.any(r[active] <= 0.0):
-            return math.inf
-        return float(np.sum(coeffs[active] / r[active]))
-
-    def subgrad(w: np.ndarray) -> np.ndarray:
-        vals = stacked @ w
-        jstar = vals.argmin(axis=1)
-        r = vals[np.arange(M), jstar]
-        g = np.zeros(K)
-        for i in np.nonzero(active)[0]:
-            g -= (coeffs[i] / r[i] ** 2) * stacked[i, jstar[i]]
-        return g
-
-    rng = np.random.default_rng(seed)
-    uniform = np.full(K, 1.0 / K)
-    starts = [uniform] + [rng.dirichlet(np.ones(K)) for _ in range(2)]
-    starts += [np.asarray(s, dtype=float) for s in extra_starts]
-
-    def run_phases(x0: np.ndarray, best):
-        best_f, best_x = best
-        x = x0.copy()
-        if not math.isfinite(f(x)):
-            x = 0.5 * (x + uniform)
-        for s0 in (0.25, 0.025, 0.0025):
-            stall, local_best = 0, math.inf
-            for t in range(1, 301):
-                g = subgrad(x)
-                step = s0 / ((np.linalg.norm(g) + 1e-12) * math.sqrt(t))
-                xn = _project_simplex(x - step * g)
-                fn = f(xn)
-                retries = 0
-                while not math.isfinite(fn) and retries < 40:
-                    xn = 0.5 * (xn + x)
-                    fn = f(xn)
-                    retries += 1
-                if not math.isfinite(fn):
-                    break
-                x = xn
-                if fn < best_f - 1e-15:
-                    best_f, best_x = fn, xn.copy()
-                if fn < local_best - 1e-9:
-                    local_best, stall = fn, 0
-                else:
-                    stall += 1
-                    if stall >= 60:
-                        break
-            x = best_x.copy()
-        return best_f, best_x
-
-    best = (f(uniform), uniform.copy())
-    for x0 in starts:
-        best = run_phases(x0, best)
-
-    if K <= 4:
-        grid = simplex_grid(K, grid_resolution)
-        r_grid = np.einsum("gk,mjk->gmj", grid, stacked).min(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(
-                np.all(r_grid[:, active] > 0.0, axis=1),
-                (coeffs[None, active] / np.where(r_grid[:, active] > 0, r_grid[:, active], 1.0)).sum(axis=1),
-                math.inf,
-            )
-        g_idx = int(np.argmin(vals))
-        if vals[g_idx] < best[0]:
-            best = (float(vals[g_idx]), grid[g_idx].copy())
-            best = run_phases(grid[g_idx], best)
-
-    return _clean_weights(best[1]) if best[1].sum() > 0 else best[1], best[0]
+    keep = coeffs > 0.0
+    c, rows = coeffs[keep], stacked[keep]
+    n, J, K = rows.shape
+    w = np.full(K, 1.0 / K)
+    if n == 0:
+        return w, 0.0
+    r = (rows @ w).min(axis=1)
+    if np.any(r <= 0.0):  # a pair no action separates: R(i, .) = 0 everywhere
+        return w, math.inf
+    # Inequality rows A @ (w, t) > 0, and a basis Z of the moves keeping sum(w) = 1.
+    A = np.vstack(
+        [np.hstack([rows.reshape(n * J, K), -np.repeat(np.eye(n), J, axis=0)]), np.eye(K + n)]
+    )
+    Z = null_space(np.concatenate([np.ones(K), np.zeros(n)])[None, :])
+    m = A.shape[0]
+    x = np.concatenate([w, 0.5 * r])
+    tau = m / np.sum(c / x[K:])
+    while m / tau > GAP_TOL * np.sum(c / x[K:]):
+        tau *= 50.0
+        for _ in range(50):  # Newton centering of tau * sum(c / t) - sum(log(A @ x))
+            s, t = A @ x, x[K:]
+            # The quadratic model of the centering objective along Z is
+            # ||L y - b||^2 / 2 up to a constant, so its minimizer is the Newton step.
+            h = np.sqrt(2.0 * tau * c / t**3)
+            L = np.vstack([A / s[:, None], np.hstack([np.zeros((n, K)), np.diag(h)])]) @ Z
+            y = np.linalg.lstsq(L, np.concatenate([np.ones(m), 0.5 * h * t]), rcond=None)[0]
+            decrement = float(np.sum((L @ y) ** 2))
+            if decrement <= 1e-6:  # a tighter test stalls on rounding at large tau
+                break
+            d = Z @ y
+            ds, dt = A @ d, d[K:]
+            step = 1.0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                # The change of the objective, formed as a difference so it keeps
+                # its digits at large tau; an infeasible step makes it NaN and fails.
+                while step > 1e-12 and not (
+                    -tau * np.sum(c * step * dt / (t * (t + step * dt)))
+                    - np.sum(np.log1p(step * ds / s))
+                    <= -0.25 * step * decrement
+                ):
+                    step *= 0.5
+            x = x + step * d
+    w = _clean_weights(x[:K])
+    r = (rows @ w).min(axis=1)
+    return w, math.inf if np.any(r <= 0.0) else float(np.sum(c / r))
 
 
-def max_harmonic_reliability(
-    model: ObservationModel,
-    D: np.ndarray | None = None,
-    *,
-    seed: int = 0,
-    extra_starts=(),
-):
+def max_harmonic_reliability(model: ObservationModel, D: np.ndarray | None = None):
     """The rule maximizing the harmonic reliability, and its value."""
     if D is None:
         D = kl_matrix(model)
-    stacked = _stacked_rows(D)
-    starts = list(extra_starts) + [
-        RandomizedRule.point_mass(model.K, a).weights for a in range(model.K)
-    ]
-    w, _ = _minimize_weighted_inverse(
-        stacked, np.ones(model.M), seed=seed, extra_starts=starts
-    )
+    w, _ = _minimize_weighted_inverse(_stacked_rows(D), np.ones(model.M))
     rule = RandomizedRule(w)
     return rule, harmonic_reliability(model, rule, D)
 
@@ -587,8 +540,6 @@ def leading_order_bounds(
     reliabilities,
     maxmin_value: float,
     minmax_value: float,
-    seed: int = 0,
-    warm_starts=(),
 ) -> LeadingOrderBounds:
     """Assemble the per-family leading-order bounds at this model's penalty."""
     logL = math.log(model.penalty)
@@ -605,9 +556,7 @@ def leading_order_bounds(
     sn = {}
     for tag, wgt in (("upper", w_up), ("lower", w_lo)):
         coeffs = prior * wgt
-        w, val = _minimize_weighted_inverse(
-            stacked, coeffs, seed=seed, extra_starts=warm_starts
-        )
+        w, val = _minimize_weighted_inverse(stacked, coeffs)
         sn[tag] = (RandomizedRule(w), val)
 
     r_star = np.array([val for _, val in reliabilities])
@@ -759,7 +708,6 @@ class BoundsReport:
     gains: Gains
     exponents: ErrorExponents
     flags: tuple
-    seed: int
     penalty: float = math.nan
     kl: np.ndarray = field(repr=False, compare=False, default=None)
 
@@ -804,7 +752,6 @@ class BoundsReport:
                 "na_upper": self.exponents.na_upper,
             },
             "flags": list(self.flags),
-            "seed": self.seed,
         }
 
     def to_json(self) -> str:
@@ -826,7 +773,7 @@ class BoundsReport:
             rows.append([f"reliability_{i}", value, *rule_cells(rule), "lp"])
         rows += [
             ["r_bar_star", self.r_bar_star, *blank, "lp"],
-            ["max_r_bar", self.max_r_bar, *rule_cells(self.max_r_bar_rule), "subgradient+grid"],
+            ["max_r_bar", self.max_r_bar, *rule_cells(self.max_r_bar_rule), f"rel_gap<={GAP_TOL:g}"],
             ["maxmin_r", self.maxmin_r, *rule_cells(self.maxmin_rule), "lp"],
             ["minmax_r", self.minmax_r, *blank, "lp"],
             ["nn_upper", self.cost_bounds.nn_upper, *rule_cells(self.d_hat_rule), "leading-order"],
@@ -851,7 +798,6 @@ def compute_bounds(
     model: ObservationModel,
     grid_resolution: float = 0.02,
     *,
-    seed: int = 0,
     polish_evals: int = 500,
 ) -> BoundsReport:
     """Run the full asymptotic analysis for one model.
@@ -881,10 +827,7 @@ def compute_bounds(
     maxmin_rule, maxmin_value = maxmin_reliability(model, D)
     minmax_value = min(r_values)
 
-    warm = [maxmin_rule.weights] + [rule.weights for rule, _ in reliabilities]
-    hr_rule, max_r_bar = max_harmonic_reliability(
-        model, D, seed=seed, extra_starts=warm
-    )
+    hr_rule, max_r_bar = max_harmonic_reliability(model, D)
 
     opt = d_hat(model, grid_resolution, polish_evals=polish_evals)
 
@@ -895,8 +838,6 @@ def compute_bounds(
         reliabilities=reliabilities,
         maxmin_value=maxmin_value,
         minmax_value=minmax_value,
-        seed=seed,
-        warm_starts=[maxmin_rule.weights, hr_rule.weights],
     )
     g = gains_from_values(maxmin_value, max_r_bar, r_bar_star)
     exponents = ErrorExponents(
@@ -917,7 +858,6 @@ def compute_bounds(
         gains=g,
         exponents=exponents,
         flags=tuple(flags),
-        seed=seed,
         penalty=model.penalty,
         kl=D,
     )
@@ -929,7 +869,7 @@ def report_at_penalty(report: BoundsReport, model: ObservationModel) -> BoundsRe
     Only the leading-order cost block depends on the penalty; the coefficients are
     reused as-is.  Under a uniform prior every bound entry is proportional to
     log L, so the block is rescaled in closed form; otherwise the weighted
-    optimizations are re-solved, warm-started from the stored rules.
+    optimizations are re-solved.
     """
     if model.penalty == report.penalty:
         return report
@@ -959,12 +899,5 @@ def report_at_penalty(report: BoundsReport, model: ObservationModel) -> BoundsRe
             reliabilities=report.reliabilities,
             maxmin_value=report.maxmin_r,
             minmax_value=report.minmax_r,
-            seed=report.seed,
-            warm_starts=[
-                report.maxmin_rule.weights,
-                report.max_r_bar_rule.weights,
-                report.cost_bounds.sn_upper_rule.weights,
-                report.cost_bounds.sn_lower_rule.weights,
-            ],
         )
     return dc_replace(report, cost_bounds=costs, penalty=model.penalty)

@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import KL_CAP, binary_specialize, compute_bounds, dominance_check
+from .bounds import GAP_TOL, KL_CAP, binary_specialize, compute_bounds, dominance_check
 from .exceptions import (
     ActiveHTError,
     AssumptionError,
@@ -42,7 +42,7 @@ from .oracle import OracleBudget, backward_eval, exact_eval
 from .policies import build_policy
 from .simulator import BLOCK, estimate_error_exponent, run_trials, sweep_L
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 SWEEP_HEADER = ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe", "cost", "cost_over_logL"]
 SUMMARY_HEADER = [
@@ -123,6 +123,7 @@ def _solver_settings(grid=None, polish_evals=None):
     if grid is not None:
         out["grid_resolution"] = grid
         out["polish_evals"] = polish_evals if polish_evals is not None else 500
+        out["gap_tol"] = GAP_TOL
     return out
 
 
@@ -160,7 +161,6 @@ def build_parser() -> _Parser:
 
     p = add("bounds", "asymptotic coefficients, bounds, gains, exponents")
     p.add_argument("--grid", type=float, default=0.02, help="simplex grid resolution")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="prefix for CSV + manifest output")
 
     p = add("simulate", "Monte Carlo run of one policy")
@@ -201,7 +201,6 @@ def build_parser() -> _Parser:
 
     p = add("gains", "sequentiality/adaptivity coefficients and dominance verdict")
     p.add_argument("--grid", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("binary", "two-hypothesis closed forms and the adaptivity-gain predicate")
 
@@ -240,15 +239,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     model = load_model(args.model)
-    report = compute_bounds(model, args.grid, seed=args.seed)
+    report = compute_bounds(model, args.grid)
     print(report.to_json())
     if args.out:
         manifest = make_manifest(
             "bounds",
             args.model,
-            {"grid": args.grid, "seed": args.seed},
+            {"grid": args.grid},
             _solver_settings(grid=args.grid),
-            args.seed,
+            None,
             1,
         )
         header, rows = report.csv_rows()
@@ -445,7 +444,7 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_gains(args) -> int:
     model = load_model(args.model)
-    report = compute_bounds(model, args.grid, seed=args.seed)
+    report = compute_bounds(model, args.grid)
     g = report.gains
     print(f"sequentiality_coefficient: {_fmt(g.sequentiality_coefficient)}")
     print(f"adaptivity_coefficient: {_fmt(g.adaptivity_coefficient)}")

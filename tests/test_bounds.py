@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from active_ht import (
+    FiniteKernel,
+    ObservationModel,
     RandomizedRule,
     binary_specialize,
     compute_bounds,
@@ -277,3 +279,77 @@ class TestMaxHarmonic:
         rule, val = max_harmonic_reliability(two_probe_model)
         assert_allclose(rule.weights, [0.5, 0.5], atol=1e-6)
         assert_allclose(val, MAXMIN_TP, rtol=1e-9)
+
+    def test_optima_beat_simplex_grid_and_are_attained(self):
+        # max_r_bar, sn_upper and sn_lower on random models with K = 1..4,
+        # non-uniform priors, and a penalty small enough that some sn_lower
+        # weight is <= 0 (those terms are dropped from the sum).
+        rng = np.random.default_rng(41)
+        for K in (1, 2, 3, 4):
+            for M in (2, 3):
+                rows = rng.dirichlet(np.full(3, 0.8), size=(M, K))
+                prior = np.array([0.7, 0.3] if M == 2 else [0.6, 0.3, 0.1])
+                m = ObservationModel(kernel=FiniteKernel(rows), prior=prior, penalty=2.0)
+                rep = compute_bounds(m, grid_resolution=0.25, polish_evals=20)
+                assert rep.to_dict() == compute_bounds(m, grid_resolution=0.25, polish_evals=20).to_dict()
+
+                D = kl_matrix(m)
+                logL = math.log(m.penalty)
+                logp = np.log(prior)
+                spread_min = np.array([logp[i] - np.delete(logp, i).max() for i in range(M)])
+                spread_max = np.array([logp[i] - np.delete(logp, i).min() for i in range(M)])
+                w_lo = prior * (logL - spread_max)
+                assert np.any(w_lo <= 0.0)
+
+                def weighted_inverse(coeffs, w):
+                    return sum(
+                        c / reliability(m, i, RandomizedRule(w), D)
+                        for i, c in enumerate(coeffs)
+                        if c > 0.0
+                    )
+
+                grid = simplex_grid(K, 0.05)
+                cb = rep.cost_bounds
+                best_harmonic = max(harmonic_reliability(m, RandomizedRule(w), D) for w in grid)
+                assert rep.max_r_bar >= best_harmonic * (1.0 - 1e-9)
+                assert_allclose(rep.max_r_bar, harmonic_reliability(m, rep.max_r_bar_rule, D), rtol=1e-12)
+                for value, rule, coeffs in (
+                    (cb.sn_upper, cb.sn_upper_rule, prior * (logL - spread_min)),
+                    (cb.sn_lower, cb.sn_lower_rule, w_lo),
+                ):
+                    best = min(weighted_inverse(coeffs, w) for w in grid)
+                    assert value <= best * (1.0 + 1e-9) + 1e-12
+                    assert_allclose(value, weighted_inverse(coeffs, rule.weights), rtol=1e-12, atol=1e-15)
+
+
+class TestCappedDivergences:
+    """Models where some KL divergences are infinite and enter the solves at KL_CAP."""
+
+    @staticmethod
+    def _check(m, fully_separable):
+        rep = compute_bounds(m, grid_resolution=0.1, polish_evals=50)
+        assert "kl_capped" in rep.flags
+        attained = harmonic_reliability(m, rep.max_r_bar_rule)
+        assert rep.max_r_bar == attained
+        assert math.isinf(rep.max_r_bar) == fully_separable
+
+    def test_every_pair_separated(self):
+        # Actions 0 and 1 both give each hypothesis its own symbol, so every
+        # pair has disjoint supports under both and the optimum is a flat face.
+        rows = np.zeros((3, 3, 3))
+        rows[:, 0, :] = np.eye(3)
+        rows[:, 1, :] = np.eye(3)[[1, 2, 0]]
+        rows[:, 2, :] = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+        m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.3, 0.2], penalty=100.0)
+        self._check(m, fully_separable=True)
+
+    def test_some_pairs_separated(self):
+        # Under action 0 hypothesis 0 alone has disjoint support; the pair
+        # (1, 2) keeps finite divergences under both actions.
+        rows = np.array([
+            [[1.0, 0.0, 0.0], [0.6, 0.3, 0.1]],
+            [[0.0, 0.5, 0.5], [0.2, 0.5, 0.3]],
+            [[0.0, 0.3, 0.7], [0.3, 0.3, 0.4]],
+        ])
+        m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.2, 0.3, 0.5], penalty=100.0)
+        self._check(m, fully_separable=False)
