@@ -3,8 +3,13 @@
 A policy is queried with the current posterior (a probability vector) and
 the number of steps already taken.  ``action_weights`` returns the action
 distribution to draw from, or None to stop; ``declare`` picks the posterior
-mode (lowest index on ties).  Policies are pure: all randomness comes from
-the generator handed to ``step``, so identical seeds replay identical
+mode (lowest index on ties).  ``batch_weights`` answers the same question for
+a stack of posteriors at one step, as the simulator's lockstep engine asks
+it: the base class loops over ``action_weights``, so a subclass that defines
+only that still runs, and the built-in families answer with array
+operations.  Policies are pure and hold no generator: every action draw,
+``step``'s and the simulator's, maps a uniform from the caller's generator
+through ``inverse_cdf_index``, so identical seeds replay identical
 trajectories.
 """
 
@@ -38,6 +43,21 @@ def map_index(probs: np.ndarray) -> int:
     return int(np.argmax(probs))
 
 
+def inverse_cdf_index(cdf: np.ndarray, u) -> np.ndarray:
+    """Index drawn by uniform(s) ``u`` from cumulative masses ``cdf`` (last axis).
+
+    On a non-decreasing ``cdf`` this is ``searchsorted(cdf, u, side="right")``
+    clipped to the last index, so float dust in a total just below 1 cannot
+    draw past the end: the count of the entries before the last that are
+    ``<= u``.  ``cdf[..., k]`` broadcasts against ``u``.
+    """
+    u = np.asarray(u)
+    index = np.zeros(np.broadcast_shapes(cdf.shape[:-1], u.shape), dtype=np.int64)
+    for k in range(cdf.shape[-1] - 1):
+        index += cdf[..., k] <= u
+    return index
+
+
 class Policy:
     """Interface shared by all policies."""
 
@@ -45,6 +65,21 @@ class Policy:
 
     def action_weights(self, probs: np.ndarray, step_count: int):
         raise NotImplementedError
+
+    def batch_weights(self, probs: np.ndarray, step_count: int):
+        """``action_weights`` for every row of ``probs`` (B, M) at one step.
+
+        Returns ``(weights (B, K), stop (B,))``: ``stop`` is True exactly
+        where ``action_weights`` returns None, and those rows of ``weights``
+        are unspecified.
+        """
+        rows = [self.action_weights(p, step_count) for p in probs]
+        stop = np.array([w is None for w in rows], dtype=bool)
+        go = [np.asarray(w, dtype=float) for w in rows if w is not None]
+        weights = np.zeros((len(rows), go[0].size if go else 0))
+        if go:
+            weights[~stop] = go
+        return weights, stop
 
     def declare(self, probs: np.ndarray) -> int:
         return map_index(probs)
@@ -54,8 +89,7 @@ class Policy:
         w = self.action_weights(probs, step_count)
         if w is None:
             return None
-        u = rng.random()
-        return int(min(np.searchsorted(np.cumsum(w), u, side="right"), w.size - 1))
+        return int(inverse_cdf_index(np.cumsum(w), rng.random()))
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -84,6 +118,14 @@ class FixedRulePolicy(Policy):
         if self.n is not None:
             return self.weights if step_count < self.n else None
         return None if probs.max() >= self.threshold else self.weights
+
+    def batch_weights(self, probs: np.ndarray, step_count: int):
+        B = probs.shape[0]
+        if self.n is not None:
+            stop = np.full(B, step_count >= self.n)
+        else:
+            stop = probs.max(axis=1) >= self.threshold
+        return np.broadcast_to(self.weights, (B, self.weights.size)), stop
 
     def descriptor(self) -> dict:
         mode = (
@@ -131,6 +173,12 @@ class TwoPhasePolicy(Policy):
         if top < self.phase_threshold:
             return self.explore_weights
         return self.exploit_weights[map_index(probs)]
+
+    def batch_weights(self, probs: np.ndarray, step_count: int):
+        top = probs.max(axis=1)
+        weights = self.exploit_weights[probs.argmax(axis=1)]
+        weights[top < self.phase_threshold] = self.explore_weights
+        return weights, top >= self.stop_threshold
 
     def descriptor(self) -> dict:
         return {

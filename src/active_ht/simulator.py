@@ -12,6 +12,20 @@ Reproducibility rules:
   index order, so summaries are bit-identical no matter how many workers
   processed them.
 
+Sequential policies run in a lockstep engine: all live trials of a block
+advance together, one ``Policy.batch_weights`` query and one vectorized
+log-domain Bayes update per step, and a trial retires when its policy stops
+or it reaches the policy's safety horizon (flagged as truncated).  Each
+trial still draws only from its own generator, in a fixed order per step:
+on a finite kernel the action uniform, then the symbol uniform (taken from
+``rng.random`` in chunks, which yields the same stream as one call per
+draw); on a Gaussian kernel the action uniform, then one standard normal
+scaled by the chosen action's mean and deviation.  A trial's trajectory
+therefore does not depend on the other trials in its block.  Fixed-horizon
+i.i.d.-rule policies take a separate path that draws all of a trial's
+uniforms at once and sums the log-likelihoods without per-step
+normalization.
+
 The error probability reported by a summary is the mean terminal posterior
 error E[1 - max_i posterior_i(stop)], which is exactly the probability of a
 wrong declaration under the model and has far lower variance than counting
@@ -30,9 +44,12 @@ import numpy as np
 from .bounds import BoundsReport, report_at_penalty
 from .exceptions import AssumptionError
 from .model import ObservationModel
-from .policies import FixedRulePolicy, Policy, build_policy
+from .policies import FixedRulePolicy, Policy, build_policy, inverse_cdf_index
 
 BLOCK = 1024
+
+# Steps of uniforms a lockstep trial on a finite kernel draws per refill.
+CHUNK = 64
 
 # When a run observes zero wrong declarations, the error estimate is floored
 # at 1/(2N) and flagged: the tail of the posterior-error distribution is then
@@ -85,12 +102,10 @@ class _Tables:
             self.vars = model.kernel.variances
             self.stds = np.sqrt(self.vars)
             self.log_norm = -0.5 * np.log(2.0 * np.pi * self.vars)  # (M, K)
-
-    def log_like(self, a: int, z: float) -> np.ndarray:
-        """log density of observation z under action a, for every hypothesis."""
-        if self.model.is_finite:
-            return self.logq_az[a, int(z)]
-        return self.log_norm[:, a] - (z - self.means[:, a]) ** 2 / (2.0 * self.vars[:, a])
+            # (K, M) copies, so one gather gives a row per trial
+            self.means_am = np.ascontiguousarray(self.means.T)
+            self.vars_am = np.ascontiguousarray(self.vars.T)
+            self.log_norm_am = np.ascontiguousarray(self.log_norm.T)
 
 
 @dataclass(frozen=True)
@@ -186,37 +201,64 @@ class _Acc:
         )
 
 
-def _loop_trial(tables: _Tables, policy: Policy, theta: int, rng: np.random.Generator):
-    """Generic per-step trial loop (any policy, any kernel)."""
+def _lockstep_block(tables: _Tables, policy: Policy, thetas: np.ndarray, path: tuple, k0: int):
+    """Run trials k0, k0+1, ... (true hypotheses ``thetas``) in lockstep.
+
+    Returns per-trial (tau, terminal posterior (B, M), truncated).
+    """
     model = tables.model
+    B, M = thetas.size, model.M
+    rngs = [_trial_rng(path, k0 + b) for b in range(B)]
+    lm = np.tile(tables.log_prior, (B, 1))
+    probs = np.tile(tables.prior, (B, 1))
+    tau = np.zeros(B, dtype=np.int64)
+    final = np.empty((B, M))
+    truncated = np.zeros(B, dtype=bool)
+    live = np.arange(B)
     finite = model.is_finite
-    K = model.K
-    lm = tables.log_prior.copy()
-    probs = tables.prior
+    if finite:
+        U = np.empty((B, 2 * CHUNK))
     horizon = policy.safety_horizon
     t = 0
-    truncated = False
     while True:
-        w = policy.action_weights(probs, t)
-        if w is None:
-            break
+        w, stop = policy.batch_weights(probs, t)
         if horizon is not None and t >= horizon:
-            truncated = True
-            break
-        cw = np.cumsum(w)
-        a = int(min(np.searchsorted(cw, rng.random(), side="right"), K - 1))
+            truncated[live[~stop]] = True
+            stop = np.ones(live.size, dtype=bool)
+        if stop.any():
+            done = live[stop]
+            tau[done] = t
+            final[done] = probs[stop]
+            go = ~stop
+            live, lm, probs, w = live[go], lm[go], probs[go], w[go]
+            if finite:
+                U = U[go]
+            if live.size == 0:
+                return tau, final, truncated
+        theta = thetas[live]
         if finite:
-            row = tables.cdf[theta, a]
-            z = int(min(np.searchsorted(row, rng.random(), side="right"), row.size - 1))
+            j = t % CHUNK
+            if j == 0:
+                for r, b in enumerate(live):
+                    rngs[b].random(out=U[r])
+            a = inverse_cdf_index(np.cumsum(w, axis=1), U[:, 2 * j])
+            z = inverse_cdf_index(tables.cdf[theta, a], U[:, 2 * j + 1])
+            ll = tables.logq_az[a, z]
         else:
-            z = rng.normal(tables.means[theta, a], tables.stds[theta, a])
-        lm = lm + tables.log_like(a, z)
-        lm -= lm.max()
+            u = np.empty(live.size)
+            z0 = np.empty(live.size)
+            for r, b in enumerate(live):
+                g = rngs[b]
+                u[r] = g.random()
+                z0[r] = g.standard_normal()
+            a = inverse_cdf_index(np.cumsum(w, axis=1), u)
+            z = tables.means[theta, a] + tables.stds[theta, a] * z0
+            ll = tables.log_norm_am[a] - (z[:, None] - tables.means_am[a]) ** 2 / (2.0 * tables.vars_am[a])
+        lm = lm + ll
+        lm -= lm.max(axis=1)[:, None]
         p = np.exp(lm)
-        probs = p / p.sum()
+        probs = p / p.sum(axis=1)[:, None]
         t += 1
-    declared = policy.declare(probs)
-    return t, declared, 1.0 - float(probs.max()), truncated
 
 
 def _fixed_rule_logmass_block(
@@ -225,17 +267,14 @@ def _fixed_rule_logmass_block(
     """Terminal log masses (M, B) for i.i.d.-rule, fixed-horizon trials."""
     model = tables.model
     B = thetas.size
-    M, K = model.M, model.K
     if n == 0:
         return np.tile(tables.log_prior[:, None], (1, B))
     U = np.empty((B, 2 * n))
     for b in range(B):
         U[b] = _trial_rng(path, k0 + b).random(2 * n)
-    cw = np.cumsum(weights)
-    actions = np.minimum(np.searchsorted(cw, U[:, 0::2], side="right"), K - 1)
+    actions = inverse_cdf_index(np.cumsum(weights), U[:, 0::2])
     if model.is_finite:
-        rows = tables.cdf[thetas[:, None], actions]  # (B, n, Z)
-        z = np.minimum((rows <= U[:, 1::2, None]).sum(axis=2), rows.shape[2] - 1)
+        z = inverse_cdf_index(tables.cdf[thetas[:, None], actions], U[:, 1::2])
         gathered = tables.logq_iaz[:, actions, z]  # (M, B, n)
     else:
         mu = tables.means[thetas[:, None], actions]
@@ -256,59 +295,35 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
 
 
 def _run_block(model, tables, policy, thetas, path, k0, k1, L, want_records):
-    acc = _Acc()
-    records = [] if want_records else None
     block_thetas = thetas[k0:k1]
-    fast = isinstance(policy, FixedRulePolicy) and policy.n is not None
-    if fast:
+    if isinstance(policy, FixedRulePolicy) and policy.n is not None:
         lm = _fixed_rule_logmass_block(tables, policy.weights, policy.n, block_thetas, path, k0)
-        m = lm.max(axis=0)
-        p = np.exp(lm - m[None, :])
-        s = p.sum(axis=0)
-        pmax = p.max(axis=0) / s
+        p = np.exp(lm - lm.max(axis=0)[None, :])
+        err = 1.0 - p.max(axis=0) / p.sum(axis=0)
         declared = p.argmax(axis=0)
-        err = 1.0 - pmax
-        tau = np.full(block_thetas.size, float(policy.n))
-        wrong = int((declared != block_thetas).sum())
-        acc.add_arrays(tau, err, wrong, 0, L)
-        if want_records:
-            for b in range(block_thetas.size):
-                records.append(
-                    TrialRecord(
-                        index=k0 + b,
-                        theta=int(block_thetas[b]),
-                        tau=int(policy.n),
-                        declared=int(declared[b]),
-                        correct=bool(declared[b] == block_thetas[b]),
-                        posterior_error=float(err[b]),
-                        truncated=False,
-                    )
-                )
-        return acc, records
-    taus = np.empty(block_thetas.size)
-    errs = np.empty(block_thetas.size)
-    wrong = 0
-    trunc = 0
-    for b, theta in enumerate(block_thetas):
-        rng = _trial_rng(path, k0 + b)
-        tau, declared, err, truncated = _loop_trial(tables, policy, int(theta), rng)
-        taus[b] = tau
-        errs[b] = err
-        wrong += int(declared != theta)
-        trunc += int(truncated)
-        if want_records:
-            records.append(
-                TrialRecord(
-                    index=k0 + b,
-                    theta=int(theta),
-                    tau=tau,
-                    declared=declared,
-                    correct=bool(declared == theta),
-                    posterior_error=err,
-                    truncated=truncated,
-                )
+        tau = np.full(block_thetas.size, policy.n)
+        truncated = np.zeros(block_thetas.size, dtype=bool)
+    else:
+        tau, final, truncated = _lockstep_block(tables, policy, block_thetas, path, k0)
+        declared = np.array([policy.declare(p) for p in final], dtype=np.int64)
+        err = 1.0 - final.max(axis=1)
+    wrong = declared != block_thetas
+    acc = _Acc()
+    acc.add_arrays(tau.astype(float), err, wrong.sum(), truncated.sum(), L)
+    records = None
+    if want_records:
+        records = [
+            TrialRecord(
+                index=k0 + b,
+                theta=int(block_thetas[b]),
+                tau=int(tau[b]),
+                declared=int(declared[b]),
+                correct=not wrong[b],
+                posterior_error=float(err[b]),
+                truncated=bool(truncated[b]),
             )
-    acc.add_arrays(taus, errs, wrong, trunc, L)
+            for b in range(block_thetas.size)
+        ]
     return acc, records
 
 

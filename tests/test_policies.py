@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from active_ht import (
@@ -13,6 +15,7 @@ from active_ht import (
     FiniteKernel,
     FixedRulePolicy,
     ObservationModel,
+    Policy,
     TwoPhasePolicy,
     build_policy,
     compute_bounds,
@@ -152,6 +155,65 @@ class TestThresholdPolicies:
             pol = build_policy(kind, two_probe_model, two_probe_report)
             summary, _ = run_trials(two_probe_model, pol, 5000, 92)
             assert summary.n_truncated == 0
+
+
+_PHASE, _STOP = 0.5, 0.9
+
+
+@st.composite
+def _posterior_stacks(draw):
+    """(B, M) posteriors mixing random rows with rows exactly at the phase or
+    stop threshold and rows whose mode is tied."""
+    M = draw(st.integers(2, 4))
+    B = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(B):
+        kind = draw(st.sampled_from(["random", "phase", "stop", "tie"]))
+        if kind == "random":
+            raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M))) + 1e-3
+            rows.append(raw / raw.sum())
+        elif kind == "tie":
+            top = draw(st.sampled_from([1.0 / M, 0.5]))
+            rows.append(np.array([top, top, *np.full(M - 2, (1.0 - 2 * top) / max(M - 2, 1))]))
+        else:
+            top = _PHASE if kind == "phase" else _STOP
+            rest = np.full(M - 1, (1.0 - top) / (M - 1))
+            at = draw(st.integers(0, M - 1))
+            rows.append(np.insert(rest, at, top))
+    return np.vstack(rows)
+
+
+def _policies_for(M, rng):
+    K = 3
+    w = rng.dirichlet(np.ones(K))
+    return [
+        FixedRulePolicy(weights=w, n=4),
+        FixedRulePolicy(weights=w, threshold=_STOP),
+        FixedRulePolicy(weights=w, threshold=_PHASE),
+        TwoPhasePolicy(
+            explore_weights=w,
+            exploit_weights=rng.dirichlet(np.ones(K), size=M),
+            phase_threshold=_PHASE,
+            stop_threshold=_STOP,
+        ),
+    ]
+
+
+class TestBatchWeights:
+    @given(_posterior_stacks(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_action_weights(self, probs, step, seed):
+        # Every row of the vectorized answer equals the scalar one, stop is
+        # set exactly where action_weights returns None, and the base-class
+        # loop gives the same answer.
+        for pol in _policies_for(probs.shape[1], np.random.default_rng(seed)):
+            for weights, stop in (pol.batch_weights(probs, step), Policy.batch_weights(pol, probs, step)):
+                assert stop.shape == (probs.shape[0],)
+                for b, row in enumerate(probs):
+                    ref = pol.action_weights(row, step)
+                    assert bool(stop[b]) == (ref is None)
+                    if ref is not None:
+                        assert np.array_equal(weights[b], ref)
 
 
 class TestBuildPolicy:

@@ -9,9 +9,11 @@ from numpy.testing import assert_allclose
 
 from active_ht import (
     FiniteKernel,
+    FixedRulePolicy,
     ObservationModel,
     OracleBudget,
     RandomizedRule,
+    TwoPhasePolicy,
     build_policy,
     compute_bounds,
     estimate_error_exponent,
@@ -22,7 +24,7 @@ from active_ht import (
     stratified_hypotheses,
     sweep_L,
 )
-from conftest import make_two_probe_model
+from conftest import make_gaussian_binary_model, make_garbled_model, make_two_probe_model
 
 
 def _summaries_equal(a, b):
@@ -93,6 +95,42 @@ class TestRunTrials:
         assert_allclose(s_fast.pe, s_scalar.pe, rtol=1e-12)
         assert_allclose(s_fast.cost, s_scalar.cost, rtol=1e-12)
 
+    def test_user_subclass_with_truncating_horizon(self, two_probe_model):
+        # A subclass defining only action_weights runs through the default
+        # batch_weights; a second one overriding declare is honoured too.
+        from active_ht import Policy
+
+        class _Capped(Policy):
+            safety_horizon = 6
+
+            def action_weights(self, probs, step_count):
+                return None if probs.max() >= 0.99 else np.array([0.5, 0.5])
+
+        class _DeclaresOne(_Capped):
+            def declare(self, probs):
+                return 1
+
+        summary, records = run_trials(two_probe_model, _Capped(), 1500, 26, record_trials=True)
+        taus = np.array([r.tau for r in records])
+        trunc = np.array([r.truncated for r in records])
+        errs = np.array([r.posterior_error for r in records])
+        assert 0 < summary.n_truncated == trunc.sum() < 1500
+        assert np.all(taus[trunc] == 6) and np.all(taus[~trunc] <= 6)
+        assert np.all(errs[~trunc] <= 0.01) and np.all(errs[trunc] > 0.01)
+        assert summary.mean_tau == taus.mean()
+        assert summary.n_wrong == sum(r.declared != r.theta for r in records)
+        assert all(r.correct == (r.declared == r.theta) for r in records)
+        # The vectorized built-in equivalent sees the same trajectories.
+        builtin, _ = run_trials(
+            two_probe_model, fixed_lambda_policy([0.5, 0.5], threshold=0.99, safety_horizon=6), 1500, 26
+        )
+        assert builtin == summary
+
+        other, others = run_trials(two_probe_model, _DeclaresOne(), 1500, 26, record_trials=True)
+        assert all(r.declared == 1 for r in others)
+        assert other.n_wrong == sum(r.theta != 1 for r in records)
+        assert [(r.tau, r.truncated, r.posterior_error) for r in others] == list(zip(taus, trunc, errs))
+
     def test_summary_matches_records(self, two_probe_model, two_probe_report):
         pol = build_policy("sn", two_probe_model, two_probe_report)
         summary, records = run_trials(two_probe_model, pol, 2500, 14, record_trials=True)
@@ -120,6 +158,87 @@ class TestRunTrials:
         summary, _ = run_trials(gaussian_binary_model, pol, 4000, 16)
         assert 0.0 < summary.pe < 0.5
         assert summary.mean_tau == 8.0
+
+
+def _skewed_three_model() -> ObservationModel:
+    """M = 3, K = 3 finite model with a non-uniform prior."""
+    return ObservationModel(
+        kernel=FiniteKernel(
+            [
+                [[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.5, 0.4, 0.1]],
+                [[0.2, 0.5, 0.3], [0.6, 0.3, 0.1], [0.5, 0.1, 0.4]],
+                [[0.3, 0.3, 0.4], [0.2, 0.2, 0.6], [0.1, 0.6, 0.3]],
+            ]
+        ),
+        prior=[0.5, 0.3, 0.2],
+        penalty=1000.0,
+    )
+
+
+def _sn(weights, L, horizon=10_000):
+    return FixedRulePolicy(weights=weights, threshold=1.0 - 1.0 / L, safety_horizon=horizon)
+
+
+def _sa(explore, exploit, L, horizon=10_000):
+    return TwoPhasePolicy(
+        explore_weights=explore,
+        exploit_weights=exploit,
+        phase_threshold=0.5,
+        stop_threshold=1.0 - 1.0 / L,
+        safety_horizon=horizon,
+    )
+
+
+# Policies are pinned by their parameters, not built from compute_bounds, so
+# that only the simulator can move the recorded summaries below.
+SEED_CONTRACT_CASES = {
+    "two_probe-sn": lambda: (make_two_probe_model(), _sn([0.5, 0.5], 1000.0)),
+    "two_probe-sa": lambda: (make_two_probe_model(), _sa([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], 1000.0)),
+    "garbled-sn": lambda: (make_garbled_model(), _sn([0.7, 0.3], 100.0)),
+    "garbled-sa": lambda: (
+        make_garbled_model(),
+        _sa([0.5, 0.5], [[1.0, 0.0], [0.6, 0.4], [0.2, 0.8]], 100.0),
+    ),
+    "gaussian-sn": lambda: (make_gaussian_binary_model(), _sn([0.5, 0.5], 1000.0)),
+    "gaussian-sa": lambda: (
+        make_gaussian_binary_model(),
+        _sa([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], 1000.0),
+    ),
+    "skewed3-sn": lambda: (_skewed_three_model(), _sn([0.2, 0.5, 0.3], 1000.0)),
+    "skewed3-sa": lambda: (
+        _skewed_three_model(),
+        _sa([0.2, 0.5, 0.3], [[0.6, 0.1, 0.3], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], 1000.0),
+    ),
+    "two_probe-truncated": lambda: (
+        make_two_probe_model(),
+        fixed_lambda_policy([0.5, 0.5], threshold=0.985, safety_horizon=5),
+    ),
+}
+
+# (mean_tau, se_tau, pe, se_pe, cost, se_cost, n_wrong, n_truncated) of
+# run_trials(model, policy, 1500, (41, index)), recorded from the per-trial
+# scalar loop that the lockstep engine replaced.  Compared with ==: any
+# difference breaks the seed contract.
+SEED_CONTRACT = {
+    "two_probe-sn": (11.522666666666666, 0.14086714728283486, 0.0005860236714570628, 6.5768368252952e-06, 12.10869033812373, 0.14017880950659156, 0, 0),
+    "two_probe-sa": (10.832666666666666, 0.1497414558330099, 0.000512453085701764, 5.562740509003807e-06, 11.345119752368431, 0.14898316868481232, 0, 0),
+    "garbled-sn": (21.478, 0.425531766630683, 0.00639193701188531, 6.727912840958147e-05, 22.117193701188533, 0.42769347652136974, 12, 0),
+    "garbled-sa": (28.441333333333333, 0.567670174768693, 0.006579048460931861, 7.02339404749471e-05, 29.099238179426518, 0.5702078565282622, 6, 0),
+    "gaussian-sn": (10.896666666666667, 0.18190182424572904, 0.0003514624001042687, 8.65399030291185e-06, 11.248129066770936, 0.18278900113016394, 1, 0),
+    "gaussian-sa": (9.164666666666667, 0.1620695696318018, 0.00023650675501610922, 7.150088981021644e-06, 9.401173421682776, 0.16240542270030078, 0, 0),
+    "skewed3-sn": (27.373333333333335, 0.3338476796672146, 0.0006620673747409163, 5.297765782277761e-06, 28.035400708074253, 0.33379168936535186, 2, 0),
+    "skewed3-sa": (22.241333333333333, 0.2717232150485554, 0.000666576885411642, 5.176753666811817e-06, 22.907910218744977, 0.27166952555705126, 2, 0),
+    "two_probe-truncated": (4.508, 0.019521790109557305, 0.09637431892661168, 0.0032812334282679508, 100.88231892661167, 3.2898045292944884, 133, 827),
+}
+
+
+@pytest.mark.parametrize("index, name", enumerate(SEED_CONTRACT_CASES))
+def test_seed_contract_summaries(index, name):
+    model, policy = SEED_CONTRACT_CASES[name]()
+    s, _ = run_trials(model, policy, 1500, (41, index))
+    got = (s.mean_tau, s.se_tau, s.pe, s.se_pe, s.cost, s.se_cost, s.n_wrong, s.n_truncated)
+    assert (s.n_trials, s.penalty, s.master_seed) == (1500, model.penalty, (41, index))
+    assert got == SEED_CONTRACT[name]
 
 
 class TestStratification:
