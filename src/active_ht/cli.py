@@ -5,7 +5,7 @@ oracle-check.  Exit codes are a stable scripting contract:
 
 * 0  success
 * 2  validation / assumption failure (bad model file, indistinguishable pairs)
-* 3  enumeration budget or horizon exhausted
+* 3  exact-evaluation state budget or horizon exhausted
 * 4  usage error (unknown flags, malformed values, wrong subcommand for model)
 
 Errors print a single machine-parsable line ``active-ht: <kind>: <message>``
@@ -209,7 +209,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_float_list)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=int, default=10_000_000)
+    p.add_argument("--nodes", type=int, default=10_000_000,
+                   help="cap on merged count-vector states the exact evaluators visit (exit 3 past it)")
     p.add_argument("--threads", type=int)
 
     return parser
@@ -488,6 +489,7 @@ def _cmd_oracle_check(args) -> int:
     sigma = summary.se_pe
     mass = float(np.max(exact.mass_residuals()))
     print(f"exact: E_tau={_fmt(exact.expected_tau)} pe={_fmt(exact.pe)} cost={_fmt(exact.cost)}")
+    print(f"exact_states: {exact.nodes}")
     print(f"backward_dp: pe={_fmt(dp.pe)} |gap|={_fmt(dp_gap)}")
     print(f"monte_carlo: pe={_fmt(summary.pe)} se={_fmt(sigma)} |gap|={_fmt(mc_gap)}")
     print(f"mass_residual_max: {_fmt(mass)}")

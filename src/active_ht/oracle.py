@@ -1,17 +1,19 @@
 """Exhaustive exact evaluation of policies on tiny finite-alphabet models.
 
-Two independent evaluators are provided on purpose:
+Two evaluators are provided on purpose:
 
-* ``exact_eval``    — depth-first enumeration of the joint randomization tree
-  (action draw x observation) with exact pruning of zero-probability
-  branches;
-* ``backward_eval`` — a backward dynamic program over merged count-matrix
+* ``exact_eval``    — a layered forward pass over merged (action, symbol)
+  count-vector states for any policy that reads only (posterior, step),
+  with exact pruning of zero-probability branches;
+* ``backward_eval`` — a backward dynamic program over the same count-matrix
   states, valid for fixed-horizon i.i.d.-rule policies.
 
-They share no arithmetic, so their agreement (within accumulation error) is
-a meaningful cross-check of both.  ``exact_pairwise`` additionally computes
-the exact pairwise posterior-comparison error rates under i.i.d. actions and
-the discrimination-exponent sandwich they are predicted to satisfy.
+Both merge paths by count vector, but one pushes probability mass forward
+and the other pulls values back from the horizon, so their agreement
+(within accumulation error) is a meaningful cross-check of both.
+``exact_pairwise`` additionally computes the exact pairwise
+posterior-comparison error rates under i.i.d. actions and the
+discrimination-exponent sandwich they are predicted to satisfy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -28,10 +29,15 @@ from .exceptions import BudgetError, HorizonError
 from .model import ObservationModel
 from .policies import Policy
 
+# exact_pairwise scores count matrices in chunks of this many, so its
+# (chunk, M, M) comparison arrays stay small whatever the state count.
+PAIRWISE_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Hard caps on the enumeration: depth and total visited states."""
+    """Hard caps on exact evaluation: depth, and total merged count-vector
+    states visited (summed over depths)."""
 
     horizon: int = 32
     nodes: int = 10_000_000
@@ -50,7 +56,7 @@ class ExactEvaluation:
     expected_tau: float
     pe: float
     cost: float
-    nodes: int
+    nodes: int            # merged count-vector states visited, over all depths
     truncated_mass: float
     entering_mass: tuple  # probability mass arriving at each depth
     stopped_mass: tuple   # probability mass stopping at each depth
@@ -75,89 +81,98 @@ def _require_finite(model: ObservationModel):
 def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | None = None) -> ExactEvaluation:
     """Exact E[stopping time], error probability, and total cost of a policy.
 
-    Enumerates every (action draw, observation) branch depth-first, carrying
-    the unnormalized posterior weight vector; zero-probability children are
-    pruned exactly.  Paths the policy truncates at its own safety horizon
-    stop there (mirroring the simulator); a path still live at
-    ``budget.horizon`` raises HorizonError, and visiting more than
-    ``budget.nodes`` states raises BudgetError.
+    Runs forward one depth at a time over merged states.  Every path that
+    reaches the same (action, symbol) count vector has the same posterior,
+    and its action-draw factors are common to all hypotheses, so for a
+    policy that reads only (posterior, step) such paths merge exactly: a
+    state is a count vector with the summed unnormalized posterior weights
+    of its paths.  Each depth makes one ``policy.batch_weights`` query;
+    zero-probability children are dropped exactly.  States the policy
+    truncates at its own safety horizon stop there (mirroring the
+    simulator); a state still live at ``budget.horizon`` raises
+    HorizonError, and visiting more than ``budget.nodes`` states raises
+    BudgetError.
     """
     _require_finite(model)
     if budget is None:
         budget = OracleBudget()
     q = model.kernel.probs  # (M, K, Z)
-    K = model.K
-    L = model.penalty
+    M, K, Z = q.shape
+    C = K * Z
+    cell_q = q.reshape(M, C).T  # (C, M): cell a * Z + z
     H = budget.horizon
     fh = policy.safety_horizon
 
-    entering = [0.0] * (H + 1)
-    stopped = [0.0] * (H + 1)
-    exp_tau = 0.0
-    err_mass = 0.0
-    trunc_mass = 0.0
+    entering, stopped = [], []
+    exp_tau = err_mass = trunc_mass = 0.0
     nodes = 0
 
-    stack = [(np.asarray(model.prior, dtype=float), 0)]
-    while stack:
-        v, d = stack.pop()
-        nodes += 1
+    mass = np.asarray(model.prior, dtype=float)[None, :]  # (S, M) unnormalized
+    counts = np.zeros((1, C), dtype=np.int64)  # (S, C) count vector per state
+    for d in range(H + 1):
+        nodes += mass.shape[0]
         if nodes > budget.nodes:
             raise BudgetError(f"enumeration exceeded node budget {budget.nodes}")
-        s = float(v.sum())
-        entering[d] += s
-        probs = v / s
-        w = policy.action_weights(probs, d)
-        truncates = w is not None and fh is not None and d >= fh
-        if w is None or truncates:
-            stopped[d] += s
-            exp_tau += d * s
-            err_mass += s - float(v.max())
-            if truncates:
-                trunc_mass += s
-            continue
+        s = mass.sum(axis=1)
+        weights, stop = policy.batch_weights(mass / s[:, None], d)
+        truncates = ~stop if fh is not None and d >= fh else np.zeros_like(stop)
+        stop = stop | truncates
+        entering.append(float(s.sum()))
+        stopped.append(float(s[stop].sum()))
+        exp_tau += d * stopped[-1]
+        # mass off the mode, summed directly: s - max would cancel when small
+        err_mass += float(np.sort(mass[stop], axis=1)[:, :-1].sum())
+        trunc_mass += float(s[truncates].sum())
+        live = ~stop
+        if not live.any():
+            break
         if d >= H:
             raise HorizonError(f"path still live at horizon {H}")
-        for a in range(K):
-            if w[a] <= 0.0:
-                continue
-            children = (w[a] * v)[:, None] * q[:, a, :]  # (M, Z)
-            for z in range(children.shape[1]):
-                child = children[:, z]
-                if child.sum() > 0.0:
-                    stack.append((child, d + 1))
+        w = np.repeat(weights[live], Z, axis=1)  # (S, C)
+        children = ((w[:, :, None] * mass[live][:, None, :]) * cell_q[None]).reshape(-1, M)
+        child_counts = (counts[live][:, None, :] + np.eye(C, dtype=np.int64)).reshape(-1, C)
+        keep = children.sum(axis=1) > 0.0
+        counts, merged = np.unique(child_counts[keep], axis=0, return_inverse=True)
+        merged = merged.ravel()
+        mass = np.column_stack(
+            [np.bincount(merged, weights=col, minlength=counts.shape[0]) for col in children[keep].T]
+        )
 
-    max_d = max(i for i in range(H + 1) if entering[i] > 0.0)
     return ExactEvaluation(
         expected_tau=exp_tau,
         pe=err_mass,
-        cost=exp_tau + L * err_mass,
+        cost=exp_tau + model.penalty * err_mass,
         nodes=nodes,
         truncated_mass=trunc_mass,
-        entering_mass=tuple(entering[: max_d + 1]),
-        stopped_mass=tuple(stopped[: max_d + 1]),
+        entering_mass=tuple(entering),
+        stopped_mass=tuple(stopped),
     )
-
-
-def _count_matrices(cells: int, n: int):
-    """All ways to spread n draws over ``cells`` categories (sorted order)."""
-    for combo in combinations_with_replacement(range(cells), n):
-        c = [0] * cells
-        for idx in combo:
-            c[idx] += 1
-        yield tuple(c)
 
 
 def _n_count_matrices(cells: int, n: int) -> int:
     return math.comb(n + cells - 1, cells - 1)
 
 
-def _multinomial(counts) -> float:
-    total = sum(counts)
-    out = math.factorial(total)
-    for c in counts:
-        out //= math.factorial(c)
-    return float(out)
+def _count_matrices(cells: int, n: int, ranks: np.ndarray) -> np.ndarray:
+    """Count vectors of n draws over ``cells`` categories, by rank.
+
+    Rank r is the r-th vector in decreasing lexicographic order, (n, 0, ...)
+    first, so ``np.arange(_n_count_matrices(cells, n))`` lists them all.
+    Unranked one cell at a time: with k cells left for m draws, the vectors
+    whose first count exceeds m - j number comb(j + k - 2, k - 1).
+    """
+    out = np.empty((ranks.size, cells), dtype=np.int64)
+    r = ranks.astype(np.int64)
+    left = np.full(ranks.size, n, dtype=np.int64)
+    for c in range(cells - 1):
+        k = cells - c
+        before = np.array([math.comb(j + k - 2, k - 1) for j in range(n + 2)], dtype=np.int64)
+        j = np.searchsorted(before, r, side="right") - 1
+        out[:, c] = left - j
+        r = r - before[j]
+        left = j
+    out[:, cells - 1] = left
+    return out
 
 
 def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | None = None) -> ExactEvaluation:
@@ -201,7 +216,7 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
             return 0.0
         depth = sum(counts)
         if depth == n:
-            return 1.0 - float(v.max()) / s
+            return float(np.sort(v)[:-1].sum()) / s
         acc = 0.0
         post = v / s
         for c_idx in range(len(cells)):
@@ -254,14 +269,16 @@ def exact_pairwise(model: ObservationModel, rule, n: int, budget: OracleBudget |
     i.i.d.-rule steps the posterior of j strictly exceeds that of i.  Because
     actions are i.i.d., the (action, symbol) count matrix is a sufficient
     statistic, and the enumeration runs over count matrices (multinomial
-    multiplicity attached) instead of raw paths; the node budget counts those
-    states.  Count classes whose log-likelihood sums agree up to accumulated
+    multiplicity attached) instead of raw paths, scored as arrays
+    ``PAIRWISE_CHUNK`` at a time; the node budget counts those states.
+    Count classes whose log-likelihood sums agree up to accumulated
     rounding (which happens structurally when kernel rows are permutations of
     one another) are reported as ties rather than being split between the two
     strict rates by last-bit noise, so rates[i, j] == rates[j, i] whenever the
-    model has an (i <-> j)-swap symmetry that the rule respects.  For each pair the result records the observed decay exponent
-    next to the predicted one (the alpha-optimized mixed discrimination
-    exponent for the pairwise error decay, computable to rate order only).
+    model has an (i <-> j)-swap symmetry that the rule respects.  For each
+    pair the result records the observed decay exponent next to the
+    predicted one (the alpha-optimized mixed discrimination exponent for the
+    pairwise error decay, computable to rate order only).
     """
     _require_finite(model)
     if n < 1:
@@ -289,32 +306,32 @@ def exact_pairwise(model: ObservationModel, rule, n: int, budget: OracleBudget |
     abs_loglike = np.where(np.isfinite(cell_loglike), np.abs(cell_loglike), 0.0)
     abs_log_prior = np.where(np.isfinite(log_prior), np.abs(log_prior), 0.0)
 
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     rates = np.zeros((M, M))
     ties = np.zeros((M, M))
-    for counts in _count_matrices(len(cells), n):
-        mult = _multinomial(counts)
-        carr = np.asarray(counts, dtype=float)
+    off_diagonal = ~np.eye(M, dtype=bool)
+    for r0 in range(0, n_states, PAIRWISE_CHUNK):
+        counts = _count_matrices(len(cells), n, np.arange(r0, min(r0 + PAIRWISE_CHUNK, n_states)))
+        carr = counts.astype(float)[:, None, :]  # (B, 1, C)
         active = carr > 0
-        # P(count matrix | theta = i), including the action-draw probabilities
-        path_log = (carr[None, :] * np.where(active[None, :], log_gen, 0.0)).sum(axis=1)
-        path_prob = mult * np.exp(path_log)
+        # P(count matrix | theta = i), multinomial multiplicity and
+        # action-draw probabilities included: (B, M)
+        log_mult = log_fact[n] - log_fact[counts].sum(axis=1)
+        path_prob = np.exp(log_mult[:, None] + (carr * np.where(active, log_gen, 0.0)).sum(axis=2))
         # terminal log posterior masses (common action probs cancel)
-        lm = log_prior + (carr[None, :] * np.where(active[None, :], cell_loglike, 0.0)).sum(axis=1)
+        lm = log_prior + (carr * np.where(active, cell_loglike, 0.0)).sum(axis=2)
         # tie tolerance: rounding in the lm sums accumulates to at most a few
         # ulps of the total term magnitude, far below the spacing of distinct
         # lattice values, so this snaps exactly the structurally tied classes
-        magnitude = abs_log_prior + (carr[None, :] * np.where(active[None, :], abs_loglike, 0.0)).sum(axis=1)
-        tol = 1e-12 * max(float(magnitude.max()), 1.0)
-        for i in range(M):
-            if path_prob[i] == 0.0:
-                continue
-            with np.errstate(invalid="ignore"):
-                diff = lm - lm[i]
-                beats = diff > tol
-                equal = (np.abs(diff) <= tol) | (np.isneginf(lm) & np.isneginf(lm[i]))
-            equal[i] = False
-            rates[i] += path_prob[i] * beats
-            ties[i] += path_prob[i] * equal
+        magnitude = abs_log_prior + (carr * np.where(active, abs_loglike, 0.0)).sum(axis=2)
+        tol = 1e-12 * np.maximum(magnitude.max(axis=1), 1.0)[:, None, None]
+        with np.errstate(invalid="ignore"):
+            diff = lm[:, None, :] - lm[:, :, None]  # diff[b, i, j] = lm[b, j] - lm[b, i]
+            beats = diff > tol
+            equal = (np.abs(diff) <= tol) | (np.isneginf(lm)[:, None, :] & np.isneginf(lm)[:, :, None])
+        equal &= off_diagonal
+        rates += np.einsum("bi,bij->ij", path_prob, beats)
+        ties += np.einsum("bi,bij->ij", path_prob, equal)
 
     sandwiches = []
     for i in range(M):

@@ -300,13 +300,17 @@ def _run_block(model, tables, policy, thetas, path, k0, k1, L, want_records):
         lm = _fixed_rule_logmass_block(tables, policy.weights, policy.n, block_thetas, path, k0)
         p = np.exp(lm - lm.max(axis=0)[None, :])
         err = 1.0 - p.max(axis=0) / p.sum(axis=0)
-        declared = p.argmax(axis=0)
+        final, mode = (p / p.sum(axis=0)).T, p.argmax(axis=0)
         tau = np.full(block_thetas.size, policy.n)
         truncated = np.zeros(block_thetas.size, dtype=bool)
     else:
         tau, final, truncated = _lockstep_block(tables, policy, block_thetas, path, k0)
-        declared = np.array([policy.declare(p) for p in final], dtype=np.int64)
         err = 1.0 - final.max(axis=1)
+        mode = final.argmax(axis=1)
+    if type(policy).declare is Policy.declare:
+        declared = mode
+    else:  # a subclass's own rule, asked once per terminal posterior
+        declared = np.array([policy.declare(p) for p in final], dtype=np.int64)
     wrong = declared != block_thetas
     acc = _Acc()
     acc.add_arrays(tau.astype(float), err, wrong.sum(), truncated.sum(), L)

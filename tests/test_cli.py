@@ -315,6 +315,8 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "agreement: true" in out
         assert "backward_dp:" in out and "mass_residual_max:" in out
+        # merged count-vector states over 4 cells: sum of C(d + 3, 3), d = 0..5
+        assert "exact_states: 126\n" in out
 
     def test_node_budget_exit_code(self, two_probe_path, capsys):
         args = ["oracle-check", two_probe_path, "--horizon", "8",

@@ -2,9 +2,12 @@
 recursion, and exact pairwise misordering rates."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from active_ht import (
@@ -13,7 +16,9 @@ from active_ht import (
     HorizonError,
     ObservationModel,
     OracleBudget,
+    Policy,
     RandomizedRule,
+    TwoPhasePolicy,
     alpha_max,
     backward_eval,
     exact_eval,
@@ -21,6 +26,7 @@ from active_ht import (
     fixed_lambda_policy,
     run_trials,
 )
+from active_ht.oracle import _count_matrices
 
 HALF_RULE = RandomizedRule([0.5, 0.5])
 
@@ -40,7 +46,8 @@ class TestExactEval:
         assert_allclose(ev.pe, 0.077180078125, rtol=1e-12)
         assert_allclose(ev.expected_tau, 6.0, rtol=1e-12)
         assert_allclose(ev.cost, ev.expected_tau + 1000.0 * ev.pe, rtol=1e-12)
-        assert ev.nodes == 5461  # sum of 4^d for d = 0..6
+        # merged count-vector states over 4 cells: sum of C(d + 3, 3), d = 0..6
+        assert ev.nodes == 210
         assert ev.truncated_mass == 0.0
         assert max(ev.mass_residuals()) <= 1e-12
 
@@ -98,7 +105,127 @@ class TestExactEval:
             OracleBudget(nodes=0)
 
 
+def _raw_paths(model, policy, horizon):
+    """(E[tau], pe, truncated mass) by walking every raw (action, symbol) path."""
+    q = model.kernel.probs
+    M, K, Z = q.shape
+    totals = [0.0, 0.0, 0.0]
+
+    def walk(v, d):
+        s = v.sum()
+        w = policy.action_weights(v / s, d)
+        if w is None or (policy.safety_horizon is not None and d >= policy.safety_horizon):
+            totals[0] += d * s
+            totals[1] += s - v.max()
+            totals[2] += 0.0 if w is None else s
+            return
+        assert d < horizon
+        for a in range(K):
+            for z in range(Z):
+                child = w[a] * v * q[:, a, z]
+                if child.sum() > 0.0:
+                    walk(child, d + 1)
+
+    walk(np.asarray(model.prior, dtype=float), 0)
+    return totals
+
+
+class _PosteriorMatching(Policy):
+    """Plays each probe with its hypothesis' posterior mass; only action_weights."""
+
+    safety_horizon = 6
+
+    def action_weights(self, probs, step_count):
+        return None if probs.max() >= 0.9 else probs.copy()
+
+
+SEQUENTIAL_POLICIES = {
+    "threshold": fixed_lambda_policy([0.3, 0.7], threshold=0.95, safety_horizon=7),
+    "two_phase": TwoPhasePolicy(
+        explore_weights=[0.5, 0.5],
+        exploit_weights=[[0.9, 0.1], [0.1, 0.9]],
+        phase_threshold=0.7,
+        stop_threshold=0.97,
+        safety_horizon=7,
+    ),
+    "user_subclass": _PosteriorMatching(),
+}
+
+
+class TestSequentialPolicies:
+    @pytest.mark.parametrize("name", sorted(SEQUENTIAL_POLICIES))
+    def test_merged_states_equal_raw_paths(self, two_probe_model, name):
+        pol = SEQUENTIAL_POLICIES[name]
+        ev = exact_eval(two_probe_model, pol, OracleBudget(horizon=8))
+        tau, pe, trunc = _raw_paths(two_probe_model, pol, 8)
+        assert_allclose(ev.expected_tau, tau, rtol=1e-12)
+        assert_allclose(ev.pe, pe, rtol=1e-12)
+        assert_allclose(ev.truncated_mass, trunc, rtol=1e-12)
+        assert ev.truncated_mass > 0.0
+        assert max(ev.mass_residuals()) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "pol",
+        [
+            fixed_lambda_policy([0.5, 0.5], threshold=0.999, safety_horizon=60),
+            TwoPhasePolicy(
+                explore_weights=[0.5, 0.5],
+                exploit_weights=[[0.9, 0.1], [0.1, 0.9]],
+                phase_threshold=0.8,
+                stop_threshold=0.999,
+                safety_horizon=60,
+            ),
+        ],
+        ids=["threshold", "two_phase"],
+    )
+    def test_long_safety_horizon_matches_monte_carlo(self, two_probe_model, pol):
+        # Raw paths at depth 60 number 4**60; merged count vectors stay ~1e5.
+        ev = exact_eval(two_probe_model, pol, OracleBudget(horizon=64))
+        assert ev.nodes < 200_000
+        assert len(ev.entering_mass) == 61
+        assert max(ev.mass_residuals()) <= 1e-12
+        summary, _ = run_trials(two_probe_model, pol, 20_000, 2026)
+        assert abs(summary.pe - ev.pe) <= 4.0 * summary.se_pe
+        assert abs(summary.mean_tau - ev.expected_tau) <= 4.0 * summary.se_tau
+
+    def test_guards_apply_to_sequential_policies(self, two_probe_model):
+        pol = SEQUENTIAL_POLICIES["two_phase"]
+        with pytest.raises(HorizonError):
+            exact_eval(two_probe_model, pol, OracleBudget(horizon=6))
+        with pytest.raises(BudgetError):
+            exact_eval(two_probe_model, pol, OracleBudget(horizon=8, nodes=20))
+
+
+@st.composite
+def _finite_models(draw):
+    """A small random model with zero kernel entries and a rule with zero weights."""
+    M, K, Z = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.dirichlet(np.ones(Z), size=(M, K))
+    q[rng.random((M, K, Z)) < draw(st.sampled_from([0.0, 0.25, 0.5]))] = 0.0
+    q[..., 0] += q.sum(axis=2) == 0.0  # keep every row a distribution
+    q /= q.sum(axis=2, keepdims=True)
+    w = rng.dirichlet(np.ones(K))
+    if K > 1 and draw(st.booleans()):
+        w[rng.integers(K)] = 0.0
+        w /= w.sum()
+    model = ObservationModel(kernel=FiniteKernel(q), prior=rng.dirichlet(np.full(M, 2.0)), penalty=50.0)
+    return model, w, draw(st.integers(0, 5))
+
+
 class TestBackwardAgreement:
+    @given(_finite_models())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_pass_equals_backward_recursion(self, case):
+        model, w, n = case
+        fwd = exact_eval(model, fixed_lambda_policy(w, n=n), OracleBudget(horizon=8))
+        bk = backward_eval(model, RandomizedRule(w), n, OracleBudget(horizon=8))
+        assert_allclose(fwd.pe, bk.pe, rtol=1e-12)
+        assert_allclose(fwd.expected_tau, n, rtol=1e-12)
+        assert fwd.nodes <= bk.nodes
+        assert max(fwd.mass_residuals()) <= 1e-12
+
+
     def test_two_probe_agreement(self, two_probe_model):
         bk = backward_eval(two_probe_model, HALF_RULE, 6, OracleBudget(horizon=16))
         assert_allclose(bk.pe, 0.077180078125, rtol=1e-10)
@@ -124,6 +251,33 @@ class TestBackwardAgreement:
 
 
 class TestExactPairwise:
+    def test_count_matrices_follow_itertools_order(self):
+        for cells, n in ((1, 4), (2, 5), (4, 3), (5, 6)):
+            expected = [
+                [combo.count(c) for c in range(cells)]
+                for combo in combinations_with_replacement(range(cells), n)
+            ]
+            ranks = np.arange(math.comb(n + cells - 1, cells - 1))
+            assert _count_matrices(cells, n, ranks).tolist() == expected
+            assert _count_matrices(cells, n, ranks[1::3]).tolist() == expected[1::3]
+
+    @pytest.mark.parametrize(
+        "weights, rates",
+        [
+            ([0.5, 0.5], [[0.0, 0.15456495625244554, 0.1821815168664446],
+                          [0.09614144843975368, 0.0, 0.21433195406414993],
+                          [0.07885334583702072, 0.28589269294521175, 0.0]]),
+            ([0.7, 0.3], [[0.0, 0.1117517395464269, 0.11135562982593344],
+                          [0.08161906047970736, 0.0, 0.19195922441384955],
+                          [0.06533829173100236, 0.2692817362974935, 0.0]]),
+        ],
+    )
+    def test_garbled_rates_pinned(self, garbled_model, weights, rates):
+        # Recorded from the per-state loop evaluator this chunked one replaced.
+        ex = exact_pairwise(garbled_model, RandomizedRule(weights), 6, OracleBudget(horizon=8))
+        assert_allclose(ex.rates, rates, rtol=1e-12)
+        assert_allclose(ex.ties, np.zeros((3, 3)), rtol=1e-12)
+
     def test_two_probe_sixteen_steps(self, two_probe_model):
         ex = exact_pairwise(two_probe_model, HALF_RULE, 16, OracleBudget(horizon=32))
         assert_allclose(ex.rates[0][1], 0.008536151582484374, rtol=1e-12)

@@ -131,6 +131,16 @@ class TestRunTrials:
         assert other.n_wrong == sum(r.theta != 1 for r in records)
         assert [(r.tau, r.truncated, r.posterior_error) for r in others] == list(zip(taus, trunc, errs))
 
+    def test_fixed_horizon_subclass_declare_is_honoured(self, two_probe_model):
+        class _DeclaresOne(FixedRulePolicy):
+            def declare(self, probs):
+                return 1
+
+        pol = _DeclaresOne(weights=[0.5, 0.5], n=6)
+        summary, records = run_trials(two_probe_model, pol, 1000, 27, record_trials=True)
+        assert {r.declared for r in records} == {1}
+        assert summary.n_wrong == sum(r.theta != 1 for r in records) == 500
+
     def test_summary_matches_records(self, two_probe_model, two_probe_report):
         pol = build_policy("sn", two_probe_model, two_probe_report)
         summary, records = run_trials(two_probe_model, pol, 2500, 14, record_trials=True)
