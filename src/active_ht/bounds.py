@@ -8,8 +8,9 @@ divergences over the action simplex:
 * ``harmonic_reliability`` M / sum_i 1/R(i, w) and its simplex maximum
 * ``maxmin/minmax``        the max-min and min-max of R over hypotheses
 * ``d_hat``                max over the simplex of the worst-pair mixed
-                           discrimination exponent (non-concave; solved by a
-                           grid sweep plus derivative-free polish)
+                           discrimination exponent (non-concave; a coarse
+                           screen, then an LP ascent, with an LP upper bound
+                           from the per-action Chernoff information)
 
 The leading-order upper/lower bounds on E[steps] + L * P(error) for the
 non-adaptive, sequential, and adaptive policy families are assembled from
@@ -27,8 +28,8 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .divergences import kl, tilted_exponent
-from .exceptions import AssumptionError, BudgetError
+from .divergences import _golden_max, kl, tilted_exponent
+from .exceptions import AssumptionError
 from .model import ObservationModel, RandomizedRule, validate
 
 # Infinite divergences are capped at this value inside the LPs and the
@@ -43,6 +44,12 @@ KL_CAP = 1e6
 
 # Relative duality gap at which the weighted-inverse barrier solve stops.
 GAP_TOL = 1e-11
+
+# d_hat: resolution of the simplex screen that picks the ascent's start, the
+# relative rise of F below which the ascent stops, and its iteration cap.
+_SCREEN_RESOLUTION = 0.1
+_ASCENT_TOL = 1e-12
+_ASCENT_ITERATIONS = 50
 
 _LP_OPTIONS = {
     "presolve": True,
@@ -97,7 +104,12 @@ def reliability(model: ObservationModel, i: int, rule, D: np.ndarray | None = No
 
 
 def _reliability_lp(rows: np.ndarray):
-    """max t s.t. rows @ w >= t, w on the simplex.  Returns (w, t)."""
+    """max t s.t. rows @ w >= t, w on the simplex.
+
+    Returns (w, upper): the optimal rule and an upper bound on the optimum
+    read off the dual solution y, since max_a (y @ rows)_a >= min(rows @ w)
+    for every pair of points y and w on their simplices.
+    """
     n, K = rows.shape
     c = np.zeros(K + 1)
     c[-1] = -1.0
@@ -116,7 +128,9 @@ def _reliability_lp(rows: np.ndarray):
     )
     if not res.success:
         raise RuntimeError(f"reliability LP failed: {res.message}")
-    return _clean_weights(res.x[:K])
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    y = y / y.sum() if y.sum() > 0.0 else np.full(n, 1.0 / n)
+    return _clean_weights(res.x[:K]), float((y @ rows).max())
 
 
 def max_reliability(model: ObservationModel, i: int, D: np.ndarray | None = None):
@@ -125,7 +139,7 @@ def max_reliability(model: ObservationModel, i: int, D: np.ndarray | None = None
         D = kl_matrix(model)
     rows = np.vstack([D[i, j] for j in range(model.M) if j != i])
     capped_rows, _ = _cap(rows)
-    w = _reliability_lp(capped_rows)
+    w, _ = _reliability_lp(capped_rows)
     # Re-evaluate against the uncapped divergences so the reported value is
     # attained exactly by the returned rule.
     value = min(_mixture_value(rows[r], w) for r in range(rows.shape[0]))
@@ -156,7 +170,7 @@ def maxmin_reliability(model: ObservationModel, D: np.ndarray | None = None):
         [D[i, j] for i in range(model.M) for j in range(model.M) if j != i]
     )
     capped_rows, _ = _cap(rows)
-    w = _reliability_lp(capped_rows)
+    w, _ = _reliability_lp(capped_rows)
     value = min(_mixture_value(rows[r], w) for r in range(rows.shape[0]))
     return RandomizedRule(w), value
 
@@ -166,17 +180,6 @@ def minmax_reliability(model: ObservationModel, D: np.ndarray | None = None) -> 
     if D is None:
         D = kl_matrix(model)
     return min(max_reliability(model, i, D)[1] for i in range(model.M))
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 def simplex_grid(K: int, resolution: float) -> np.ndarray:
@@ -193,11 +196,6 @@ def simplex_grid(K: int, resolution: float) -> np.ndarray:
 
     rec([], n, K)
     return np.asarray(points, dtype=float) / n
-
-
-def _grid_size(K: int, resolution: float) -> int:
-    n = max(1, round(1.0 / resolution))
-    return math.comb(n + K - 1, K - 1)
 
 
 def _stacked_rows(D: np.ndarray):
@@ -280,11 +278,17 @@ def max_harmonic_reliability(model: ObservationModel, D: np.ndarray | None = Non
 
 @dataclass(frozen=True)
 class DiscriminationOptimum:
-    """Best rule found for the worst-pair discrimination exponent."""
+    """Best rule found for the worst-pair discrimination exponent.
+
+    ``value`` is F at ``rule``, so a lower bound on max F; ``d_hat_upper`` is
+    an upper bound on max F, and the two are equal when the rule is certified
+    optimal.  The bound is +inf whenever some action gives some pair disjoint
+    supports, since the capped LP behind it is then no proven bound.
+    """
 
     rule: RandomizedRule
     value: float
-    grid_resolution: float
+    d_hat_upper: float
 
 
 class _PairCurves:
@@ -370,17 +374,27 @@ class _PairCurves:
 
         return g
 
-    def worst_pair_value(self, w: np.ndarray, bracket_tol: float = 1e-9) -> float:
-        """min over pairs of max over alpha of the mixed exponent at rule w."""
-        from .divergences import _golden_max
+    def exponent_rows(self, alphas: np.ndarray) -> np.ndarray:
+        """E[p, a] = exponent(p, a, alphas[p]), shape (pairs, K)."""
+        return np.array(
+            [[self.exponent(p, a, alphas[p]) for a in range(self.model.K)] for p in range(len(self.pairs))]
+        )
 
-        best = math.inf
+    def pair_optima(self, w: np.ndarray):
+        """Per pair, max over alpha of the mixed exponent at rule w, and its alpha.
+
+        Returns (values, alphas), each of shape (pairs,).  A pair that some
+        weighted action separates perfectly has value +inf; every alpha
+        maximizes it, and 0.5 is reported.
+        """
+        P = len(self.pairs)
+        values, alphas = np.full(P, math.inf), np.full(P, 0.5)
         active = [a for a in range(self.model.K) if w[a] > 0.0]
-        for p in range(len(self.pairs)):
+        for p in range(P):
             if self.model.is_finite:
                 g = self._mixed_finite(p, w)
                 if g is None:
-                    continue  # this pair separates perfectly: +inf
+                    continue
             else:
                 def g(alpha, p=p):
                     total = 0.0
@@ -391,117 +405,83 @@ class _PairCurves:
                         total += w[a] * term
                     return total
 
-            _, val = _golden_max(g, bracket_tol=bracket_tol)
-            best = min(best, val)
-            if best == 0.0:
-                break
-        return best
+            alphas[p], values[p] = _golden_max(g)
+        return values, alphas
 
 
-def _polish_on_simplex(f, x0: np.ndarray, *, resolution: float, max_evals: int = 500, step_tol: float = 1e-6):
-    """Derivative-free maximization on the simplex via reflect/contract moves."""
-    K = x0.size
-    if K == 1:
-        return x0, f(x0)
-    verts = [x0.copy()]
-    for m in range(K - 1):
-        e = np.zeros(K)
-        e[m] = 1.0
-        verts.append(_project_simplex(x0 + resolution * (e - np.full(K, 1.0 / K))))
-    vals = [f(v) for v in verts]
-    evals = len(vals)
-    while evals < max_evals:
-        order = np.argsort(vals)  # ascending: worst first
-        worst, best = order[0], order[-1]
-        spread = max(np.linalg.norm(verts[i] - verts[best]) for i in order[:-1])
-        if spread < step_tol:
-            break
-        centroid = np.mean([verts[i] for i in order[1:]], axis=0)
-        xr = _project_simplex(centroid + (centroid - verts[worst]))
-        fr = f(xr)
-        evals += 1
-        if fr > vals[worst]:
-            verts[worst], vals[worst] = xr, fr
-            continue
-        xc = _project_simplex(centroid + 0.5 * (verts[worst] - centroid))
-        fc = f(xc)
-        evals += 1
-        if fc > vals[worst]:
-            verts[worst], vals[worst] = xc, fc
-            continue
-        for i in order[:-1]:  # shrink toward the best vertex
-            verts[i] = _project_simplex(0.5 * (verts[i] + verts[best]))
-            vals[i] = f(verts[i])
-            evals += 1
-    best = int(np.argmax(vals))
-    return verts[best], vals[best]
-
-
-def d_hat(
-    model: ObservationModel,
-    grid_resolution: float = 0.02,
-    *,
-    polish_evals: int = 500,
-    grid_budget: int = 250_000,
-) -> DiscriminationOptimum:
+def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     """Maximize the worst-pair mixed discrimination exponent over the simplex.
 
-    The objective  F(w) = min over pairs (i, j) of  max_alpha  sum_a w_a *
-    (1-alpha) D_alpha(q_i^a || q_j^a)  is concave in alpha but not in w, so a
-    regular simplex grid is swept first (an alpha-grid screen ranks the
-    points, then exact golden-section evaluations re-score the leaders) and
-    the best point is polished locally.  The reported value is always an
-    exact evaluation of F at the reported rule, and the grid resolution is
-    returned as the global-search certificate.
+    The objective  F(w) = min over pairs p of  max_alpha  sum_a w_a E_{p,a}(alpha),
+    with E_{p,a}(alpha) = (1-alpha) D_alpha(q_i^a || q_j^a), is concave in
+    alpha but not in w.  A fixed coarse simplex screen (alpha-grid scores,
+    then exact golden-section evaluations of the 25 leaders, the uniform rule
+    and the vertices) picks the start.  An LP ascent follows: fix each pair's
+    maximizing alpha_p at the current w and solve the LP
+    max_w min_p sum_a w_a E_{p,a}(alpha_p), capped as the other LPs are.  At
+    fixed alpha_p that LP value lower-bounds F at the new rule and equals F
+    at the old one, so F never drops; the ascent stops when F rises by no
+    more than _ASCENT_TOL relative.
+
+    The certificate is U = max_w min_p sum_a w_a C[p, a], where C[p, a] =
+    max_alpha E_{p,a}(alpha) is the per-action Chernoff information (Chernoff,
+    Ann. Math. Stat. 1952) and a max of sums is at most the sum of maxima.  U
+    is one LP, bounded from its dual solution, and the ascent is skipped once
+    F meets it.  If some C[p, a] is infinite (disjoint supports, so the model
+    carries the ``kl_capped`` flag) a weight of about 1/KL_CAP can make a
+    pair infinite, the capped LP value is no proven bound, and U is +inf.
+    The reported value is always an exact evaluation of F at the reported
+    rule.
     """
     K = model.K
-    size = _grid_size(K, grid_resolution)
-    if size > grid_budget:
-        raise BudgetError(
-            f"simplex grid at resolution {grid_resolution} has {size} points, "
-            f"exceeding the budget of {grid_budget}; pass a coarser resolution"
-        )
     curves = _PairCurves(model)
-    grid = simplex_grid(K, grid_resolution)
-
-    alphas = np.linspace(0.0, 1.0, 129)
-    table = curves.curve_table(alphas)  # (P, K, S)
+    grid = simplex_grid(K, _SCREEN_RESOLUTION)
+    table = curves.curve_table(np.linspace(0.0, 1.0, 129))  # (P, K, S)
     screen_table = np.where(np.isinf(table), 1e9, table)
-    mixed = np.einsum("gk,pks->gps", grid, screen_table)
-    screened = mixed.max(axis=2).min(axis=1)  # (G,)
+    screened = np.einsum("gk,pks->gps", grid, screen_table).max(axis=2).min(axis=1)
+    top = np.argsort(screened)[::-1][:25]
+    vertices = np.eye(K)
+    candidates = [*grid[top], np.full(K, 1.0 / K), *vertices]
 
-    top = np.argsort(screened)[::-1][: min(25, grid.shape[0])]
-    candidates = [grid[t] for t in top]
-    candidates.append(np.full(K, 1.0 / K))
-    for a in range(K):
-        candidates.append(RandomizedRule.point_mass(K, a).weights)
+    def key(w):
+        return tuple(np.round(w, 12))
 
+    optima = {}
     best_w, best_v = None, -math.inf
-    seen = set()
     for w in candidates:
-        key = tuple(np.round(w, 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        v = curves.worst_pair_value(w)
-        if v > best_v:
-            best_w, best_v = np.asarray(w, dtype=float), v
+        if key(w) not in optima:
+            optima[key(w)] = curves.pair_optima(w)
+            v = optima[key(w)][0].min()
+            if v > best_v:
+                best_w, best_v = w, v
 
-    if math.isfinite(best_v):
-        w_pol, v_pol = _polish_on_simplex(
-            curves.worst_pair_value,
-            best_w,
-            resolution=grid_resolution,
-            max_evals=polish_evals,
-        )
-        if v_pol > best_v:
-            best_w, best_v = w_pol, v_pol
+    # At a vertex the mixed exponent is a single action's, so C[:, a] = F's
+    # pair values at vertex a.
+    C = np.column_stack([optima[key(e)][0] for e in vertices])
+    upper = _reliability_lp(C)[1] if np.all(np.isfinite(C)) else math.inf
+
+    alphas = optima[key(best_w)][1]
+    for _ in range(_ASCENT_ITERATIONS):
+        if not best_v < upper * (1.0 - _ASCENT_TOL):  # certified, or F infinite
+            break
+        w, _ = _reliability_lp(_cap(curves.exponent_rows(alphas))[0])
+        values, w_alphas = curves.pair_optima(w)
+        if not values.min() > best_v * (1.0 + _ASCENT_TOL):
+            break
+        best_w, best_v, alphas = w, values.min(), w_alphas
 
     return DiscriminationOptimum(
         rule=RandomizedRule(_clean_weights(best_w)),
         value=best_v,
-        grid_resolution=grid_resolution,
+        d_hat_upper=upper,
     )
+
+
+def _relative_gap(value: float, upper: float) -> float:
+    """(upper - value) / value; 0 when the two are equal, as when both are 0 or inf."""
+    if upper == value:
+        return 0.0
+    return (upper - value) / value if value > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -701,7 +681,7 @@ class BoundsReport:
 
     d_hat: float
     d_hat_rule: RandomizedRule
-    grid_resolution: float
+    d_hat_upper: float
     reliabilities: tuple  # ((rule, value) per hypothesis)
     r_bar_star: float
     max_r_bar: float
@@ -720,7 +700,7 @@ class BoundsReport:
         return {
             "d_hat": self.d_hat,
             "d_hat_rule": self.d_hat_rule.weights.tolist(),
-            "grid_resolution": self.grid_resolution,
+            "d_hat_upper": self.d_hat_upper,
             "reliabilities": [
                 {"rule": rule.weights.tolist(), "value": value}
                 for rule, value in self.reliabilities
@@ -772,7 +752,7 @@ class BoundsReport:
             return list(rule.weights) if rule is not None else blank
 
         rows = [
-            ["d_hat", self.d_hat, *rule_cells(self.d_hat_rule), f"grid={self.grid_resolution}"],
+            ["d_hat", self.d_hat, *rule_cells(self.d_hat_rule), f"rel_gap={_relative_gap(self.d_hat, self.d_hat_upper):.3g}"],
         ]
         for i, (rule, value) in enumerate(self.reliabilities):
             rows.append([f"reliability_{i}", value, *rule_cells(rule), "lp"])
@@ -799,12 +779,7 @@ class BoundsReport:
         return header, rows
 
 
-def compute_bounds(
-    model: ObservationModel,
-    grid_resolution: float = 0.02,
-    *,
-    polish_evals: int = 500,
-) -> BoundsReport:
+def compute_bounds(model: ObservationModel) -> BoundsReport:
     """Run the full asymptotic analysis for one model.
 
     Raises AssumptionError when some pair of hypotheses cannot be separated
@@ -834,7 +809,7 @@ def compute_bounds(
 
     hr_rule, max_r_bar = max_harmonic_reliability(model, D)
 
-    opt = d_hat(model, grid_resolution, polish_evals=polish_evals)
+    opt = d_hat(model)
 
     costs = leading_order_bounds(
         model,
@@ -851,7 +826,7 @@ def compute_bounds(
     return BoundsReport(
         d_hat=opt.value,
         d_hat_rule=opt.rule,
-        grid_resolution=opt.grid_resolution,
+        d_hat_upper=opt.d_hat_upper,
         reliabilities=reliabilities,
         r_bar_star=r_bar_star,
         max_r_bar=max_r_bar,

@@ -42,7 +42,7 @@ from .oracle import OracleBudget, backward_eval, exact_eval
 from .policies import build_policy
 from .simulator import BLOCK, estimate_error_exponent, run_trials, sweep_L
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 SWEEP_HEADER = ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe", "cost", "cost_over_logL"]
 SUMMARY_HEADER = [
@@ -113,18 +113,14 @@ def write_manifest(prefix, manifest) -> str:
     return path
 
 
-def _solver_settings(grid=None, polish_evals=None):
-    out = {
+def _solver_settings():
+    return {
         "kl_cap": KL_CAP,
         "lp_tolerance": 1e-10,
         "block_size": BLOCK,
         "theta_stratification": "prior_quota",
+        "gap_tol": GAP_TOL,
     }
-    if grid is not None:
-        out["grid_resolution"] = grid
-        out["polish_evals"] = polish_evals if polish_evals is not None else 500
-        out["gap_tol"] = GAP_TOL
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,6 @@ def build_parser() -> _Parser:
     p = add("validate", "check the model's testability assumptions")
 
     p = add("bounds", "asymptotic coefficients, bounds, gains, exponents")
-    p.add_argument("--grid", type=float, default=0.02, help="simplex grid resolution")
     p.add_argument("--out", help="prefix for CSV + manifest output")
 
     p = add("simulate", "Monte Carlo run of one policy")
@@ -171,7 +166,6 @@ def build_parser() -> _Parser:
     p.add_argument("--phase-threshold", type=float, default=0.5)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--grid", type=float, default=0.02)
     p.add_argument("--record-trials", action="store_true", help="also emit per-trial CSV")
     p.add_argument("--threads", type=int)
     p.add_argument("--out", help="prefix for CSV + manifest output")
@@ -185,7 +179,6 @@ def build_parser() -> _Parser:
     p.add_argument("--phase-threshold", type=float, default=0.5)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--grid", type=float, default=0.02)
     p.add_argument("--threads", type=int)
     p.add_argument("--out", help="prefix for CSV + manifest output")
 
@@ -195,12 +188,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_float_list)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--grid", type=float, default=0.02)
     p.add_argument("--threads", type=int)
     p.add_argument("--out", help="prefix for CSV + manifest output")
 
     p = add("gains", "sequentiality/adaptivity coefficients and dominance verdict")
-    p.add_argument("--grid", type=float, default=0.02)
 
     p = add("binary", "two-hypothesis closed forms and the adaptivity-gain predicate")
 
@@ -240,14 +231,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     model = load_model(args.model)
-    report = compute_bounds(model, args.grid)
+    report = compute_bounds(model)
     print(report.to_json())
     if args.out:
         manifest = make_manifest(
             "bounds",
             args.model,
-            {"grid": args.grid},
-            _solver_settings(grid=args.grid),
+            {},
+            _solver_settings(),
             None,
             1,
         )
@@ -289,7 +280,7 @@ def _cmd_simulate(args) -> int:
     threads = _threads_default(args.threads)
     report = None
     if _needs_report(args.policy, args.threshold):
-        report = compute_bounds(model, args.grid)
+        report = compute_bounds(model)
     policy = _policy_for(args, model, report)
     summary, records = run_trials(
         model,
@@ -316,7 +307,7 @@ def _cmd_simulate(args) -> int:
             "record_trials": bool(args.record_trials),
         }
         manifest = make_manifest(
-            "simulate", args.model, params, _solver_settings(grid=args.grid), args.seed, threads
+            "simulate", args.model, params, _solver_settings(), args.seed, threads
         )
         row = [
             summary.n_trials, summary.mean_tau, summary.se_tau, summary.pe, summary.se_pe,
@@ -339,7 +330,7 @@ def _cmd_sweep(args) -> int:
     threads = _threads_default(args.threads)
     report = None
     if _needs_report(args.policy, args.threshold):
-        report = compute_bounds(model, args.grid)
+        report = compute_bounds(model)
     rule = np.asarray(args.lam, dtype=float) if args.lam is not None else None
     if args.policy == "fixed" and rule is None:
         raise UsageError("--policy fixed requires --lambda")
@@ -377,7 +368,7 @@ def _cmd_sweep(args) -> int:
             "seed": args.seed,
         }
         manifest = make_manifest(
-            "sweep", args.model, params, _solver_settings(grid=args.grid), args.seed, threads
+            "sweep", args.model, params, _solver_settings(), args.seed, threads
         )
         emit_csv(f"{args.out}.csv", SWEEP_HEADER, rows, manifest["manifest_id"])
         write_manifest(args.out, manifest)
@@ -389,7 +380,7 @@ def _cmd_exponents(args) -> int:
     threads = _threads_default(args.threads)
     report = None
     if args.policy in ("nn", "sn", "sa"):
-        report = compute_bounds(model, args.grid)
+        report = compute_bounds(model)
     rule = np.asarray(args.lam, dtype=float) if args.lam is not None else None
     if args.policy == "fixed" and rule is None:
         raise UsageError("--policy fixed requires --lambda")
@@ -423,7 +414,7 @@ def _cmd_exponents(args) -> int:
             "seed": args.seed,
         }
         manifest = make_manifest(
-            "exponents", args.model, params, _solver_settings(grid=args.grid), args.seed, threads
+            "exponents", args.model, params, _solver_settings(), args.seed, threads
         )
         rows = [
             [
@@ -445,7 +436,7 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_gains(args) -> int:
     model = load_model(args.model)
-    report = compute_bounds(model, args.grid)
+    report = compute_bounds(model)
     g = report.gains
     print(f"sequentiality_coefficient: {_fmt(g.sequentiality_coefficient)}")
     print(f"adaptivity_coefficient: {_fmt(g.adaptivity_coefficient)}")

@@ -74,7 +74,7 @@ def test_01_coefficient_ordering_chain():
     tol = 1e-6
     for _ in range(100):
         m = random_finite_model(rng)
-        rep = compute_bounds(m, grid_resolution=0.1, polish_evals=120)
+        rep = compute_bounds(m)
         assert rep.r_bar_star >= rep.max_r_bar - tol
         assert rep.max_r_bar >= rep.maxmin_r - tol
         assert rep.maxmin_r >= rep.d_hat - tol
@@ -183,7 +183,7 @@ def test_07_garbled_action_zero_gain():
     t0 = time.perf_counter()
     m = make_garbled_model()
     assert dominance_check(m) == 0
-    rep = compute_bounds(m, 0.02)
+    rep = compute_bounds(m)
     assert abs(rep.max_r_bar - rep.r_bar_star) <= 1e-6
     assert rep.gains.zero_adaptivity is True
     elapsed = time.perf_counter() - t0
@@ -267,7 +267,7 @@ def test_12_gaussian_bound_structure():
     # factor-two form 2 log L / MAXMIN exactly.
     t0 = time.perf_counter()
     m = make_gaussian_binary_model()
-    rep = compute_bounds(m, 0.02)
+    rep = compute_bounds(m)
     assert_allclose(rep.maxmin_r, 0.875, rtol=1e-9)
     assert_allclose(rep.r_bar_star, 1.3068528194400546, rtol=1e-9)
     assert rep.exponents.sa >= rep.exponents.sn >= 0.5 * rep.maxmin_r

@@ -9,8 +9,10 @@ from numpy.testing import assert_allclose
 
 from active_ht import (
     FiniteKernel,
+    GaussianKernel,
     ObservationModel,
     RandomizedRule,
+    alpha_max,
     binary_specialize,
     compute_bounds,
     d_hat,
@@ -156,7 +158,7 @@ class TestChainOrdering:
         rng = np.random.default_rng(14)
         for _ in range(8):
             m = random_finite_model(rng)
-            rep = compute_bounds(m, grid_resolution=0.1, polish_evals=120)
+            rep = compute_bounds(m)
             tol = 1e-6
             assert rep.r_bar_star >= rep.max_r_bar - tol
             assert rep.max_r_bar >= rep.maxmin_r - tol
@@ -207,29 +209,83 @@ class TestSimplexGrid:
 
 
 class TestDHat:
+    @staticmethod
+    def _worst_pair(m, w):
+        """min over pairs of alpha_max: F evaluated without _PairCurves."""
+        return min(
+            alpha_max(m, i, j, w).value for i in range(m.M) for j in range(i + 1, m.M)
+        )
+
     def test_two_probe_optimum_is_a_vertex(self, two_probe_report):
         w = two_probe_report.d_hat_rule.weights
         assert_allclose(sorted(w.tolist()), [0.0, 1.0], atol=1e-9)
 
     def test_identical_kernels_give_zero(self):
-        from active_ht import FiniteKernel, ObservationModel
-
         m = ObservationModel(
             kernel=FiniteKernel([[[0.5, 0.5]], [[0.5, 0.5]]]),
             prior=[0.5, 0.5],
             penalty=10.0,
         )
-        opt = d_hat(m, grid_resolution=0.5)
+        opt = d_hat(m)
         assert_allclose(opt.value, 0.0, atol=1e-12)
+        assert opt.d_hat_upper == 0.0
 
     def test_single_action_matches_alpha_max(self, two_probe_model):
-        from active_ht import FiniteKernel, ObservationModel, alpha_max
-
         rows = two_probe_model.kernel.probs[:, :1, :]
         m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=10.0)
-        opt = d_hat(m, grid_resolution=0.5)
+        opt = d_hat(m)
         direct = alpha_max(m, 0, 1, RandomizedRule([1.0]))
         assert_allclose(opt.value, direct.value, rtol=1e-9)
+        assert opt.value <= opt.d_hat_upper <= opt.value * (1.0 + 1e-9)
+
+    def test_bracket_holds_on_random_models(self):
+        # d_hat_upper bounds d_hat from above; the dense grid optimum, scored
+        # by alpha_max alone, bounds it from below; and the value is F at the rule.
+        rng = np.random.default_rng(77)
+        models = []
+        for K, M in ((1, 4), (2, 2), (2, 3), (3, 3), (4, 2)):
+            rows = rng.dirichlet(np.full(3, 0.8), size=(M, K))
+            models.append(ObservationModel(kernel=FiniteKernel(rows), prior=np.full(M, 1.0 / M), penalty=100.0))
+        for K, M in ((2, 3), (3, 2)):
+            kernel = GaussianKernel(means=rng.normal(size=(M, K)), variances=rng.uniform(0.5, 3.0, size=(M, K)))
+            models.append(ObservationModel(kernel=kernel, prior=np.full(M, 1.0 / M), penalty=100.0))
+        for m in models:
+            opt = d_hat(m)
+            assert opt.value <= opt.d_hat_upper
+            grid_best = max(self._worst_pair(m, w) for w in simplex_grid(m.K, 0.05))
+            assert opt.value >= grid_best * (1.0 - 1e-12)
+            assert_allclose(self._worst_pair(m, opt.rule), opt.value, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["two_probe", "garbled", "gaussian_binary"])
+    def test_reference_models_are_certified(self, name, request):
+        opt = d_hat(request.getfixturevalue(f"{name}_model"))
+        assert opt.value <= opt.d_hat_upper <= opt.value * (1.0 + 1e-9)
+
+    def test_ascent_climbs_past_the_screen(self):
+        # A random M = 3, K = 4 model whose optimum is off every grid point;
+        # a 0.02 grid sweep with a local simplex polish reaches only 0.1228833527.
+        rows = [
+            [[0.03335349724719007, 0.44530333541887285, 0.2613034648642968, 0.26003970246964025],
+             [0.15697571203953983, 0.31806594369172597, 0.29447284219376957, 0.23048550207496454],
+             [0.09271039968115136, 0.4219964812942832, 0.17822722016784434, 0.30706589885672103],
+             [0.27539790051934654, 0.439251070633492, 0.2180458880238415, 0.0673051408233198]],
+            [[0.06605876866090689, 0.47376788792416635, 0.34808334023275395, 0.1120900031821728],
+             [0.3891225515479535, 0.517721192310572, 0.00881350796240824, 0.08434274817906627],
+             [0.03896894622014867, 0.14801751891112505, 0.6402904557077906, 0.17272307916093568],
+             [0.0667879022407235, 0.23018954171043218, 0.37187392811905534, 0.3311486279297889]],
+            [[0.5155559034367003, 0.21269605260247373, 0.07170502311451316, 0.20004302084631273],
+             [0.09245640284830633, 0.5394608675339457, 0.17969185718760936, 0.18839087243013872],
+             [0.16140172590856872, 0.2170861150680544, 0.3064185518092161, 0.3150936072141607],
+             [0.23179554589504234, 0.21300427052244364, 0.06435398477229416, 0.49084619881021996]],
+        ]
+        m = ObservationModel(
+            kernel=FiniteKernel(rows),
+            prior=[0.25050080097456684, 0.33445257792288763, 0.4150466211025456],
+            penalty=9066.250090161933,
+        )
+        opt = d_hat(m)
+        assert opt.value >= 0.1228899
+        assert opt.value <= opt.d_hat_upper
 
 
 class TestPenaltyRescaling:
@@ -255,10 +311,10 @@ class TestPenaltyRescaling:
         m = ObservationModel(
             kernel=FiniteKernel(rows), prior=[0.3, 0.7], penalty=100.0
         )
-        rep = compute_bounds(m, grid_resolution=0.1, polish_evals=120)
+        rep = compute_bounds(m)
         m2 = m.with_penalty(5000.0)
         warm = report_at_penalty(rep, m2)
-        cold = compute_bounds(m2, grid_resolution=0.1, polish_evals=120)
+        cold = compute_bounds(m2)
         assert_allclose(warm.cost_bounds.sn_upper, cold.cost_bounds.sn_upper, rtol=1e-5)
         assert_allclose(warm.cost_bounds.sa_upper, cold.cost_bounds.sa_upper, rtol=1e-5)
         assert_allclose(warm.cost_bounds.nn_upper, cold.cost_bounds.nn_upper, rtol=1e-5)
@@ -290,8 +346,8 @@ class TestMaxHarmonic:
                 rows = rng.dirichlet(np.full(3, 0.8), size=(M, K))
                 prior = np.array([0.7, 0.3] if M == 2 else [0.6, 0.3, 0.1])
                 m = ObservationModel(kernel=FiniteKernel(rows), prior=prior, penalty=2.0)
-                rep = compute_bounds(m, grid_resolution=0.25, polish_evals=20)
-                assert rep.to_dict() == compute_bounds(m, grid_resolution=0.25, polish_evals=20).to_dict()
+                rep = compute_bounds(m)
+                assert rep.to_dict() == compute_bounds(m).to_dict()
 
                 D = kl_matrix(m)
                 logL = math.log(m.penalty)
@@ -327,11 +383,14 @@ class TestCappedDivergences:
 
     @staticmethod
     def _check(m, fully_separable):
-        rep = compute_bounds(m, grid_resolution=0.1, polish_evals=50)
+        rep = compute_bounds(m)
         assert "kl_capped" in rep.flags
         attained = harmonic_reliability(m, rep.max_r_bar_rule)
         assert rep.max_r_bar == attained
         assert math.isinf(rep.max_r_bar) == fully_separable
+        # Some action gives a pair disjoint supports, so no finite upper bound is proven.
+        assert math.isinf(rep.d_hat) == fully_separable
+        assert math.isinf(rep.d_hat_upper)
 
     def test_every_pair_separated(self):
         # Actions 0 and 1 both give each hypothesis its own symbol, so every

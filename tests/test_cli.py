@@ -142,6 +142,14 @@ class TestBounds:
         assert manifest["solver_settings"]["theta_stratification"] == "prior_quota"
         with open(two_probe_path, "rb") as fh:
             assert manifest["model_digest"] == hashlib.sha256(fh.read()).hexdigest()
+        # The d_hat row certifies its value with the relative gap to d_hat_upper.
+        (d_hat_row,) = [r for r in rows if r[0] == "d_hat"]
+        assert d_hat_row[-1].startswith("rel_gap=")
+        assert 0.0 <= float(d_hat_row[-1].split("=")[1]) <= 1e-9
+        settings = manifest["solver_settings"]
+        assert "gap_tol" in settings
+        assert not {"grid_resolution", "polish_evals"} & set(settings)
+        assert main(["bounds", two_probe_path, "--grid", "0.1"]) == 4
 
 
 # ---------------------------------------------------------------------------
