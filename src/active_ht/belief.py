@@ -14,6 +14,7 @@ import numpy as np
 
 from .divergences import ZERO_PROB
 from .exceptions import ImpossibleObservationError, UndefinedOddsError
+from .model import log0
 
 
 def _normalize_log_masses(log_masses: np.ndarray):
@@ -45,9 +46,7 @@ class Belief:
             raise ValueError("belief masses must be finite and nonnegative")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"belief must sum to 1, got {p.sum()!r}")
-        with np.errstate(divide="ignore"):
-            lm = np.where(p > ZERO_PROB, np.log(np.where(p > 0, p, 1.0)), -np.inf)
-        return cls.from_log_masses(lm)
+        return cls.from_log_masses(log0(np.where(p > ZERO_PROB, p, 0.0)))
 
     @classmethod
     def from_log_masses(cls, log_masses) -> "Belief":
@@ -65,22 +64,9 @@ class Belief:
         return float(self.probs.max())
 
 
-def log_density_vector(model, a: int, z) -> np.ndarray:
-    """log q_i(z | a) for every hypothesis i (with log 0 = -inf)."""
-    if model.is_finite:
-        col = model.kernel.probs[:, a, int(z)]
-        with np.errstate(divide="ignore"):
-            return np.where(col > 0.0, np.log(np.where(col > 0.0, col, 1.0)), -np.inf)
-    means = model.kernel.means[:, a]
-    variances = model.kernel.variances[:, a]
-    z = float(z)
-    return -0.5 * np.log(2.0 * np.pi * variances) - (z - means) ** 2 / (2.0 * variances)
-
-
 def bayes_update(belief: Belief, model, a: int, z) -> Belief:
     """Condition the belief on observing symbol z after playing action a."""
-    log_like = log_density_vector(model, a, z)
-    lm = belief.log_masses + log_like
+    lm = belief.log_masses + model.log_likelihood(a, z)
     if not np.any(np.isfinite(lm)):
         raise ImpossibleObservationError(
             f"observation {z!r} under action {a} has zero probability under every "

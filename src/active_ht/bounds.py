@@ -30,7 +30,7 @@ from scipy.optimize import linprog
 
 from .divergences import _golden_max, kl, tilted_exponent
 from .exceptions import AssumptionError
-from .model import ObservationModel, RandomizedRule, validate
+from .model import ObservationModel, RandomizedRule, as_weights, validate
 
 # Infinite divergences are capped at this value inside the LPs and the
 # barrier solves; reports carry a flag whenever the cap was exercised.  The
@@ -88,16 +88,12 @@ def _mixture_value(row: np.ndarray, w: np.ndarray) -> float:
     return float(np.where(active, row, 0.0)[active] @ w[active])
 
 
-def _weights_of(rule) -> np.ndarray:
-    return np.asarray(getattr(rule, "weights", rule), dtype=float)
-
-
 def reliability(model: ObservationModel, i: int, rule, D: np.ndarray | None = None) -> float:
     """Worst-case drift R(i, w): the slowest rate at which the mixture of
     divergences separates hypothesis i from its nearest alternative."""
     if D is None:
         D = kl_matrix(model)
-    w = _weights_of(rule)
+    w = as_weights(rule, model.K)
     return min(
         _mixture_value(D[i, j], w) for j in range(model.M) if j != i
     )

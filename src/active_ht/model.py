@@ -5,6 +5,12 @@ the density of the observed symbol under each (hypothesis, action) pair, a
 positive prior over hypotheses, and the penalty L > 1 charged for a wrong
 final declaration.  Kernels are either finite (a pmf row per pair) or
 Gaussian (a mean/variance per pair).
+
+Each kernel computes its derived tables (hypothesis first) once, on first
+use, and every copy of the model shares them: ``log_probs`` and ``cdf`` for
+finite kernels, ``stds`` and ``log_norm`` for Gaussian ones.  Every
+posterior in the package reads ``ObservationModel.log_likelihood`` or these
+tables, and every draw maps a uniform through ``inverse_cdf_index``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -20,6 +27,32 @@ from .divergences import Gaussian, ZERO_PROB, kl
 from .exceptions import ModelValidationError
 
 ROW_SUM_TOL = 1e-9
+
+
+def log0(x) -> np.ndarray:
+    """Elementwise natural log with log 0 = -inf, and no divide warning."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def inverse_cdf_index(cdf: np.ndarray, u) -> np.ndarray:
+    """Index drawn by uniform(s) ``u`` from cumulative masses ``cdf`` (last axis).
+
+    On a non-decreasing ``cdf`` this is ``searchsorted(cdf, u, side="right")``
+    clipped to the last index, so float dust in a total just below 1 cannot
+    draw past the end: the count of the entries before the last that are
+    ``<= u``.  ``cdf[..., k]`` broadcasts against ``u``.
+    """
+    u = np.asarray(u)
+    index = np.zeros(np.broadcast_shapes(cdf.shape[:-1], u.shape), dtype=np.int64)
+    for k in range(cdf.shape[-1] - 1):
+        index += cdf[..., k] <= u
+    return index
 
 
 @dataclass(frozen=True)
@@ -41,6 +74,16 @@ class FiniteKernel:
     @property
     def n_symbols(self) -> int:
         return self.probs.shape[2]
+
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """log probs[i, a, z], with log 0 = -inf."""
+        return _read_only(log0(self.probs))
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative masses of each (hypothesis, action) row over symbols."""
+        return _read_only(np.cumsum(self.probs, axis=2))
 
     def violations(self, M: int, K: int) -> list[str]:
         out = []
@@ -79,6 +122,15 @@ class GaussianKernel:
         v.setflags(write=False)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
+
+    @cached_property
+    def stds(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.variances))
+
+    @cached_property
+    def log_norm(self) -> np.ndarray:
+        """The log density's constant term, -log(2 pi variance) / 2."""
+        return _read_only(-0.5 * np.log(2.0 * np.pi * self.variances))
 
     def violations(self, M: int, K: int) -> list[str]:
         out = []
@@ -127,6 +179,21 @@ class RandomizedRule:
         w = np.zeros(K)
         w[a] = 1.0
         return cls(w)
+
+
+def as_weights(rule, K: Optional[int] = None) -> np.ndarray:
+    """The weights of ``rule``, checked to lie on the simplex (and to number K).
+
+    A RandomizedRule's weights pass through unchanged; anything else is
+    validated as one, so no entry point acts on garbage weights.
+    """
+    if isinstance(rule, RandomizedRule):
+        w = rule.weights
+    else:
+        w = RandomizedRule(np.asarray(rule, dtype=float)).weights
+    if K is not None and w.size != K:
+        raise ValueError(f"action rule has {w.size} weights, model has {K} actions")
+    return w
 
 
 @dataclass(frozen=True)
@@ -205,28 +272,29 @@ class ObservationModel:
             return self.kernel.probs[i, a]
         return Gaussian(float(self.kernel.means[i, a]), float(self.kernel.variances[i, a]))
 
+    def log_likelihood(self, a, z) -> np.ndarray:
+        """log q_i(z | a) for every hypothesis i, with log 0 = -inf.
+
+        ``a`` and ``z`` broadcast together and the result has shape
+        ``(M, *broadcast(a, z))``.  Symbols of a finite kernel are indices.
+        """
+        k = self.kernel
+        a, z = np.broadcast_arrays(a, z)
+        if self.is_finite:
+            return k.log_probs[:, a, z]
+        return k.log_norm[:, a] - (z - k.means[:, a]) ** 2 / (2.0 * k.variances[:, a])
+
     def with_penalty(self, penalty: float) -> "ObservationModel":
         return replace(self, penalty=float(penalty))
 
 
-def density(model: ObservationModel, i: int, a: int, z) -> float:
-    """Density of symbol z under hypothesis i and action a."""
-    if model.is_finite:
-        return float(model.kernel.probs[i, a, int(z)])
-    return model.density_of(i, a).density(float(z))
-
-
 def sample(model: ObservationModel, i: int, a: int, rng: np.random.Generator, size=None):
     """Draw one observation (or ``size`` of them) under hypothesis i, action a."""
+    k = model.kernel
     if model.is_finite:
-        row = model.kernel.probs[i, a]
-        cdf = np.cumsum(row)
-        u = rng.random(size)
-        z = np.searchsorted(cdf, u, side="right")
-        z = np.minimum(z, row.size - 1)
+        z = inverse_cdf_index(k.cdf[i, a], rng.random(size))
         return int(z) if size is None else z
-    g = model.density_of(i, a)
-    return rng.normal(g.mean, g.std, size)
+    return rng.normal(k.means[i, a], k.stds[i, a], size)
 
 
 def likelihood_ratio_bound(model: ObservationModel) -> float:

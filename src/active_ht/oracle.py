@@ -26,7 +26,7 @@ import numpy as np
 
 from .divergences import alpha_max
 from .exceptions import BudgetError, HorizonError
-from .model import ObservationModel
+from .model import ObservationModel, as_weights, log0
 from .policies import Policy
 
 # exact_pairwise scores count matrices in chunks of this many, so its
@@ -76,6 +76,21 @@ class ExactEvaluation:
 def _require_finite(model: ObservationModel):
     if not model.is_finite:
         raise ValueError("exact evaluation requires a finite observation kernel")
+
+
+def _rule_cells(model: ObservationModel, w: np.ndarray):
+    """Per-cell tables of the i.i.d. rule ``w``: (gen (M, C), log_like (M, C)).
+
+    The cells are the (action, symbol) pairs, in that order, of the actions
+    the rule plays and the symbols some hypothesis can emit under them.
+    ``gen[i, c]`` is the chance that one draw under hypothesis i lands in
+    cell c = (a, z), w[a] q_i(z | a); ``log_like[i, c]`` is log q_i(z | a).
+    """
+    q = model.kernel.probs
+    a, z = np.nonzero((w > 0.0)[:, None] & (q.sum(axis=0) > 0.0))
+    # C order, so sums over cells keep numpy's pairwise summation order
+    gen, log_like = w[a] * q[:, a, z], model.kernel.log_probs[:, a, z]
+    return np.ascontiguousarray(gen), np.ascontiguousarray(log_like)
 
 
 def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | None = None) -> ExactEvaluation:
@@ -188,17 +203,14 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
         raise ValueError("horizon must be nonnegative")
     if budget is None:
         budget = OracleBudget()
-    w = np.asarray(getattr(rule, "weights", rule), dtype=float)
-    q = model.kernel.probs
-    M, K, Z = q.shape
-    cells = [(a, z) for a in range(K) for z in range(Z) if w[a] > 0.0 and q[:, a, z].sum() > 0.0]
-    total_states = sum(_n_count_matrices(len(cells), d) for d in range(n + 1))
+    cell_prob, _ = _rule_cells(model, as_weights(rule, model.K))  # (M, C)
+    n_cells = cell_prob.shape[1]
+    total_states = sum(_n_count_matrices(n_cells, d) for d in range(n + 1))
     if total_states > budget.nodes:
         raise BudgetError(
             f"backward DP needs {total_states} states, over node budget {budget.nodes}"
         )
     prior = np.asarray(model.prior, dtype=float)
-    cell_prob = np.array([[w[a] * q[i, a, z] for (a, z) in cells] for i in range(M)])  # (M, C)
 
     @lru_cache(maxsize=None)
     def weight_vec(counts):
@@ -219,7 +231,7 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
             return float(np.sort(v)[:-1].sum()) / s
         acc = 0.0
         post = v / s
-        for c_idx in range(len(cells)):
+        for c_idx in range(n_cells):
             p_trans = float(post @ cell_prob[:, c_idx])
             if p_trans > 0.0:
                 child = list(counts)
@@ -227,7 +239,7 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
                 acc += p_trans * value(tuple(child))
         return acc
 
-    pe = value(tuple([0] * len(cells)))
+    pe = value(tuple([0] * n_cells))
     return ExactEvaluation(
         expected_tau=float(n),
         pe=pe,
@@ -285,24 +297,16 @@ def exact_pairwise(model: ObservationModel, rule, n: int, budget: OracleBudget |
         raise ValueError("horizon must be >= 1")
     if budget is None:
         budget = OracleBudget()
-    w = np.asarray(getattr(rule, "weights", rule), dtype=float)
-    q = model.kernel.probs
-    M, K, Z = q.shape
-    cells = [(a, z) for a in range(K) for z in range(Z) if w[a] > 0.0]
-    n_states = _n_count_matrices(len(cells), n)
+    w = as_weights(rule, model.K)
+    M = model.M
+    gen, cell_loglike = _rule_cells(model, w)  # (M, C)
+    n_cells = gen.shape[1]
+    n_states = _n_count_matrices(n_cells, n)
     if n_states > budget.nodes:
         raise BudgetError(f"pairwise enumeration needs {n_states} states, over budget {budget.nodes}")
 
-    prior = np.asarray(model.prior, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(prior)
-        logq = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), -np.inf)
-    # per-hypothesis generation prob of one draw in each cell, and the
-    # log-likelihood each cell contributes to each hypothesis' posterior
-    gen = np.array([[w[a] * q[i, a, z] for (a, z) in cells] for i in range(M)])  # (M, C)
-    cell_loglike = np.array([[logq[i, a, z] for (a, z) in cells] for i in range(M)])  # (M, C)
-    with np.errstate(divide="ignore"):
-        log_gen = np.where(gen > 0.0, np.log(np.where(gen > 0.0, gen, 1.0)), -np.inf)
+    log_prior = np.log(model.prior)
+    log_gen = log0(gen)
     abs_loglike = np.where(np.isfinite(cell_loglike), np.abs(cell_loglike), 0.0)
     abs_log_prior = np.where(np.isfinite(log_prior), np.abs(log_prior), 0.0)
 
@@ -311,7 +315,7 @@ def exact_pairwise(model: ObservationModel, rule, n: int, budget: OracleBudget |
     ties = np.zeros((M, M))
     off_diagonal = ~np.eye(M, dtype=bool)
     for r0 in range(0, n_states, PAIRWISE_CHUNK):
-        counts = _count_matrices(len(cells), n, np.arange(r0, min(r0 + PAIRWISE_CHUNK, n_states)))
+        counts = _count_matrices(n_cells, n, np.arange(r0, min(r0 + PAIRWISE_CHUNK, n_states)))
         carr = counts.astype(float)[:, None, :]  # (B, 1, C)
         active = carr > 0
         # P(count matrix | theta = i), multinomial multiplicity and

@@ -9,7 +9,7 @@ it: the base class loops over ``action_weights``, so a subclass that defines
 only that still runs, and the built-in families answer with array
 operations.  Policies are pure and hold no generator: every action draw,
 ``step``'s and the simulator's, maps a uniform from the caller's generator
-through ``inverse_cdf_index``, so identical seeds replay identical
+through ``model.inverse_cdf_index``, so identical seeds replay identical
 trajectories.
 """
 
@@ -23,39 +23,11 @@ import numpy as np
 
 from .bounds import BoundsReport
 from .exceptions import AssumptionError
-from .model import ObservationModel, RandomizedRule
+from .model import ObservationModel, as_weights, inverse_cdf_index
 
 # Threshold-stopping policies abort a trial after this many multiples of
 # log(L) / maxmin reliability; truncations are flagged, never dropped.
 HORIZON_FACTOR = 1000.0
-
-
-def _as_weights(rule) -> np.ndarray:
-    if isinstance(rule, RandomizedRule):
-        return rule.weights
-    # Route raw vectors through RandomizedRule so every policy entry point
-    # enforces the same simplex contract instead of sampling garbage actions.
-    return RandomizedRule(np.asarray(rule, dtype=float)).weights
-
-
-def map_index(probs: np.ndarray) -> int:
-    """Posterior mode with lowest-index tie-breaking."""
-    return int(np.argmax(probs))
-
-
-def inverse_cdf_index(cdf: np.ndarray, u) -> np.ndarray:
-    """Index drawn by uniform(s) ``u`` from cumulative masses ``cdf`` (last axis).
-
-    On a non-decreasing ``cdf`` this is ``searchsorted(cdf, u, side="right")``
-    clipped to the last index, so float dust in a total just below 1 cannot
-    draw past the end: the count of the entries before the last that are
-    ``<= u``.  ``cdf[..., k]`` broadcasts against ``u``.
-    """
-    u = np.asarray(u)
-    index = np.zeros(np.broadcast_shapes(cdf.shape[:-1], u.shape), dtype=np.int64)
-    for k in range(cdf.shape[-1] - 1):
-        index += cdf[..., k] <= u
-    return index
 
 
 class Policy:
@@ -82,7 +54,7 @@ class Policy:
         return weights, stop
 
     def declare(self, probs: np.ndarray) -> int:
-        return map_index(probs)
+        return int(np.argmax(probs))
 
     def step(self, probs: np.ndarray, step_count: int, rng: np.random.Generator):
         """Draw the next action, or return None to stop."""
@@ -106,7 +78,7 @@ class FixedRulePolicy(Policy):
     safety_horizon: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _as_weights(self.weights))
+        object.__setattr__(self, "weights", as_weights(self.weights))
         if (self.n is None) == (self.threshold is None):
             raise ValueError("specify exactly one of n (fixed horizon) or threshold")
         if self.n is not None and self.n < 0:
@@ -157,7 +129,7 @@ class TwoPhasePolicy(Policy):
     safety_horizon: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "explore_weights", _as_weights(self.explore_weights))
+        object.__setattr__(self, "explore_weights", as_weights(self.explore_weights))
         w = np.asarray(self.exploit_weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "exploit_weights", w)
@@ -172,7 +144,7 @@ class TwoPhasePolicy(Policy):
             return None
         if top < self.phase_threshold:
             return self.explore_weights
-        return self.exploit_weights[map_index(probs)]
+        return self.exploit_weights[np.argmax(probs)]
 
     def batch_weights(self, probs: np.ndarray, step_count: int):
         top = probs.max(axis=1)
@@ -200,7 +172,7 @@ def fixed_lambda_policy(
 ) -> FixedRulePolicy:
     """An i.i.d.-rule policy with either a fixed horizon or a posterior threshold."""
     return FixedRulePolicy(
-        weights=_as_weights(rule), n=n, threshold=threshold, safety_horizon=safety_horizon
+        weights=as_weights(rule), n=n, threshold=threshold, safety_horizon=safety_horizon
     )
 
 
@@ -272,11 +244,7 @@ def build_policy(
     if kind == "fixed":
         if rule is None:
             raise ValueError("fixed policies need an action rule")
-        weights = _as_weights(rule)
-        if weights.size != model.K:
-            raise ValueError(
-                f"action rule has {weights.size} weights, model has {model.K} actions"
-            )
+        weights = as_weights(rule, model.K)
         horizon = None
         if threshold is not None and report is not None:
             horizon = _safety_horizon(model, report.maxmin_r)

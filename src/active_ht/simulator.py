@@ -24,7 +24,8 @@ scaled by the chosen action's mean and deviation.  A trial's trajectory
 therefore does not depend on the other trials in its block.  Fixed-horizon
 i.i.d.-rule policies take a separate path that draws all of a trial's
 uniforms at once and sums the log-likelihoods without per-step
-normalization.
+normalization.  Both paths read the kernel's own tables and
+``ObservationModel.log_likelihood``; the simulator keeps no copy of them.
 
 The error probability reported by a summary is the mean terminal posterior
 error E[1 - max_i posterior_i(stop)], which is exactly the probability of a
@@ -43,8 +44,8 @@ import numpy as np
 
 from .bounds import BoundsReport, report_at_penalty
 from .exceptions import AssumptionError
-from .model import ObservationModel
-from .policies import FixedRulePolicy, Policy, build_policy, inverse_cdf_index
+from .model import ObservationModel, as_weights, inverse_cdf_index
+from .policies import FixedRulePolicy, Policy, build_policy
 
 BLOCK = 1024
 
@@ -80,32 +81,6 @@ def stratified_hypotheses(prior: np.ndarray, n: int) -> np.ndarray:
         out[t] = i
         counts[i] += 1.0
     return out
-
-
-class _Tables:
-    """Precomputed sampling/likelihood tables for one model."""
-
-    def __init__(self, model: ObservationModel):
-        self.model = model
-        self.prior = np.asarray(model.prior, dtype=float)
-        with np.errstate(divide="ignore"):
-            self.log_prior = np.log(self.prior)
-        if model.is_finite:
-            probs = model.kernel.probs
-            self.cdf = np.cumsum(probs, axis=2)
-            with np.errstate(divide="ignore"):
-                logq = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), -np.inf)
-            self.logq_iaz = logq                       # (M, K, Z)
-            self.logq_az = np.ascontiguousarray(np.transpose(logq, (1, 2, 0)))  # (K, Z, M)
-        else:
-            self.means = model.kernel.means
-            self.vars = model.kernel.variances
-            self.stds = np.sqrt(self.vars)
-            self.log_norm = -0.5 * np.log(2.0 * np.pi * self.vars)  # (M, K)
-            # (K, M) copies, so one gather gives a row per trial
-            self.means_am = np.ascontiguousarray(self.means.T)
-            self.vars_am = np.ascontiguousarray(self.vars.T)
-            self.log_norm_am = np.ascontiguousarray(self.log_norm.T)
 
 
 @dataclass(frozen=True)
@@ -201,16 +176,16 @@ class _Acc:
         )
 
 
-def _lockstep_block(tables: _Tables, policy: Policy, thetas: np.ndarray, path: tuple, k0: int):
+def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, k0: int):
     """Run trials k0, k0+1, ... (true hypotheses ``thetas``) in lockstep.
 
     Returns per-trial (tau, terminal posterior (B, M), truncated).
     """
-    model = tables.model
+    kernel = model.kernel
     B, M = thetas.size, model.M
     rngs = [_trial_rng(path, k0 + b) for b in range(B)]
-    lm = np.tile(tables.log_prior, (B, 1))
-    probs = np.tile(tables.prior, (B, 1))
+    lm = np.tile(np.log(model.prior), (B, 1))
+    probs = np.tile(model.prior, (B, 1))
     tau = np.zeros(B, dtype=np.int64)
     final = np.empty((B, M))
     truncated = np.zeros(B, dtype=bool)
@@ -242,8 +217,7 @@ def _lockstep_block(tables: _Tables, policy: Policy, thetas: np.ndarray, path: t
                 for r, b in enumerate(live):
                     rngs[b].random(out=U[r])
             a = inverse_cdf_index(np.cumsum(w, axis=1), U[:, 2 * j])
-            z = inverse_cdf_index(tables.cdf[theta, a], U[:, 2 * j + 1])
-            ll = tables.logq_az[a, z]
+            z = inverse_cdf_index(kernel.cdf[theta, a], U[:, 2 * j + 1])
         else:
             u = np.empty(live.size)
             z0 = np.empty(live.size)
@@ -252,9 +226,8 @@ def _lockstep_block(tables: _Tables, policy: Policy, thetas: np.ndarray, path: t
                 u[r] = g.random()
                 z0[r] = g.standard_normal()
             a = inverse_cdf_index(np.cumsum(w, axis=1), u)
-            z = tables.means[theta, a] + tables.stds[theta, a] * z0
-            ll = tables.log_norm_am[a] - (z[:, None] - tables.means_am[a]) ** 2 / (2.0 * tables.vars_am[a])
-        lm = lm + ll
+            z = kernel.means[theta, a] + kernel.stds[theta, a] * z0
+        lm = lm + model.log_likelihood(a, z).T
         lm -= lm.max(axis=1)[:, None]
         p = np.exp(lm)
         probs = p / p.sum(axis=1)[:, None]
@@ -262,29 +235,27 @@ def _lockstep_block(tables: _Tables, policy: Policy, thetas: np.ndarray, path: t
 
 
 def _fixed_rule_logmass_block(
-    tables: _Tables, weights: np.ndarray, n: int, thetas: np.ndarray, path: tuple, k0: int
+    model: ObservationModel, weights: np.ndarray, n: int, thetas: np.ndarray, path: tuple, k0: int
 ):
     """Terminal log masses (M, B) for i.i.d.-rule, fixed-horizon trials."""
-    model = tables.model
+    kernel = model.kernel
     B = thetas.size
+    log_prior = np.log(model.prior)
     if n == 0:
-        return np.tile(tables.log_prior[:, None], (1, B))
+        return np.tile(log_prior[:, None], (1, B))
     U = np.empty((B, 2 * n))
     for b in range(B):
         U[b] = _trial_rng(path, k0 + b).random(2 * n)
     actions = inverse_cdf_index(np.cumsum(weights), U[:, 0::2])
     if model.is_finite:
-        z = inverse_cdf_index(tables.cdf[thetas[:, None], actions], U[:, 1::2])
-        gathered = tables.logq_iaz[:, actions, z]  # (M, B, n)
+        z = inverse_cdf_index(kernel.cdf[thetas[:, None], actions], U[:, 1::2])
     else:
-        mu = tables.means[thetas[:, None], actions]
-        sd = tables.stds[thetas[:, None], actions]
+        mu = kernel.means[thetas[:, None], actions]
+        sd = kernel.stds[thetas[:, None], actions]
         z = mu + sd * _normals_from_uniforms(U[:, 1::2])
-        gathered = (
-            tables.log_norm[:, actions]
-            - (z[None, :, :] - tables.means[:, actions]) ** 2 / (2.0 * tables.vars[:, actions])
-        )
-    return tables.log_prior[:, None] + gathered.sum(axis=2)
+    # summed over the last axis of (M, B, n): numpy's pairwise summation
+    # would round differently for n >= 8 along another axis
+    return log_prior[:, None] + model.log_likelihood(actions, z).sum(axis=2)
 
 
 def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
@@ -294,17 +265,17 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     return ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
 
 
-def _run_block(model, tables, policy, thetas, path, k0, k1, L, want_records):
+def _run_block(model, policy, thetas, path, k0, k1, L, want_records):
     block_thetas = thetas[k0:k1]
     if isinstance(policy, FixedRulePolicy) and policy.n is not None:
-        lm = _fixed_rule_logmass_block(tables, policy.weights, policy.n, block_thetas, path, k0)
+        lm = _fixed_rule_logmass_block(model, policy.weights, policy.n, block_thetas, path, k0)
         p = np.exp(lm - lm.max(axis=0)[None, :])
         err = 1.0 - p.max(axis=0) / p.sum(axis=0)
         final, mode = (p / p.sum(axis=0)).T, p.argmax(axis=0)
         tau = np.full(block_thetas.size, policy.n)
         truncated = np.zeros(block_thetas.size, dtype=bool)
     else:
-        tau, final, truncated = _lockstep_block(tables, policy, block_thetas, path, k0)
+        tau, final, truncated = _lockstep_block(model, policy, block_thetas, path, k0)
         err = 1.0 - final.max(axis=1)
         mode = final.argmax(axis=1)
     if type(policy).declare is Policy.declare:
@@ -333,8 +304,7 @@ def _run_block(model, tables, policy, thetas, path, k0, k1, L, want_records):
 
 def _block_task(args):
     model, policy, path, thetas, k0, k1, L = args
-    tables = _Tables(model)
-    acc, _ = _run_block(model, tables, policy, thetas, path, k0, k1, L, False)
+    acc, _ = _run_block(model, policy, thetas, path, k0, k1, L, False)
     return k0, acc
 
 
@@ -356,7 +326,6 @@ def run_trials(
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     path = _seed_path(master_seed)
-    tables = _Tables(model)
     thetas = stratified_hypotheses(model.prior, n_trials)
     L = model.penalty
     ranges = [(k0, min(k0 + BLOCK, n_trials)) for k0 in range(0, n_trials, BLOCK)]
@@ -371,7 +340,7 @@ def run_trials(
             total.merge(partial[k0])
     else:
         for k0, k1 in ranges:
-            acc, recs = _run_block(model, tables, policy, thetas, path, k0, k1, L, record_trials)
+            acc, recs = _run_block(model, policy, thetas, path, k0, k1, L, record_trials)
             total.merge(acc)
             if record_trials:
                 records.extend(recs)
@@ -458,9 +427,8 @@ def pairwise_error_rates(model: ObservationModel, rule, n: int, n_trials: int, m
     the terminal posterior strictly prefers j over i given the truth is i.
     Returns (rates, stderrs), both (M, M) with zero diagonals.
     """
-    w = np.asarray(getattr(rule, "weights", rule), dtype=float)
+    w = as_weights(rule, model.K)
     path = _seed_path(master_seed)
-    tables = _Tables(model)
     M = model.M
     rates = np.zeros((M, M))
     for i in range(M):
@@ -468,7 +436,7 @@ def pairwise_error_rates(model: ObservationModel, rule, n: int, n_trials: int, m
         for k0 in range(0, n_trials, BLOCK):
             k1 = min(k0 + BLOCK, n_trials)
             thetas = np.full(k1 - k0, i, dtype=np.int64)
-            lm = _fixed_rule_logmass_block(tables, w, n, thetas, (*path, i), k0)
+            lm = _fixed_rule_logmass_block(model, w, n, thetas, (*path, i), k0)
             beats += (lm > lm[i][None, :]).sum(axis=1)
         rates[i] = beats / n_trials
         rates[i, i] = 0.0

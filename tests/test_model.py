@@ -1,20 +1,29 @@
-"""Model construction, validation, and JSON round-tripping."""
+"""Model construction, validation, kernel tables, and JSON round-tripping."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from active_ht import (
+    Belief,
     FiniteKernel,
+    Gaussian,
     GaussianKernel,
     ModelValidationError,
     ObservationModel,
     RandomizedRule,
+    backward_eval,
+    bayes_update,
+    exact_pairwise,
     likelihood_ratio_bound,
     load_model,
+    pairwise_error_rates,
+    reliability,
     sample,
     save_model,
     validate,
@@ -166,3 +175,83 @@ class TestSampling:
         draws = sample(gaussian_binary_model, 1, 0, rng, size=200_000)
         assert abs(draws.mean() - 1.0) < 3.0 * 2.0 / math.sqrt(draws.size)
         assert abs(draws.var() - 4.0) < 0.1
+
+
+@st.composite
+def _likelihood_cases(draw):
+    """A random finite (with zero entries) or Gaussian model and an (a, z) query."""
+    M, K = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        Z = draw(st.integers(2, 4))
+        q = rng.dirichlet(np.ones(Z), size=(M, K))
+        q[rng.random((M, K, Z)) < 0.3] = 0.0
+        q[..., 0] += q.sum(axis=2) == 0.0  # keep every row a distribution
+        kernel = FiniteKernel(q / q.sum(axis=2, keepdims=True))
+        symbols = lambda shape: rng.integers(Z, size=shape)
+    else:
+        kernel = GaussianKernel(rng.normal(size=(M, K)), rng.uniform(0.1, 4.0, size=(M, K)))
+        symbols = lambda shape: rng.normal(scale=3.0, size=shape)
+    model = ObservationModel(kernel=kernel, prior=rng.dirichlet(np.full(M, 2.0)), penalty=50.0)
+    if draw(st.booleans()):
+        return model, int(rng.integers(K)), symbols(())[()]
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    a = rng.integers(K, size=shape[-1:])  # broadcasts against z
+    return model, a, symbols(shape)
+
+
+class TestLogLikelihood:
+    @given(_likelihood_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_scalar_densities(self, case):
+        model, a, z = case
+        got = model.log_likelihood(a, z)
+        shape = np.broadcast_shapes(np.shape(a), np.shape(z))
+        assert got.shape == (model.M, *shape)
+        a_b, z_b = np.broadcast_to(a, shape), np.broadcast_to(z, shape)
+        k = model.kernel
+        for i in range(model.M):
+            for idx in np.ndindex(shape):
+                ai, zi = int(a_b[idx]), z_b[idx]
+                if model.is_finite:
+                    q = k.probs[i, ai, int(zi)]
+                    want = math.log(q) if q > 0.0 else -math.inf
+                else:
+                    want = Gaussian(float(k.means[i, ai]), float(k.variances[i, ai])).log_density(float(zi))
+                assert_allclose(got[(i, *idx)], want, rtol=1e-13)
+
+    @given(_likelihood_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_bayes_update_normalizes_the_summed_log_masses(self, case):
+        model, a, z = case
+        a, z = np.ravel(a)[0], np.ravel(z)[0]
+        lm = np.log(model.prior) + model.log_likelihood(a, z)
+        if not np.isfinite(lm).any():
+            return  # an impossible observation; covered in test_belief
+        want = np.exp(lm - lm.max())
+        got = bayes_update(Belief.from_probs(model.prior), model, a, z)
+        assert_allclose(got.probs, want / want.sum(), rtol=1e-12, atol=1e-300)
+
+    def test_derived_tables_are_read_only_and_shared(self, two_probe_model):
+        kernel = two_probe_model.kernel
+        assert two_probe_model.with_penalty(5.0).kernel.log_probs is kernel.log_probs
+        for table in (kernel.log_probs, kernel.cdf):
+            assert not table.flags.writeable
+
+
+def _bad_rule_calls():
+    """The functions that take a model and an action rule, on a K = 2 model."""
+    m = make_two_probe_model()
+    return {
+        "backward_eval": lambda rule: backward_eval(m, rule, 3),
+        "exact_pairwise": lambda rule: exact_pairwise(m, rule, 3),
+        "pairwise_error_rates": lambda rule: pairwise_error_rates(m, rule, 3, 100, 1),
+        "reliability": lambda rule: reliability(m, 0, rule),
+    }
+
+
+@pytest.mark.parametrize("rule", [[0.7, 0.7], [1.0], [0.2, 0.3, 0.5]], ids=["off_simplex", "short", "long"])
+@pytest.mark.parametrize("name", sorted(_bad_rule_calls()))
+def test_rule_inputs_are_checked(name, rule):
+    with pytest.raises(ValueError):
+        _bad_rule_calls()[name](rule)

@@ -223,12 +223,18 @@ SEED_CONTRACT_CASES = {
         make_two_probe_model(),
         fixed_lambda_policy([0.5, 0.5], threshold=0.985, safety_horizon=5),
     ),
+    # fixed horizons take the vectorized fixed-rule path, not the lockstep engine
+    "two_probe-n9": lambda: (make_two_probe_model(), FixedRulePolicy(weights=[0.5, 0.5], n=9)),
+    "garbled-n6": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], n=6)),
+    "gaussian-n6": lambda: (make_gaussian_binary_model(), FixedRulePolicy(weights=[0.3, 0.7], n=6)),
 }
 
 # (mean_tau, se_tau, pe, se_pe, cost, se_cost, n_wrong, n_truncated) of
-# run_trials(model, policy, 1500, (41, index)), recorded from the per-trial
-# scalar loop that the lockstep engine replaced.  Compared with ==: any
-# difference breaks the seed contract.
+# run_trials(model, policy, 1500, (41, index)).  The sequential entries were
+# recorded from the per-trial scalar loop that the lockstep engine replaced,
+# the fixed-horizon ones from the fixed-rule path before the simulator read
+# its tables from the model.  Compared with ==: any difference breaks the
+# seed contract.
 SEED_CONTRACT = {
     "two_probe-sn": (11.522666666666666, 0.14086714728283486, 0.0005860236714570628, 6.5768368252952e-06, 12.10869033812373, 0.14017880950659156, 0, 0),
     "two_probe-sa": (10.832666666666666, 0.1497414558330099, 0.000512453085701764, 5.562740509003807e-06, 11.345119752368431, 0.14898316868481232, 0, 0),
@@ -239,7 +245,18 @@ SEED_CONTRACT = {
     "skewed3-sn": (27.373333333333335, 0.3338476796672146, 0.0006620673747409163, 5.297765782277761e-06, 28.035400708074253, 0.33379168936535186, 2, 0),
     "skewed3-sa": (22.241333333333333, 0.2717232150485554, 0.000666576885411642, 5.176753666811817e-06, 22.907910218744977, 0.27166952555705126, 2, 0),
     "two_probe-truncated": (4.508, 0.019521790109557305, 0.09637431892661168, 0.0032812334282679508, 100.88231892661167, 3.2898045292944884, 133, 827),
+    "two_probe-n9": (9.0, 0.0, 0.041851676298230396, 0.002425092207372995, 50.851676298230394, 2.4250922073729946, 58, 0),
+    "garbled-n6": (6.0, 0.0, 0.22975829401749154, 0.004496798925640755, 28.975829401749152, 0.4496798925640753, 347, 0),
+    "gaussian-n6": (6.0, 0.0, 0.09291043911889814, 0.0034771304388404637, 98.91043911889814, 3.477130438840464, 143, 0),
 }
+
+# pairwise_error_rates(garbled, [0.7, 0.3], 6, 1500, (41, 12)), recorded with
+# the fixed-horizon entries above.
+SEED_CONTRACT_PAIRWISE = [
+    [0.0, 0.11533333333333333, 0.11066666666666666],
+    [0.08333333333333333, 0.0, 0.164],
+    [0.06333333333333334, 0.25866666666666666, 0.0],
+]
 
 
 @pytest.mark.parametrize("index, name", enumerate(SEED_CONTRACT_CASES))
@@ -249,6 +266,11 @@ def test_seed_contract_summaries(index, name):
     got = (s.mean_tau, s.se_tau, s.pe, s.se_pe, s.cost, s.se_cost, s.n_wrong, s.n_truncated)
     assert (s.n_trials, s.penalty, s.master_seed) == (1500, model.penalty, (41, index))
     assert got == SEED_CONTRACT[name]
+
+
+def test_seed_contract_pairwise_rates():
+    rates, _ = pairwise_error_rates(make_garbled_model(), [0.7, 0.3], 6, 1500, (41, 12))
+    assert rates.tolist() == SEED_CONTRACT_PAIRWISE
 
 
 class TestStratification:
