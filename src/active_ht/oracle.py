@@ -239,7 +239,13 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
                 acc += p_trans * value(tuple(child))
         return acc
 
-    pe = value(tuple([0] * n_cells))
+    try:
+        pe = value(tuple([0] * n_cells))
+    finally:
+        # value calls itself through its closure, a reference cycle: empty
+        # the caches now instead of at the next full garbage collection
+        value.cache_clear()
+        weight_vec.cache_clear()
     return ExactEvaluation(
         expected_tau=float(n),
         pe=pe,

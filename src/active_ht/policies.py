@@ -129,8 +129,9 @@ class TwoPhasePolicy(Policy):
     safety_horizon: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "explore_weights", as_weights(self.explore_weights))
-        w = np.asarray(self.exploit_weights, dtype=float)
+        explore = as_weights(self.explore_weights)
+        object.__setattr__(self, "explore_weights", explore)
+        w = np.vstack([as_weights(row, explore.size) for row in self.exploit_weights])
         w.setflags(write=False)
         object.__setattr__(self, "exploit_weights", w)
         if not 0.0 < self.stop_threshold < 1.0:
@@ -220,10 +221,9 @@ def sa_policy(
 ) -> TwoPhasePolicy:
     """Sequential and adaptive: explore with the max-min rule until one
     hypothesis dominates, then switch to that hypothesis's best rule."""
-    exploit = np.vstack([rule.weights for rule, _ in report.reliabilities])
     return TwoPhasePolicy(
         explore_weights=report.maxmin_rule.weights,
-        exploit_weights=exploit,
+        exploit_weights=[rule for rule, _ in report.reliabilities],
         phase_threshold=phase_threshold,
         stop_threshold=_stop_threshold(model),
         safety_horizon=_safety_horizon(model, report.maxmin_r),

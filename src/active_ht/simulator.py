@@ -3,7 +3,14 @@
 Reproducibility rules:
 
 * trial k draws from ``default_rng((*master_seed, k))`` so every trial is an
-  independent stream that can be replayed on its own;
+  independent stream that can be replayed on its own.  A block builds those
+  generators together: it runs numpy's ``SeedSequence`` hash (entropy pool
+  of 4 words, then ``generate_state(4, uint64)``) over all of its trial
+  indices at once in uint32 arrays, and hands each hashed row to ``PCG64``,
+  which seeds itself from it as it would from the ``SeedSequence``.  When a
+  seed word or a trial index does not fit in one uint32 word (or is
+  negative), the block calls ``default_rng`` per trial instead, which also
+  raises what it always raised;
 * true hypotheses are assigned by a deterministic quota scheme that keeps
   empirical frequencies within one trial of the prior at every prefix (for a
   uniform prior this is plain round-robin), which strips the prior-sampling
@@ -37,10 +44,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import BoundsReport, report_at_penalty
 from .exceptions import AssumptionError
@@ -65,8 +74,71 @@ def _seed_path(master_seed) -> tuple:
     return tuple(int(s) for s in master_seed)
 
 
-def _trial_rng(path: tuple, k: int) -> np.random.Generator:
-    return np.random.default_rng((*path, k))
+def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
+    """``SeedSequence((*path, k)).generate_state(4, np.uint64)`` for k0 <= k < k0 + B.
+
+    numpy's hash (``mix_entropy`` into a pool of 4 words, then
+    ``generate_state``) run over uint32 arrays, one entry per trial.  Every
+    entry of ``path`` and every k must lie in [0, 2**32), so that each is
+    one entropy word.  Returns (B, 4) uint64.
+    """
+    u32 = np.uint32
+    pool_size, mask = 4, 0xFFFFFFFF
+    xshift = u32(16)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * 0x931E8875 & mask
+        value = value * u32(hash_const)
+        return value ^ value >> xshift
+
+    def mix(x, y):
+        result = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
+        return result ^ result >> xshift
+
+    entropy = [np.full(B, word, dtype=u32) for word in path]
+    entropy.append(np.arange(k0, k0 + B, dtype=u32))
+    # an entropy shorter than the pool runs the hash out on zeros
+    entropy += [np.zeros(B, dtype=u32)] * (pool_size - len(entropy))
+    with np.errstate(over="ignore"):
+        mixer = [hashmix(word) for word in entropy[:pool_size]]
+        for src in range(pool_size):
+            for dst in range(pool_size):
+                if src != dst:
+                    mixer[dst] = mix(mixer[dst], hashmix(mixer[src]))
+        for word in entropy[pool_size:]:
+            for dst in range(pool_size):
+                mixer[dst] = mix(mixer[dst], hashmix(word))
+        state = np.empty((B, 2 * pool_size), dtype=u32)
+        hash_const = 0x8B51F9DD
+        for i in range(2 * pool_size):
+            value = mixer[i % pool_size] ^ u32(hash_const)
+            hash_const = hash_const * 0x58F38DED & mask
+            value = value * u32(hash_const)
+            state[:, i] = value ^ value >> xshift
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _HashedSeed(ISeedSequence):
+    """A seed whose ``generate_state`` output was computed by ``_seed_rows``."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
+
+
+def _block_rngs(path: tuple, k0: int, B: int):
+    """Yield ``default_rng((*path, k))`` for k = k0, ..., k0 + B - 1, one at a time."""
+    if all(0 <= word < 2**32 for word in (*path, k0 + B - 1)):
+        for row in _seed_rows(path, k0, B):
+            yield np.random.Generator(np.random.PCG64(_HashedSeed(row)))
+    else:
+        for k in range(k0, k0 + B):
+            yield np.random.default_rng((*path, k))
 
 
 def stratified_hypotheses(prior: np.ndarray, n: int) -> np.ndarray:
@@ -183,7 +255,7 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     """
     kernel = model.kernel
     B, M = thetas.size, model.M
-    rngs = [_trial_rng(path, k0 + b) for b in range(B)]
+    rngs = list(_block_rngs(path, k0, B))
     lm = np.tile(np.log(model.prior), (B, 1))
     probs = np.tile(model.prior, (B, 1))
     tau = np.zeros(B, dtype=np.int64)
@@ -244,8 +316,8 @@ def _fixed_rule_logmass_block(
     if n == 0:
         return np.tile(log_prior[:, None], (1, B))
     U = np.empty((B, 2 * n))
-    for b in range(B):
-        U[b] = _trial_rng(path, k0 + b).random(2 * n)
+    for b, rng in enumerate(_block_rngs(path, k0, B)):
+        U[b] = rng.random(2 * n)
     actions = inverse_cdf_index(np.cumsum(weights), U[:, 0::2])
     if model.is_finite:
         z = inverse_cdf_index(kernel.cdf[thetas[:, None], actions], U[:, 1::2])
@@ -265,8 +337,7 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     return ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
 
 
-def _run_block(model, policy, thetas, path, k0, k1, L, want_records):
-    block_thetas = thetas[k0:k1]
+def _run_block(model, policy, block_thetas, path, k0, L, want_records):
     if isinstance(policy, FixedRulePolicy) and policy.n is not None:
         lm = _fixed_rule_logmass_block(model, policy.weights, policy.n, block_thetas, path, k0)
         p = np.exp(lm - lm.max(axis=0)[None, :])
@@ -303,9 +374,14 @@ def _run_block(model, policy, thetas, path, k0, k1, L, want_records):
 
 
 def _block_task(args):
-    model, policy, path, thetas, k0, k1, L = args
-    acc, _ = _run_block(model, policy, thetas, path, k0, k1, L, False)
+    model, policy, path, block_thetas, k0, L = args
+    acc, _ = _run_block(model, policy, block_thetas, path, k0, L, False)
     return k0, acc
+
+
+def _worker_pool(workers: int):
+    """One process pool for every ``run_trials`` call of a caller (none for 1 worker)."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
 def run_trials(
@@ -316,12 +392,14 @@ def run_trials(
     *,
     record_trials: bool = False,
     workers: int = 1,
+    _pool: Optional[ProcessPoolExecutor] = None,
 ):
     """Simulate n_trials trials; returns (SimulationSummary, records or None).
 
     The summary is a deterministic fold over trial indices: the same
     (model, policy, n_trials, master_seed) always produces the identical
-    summary, bit for bit, regardless of ``workers``.
+    summary, bit for bit, regardless of ``workers``.  ``_pool`` is a caller's
+    open ``_worker_pool``, used instead of a pool of this call's own.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -333,14 +411,15 @@ def run_trials(
     total = _Acc()
     records = [] if record_trials else None
     if workers > 1 and not record_trials and len(ranges) > 1:
-        tasks = [(model, policy, path, thetas, k0, k1, L) for k0, k1 in ranges]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        tasks = [(model, policy, path, thetas[k0:k1], k0, L) for k0, k1 in ranges]
+        scope = _worker_pool(workers) if _pool is None else nullcontext(_pool)
+        with scope as pool:
             partial = dict(pool.map(_block_task, tasks))
         for k0, _ in ranges:
             total.merge(partial[k0])
     else:
         for k0, k1 in ranges:
-            acc, recs = _run_block(model, policy, thetas, path, k0, k1, L, record_trials)
+            acc, recs = _run_block(model, policy, thetas[k0:k1], path, k0, L, record_trials)
             total.merge(acc)
             if record_trials:
                 records.extend(recs)
@@ -385,38 +464,38 @@ def sweep_L(
     path = _seed_path(master_seed)
     if report is None and policy_kind in ("nn", "sn", "sa"):
         report = compute_bounds(model)
-    points = []
     summaries = []
-    for idx, L in enumerate(L_values):
-        model_L = model.with_penalty(float(L))
-        report_L = report_at_penalty(report, model_L) if report is not None else None
-        policy = build_policy(
-            policy_kind,
-            model_L,
-            report_L,
-            rule=rule,
-            n=fixed_n,
-            threshold=threshold,
-            phase_threshold=phase_threshold,
-        )
-        summary, _ = run_trials(
-            model_L, policy, n_trials, (*path, idx), workers=workers
-        )
-        logL = math.log(L)
-        points.append(
-            SweepPoint(
-                L=float(L),
-                log_L=logL,
-                mean_tau=summary.mean_tau,
-                se_tau=summary.se_tau,
-                pe=summary.pe,
-                se_pe=summary.se_pe,
-                cost=summary.cost,
-                cost_over_log_L=summary.cost / logL,
-                n_truncated=summary.n_truncated,
+    with _worker_pool(workers) as pool:
+        for idx, L in enumerate(L_values):
+            model_L = model.with_penalty(float(L))
+            report_L = report_at_penalty(report, model_L) if report is not None else None
+            policy = build_policy(
+                policy_kind,
+                model_L,
+                report_L,
+                rule=rule,
+                n=fixed_n,
+                threshold=threshold,
+                phase_threshold=phase_threshold,
             )
+            summary, _ = run_trials(
+                model_L, policy, n_trials, (*path, idx), workers=workers, _pool=pool
+            )
+            summaries.append(summary)
+    points = [
+        SweepPoint(
+            L=float(L),
+            log_L=math.log(L),
+            mean_tau=summary.mean_tau,
+            se_tau=summary.se_tau,
+            pe=summary.pe,
+            se_pe=summary.se_pe,
+            cost=summary.cost,
+            cost_over_log_L=summary.cost / math.log(L),
+            n_truncated=summary.n_truncated,
         )
-        summaries.append(summary)
+        for L, summary in zip(L_values, summaries)
+    ]
     return points, summaries
 
 
@@ -556,47 +635,50 @@ def estimate_error_exponent(
     path = _seed_path(master_seed)
     probe_trials = max(4000, n_trials // 25)
     points = []
-    for idx, budget in enumerate(budgets):
-        if policy_kind in ("nn", "fixed"):
-            use_rule = rule if policy_kind == "fixed" else report.d_hat_rule
-            policy = build_policy("fixed", model, report, rule=use_rule, n=int(budget))
-            model_L = model
-            penalty = None
-            tuned = True
-        else:
-            L, tuned = _tune_penalty(
-                model,
-                policy_kind,
-                report,
-                float(budget),
-                probe_trials,
-                (*path, idx),
-                phase_threshold=phase_threshold,
-                rel_tol=tune_rel_tol,
+    with _worker_pool(workers) as pool:
+        for idx, budget in enumerate(budgets):
+            if policy_kind in ("nn", "fixed"):
+                use_rule = rule if policy_kind == "fixed" else report.d_hat_rule
+                policy = build_policy("fixed", model, report, rule=use_rule, n=int(budget))
+                model_L = model
+                penalty = None
+                tuned = True
+            else:
+                L, tuned = _tune_penalty(
+                    model,
+                    policy_kind,
+                    report,
+                    float(budget),
+                    probe_trials,
+                    (*path, idx),
+                    phase_threshold=phase_threshold,
+                    rel_tol=tune_rel_tol,
+                )
+                model_L = model.with_penalty(L)
+                policy = build_policy(
+                    policy_kind,
+                    model_L,
+                    report_at_penalty(report, model_L),
+                    phase_threshold=phase_threshold,
+                )
+                penalty = L
+            summary, _ = run_trials(
+                model_L, policy, n_trials, (*path, idx), workers=workers, _pool=pool
             )
-            model_L = model.with_penalty(L)
-            policy = build_policy(
-                policy_kind,
-                model_L,
-                report_at_penalty(report, model_L),
-                phase_threshold=phase_threshold,
+            clean = summary.n_wrong > 0
+            pe = summary.pe if clean else max(summary.pe, _pe_floor(n_trials))
+            points.append(
+                BudgetPoint(
+                    budget=float(budget),
+                    penalty=penalty,
+                    mean_tau=summary.mean_tau,
+                    pe=pe,
+                    n_errors=summary.n_wrong,
+                    clean=clean,
+                    neg_log_pe=-math.log(pe),
+                    tuned=tuned,
+                )
             )
-            penalty = L
-        summary, _ = run_trials(model_L, policy, n_trials, (*path, idx), workers=workers)
-        clean = summary.n_wrong > 0
-        pe = summary.pe if clean else max(summary.pe, _pe_floor(n_trials))
-        points.append(
-            BudgetPoint(
-                budget=float(budget),
-                penalty=penalty,
-                mean_tau=summary.mean_tau,
-                pe=pe,
-                n_errors=summary.n_wrong,
-                clean=clean,
-                neg_log_pe=-math.log(pe),
-                tuned=tuned,
-            )
-        )
 
     fit_points = [p for p in points if p.clean]
     lower_bound_only = len(fit_points) < 2

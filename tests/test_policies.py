@@ -137,6 +137,20 @@ class TestThresholdPolicies:
         assert_allclose(p.action_weights(np.array([0.2, 0.6, 0.2]), 3), [1.0, 0.0])
         assert p.action_weights(np.array([0.995, 0.004, 0.001]), 3) is None
 
+    @pytest.mark.parametrize(
+        "exploit",
+        # off the simplex; rules for 3 actions where the model has 2
+        [[[0.7, 0.7], [-3.0, 4.0]], [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]],
+    )
+    def test_two_phase_rejects_bad_exploit_rows(self, exploit):
+        with pytest.raises(ValueError):
+            TwoPhasePolicy(
+                explore_weights=[0.5, 0.5],
+                exploit_weights=exploit,
+                phase_threshold=0.5,
+                stop_threshold=0.99,
+            )
+
     def test_exploit_draw_frequencies(self):
         p = TwoPhasePolicy(
             explore_weights=[1.0, 0.0],

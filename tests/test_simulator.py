@@ -2,11 +2,16 @@
 error rates, and the error-exponent estimator."""
 
 import math
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from active_ht import simulator
 from active_ht import (
     FiniteKernel,
     FixedRulePolicy,
@@ -271,6 +276,120 @@ def test_seed_contract_summaries(index, name):
 def test_seed_contract_pairwise_rates():
     rates, _ = pairwise_error_rates(make_garbled_model(), [0.7, 0.3], 6, 1500, (41, 12))
     assert rates.tolist() == SEED_CONTRACT_PAIRWISE
+
+
+_WORD = 2**32
+
+
+@st.composite
+def _seed_blocks(draw):
+    path = tuple(draw(st.lists(st.integers(0, _WORD - 1), max_size=6)))
+    B = draw(st.integers(1, 48))
+    offset = draw(st.integers(0, 16))
+    k0 = draw(st.sampled_from([offset, _WORD - B - offset]))
+    return path, k0, B
+
+
+@given(_seed_blocks())
+@settings(max_examples=60, deadline=None)
+def test_hashed_block_seeds_match_numpy_else_use_default_rng_fallback(case):
+    # The block seeding re-implements numpy's SeedSequence hash.  If this
+    # fails after a numpy upgrade, numpy changed that hash: make _block_rngs
+    # always take its default_rng fallback until the port is updated.
+    path, k0, B = case
+    rows = simulator._seed_rows(path, k0, B)
+    with mock.patch.object(simulator, "_seed_rows", wraps=simulator._seed_rows) as hashed:
+        rngs = list(simulator._block_rngs(path, k0, B))
+    assert hashed.call_count == 1
+    assert rows.shape == (B, 4) and rows.dtype == np.uint64
+    for b, rng in enumerate(rngs):
+        ref = np.random.SeedSequence((*path, k0 + b)).generate_state(4, np.uint64)
+        assert rows[b].tolist() == ref.tolist()
+        want = np.random.default_rng((*path, k0 + b)).random(2 * simulator.CHUNK)
+        assert rng.random(2 * simulator.CHUNK).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "path, k0",
+    [((_WORD,), 0), ((3, 2**40), 0), ((7,), _WORD - 2)],
+)
+def test_block_seeds_fall_back_to_default_rng(monkeypatch, path, k0):
+    # a seed word of 2**32 or more, or a trial index past 2**32 - 1, is
+    # never hashed in numpy
+    monkeypatch.setattr(simulator, "_seed_rows", None)
+    for b, rng in enumerate(simulator._block_rngs(path, k0, 4)):
+        want = np.random.default_rng((*path, k0 + b))
+        assert rng.random(2 * simulator.CHUNK).tolist() == want.random(2 * simulator.CHUNK).tolist()
+        assert rng.standard_normal(3).tolist() == want.standard_normal(3).tolist()
+
+
+def test_negative_seed_raises_as_default_rng_does(two_probe_model):
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng((-1, 0))
+    with pytest.raises(ValueError) as got:
+        run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=3), 10, -1)
+    assert str(got.value) == str(expected.value)
+
+
+def test_sweep_and_exponent_open_one_pool_each(monkeypatch, two_probe_model, two_probe_report):
+    opened = []
+
+    class _CountingPool(simulator.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _CountingPool)
+
+    def sweep(workers):
+        _, summaries = sweep_L(
+            two_probe_model, "sn", [100.0, 1000.0, 10_000.0], 2500, 33,
+            report=two_probe_report, workers=workers,
+        )
+        return summaries
+
+    pooled = sweep(2)
+    assert len(opened) == 1
+    assert sweep(1) == pooled
+    assert len(opened) == 1
+
+    def exponent(workers):
+        return estimate_error_exponent(
+            two_probe_model, "nn", [4, 6], 2500, 34, report=two_probe_report, workers=workers
+        )
+
+    assert exponent(2) == exponent(1)
+    assert len(opened) == 2
+
+
+def test_pool_task_size_does_not_grow_with_trials(monkeypatch, two_probe_model):
+    sizes = []
+
+    class _InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            for task in tasks:
+                sizes.append(len(pickle.dumps(task)))
+                yield fn(task)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _InlinePool)
+    policy = fixed_lambda_policy([0.5, 0.5], n=2)
+    largest = []
+    for n_trials in (2 * simulator.BLOCK, 16 * simulator.BLOCK):
+        sizes.clear()
+        run_trials(two_probe_model, policy, n_trials, 35, workers=2)
+        assert len(sizes) == n_trials // simulator.BLOCK
+        largest.append(max(sizes))
+    # only the pickled block index may take a byte or two more
+    assert largest[1] - largest[0] < 16
 
 
 class TestStratification:
