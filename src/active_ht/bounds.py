@@ -278,8 +278,8 @@ class DiscriminationOptimum:
 
     ``value`` is F at ``rule``, so a lower bound on max F; ``d_hat_upper`` is
     an upper bound on max F, and the two are equal when the rule is certified
-    optimal.  The bound is +inf whenever some action gives some pair disjoint
-    supports, since the capped LP behind it is then no proven bound.
+    optimal.  The bound comes from the pairs that no action separates
+    perfectly, and is +inf when there are none.
     """
 
     rule: RandomizedRule
@@ -423,9 +423,10 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     max_alpha E_{p,a}(alpha) is the per-action Chernoff information (Chernoff,
     Ann. Math. Stat. 1952) and a max of sums is at most the sum of maxima.  U
     is one LP, bounded from its dual solution, and the ascent is skipped once
-    F meets it.  If some C[p, a] is infinite (disjoint supports, so the model
-    carries the ``kl_capped`` flag) a weight of about 1/KL_CAP can make a
-    pair infinite, the capped LP value is no proven bound, and U is +inf.
+    F meets it.  A pair with an infinite C[p, a] (disjoint supports, so the
+    model carries the ``kl_capped`` flag) is left out of that LP: F is a
+    minimum over pairs, so the minimum over the other pairs still bounds it
+    from above.  U is +inf only when every pair has an infinite entry.
     The reported value is always an exact evaluation of F at the reported
     rule.
     """
@@ -454,7 +455,8 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     # At a vertex the mixed exponent is a single action's, so C[:, a] = F's
     # pair values at vertex a.
     C = np.column_stack([optima[key(e)][0] for e in vertices])
-    upper = _reliability_lp(C)[1] if np.all(np.isfinite(C)) else math.inf
+    bounded = np.all(np.isfinite(C), axis=1)
+    upper = _reliability_lp(C[bounded])[1] if bounded.any() else math.inf
 
     alphas = optima[key(best_w)][1]
     for _ in range(_ASCENT_ITERATIONS):

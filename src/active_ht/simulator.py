@@ -7,10 +7,13 @@ Reproducibility rules:
   generators together: it runs numpy's ``SeedSequence`` hash (entropy pool
   of 4 words, then ``generate_state(4, uint64)``) over all of its trial
   indices at once in uint32 arrays, and hands each hashed row to ``PCG64``,
-  which seeds itself from it as it would from the ``SeedSequence``.  When a
-  seed word or a trial index does not fit in one uint32 word (or is
-  negative), the block calls ``default_rng`` per trial instead, which also
-  raises what it always raised;
+  which seeds itself from it as it would from the ``SeedSequence``.  A
+  fixed-horizon block whose trials draw at most ``_KERNEL_MAX_DRAWS``
+  uniforms builds no generator: ``_block_uniforms`` runs PCG64 itself over
+  the hashed rows, all trials at once, and returns the uniforms
+  ``Generator.random`` would.  When a seed word or a trial index does not
+  fit in one uint32 word (or is negative), the block calls ``default_rng``
+  per trial instead, which also raises what it always raised;
 * true hypotheses are assigned by a deterministic quota scheme that keeps
   empirical frequencies within one trial of the prior at every prefix (for a
   uniform prior this is plain round-robin), which strips the prior-sampling
@@ -30,7 +33,8 @@ draw); on a Gaussian kernel the action uniform, then one standard normal
 scaled by the chosen action's mean and deviation.  A trial's trajectory
 therefore does not depend on the other trials in its block.  Fixed-horizon
 i.i.d.-rule policies take a separate path that draws all of a trial's
-uniforms at once and sums the log-likelihoods without per-step
+uniforms at once (action, then symbol, per step; a Gaussian symbol through
+the inverse normal CDF) and sums the log-likelihoods without per-step
 normalization.  Both paths read the kernel's own tables and
 ``ObservationModel.log_likelihood``; the simulator keeps no copy of them.
 
@@ -131,14 +135,100 @@ class _HashedSeed(ISeedSequence):
         return self.row
 
 
+def _hashable(path: tuple, k0: int, B: int) -> bool:
+    """Whether ``_seed_rows`` can hash the seeds of trials k0, ..., k0 + B - 1."""
+    return all(0 <= word < 2**32 for word in (*path, k0 + B - 1))
+
+
 def _block_rngs(path: tuple, k0: int, B: int):
     """Yield ``default_rng((*path, k))`` for k = k0, ..., k0 + B - 1, one at a time."""
-    if all(0 <= word < 2**32 for word in (*path, k0 + B - 1)):
+    if _hashable(path, k0, B):
         for row in _seed_rows(path, k0, B):
             yield np.random.Generator(np.random.PCG64(_HashedSeed(row)))
     else:
         for k in range(k0, k0 + B):
             yield np.random.default_rng((*path, k))
+
+
+# numpy's PCG64 multiplier, as 64-bit words and the 32-bit limbs of its low word
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & 0xFFFFFFFF), np.uint64(_PCG_MULT >> 32 & 0xFFFFFFFF)
+
+# Longest stream _block_uniforms draws with its own kernel.  At B = 1024 the
+# kernel costs about 0.5 us a trial plus 0.05 us a uniform, a Generator per
+# trial about 5 us, so past this length (even at 96-112 on a 2-vCPU VM) the
+# Generators are faster.
+_KERNEL_MAX_DRAWS = 96
+
+
+def _block_uniforms(path: tuple, k0: int, B: int, T: int) -> np.ndarray:
+    """``default_rng((*path, k)).random(T)`` for k0 <= k < k0 + B, as (B, T).
+
+    Runs numpy's PCG64 (128-bit LCG, XSL-RR output) on the hashed seed rows
+    of the whole block at once, each 128-bit state as two uint64 arrays, so
+    that no ``Generator`` is built.  Streams longer than _KERNEL_MAX_DRAWS,
+    and seeds ``_seed_rows`` cannot hash, are drawn from ``_block_rngs``.
+    """
+    U = np.empty((B, T))
+    if T > _KERNEL_MAX_DRAWS or not _hashable(path, k0, B):
+        for b, rng in enumerate(_block_rngs(path, k0, B)):
+            U[b] = rng.random(T)
+        return U
+    one, m32, s32 = np.uint64(1), np.uint64(0xFFFFFFFF), np.uint64(32)
+    s0, s1, s2, s3 = _seed_rows(path, k0, B).T
+    # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * MULT + inc
+    inc_hi = s2 << one | s3 >> np.uint64(63)
+    inc_lo = s3 << one | one
+    lo = inc_lo + s1
+    hi = inc_hi + s0 + (lo < s1)
+    a0, a1, t, u = (np.empty(B, dtype=np.uint64) for _ in range(4))
+    carry = np.empty(B, dtype=bool)
+
+    def step():
+        # (hi:lo) = (hi:lo) * MULT + inc mod 2**128; the high word of lo * MULT_LO
+        # is built from 32-bit limbs, the low words wrap in uint64
+        np.bitwise_and(lo, m32, out=a0)
+        np.right_shift(lo, s32, out=a1)
+        np.multiply(a0, _MULT_LO0, out=t)
+        np.right_shift(t, s32, out=t)
+        np.multiply(a1, _MULT_LO0, out=u)
+        np.add(u, t, out=t)
+        np.bitwise_and(t, m32, out=u)
+        np.multiply(a0, _MULT_LO1, out=a0)
+        np.add(a0, u, out=u)
+        np.multiply(a1, _MULT_LO1, out=a1)
+        np.right_shift(t, s32, out=t)
+        np.add(a1, t, out=a1)
+        np.right_shift(u, s32, out=u)
+        np.add(a1, u, out=a1)
+        np.multiply(hi, _MULT_LO, out=hi)
+        np.add(hi, a1, out=hi)
+        np.multiply(lo, _MULT_HI, out=a1)
+        np.add(hi, a1, out=hi)
+        np.multiply(lo, _MULT_LO, out=lo)
+        np.add(lo, inc_lo, out=lo)
+        np.less(lo, inc_lo, out=carry)
+        np.add(hi, inc_hi, out=hi)
+        np.add(hi, carry, out=hi)
+
+    step()
+    raw = np.empty((T, B), dtype=np.uint64)
+    x, r = a0, a1
+    for row in raw:
+        step()
+        # XSL-RR: rotate hi ^ lo right by the top 6 bits of hi; numpy's shift
+        # by 64 gives 0, so a rotation by 0 needs no mask
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, np.uint64(58), out=r)
+        np.right_shift(x, r, out=row)
+        np.subtract(np.uint64(64), r, out=r)
+        np.left_shift(x, r, out=x)
+        np.bitwise_or(row, x, out=row)
+    # Generator.random: the top 53 bits of each word, scaled to [0, 1)
+    raw >>= np.uint64(11)
+    np.multiply(raw.T, 2.0**-53, out=U)
+    return U
 
 
 def stratified_hypotheses(prior: np.ndarray, n: int) -> np.ndarray:
@@ -315,9 +405,7 @@ def _fixed_rule_logmass_block(
     log_prior = np.log(model.prior)
     if n == 0:
         return np.tile(log_prior[:, None], (1, B))
-    U = np.empty((B, 2 * n))
-    for b, rng in enumerate(_block_rngs(path, k0, B)):
-        U[b] = rng.random(2 * n)
+    U = _block_uniforms(path, k0, B, 2 * n)
     actions = inverse_cdf_index(np.cumsum(weights), U[:, 0::2])
     if model.is_finite:
         z = inverse_cdf_index(kernel.cdf[thetas[:, None], actions], U[:, 1::2])
@@ -550,16 +638,24 @@ class ExponentEstimate:
     n_trials: int
 
 
-def _mean_tau_probe(model_L, policy, probe_trials, seed_path):
-    summary, _ = run_trials(model_L, policy, probe_trials, seed_path)
-    return summary.mean_tau
-
-
-def _tune_penalty(model, policy_kind, report, target: float, probe_trials: int, path: tuple, *, phase_threshold: float, rel_tol: float):
+def _tune_penalty(
+    model,
+    policy_kind,
+    report,
+    target: float,
+    probe_trials: int,
+    path: tuple,
+    *,
+    phase_threshold: float,
+    rel_tol: float,
+    workers: int,
+    pool,
+):
     """Bisection on log L until the probe's mean stopping time hits target.
 
     The bisection accepts at half of ``rel_tol`` so that, with probe noise on
-    top, the final full-size run lands within the stated tolerance.
+    top, the final full-size run lands within the stated tolerance.  Probes
+    run on the caller's ``workers`` and open ``_worker_pool``.
     """
 
     def policy_at(logL: float):
@@ -570,7 +666,9 @@ def _tune_penalty(model, policy_kind, report, target: float, probe_trials: int, 
 
     def tau_at(logL: float, probe_idx: int) -> float:
         model_L, policy = policy_at(logL)
-        return _mean_tau_probe(model_L, policy, probe_trials, (*path, 7000 + probe_idx))
+        seed = (*path, 7000 + probe_idx)
+        summary, _ = run_trials(model_L, policy, probe_trials, seed, workers=workers, _pool=pool)
+        return summary.mean_tau
 
     rate = report.exponents.sa if policy_kind == "sa" else report.exponents.sn
     x = max(0.05, rate * target)
@@ -653,6 +751,8 @@ def estimate_error_exponent(
                     (*path, idx),
                     phase_threshold=phase_threshold,
                     rel_tol=tune_rel_tol,
+                    workers=workers,
+                    pool=pool,
                 )
                 model_L = model.with_penalty(L)
                 policy = build_policy(

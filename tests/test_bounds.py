@@ -388,9 +388,8 @@ class TestCappedDivergences:
         attained = harmonic_reliability(m, rep.max_r_bar_rule)
         assert rep.max_r_bar == attained
         assert math.isinf(rep.max_r_bar) == fully_separable
-        # Some action gives a pair disjoint supports, so no finite upper bound is proven.
         assert math.isinf(rep.d_hat) == fully_separable
-        assert math.isinf(rep.d_hat_upper)
+        return rep
 
     def test_every_pair_separated(self):
         # Actions 0 and 1 both give each hypothesis its own symbol, so every
@@ -400,7 +399,9 @@ class TestCappedDivergences:
         rows[:, 1, :] = np.eye(3)[[1, 2, 0]]
         rows[:, 2, :] = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
         m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.3, 0.2], penalty=100.0)
-        self._check(m, fully_separable=True)
+        rep = self._check(m, fully_separable=True)
+        # No pair is left whose Chernoff informations are all finite.
+        assert math.isinf(rep.d_hat_upper)
 
     def test_some_pairs_separated(self):
         # Under action 0 hypothesis 0 alone has disjoint support; the pair
@@ -411,4 +412,9 @@ class TestCappedDivergences:
             [[0.0, 0.3, 0.7], [0.3, 0.3, 0.4]],
         ])
         m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.2, 0.3, 0.5], penalty=100.0)
-        self._check(m, fully_separable=False)
+        rep = self._check(m, fully_separable=False)
+        # The certificate LP runs over the pair (1, 2) alone and still bounds F.
+        assert math.isfinite(rep.d_hat_upper)
+        assert rep.d_hat <= rep.d_hat_upper
+        chernoff_12 = max(alpha_max(m, 1, 2, RandomizedRule(e)).value for e in np.eye(2))
+        assert_allclose(rep.d_hat_upper, chernoff_12, rtol=1e-9)

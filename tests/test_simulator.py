@@ -232,14 +232,17 @@ SEED_CONTRACT_CASES = {
     "two_probe-n9": lambda: (make_two_probe_model(), FixedRulePolicy(weights=[0.5, 0.5], n=9)),
     "garbled-n6": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], n=6)),
     "gaussian-n6": lambda: (make_gaussian_binary_model(), FixedRulePolicy(weights=[0.3, 0.7], n=6)),
+    # 2n = 120 uniforms: past the PCG64 kernel's cut, drawn by one Generator per trial
+    "garbled-n60": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], n=60)),
 }
 
 # (mean_tau, se_tau, pe, se_pe, cost, se_cost, n_wrong, n_truncated) of
 # run_trials(model, policy, 1500, (41, index)).  The sequential entries were
 # recorded from the per-trial scalar loop that the lockstep engine replaced,
 # the fixed-horizon ones from the fixed-rule path before the simulator read
-# its tables from the model.  Compared with ==: any difference breaks the
-# seed contract.
+# its tables from the model, garbled-n60 before the fixed-horizon path drew
+# its uniforms from the PCG64 kernel.  Compared with ==: any difference breaks
+# the seed contract.
 SEED_CONTRACT = {
     "two_probe-sn": (11.522666666666666, 0.14086714728283486, 0.0005860236714570628, 6.5768368252952e-06, 12.10869033812373, 0.14017880950659156, 0, 0),
     "two_probe-sa": (10.832666666666666, 0.1497414558330099, 0.000512453085701764, 5.562740509003807e-06, 11.345119752368431, 0.14898316868481232, 0, 0),
@@ -253,6 +256,7 @@ SEED_CONTRACT = {
     "two_probe-n9": (9.0, 0.0, 0.041851676298230396, 0.002425092207372995, 50.851676298230394, 2.4250922073729946, 58, 0),
     "garbled-n6": (6.0, 0.0, 0.22975829401749154, 0.004496798925640755, 28.975829401749152, 0.4496798925640753, 347, 0),
     "gaussian-n6": (6.0, 0.0, 0.09291043911889814, 0.0034771304388404637, 98.91043911889814, 3.477130438840464, 143, 0),
+    "garbled-n60": (60.0, 0.0, 0.008403706120777902, 0.0011534361883952945, 60.84037061207779, 0.11534361883952901, 10, 0),
 }
 
 # pairwise_error_rates(garbled, [0.7, 0.3], 6, 1500, (41, 12)), recorded with
@@ -271,6 +275,12 @@ def test_seed_contract_summaries(index, name):
     got = (s.mean_tau, s.se_tau, s.pe, s.se_pe, s.cost, s.se_cost, s.n_wrong, s.n_truncated)
     assert (s.n_trials, s.penalty, s.master_seed) == (1500, model.penalty, (41, index))
     assert got == SEED_CONTRACT[name]
+
+
+def test_fixed_horizon_pins_cover_both_sides_of_the_kernel_cut():
+    streams = [2 * policy.n for _, policy in (case() for case in SEED_CONTRACT_CASES.values())
+               if getattr(policy, "n", None)]
+    assert min(streams) <= simulator._KERNEL_MAX_DRAWS < max(streams)
 
 
 def test_seed_contract_pairwise_rates():
@@ -309,10 +319,39 @@ def test_hashed_block_seeds_match_numpy_else_use_default_rng_fallback(case):
         assert rng.random(2 * simulator.CHUNK).tolist() == want.tolist()
 
 
-@pytest.mark.parametrize(
-    "path, k0",
-    [((_WORD,), 0), ((3, 2**40), 0), ((7,), _WORD - 2)],
-)
+@st.composite
+def _uniform_blocks(draw):
+    path, k0, B = draw(_seed_blocks())
+    return path, k0, B, draw(st.integers(1, simulator._KERNEL_MAX_DRAWS + 8))
+
+
+@given(_uniform_blocks())
+@settings(max_examples=60, deadline=None)
+def test_block_uniforms_match_default_rng(case):
+    # Streams up to _KERNEL_MAX_DRAWS come from the vectorized PCG64 kernel,
+    # which builds no Generator; longer ones from _block_rngs.
+    path, k0, B, T = case
+    with mock.patch.object(simulator, "_block_rngs", wraps=simulator._block_rngs) as generators:
+        got = simulator._block_uniforms(path, k0, B, T)
+    assert generators.call_count == (T > simulator._KERNEL_MAX_DRAWS)
+    assert got.shape == (B, T) and got.flags.c_contiguous
+    for b in range(B):
+        assert got[b].tolist() == np.random.default_rng((*path, k0 + b)).random(T).tolist()
+
+
+_UNHASHABLE = [((_WORD,), 0), ((3, 2**40), 0), ((7,), _WORD - 2)]
+
+
+@pytest.mark.parametrize("T", [5, simulator._KERNEL_MAX_DRAWS + 1])
+@pytest.mark.parametrize("path, k0", _UNHASHABLE)
+def test_block_uniforms_fall_back_to_default_rng(monkeypatch, path, k0, T):
+    monkeypatch.setattr(simulator, "_seed_rows", None)
+    got = simulator._block_uniforms(path, k0, 4, T)
+    for b in range(4):
+        assert got[b].tolist() == np.random.default_rng((*path, k0 + b)).random(T).tolist()
+
+
+@pytest.mark.parametrize("path, k0", _UNHASHABLE)
 def test_block_seeds_fall_back_to_default_rng(monkeypatch, path, k0):
     # a seed word of 2**32 or more, or a trial index past 2**32 - 1, is
     # never hashed in numpy
@@ -360,6 +399,37 @@ def test_sweep_and_exponent_open_one_pool_each(monkeypatch, two_probe_model, two
 
     assert exponent(2) == exponent(1)
     assert len(opened) == 2
+
+
+def test_exponent_probes_run_in_the_shared_pool(monkeypatch, two_probe_model, two_probe_report):
+    opened, pools = [], []
+
+    class _CountingPool(simulator.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    real_run_trials = simulator.run_trials
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs.get("_pool"))
+        return real_run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(simulator, "run_trials", spy)
+
+    def exponent(workers):
+        pools.clear()
+        return estimate_error_exponent(
+            two_probe_model, "sa", [4], 2000, 36, report=two_probe_report, workers=workers
+        )
+
+    pooled = exponent(2)
+    # the bisection probes and the full run all use the one pool
+    assert len(opened) == 1 and len(pools) > 2
+    assert all(pool is opened[0] for pool in pools)
+    assert exponent(1) == pooled
+    assert len(opened) == 1 and set(pools) == {None}
 
 
 def test_pool_task_size_does_not_grow_with_trials(monkeypatch, two_probe_model):
