@@ -8,9 +8,8 @@ Reproducibility rules:
   of 4 words, then ``generate_state(4, uint64)``) over all of its trial
   indices at once in uint32 arrays, and hands each hashed row to ``PCG64``,
   which seeds itself from it as it would from the ``SeedSequence``.  A
-  fixed-horizon block whose trials draw at most ``_KERNEL_MAX_DRAWS``
-  uniforms builds no generator: ``_block_uniforms`` runs PCG64 itself over
-  the hashed rows, all trials at once, and returns the uniforms
+  fixed-horizon block builds no generator: ``_block_uniforms`` runs PCG64
+  itself over the hashed rows, all trials at once, and returns the uniforms
   ``Generator.random`` would.  When a seed word or a trial index does not
   fit in one uint32 word (or is negative), the block calls ``default_rng``
   per trial instead, which also raises what it always raised;
@@ -155,23 +154,17 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & 0xFFFFFFFF), np.uint64(_PCG_MULT >> 32 & 0xFFFFFFFF)
 
-# Longest stream _block_uniforms draws with its own kernel.  At B = 1024 the
-# kernel costs about 0.5 us a trial plus 0.05 us a uniform, a Generator per
-# trial about 5 us, so past this length (even at 96-112 on a 2-vCPU VM) the
-# Generators are faster.
-_KERNEL_MAX_DRAWS = 96
-
 
 def _block_uniforms(path: tuple, k0: int, B: int, T: int) -> np.ndarray:
     """``default_rng((*path, k)).random(T)`` for k0 <= k < k0 + B, as (B, T).
 
     Runs numpy's PCG64 (128-bit LCG, XSL-RR output) on the hashed seed rows
     of the whole block at once, each 128-bit state as two uint64 arrays, so
-    that no ``Generator`` is built.  Streams longer than _KERNEL_MAX_DRAWS,
-    and seeds ``_seed_rows`` cannot hash, are drawn from ``_block_rngs``.
+    that no ``Generator`` is built.  Seeds ``_seed_rows`` cannot hash are
+    drawn from ``_block_rngs``.
     """
     U = np.empty((B, T))
-    if T > _KERNEL_MAX_DRAWS or not _hashable(path, k0, B):
+    if not _hashable(path, k0, B):
         for b, rng in enumerate(_block_rngs(path, k0, B)):
             U[b] = rng.random(T)
         return U

@@ -232,7 +232,7 @@ SEED_CONTRACT_CASES = {
     "two_probe-n9": lambda: (make_two_probe_model(), FixedRulePolicy(weights=[0.5, 0.5], n=9)),
     "garbled-n6": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], n=6)),
     "gaussian-n6": lambda: (make_gaussian_binary_model(), FixedRulePolicy(weights=[0.3, 0.7], n=6)),
-    # 2n = 120 uniforms: past the PCG64 kernel's cut, drawn by one Generator per trial
+    # 2n = 120 uniforms a trial, recorded when they came from one Generator per trial
     "garbled-n60": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], n=60)),
 }
 
@@ -277,12 +277,6 @@ def test_seed_contract_summaries(index, name):
     assert got == SEED_CONTRACT[name]
 
 
-def test_fixed_horizon_pins_cover_both_sides_of_the_kernel_cut():
-    streams = [2 * policy.n for _, policy in (case() for case in SEED_CONTRACT_CASES.values())
-               if getattr(policy, "n", None)]
-    assert min(streams) <= simulator._KERNEL_MAX_DRAWS < max(streams)
-
-
 def test_seed_contract_pairwise_rates():
     rates, _ = pairwise_error_rates(make_garbled_model(), [0.7, 0.3], 6, 1500, (41, 12))
     assert rates.tolist() == SEED_CONTRACT_PAIRWISE
@@ -322,18 +316,17 @@ def test_hashed_block_seeds_match_numpy_else_use_default_rng_fallback(case):
 @st.composite
 def _uniform_blocks(draw):
     path, k0, B = draw(_seed_blocks())
-    return path, k0, B, draw(st.integers(1, simulator._KERNEL_MAX_DRAWS + 8))
+    return path, k0, B, draw(st.integers(1, 160))
 
 
 @given(_uniform_blocks())
 @settings(max_examples=60, deadline=None)
 def test_block_uniforms_match_default_rng(case):
-    # Streams up to _KERNEL_MAX_DRAWS come from the vectorized PCG64 kernel,
-    # which builds no Generator; longer ones from _block_rngs.
+    # hashable seeds go through the vectorized PCG64 kernel, which builds no Generator
     path, k0, B, T = case
     with mock.patch.object(simulator, "_block_rngs", wraps=simulator._block_rngs) as generators:
         got = simulator._block_uniforms(path, k0, B, T)
-    assert generators.call_count == (T > simulator._KERNEL_MAX_DRAWS)
+    assert generators.call_count == 0
     assert got.shape == (B, T) and got.flags.c_contiguous
     for b in range(B):
         assert got[b].tolist() == np.random.default_rng((*path, k0 + b)).random(T).tolist()
@@ -342,7 +335,7 @@ def test_block_uniforms_match_default_rng(case):
 _UNHASHABLE = [((_WORD,), 0), ((3, 2**40), 0), ((7,), _WORD - 2)]
 
 
-@pytest.mark.parametrize("T", [5, simulator._KERNEL_MAX_DRAWS + 1])
+@pytest.mark.parametrize("T", [5, 120])
 @pytest.mark.parametrize("path, k0", _UNHASHABLE)
 def test_block_uniforms_fall_back_to_default_rng(monkeypatch, path, k0, T):
     monkeypatch.setattr(simulator, "_seed_rows", None)
