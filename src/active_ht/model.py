@@ -10,7 +10,8 @@ Each kernel computes its derived tables (hypothesis first) once, on first
 use, and every copy of the model shares them: ``log_probs`` and ``cdf`` for
 finite kernels, ``stds`` and ``log_norm`` for Gaussian ones.  Every
 posterior in the package reads ``ObservationModel.log_likelihood`` or these
-tables, and every draw maps a uniform through ``inverse_cdf_index``.
+tables.  Every draw maps one uniform to an index through
+``inverse_cdf_index``, or to a symbol through ``draw_symbol``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import ndtri
 
 from .divergences import Gaussian, ZERO_PROB, kl
 from .exceptions import ModelValidationError
@@ -53,6 +55,19 @@ def inverse_cdf_index(cdf: np.ndarray, u) -> np.ndarray:
     for k in range(cdf.shape[-1] - 1):
         index += cdf[..., k] <= u
     return index
+
+
+def draw_symbol(kernel, i, a, u):
+    """Symbol(s) drawn by uniform(s) ``u`` under hypothesis ``i`` and action ``a``.
+
+    A finite kernel inverts its ``cdf`` row; a Gaussian kernel returns
+    ``means[i, a] + stds[i, a] * ndtri(u)``, the inverse normal CDF with ``u``
+    clipped off 0 and 1.  Either way one symbol costs one uniform.  ``i``,
+    ``a`` and ``u`` broadcast together.
+    """
+    if isinstance(kernel, FiniteKernel):
+        return inverse_cdf_index(kernel.cdf[i, a], u)
+    return kernel.means[i, a] + kernel.stds[i, a] * ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
 
 
 @dataclass(frozen=True)
@@ -289,12 +304,14 @@ class ObservationModel:
 
 
 def sample(model: ObservationModel, i: int, a: int, rng: np.random.Generator, size=None):
-    """Draw one observation (or ``size`` of them) under hypothesis i, action a."""
-    k = model.kernel
-    if model.is_finite:
-        z = inverse_cdf_index(k.cdf[i, a], rng.random(size))
-        return int(z) if size is None else z
-    return rng.normal(k.means[i, a], k.stds[i, a], size)
+    """Draw one observation (or ``size`` of them) under hypothesis i, action a.
+
+    Each costs one ``rng.random`` uniform, mapped through ``draw_symbol``.
+    """
+    z = draw_symbol(model.kernel, i, a, rng.random(size))
+    if size is None:
+        return int(z) if model.is_finite else float(z)
+    return z
 
 
 def likelihood_ratio_bound(model: ObservationModel) -> float:

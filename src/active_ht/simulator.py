@@ -24,18 +24,21 @@ Reproducibility rules:
 Sequential policies run in a lockstep engine: all live trials of a block
 advance together, one ``Policy.batch_weights`` query and one vectorized
 log-domain Bayes update per step, and a trial retires when its policy stops
-or it reaches the policy's safety horizon (flagged as truncated).  Each
-trial still draws only from its own generator, in a fixed order per step:
-on a finite kernel the action uniform, then the symbol uniform (taken from
-``rng.random`` in chunks, which yields the same stream as one call per
-draw); on a Gaussian kernel the action uniform, then one standard normal
-scaled by the chosen action's mean and deviation.  A trial's trajectory
-therefore does not depend on the other trials in its block.  Fixed-horizon
-i.i.d.-rule policies take a separate path that draws all of a trial's
-uniforms at once (action, then symbol, per step; a Gaussian symbol through
-the inverse normal CDF) and sums the log-likelihoods without per-step
-normalization.  Both paths read the kernel's own tables and
-``ObservationModel.log_likelihood``; the simulator keeps no copy of them.
+or it reaches the policy's safety horizon (flagged as truncated).
+Fixed-horizon i.i.d.-rule policies take a separate path that draws all of a
+trial's uniforms at once and sums the log-likelihoods without per-step
+normalization.  Both paths read one uniform stream per trial, in the same
+order on every kernel type: per step, the action uniform, then the symbol
+uniform (the engine takes them from ``rng.random`` in chunks of ``CHUNK``
+steps, which yields the same stream as one call per draw).
+``model.draw_symbol`` turns the symbol uniform into a symbol, through the
+inverse CDF of a finite row or the inverse normal CDF of a Gaussian one.  A
+trial's trajectory therefore does not depend on the other trials in its
+block, and a fixed-horizon rule written as a plain ``Policy`` sees the same
+trajectories in the engine.  Both paths declare the posterior mode, the
+lowest index among masses tied up to rounding, and read the kernel's own
+tables and ``ObservationModel.log_likelihood``; the simulator keeps no copy
+of them.
 
 The error probability reported by a summary is the mean terminal posterior
 error E[1 - max_i posterior_i(stop)], which is exactly the probability of a
@@ -45,6 +48,7 @@ wrong declarations; the raw count is kept alongside it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -56,13 +60,20 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import BoundsReport, report_at_penalty
 from .exceptions import AssumptionError
-from .model import ObservationModel, as_weights, inverse_cdf_index
+from .model import ObservationModel, as_weights, draw_symbol, inverse_cdf_index
 from .policies import FixedRulePolicy, Policy, build_policy
 
 BLOCK = 1024
 
-# Steps of uniforms a lockstep trial on a finite kernel draws per refill.
+# Steps of uniforms a lockstep trial draws per refill.
 CHUNK = 64
+
+# Relative tolerance per step under which terminal posterior masses tie.
+TIE_TOL = 1e-12
+
+# _tune_penalty gives up once its log-L bracket is narrower than this: mean
+# tau is a step function of L, so a target band inside a step is never hit.
+MIN_LOG_L_BRACKET = 1e-3
 
 # When a run observes zero wrong declarations, the error estimate is floored
 # at 1/(2N) and flagged: the tail of the posterior-error distribution is then
@@ -336,7 +347,6 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
 
     Returns per-trial (tau, terminal posterior (B, M), truncated).
     """
-    kernel = model.kernel
     B, M = thetas.size, model.M
     rngs = list(_block_rngs(path, k0, B))
     lm = np.tile(np.log(model.prior), (B, 1))
@@ -345,9 +355,7 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     final = np.empty((B, M))
     truncated = np.zeros(B, dtype=bool)
     live = np.arange(B)
-    finite = model.is_finite
-    if finite:
-        U = np.empty((B, 2 * CHUNK))
+    U = np.empty((B, 2 * CHUNK))  # row b holds trial b's uniforms for CHUNK steps
     horizon = policy.safety_horizon
     t = 0
     while True:
@@ -361,27 +369,14 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
             final[done] = probs[stop]
             go = ~stop
             live, lm, probs, w = live[go], lm[go], probs[go], w[go]
-            if finite:
-                U = U[go]
             if live.size == 0:
                 return tau, final, truncated
-        theta = thetas[live]
-        if finite:
-            j = t % CHUNK
-            if j == 0:
-                for r, b in enumerate(live):
-                    rngs[b].random(out=U[r])
-            a = inverse_cdf_index(np.cumsum(w, axis=1), U[:, 2 * j])
-            z = inverse_cdf_index(kernel.cdf[theta, a], U[:, 2 * j + 1])
-        else:
-            u = np.empty(live.size)
-            z0 = np.empty(live.size)
-            for r, b in enumerate(live):
-                g = rngs[b]
-                u[r] = g.random()
-                z0[r] = g.standard_normal()
-            a = inverse_cdf_index(np.cumsum(w, axis=1), u)
-            z = kernel.means[theta, a] + kernel.stds[theta, a] * z0
+        j = t % CHUNK
+        if j == 0:
+            for b in live:
+                rngs[b].random(out=U[b])
+        a = inverse_cdf_index(np.cumsum(w, axis=1), U[live, 2 * j])
+        z = draw_symbol(model.kernel, thetas[live], a, U[live, 2 * j + 1])
         lm = lm + model.log_likelihood(a, z).T
         lm -= lm.max(axis=1)[:, None]
         p = np.exp(lm)
@@ -393,50 +388,47 @@ def _fixed_rule_logmass_block(
     model: ObservationModel, weights: np.ndarray, n: int, thetas: np.ndarray, path: tuple, k0: int
 ):
     """Terminal log masses (M, B) for i.i.d.-rule, fixed-horizon trials."""
-    kernel = model.kernel
     B = thetas.size
     log_prior = np.log(model.prior)
     if n == 0:
         return np.tile(log_prior[:, None], (1, B))
     U = _block_uniforms(path, k0, B, 2 * n)
     actions = inverse_cdf_index(np.cumsum(weights), U[:, 0::2])
-    if model.is_finite:
-        z = inverse_cdf_index(kernel.cdf[thetas[:, None], actions], U[:, 1::2])
-    else:
-        mu = kernel.means[thetas[:, None], actions]
-        sd = kernel.stds[thetas[:, None], actions]
-        z = mu + sd * _normals_from_uniforms(U[:, 1::2])
+    z = draw_symbol(model.kernel, thetas[:, None], actions, U[:, 1::2])
     # summed over the last axis of (M, B, n): numpy's pairwise summation
     # would round differently for n >= 8 along another axis
     return log_prior[:, None] + model.log_likelihood(actions, z).sum(axis=2)
 
 
-def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Standard normals via the inverse CDF (keeps one uniform per draw)."""
-    from scipy.special import ndtri
+def _posterior_mode(final: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Each row's posterior mode, the lowest index among tied masses.
 
-    return ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+    The two paths sum a trial's log masses in different orders, so masses
+    that are equal in exact arithmetic differ by rounding that grows with the
+    step count.  As ``exact_pairwise`` snaps structural ties, masses within a
+    relative ``TIE_TOL`` per step of the row's largest count as tied.
+    """
+    cut = final.max(axis=1) * np.exp(-TIE_TOL * np.maximum(tau, 1))
+    return (final >= cut[:, None]).argmax(axis=1)
 
 
-def _run_block(model, policy, block_thetas, path, k0, L, want_records):
+def _run_block(model, policy, block_thetas, path, k0, want_records):
     if isinstance(policy, FixedRulePolicy) and policy.n is not None:
         lm = _fixed_rule_logmass_block(model, policy.weights, policy.n, block_thetas, path, k0)
         p = np.exp(lm - lm.max(axis=0)[None, :])
-        err = 1.0 - p.max(axis=0) / p.sum(axis=0)
-        final, mode = (p / p.sum(axis=0)).T, p.argmax(axis=0)
+        final = (p / p.sum(axis=0)).T
         tau = np.full(block_thetas.size, policy.n)
         truncated = np.zeros(block_thetas.size, dtype=bool)
     else:
         tau, final, truncated = _lockstep_block(model, policy, block_thetas, path, k0)
-        err = 1.0 - final.max(axis=1)
-        mode = final.argmax(axis=1)
+    err = 1.0 - final.max(axis=1)
     if type(policy).declare is Policy.declare:
-        declared = mode
+        declared = _posterior_mode(final, tau)
     else:  # a subclass's own rule, asked once per terminal posterior
         declared = np.array([policy.declare(p) for p in final], dtype=np.int64)
     wrong = declared != block_thetas
     acc = _Acc()
-    acc.add_arrays(tau.astype(float), err, wrong.sum(), truncated.sum(), L)
+    acc.add_arrays(tau.astype(float), err, wrong.sum(), truncated.sum(), model.penalty)
     records = None
     if want_records:
         records = [
@@ -454,15 +446,35 @@ def _run_block(model, policy, block_thetas, path, k0, L, want_records):
     return acc, records
 
 
-def _block_task(args):
-    model, policy, path, block_thetas, k0, L = args
-    acc, _ = _run_block(model, policy, block_thetas, path, k0, L, False)
-    return k0, acc
+def _block_tasks(model: ObservationModel, policy: Policy, n_trials: int, path: tuple, want_records: bool = False):
+    """``_run_block`` arguments for each block of ``BLOCK`` trials, in index order."""
+    thetas = stratified_hypotheses(model.prior, n_trials)
+    return [
+        (model, policy, thetas[k0 : k0 + BLOCK], path, k0, want_records)
+        for k0 in range(0, n_trials, BLOCK)
+    ]
+
+
+def _block_task(task):
+    return _run_block(*task)
 
 
 def _worker_pool(workers: int):
     """One process pool for every ``run_trials`` call of a caller (none for 1 worker)."""
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+class _SharedMap:
+    """A ``_pool`` for ``run_trials`` calls made in the order of one map's tasks.
+
+    Each call takes the next results, one per block task it builds.
+    """
+
+    def __init__(self, results):
+        self.results = results
+
+    def map(self, fn, tasks):
+        return [next(self.results) for _ in tasks]
 
 
 def run_trials(
@@ -480,31 +492,21 @@ def run_trials(
     The summary is a deterministic fold over trial indices: the same
     (model, policy, n_trials, master_seed) always produces the identical
     summary, bit for bit, regardless of ``workers``.  ``_pool`` is a caller's
-    open ``_worker_pool``, used instead of a pool of this call's own.
+    open ``_worker_pool`` (or ``_SharedMap``), used instead of a pool of this
+    call's own.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     path = _seed_path(master_seed)
-    thetas = stratified_hypotheses(model.prior, n_trials)
-    L = model.penalty
-    ranges = [(k0, min(k0 + BLOCK, n_trials)) for k0 in range(0, n_trials, BLOCK)]
-
-    total = _Acc()
-    records = [] if record_trials else None
-    if workers > 1 and not record_trials and len(ranges) > 1:
-        tasks = [(model, policy, path, thetas[k0:k1], k0, L) for k0, k1 in ranges]
-        scope = _worker_pool(workers) if _pool is None else nullcontext(_pool)
-        with scope as pool:
-            partial = dict(pool.map(_block_task, tasks))
-        for k0, _ in ranges:
-            total.merge(partial[k0])
-    else:
-        for k0, k1 in ranges:
-            acc, recs = _run_block(model, policy, thetas[k0:k1], path, k0, L, record_trials)
+    tasks = _block_tasks(model, policy, n_trials, path, record_trials)
+    total, records = _Acc(), [] if record_trials else None
+    own = _pool is None and len(tasks) > 1
+    with _worker_pool(workers) if own else nullcontext(_pool) as pool:
+        for acc, recs in (map if pool is None else pool.map)(_block_task, tasks):
             total.merge(acc)
             if record_trials:
                 records.extend(recs)
-    return total.summary(L, path), records
+    return total.summary(model.penalty, path), records
 
 
 @dataclass(frozen=True)
@@ -545,24 +547,26 @@ def sweep_L(
     path = _seed_path(master_seed)
     if report is None and policy_kind in ("nn", "sn", "sa"):
         report = compute_bounds(model)
-    summaries = []
+    runs = []
+    for idx, L in enumerate(L_values):
+        model_L = model.with_penalty(float(L))
+        report_L = report_at_penalty(report, model_L) if report is not None else None
+        policy = build_policy(
+            policy_kind,
+            model_L,
+            report_L,
+            rule=rule,
+            n=fixed_n,
+            threshold=threshold,
+            phase_threshold=phase_threshold,
+        )
+        runs.append((model_L, policy, (*path, idx)))
+    # one map over every point's blocks, so no worker waits at a point's end;
+    # each point's run_trials folds its own blocks, in index order
+    tasks = [task for model_L, policy, seed in runs for task in _block_tasks(model_L, policy, n_trials, seed)]
     with _worker_pool(workers) as pool:
-        for idx, L in enumerate(L_values):
-            model_L = model.with_penalty(float(L))
-            report_L = report_at_penalty(report, model_L) if report is not None else None
-            policy = build_policy(
-                policy_kind,
-                model_L,
-                report_L,
-                rule=rule,
-                n=fixed_n,
-                threshold=threshold,
-                phase_threshold=phase_threshold,
-            )
-            summary, _ = run_trials(
-                model_L, policy, n_trials, (*path, idx), workers=workers, _pool=pool
-            )
-            summaries.append(summary)
+        shared = _SharedMap((map if pool is None else pool.map)(_block_task, tasks))
+        summaries = [run_trials(model_L, policy, n_trials, seed, _pool=shared)[0] for model_L, policy, seed in runs]
     points = [
         SweepPoint(
             L=float(L),
@@ -647,52 +651,43 @@ def _tune_penalty(
     """Bisection on log L until the probe's mean stopping time hits target.
 
     The bisection accepts at half of ``rel_tol`` so that, with probe noise on
-    top, the final full-size run lands within the stated tolerance.  Probes
-    run on the caller's ``workers`` and open ``_worker_pool``.
+    top, the final full-size run lands within the stated tolerance, and gives
+    up untuned once the bracket is narrower than ``MIN_LOG_L_BRACKET``.
+    Probes run on the caller's ``workers`` and open ``_worker_pool``.
     """
 
-    def policy_at(logL: float):
+    probes = itertools.count(7000)
+
+    def tau_at(logL: float) -> float:
         model_L = model.with_penalty(math.exp(logL))
-        return model_L, build_policy(
+        policy = build_policy(
             policy_kind, model_L, report_at_penalty(report, model_L), phase_threshold=phase_threshold
         )
-
-    def tau_at(logL: float, probe_idx: int) -> float:
-        model_L, policy = policy_at(logL)
-        seed = (*path, 7000 + probe_idx)
+        seed = (*path, next(probes))
         summary, _ = run_trials(model_L, policy, probe_trials, seed, workers=workers, _pool=pool)
         return summary.mean_tau
 
     rate = report.exponents.sa if policy_kind == "sa" else report.exponents.sn
-    x = max(0.05, rate * target)
-    lo = hi = x
-    probe = 0
-    t_lo = tau_at(lo, probe)
-    probe += 1
+    lo = hi = max(0.05, rate * target)
+    t_lo = tau_at(lo)
     while t_lo > target and lo > 0.05:
         lo = max(0.05, lo * 0.5)
-        t_lo = tau_at(lo, probe)
-        probe += 1
-    t_hi = tau_at(hi, probe)
-    probe += 1
+        t_lo = tau_at(lo)
+    t_hi = tau_at(hi)
     while t_hi < target and hi < 200.0:
         hi = min(200.0, hi * 1.6)
-        t_hi = tau_at(hi, probe)
-        probe += 1
-    tuned = False
-    mid = 0.5 * (lo + hi)
-    for _ in range(40):
+        t_hi = tau_at(hi)
+    while True:
         mid = 0.5 * (lo + hi)
-        t_mid = tau_at(mid, probe)
-        probe += 1
+        t_mid = tau_at(mid)
         if abs(t_mid - target) <= 0.5 * rel_tol * target:
-            tuned = True
-            break
+            return math.exp(mid), True
         if t_mid < target:
             lo = mid
         else:
             hi = mid
-    return math.exp(mid), tuned
+        if hi - lo < MIN_LOG_L_BRACKET:
+            return math.exp(mid), False
 
 
 def estimate_error_exponent(

@@ -17,6 +17,7 @@ from active_ht import (
     FixedRulePolicy,
     ObservationModel,
     OracleBudget,
+    Policy,
     RandomizedRule,
     TwoPhasePolicy,
     build_policy,
@@ -25,11 +26,23 @@ from active_ht import (
     exact_pairwise,
     fixed_lambda_policy,
     pairwise_error_rates,
+    report_at_penalty,
     run_trials,
     stratified_hypotheses,
     sweep_L,
 )
 from conftest import make_gaussian_binary_model, make_garbled_model, make_two_probe_model
+
+
+class _Stepwise(Policy):
+    """A fixed-n i.i.d. rule written as a plain Policy, so it runs in the engine."""
+
+    def __init__(self, weights, n):
+        self.weights = np.asarray(weights, dtype=float)
+        self.n = n
+
+    def action_weights(self, probs, step_count):
+        return self.weights if step_count < self.n else None
 
 
 def _summaries_equal(a, b):
@@ -73,19 +86,6 @@ class TestRunTrials:
         # expressed through per-step queries takes the generic loop.  Both
         # consume the per-trial uniform stream in the same order, so they
         # must see identical trajectories.
-        from active_ht import Policy
-
-        class _Stepwise(Policy):
-            def __init__(self, weights, n):
-                self.weights = np.asarray(weights, dtype=float)
-                self.n = n
-
-            def action_weights(self, probs, step_count):
-                return self.weights if step_count < self.n else None
-
-        # Asymmetric success rates so that no sample path lands on an exact
-        # posterior tie (ties are resolved by float dust and may differ
-        # between the two computations).
         m = ObservationModel(
             kernel=FiniteKernel(
                 [[[0.85, 0.15], [0.4, 0.6]], [[0.3, 0.7], [0.9, 0.1]]]
@@ -99,6 +99,20 @@ class TestRunTrials:
         assert s_fast.n_wrong == s_scalar.n_wrong
         assert_allclose(s_fast.pe, s_scalar.pe, rtol=1e-12)
         assert_allclose(s_fast.cost, s_scalar.cost, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_model", [make_two_probe_model, make_garbled_model, make_gaussian_binary_model]
+    )
+    def test_fixed_rule_paths_agree_on_ties_and_gaussian_kernels(self, make_model):
+        # Both paths draw each step's action and symbol from the same two
+        # uniforms on either kernel type, and snap tied modes to the lowest
+        # index; two-probe's symmetric rows end hundreds of trials tied.
+        model = make_model()
+        s_fast, _ = run_trials(model, fixed_lambda_policy([0.3, 0.7], n=6), 20_000, 47)
+        s_engine, _ = run_trials(model, _Stepwise([0.3, 0.7], 6), 20_000, 47)
+        assert s_fast.mean_tau == s_engine.mean_tau
+        assert s_fast.n_wrong == s_engine.n_wrong
+        assert_allclose(s_fast.pe, s_engine.pe, rtol=1e-12)
 
     def test_user_subclass_with_truncating_horizon(self, two_probe_model):
         # A subclass defining only action_weights runs through the default
@@ -239,17 +253,18 @@ SEED_CONTRACT_CASES = {
 # (mean_tau, se_tau, pe, se_pe, cost, se_cost, n_wrong, n_truncated) of
 # run_trials(model, policy, 1500, (41, index)).  The sequential entries were
 # recorded from the per-trial scalar loop that the lockstep engine replaced,
-# the fixed-horizon ones from the fixed-rule path before the simulator read
-# its tables from the model, garbled-n60 before the fixed-horizon path drew
-# its uniforms from the PCG64 kernel.  Compared with ==: any difference breaks
-# the seed contract.
+# the Gaussian ones since the engine draws Gaussian symbols by inverse CDF from
+# the chunked uniforms, the fixed-horizon ones from the fixed-rule path before
+# the simulator read its tables from the model, garbled-n60 before the
+# fixed-horizon path drew its uniforms from the PCG64 kernel.  Compared with
+# ==: any difference breaks the seed contract.
 SEED_CONTRACT = {
     "two_probe-sn": (11.522666666666666, 0.14086714728283486, 0.0005860236714570628, 6.5768368252952e-06, 12.10869033812373, 0.14017880950659156, 0, 0),
     "two_probe-sa": (10.832666666666666, 0.1497414558330099, 0.000512453085701764, 5.562740509003807e-06, 11.345119752368431, 0.14898316868481232, 0, 0),
     "garbled-sn": (21.478, 0.425531766630683, 0.00639193701188531, 6.727912840958147e-05, 22.117193701188533, 0.42769347652136974, 12, 0),
     "garbled-sa": (28.441333333333333, 0.567670174768693, 0.006579048460931861, 7.02339404749471e-05, 29.099238179426518, 0.5702078565282622, 6, 0),
-    "gaussian-sn": (10.896666666666667, 0.18190182424572904, 0.0003514624001042687, 8.65399030291185e-06, 11.248129066770936, 0.18278900113016394, 1, 0),
-    "gaussian-sa": (9.164666666666667, 0.1620695696318018, 0.00023650675501610922, 7.150088981021644e-06, 9.401173421682776, 0.16240542270030078, 0, 0),
+    "gaussian-sn": (11.073333333333334, 0.18562760779641907, 0.00034286915096749, 8.419914856537684e-06, 11.416202484300824, 0.18650520753192257, 0, 0),
+    "gaussian-sa": (9.1, 0.16468918036267632, 0.00024242650528974504, 7.177771465163638e-06, 9.342426505289744, 0.16520984173324524, 0, 0),
     "skewed3-sn": (27.373333333333335, 0.3338476796672146, 0.0006620673747409163, 5.297765782277761e-06, 28.035400708074253, 0.33379168936535186, 2, 0),
     "skewed3-sa": (22.241333333333333, 0.2717232150485554, 0.000666576885411642, 5.176753666811817e-06, 22.907910218744977, 0.27166952555705126, 2, 0),
     "two_probe-truncated": (4.508, 0.019521790109557305, 0.09637431892661168, 0.0032812334282679508, 100.88231892661167, 3.2898045292944884, 133, 827),
@@ -394,6 +409,22 @@ def test_sweep_and_exponent_open_one_pool_each(monkeypatch, two_probe_model, two
     assert len(opened) == 2
 
 
+@pytest.mark.parametrize("make_model, kind", [(make_two_probe_model, "sa"), (make_gaussian_binary_model, "sn")])
+def test_sweep_points_equal_their_own_run_trials(make_model, kind):
+    # sweep_L maps every point's blocks at once; 2,500 trials make three
+    # blocks a point, the last one short
+    model = make_model()
+    report = compute_bounds(model)
+    L_values = [100.0, 1000.0, 10_000.0]
+    serial = sweep_L(model, kind, L_values, 2500, (48, 2), report=report, workers=1)
+    assert sweep_L(model, kind, L_values, 2500, (48, 2), report=report, workers=2) == serial
+    for idx, L in enumerate(L_values):
+        model_L = model.with_penalty(L)
+        policy = build_policy(kind, model_L, report_at_penalty(report, model_L))
+        summary, _ = run_trials(model_L, policy, 2500, (48, 2, idx))
+        assert serial[1][idx] == summary
+
+
 def test_exponent_probes_run_in_the_shared_pool(monkeypatch, two_probe_model, two_probe_report):
     opened, pools = [], []
 
@@ -423,6 +454,32 @@ def test_exponent_probes_run_in_the_shared_pool(monkeypatch, two_probe_model, tw
     assert all(pool is opened[0] for pool in pools)
     assert exponent(1) == pooled
     assert len(opened) == 1 and set(pools) == {None}
+
+
+def test_penalty_tuning_stops_when_the_bracket_stops_shrinking(
+    monkeypatch, two_probe_model, two_probe_report
+):
+    calls = []
+    real_run_trials = simulator.run_trials
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].penalty)
+        return real_run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_trials", counting)
+
+    def point(budget):
+        calls.clear()
+        est = estimate_error_exponent(two_probe_model, "sa", [budget], 2000, 36, report=two_probe_report)
+        return est.points[0]
+
+    # mean tau steps over the target band near L = 37: 42 probes without the stop
+    stuck = point(6)
+    assert not stuck.tuned and len(calls) - 1 < 20
+    tuned = point(4)
+    assert tuned.tuned
+    monkeypatch.setattr(simulator, "MIN_LOG_L_BRACKET", 0.0)
+    assert point(4) == tuned
 
 
 def test_pool_task_size_does_not_grow_with_trials(monkeypatch, two_probe_model):
