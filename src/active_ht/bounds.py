@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .divergences import _golden_max, kl, tilted_exponent
+from .divergences import _golden_max, tilted_exponent
 from .exceptions import AssumptionError
 from .model import ObservationModel, RandomizedRule, as_weights, validate
 
@@ -59,15 +59,11 @@ _LP_OPTIONS = {
 
 
 def kl_matrix(model: ObservationModel) -> np.ndarray:
-    """Pairwise divergence tensor D[i, j, a] = D(q_i^a || q_j^a); +inf allowed."""
-    D = np.zeros((model.M, model.M, model.K))
-    for i in range(model.M):
-        for j in range(model.M):
-            if i == j:
-                continue
-            for a in range(model.K):
-                D[i, j, a] = kl(model.density_of(i, a), model.density_of(j, a))
-    return D
+    """Pairwise divergence tensor D[i, j, a] = D(q_i^a || q_j^a); +inf allowed.
+
+    This is the kernel's cached, read-only ``kl_table``.
+    """
+    return model.kernel.kl_table
 
 
 def _cap(D: np.ndarray):
@@ -88,11 +84,10 @@ def _mixture_value(row: np.ndarray, w: np.ndarray) -> float:
     return float(np.where(active, row, 0.0)[active] @ w[active])
 
 
-def reliability(model: ObservationModel, i: int, rule, D: np.ndarray | None = None) -> float:
+def reliability(model: ObservationModel, i: int, rule) -> float:
     """Worst-case drift R(i, w): the slowest rate at which the mixture of
     divergences separates hypothesis i from its nearest alternative."""
-    if D is None:
-        D = kl_matrix(model)
+    D = kl_matrix(model)
     w = as_weights(rule, model.K)
     return min(
         _mixture_value(D[i, j], w) for j in range(model.M) if j != i
@@ -129,10 +124,9 @@ def _reliability_lp(rows: np.ndarray):
     return _clean_weights(res.x[:K]), float((y @ rows).max())
 
 
-def max_reliability(model: ObservationModel, i: int, D: np.ndarray | None = None):
+def max_reliability(model: ObservationModel, i: int):
     """The rule maximizing R(i, .) and its value, solved as an LP."""
-    if D is None:
-        D = kl_matrix(model)
+    D = kl_matrix(model)
     rows = np.vstack([D[i, j] for j in range(model.M) if j != i])
     capped_rows, _ = _cap(rows)
     w, _ = _reliability_lp(capped_rows)
@@ -142,13 +136,11 @@ def max_reliability(model: ObservationModel, i: int, D: np.ndarray | None = None
     return RandomizedRule(w), value
 
 
-def harmonic_reliability(model: ObservationModel, rule, D: np.ndarray | None = None) -> float:
+def harmonic_reliability(model: ObservationModel, rule) -> float:
     """Harmonic mean M / sum_i 1/R(i, w); 0 when any R(i, w) = 0."""
-    if D is None:
-        D = kl_matrix(model)
     inv_sum = 0.0
     for i in range(model.M):
-        r = reliability(model, i, rule, D)
+        r = reliability(model, i, rule)
         if r <= 0.0:
             return 0.0
         if math.isfinite(r):
@@ -158,10 +150,9 @@ def harmonic_reliability(model: ObservationModel, rule, D: np.ndarray | None = N
     return model.M / inv_sum
 
 
-def maxmin_reliability(model: ObservationModel, D: np.ndarray | None = None):
+def maxmin_reliability(model: ObservationModel):
     """The rule maximizing min_i R(i, .) and its value, solved as one LP."""
-    if D is None:
-        D = kl_matrix(model)
+    D = kl_matrix(model)
     rows = np.vstack(
         [D[i, j] for i in range(model.M) for j in range(model.M) if j != i]
     )
@@ -171,11 +162,9 @@ def maxmin_reliability(model: ObservationModel, D: np.ndarray | None = None):
     return RandomizedRule(w), value
 
 
-def minmax_reliability(model: ObservationModel, D: np.ndarray | None = None) -> float:
+def minmax_reliability(model: ObservationModel) -> float:
     """min over i of max over rules of R(i, .)."""
-    if D is None:
-        D = kl_matrix(model)
-    return min(max_reliability(model, i, D)[1] for i in range(model.M))
+    return min(max_reliability(model, i)[1] for i in range(model.M))
 
 
 def simplex_grid(K: int, resolution: float) -> np.ndarray:
@@ -263,13 +252,11 @@ def _minimize_weighted_inverse(stacked: np.ndarray, coeffs: np.ndarray):
     return w, math.inf if np.any(r <= 0.0) else float(np.sum(c / r))
 
 
-def max_harmonic_reliability(model: ObservationModel, D: np.ndarray | None = None):
+def max_harmonic_reliability(model: ObservationModel):
     """The rule maximizing the harmonic reliability, and its value."""
-    if D is None:
-        D = kl_matrix(model)
-    w, _ = _minimize_weighted_inverse(_stacked_rows(D), np.ones(model.M))
+    w, _ = _minimize_weighted_inverse(_stacked_rows(kl_matrix(model)), np.ones(model.M))
     rule = RandomizedRule(w)
-    return rule, harmonic_reliability(model, rule, D)
+    return rule, harmonic_reliability(model, rule)
 
 
 @dataclass(frozen=True)
@@ -287,122 +274,52 @@ class DiscriminationOptimum:
     d_hat_upper: float
 
 
-class _PairCurves:
-    """Cached per-(pair, action) evaluators for the tilted exponent.
+def _pair_exponents(model: ObservationModel):
+    """Evaluators of E[p, a](alpha) = (1 - alpha) D_alpha(q_i^a || q_j^a) over the
+    pairs p = (i, j), i < j.
 
-    For finite kernels the joint supports of all K actions of a pair are
-    concatenated into flat arrays so one mixed-exponent evaluation is a
-    single vectorized exp/reduceat pass instead of K separate sums.
+    Returns (table, objective).  ``table(alphas)`` maps alphas of shape (P, S)
+    to E[p, a](alphas[p, s]), of shape (P, K, S).  ``objective(p, w)`` is pair
+    p's mixed exponent alpha -> sum_a w_a E[p, a](alpha) at rule w, or None
+    when an action of positive weight separates the pair perfectly (E = +inf).
+    Finite kernels read ``log_probs`` as E = -log sum_z exp(alpha (log q_i -
+    log q_j) + log q_j), with the cells outside the common support masked to
+    -inf; Gaussian kernels evaluate ``tilted_exponent`` on the pair's densities.
     """
+    I, J = np.triu_indices(model.M, 1)
+    if model.is_finite:
+        lp, lq = model.kernel.log_probs[I], model.kernel.log_probs[J]  # (P, K, Z)
+        both = np.isfinite(lp) & np.isfinite(lq)
+        diff = np.subtract(lp, lq, out=np.zeros(lp.shape), where=both)
+        base = np.where(both, lq, -np.inf)
+        separated = ~both.any(axis=2)
 
-    def __init__(self, model: ObservationModel):
-        self.model = model
-        self.pairs = [(i, j) for i in range(model.M) for j in range(i + 1, model.M)]
-        self._data = []
-        self._flat = []  # finite kernels: (cat_lp, cat_lq, offsets, act_ids, disjoint)
-        for (i, j) in self.pairs:
-            per_action = []
-            for a in range(model.K):
-                p = model.density_of(i, a)
-                q = model.density_of(j, a)
-                if model.is_finite:
-                    both = (p > 0.0) & (q > 0.0)
-                    if not np.any(both):
-                        per_action.append(None)  # disjoint supports: +inf
-                    else:
-                        per_action.append((np.log(p[both]), np.log(q[both])))
-                else:
-                    per_action.append((p, q))
-            self._data.append(per_action)
-            if model.is_finite:
-                act_ids = [a for a in range(model.K) if per_action[a] is not None]
-                disjoint = np.array(
-                    [per_action[a] is None for a in range(model.K)], dtype=bool
-                )
-                if act_ids:
-                    lps = [per_action[a][0] for a in act_ids]
-                    offsets = np.cumsum([0] + [lp.size for lp in lps])[:-1]
-                    cat_lp = np.concatenate(lps)
-                    cat_lq = np.concatenate([per_action[a][1] for a in act_ids])
-                else:
-                    offsets, cat_lp, cat_lq = np.zeros(0, dtype=int), None, None
-                self._flat.append((cat_lp, cat_lq, offsets, np.array(act_ids), disjoint))
+        def table(alphas):
+            tilted = alphas[:, None, :, None] * diff[:, :, None, :] + base[:, :, None, :]
+            with np.errstate(divide="ignore"):
+                return -np.log(np.exp(tilted).sum(axis=3))
 
-    def exponent(self, pair_idx: int, a: int, alpha: float) -> float:
-        data = self._data[pair_idx][a]
-        if data is None:
-            return math.inf
-        if self.model.is_finite:
-            lp, lq = data
-            return -math.log(np.exp(alpha * lp + (1.0 - alpha) * lq).sum())
-        return tilted_exponent(data[0], data[1], alpha)
+        def objective(p, w):
+            act = w > 0.0
+            if np.any(separated[p, act]):
+                return None
+            wa, d, b = w[act], diff[p, act], base[p, act]
+            return lambda alpha: float(-(wa @ np.log(np.exp(alpha * d + b).sum(axis=1))))
 
-    def curve_table(self, alphas: np.ndarray) -> np.ndarray:
-        """Exponent values on an alpha grid, shape (pairs, K, len(alphas))."""
-        P, K, S = len(self.pairs), self.model.K, alphas.size
-        table = np.empty((P, K, S))
-        for p in range(P):
-            for a in range(K):
-                data = self._data[p][a]
-                if data is None:
-                    table[p, a] = math.inf
-                elif self.model.is_finite:
-                    lp, lq = data
-                    m = np.exp(alphas[:, None] * lp[None, :] + (1.0 - alphas)[:, None] * lq[None, :]).sum(axis=1)
-                    table[p, a] = -np.log(m)
-                else:
-                    table[p, a] = [tilted_exponent(data[0], data[1], float(s)) for s in alphas]
-        return table
+    else:
+        dens = [[(model.density_of(i, a), model.density_of(j, a)) for a in range(model.K)] for i, j in zip(I, J)]
 
-    def _mixed_finite(self, pair_idx: int, w: np.ndarray):
-        """Callable alpha -> sum_a w_a exponent(pair, a, alpha), or None if +inf."""
-        cat_lp, cat_lq, offsets, act_ids, disjoint = self._flat[pair_idx]
-        if np.any(w[disjoint] > 0.0):
-            return None
-        if cat_lp is None:
-            return None
-        wa = w[act_ids]
-        diff = cat_lp - cat_lq
+        def table(alphas):
+            return np.array(
+                [[[tilted_exponent(q_i, q_j, s) for s in row] for q_i, q_j in pair] for pair, row in zip(dens, alphas)]
+            )
 
-        def g(alpha: float) -> float:
-            sums = np.add.reduceat(np.exp(alpha * diff + cat_lq), offsets)
-            return float(-(wa * np.log(sums)).sum())
+        def objective(p, w):
+            # Scalar math: at a few actions per pair numpy slices cost more.
+            terms = [(w[a], *dens[p][a]) for a in range(model.K) if w[a] > 0.0]
+            return lambda alpha: sum(wa * tilted_exponent(q_i, q_j, alpha) for wa, q_i, q_j in terms)
 
-        return g
-
-    def exponent_rows(self, alphas: np.ndarray) -> np.ndarray:
-        """E[p, a] = exponent(p, a, alphas[p]), shape (pairs, K)."""
-        return np.array(
-            [[self.exponent(p, a, alphas[p]) for a in range(self.model.K)] for p in range(len(self.pairs))]
-        )
-
-    def pair_optima(self, w: np.ndarray):
-        """Per pair, max over alpha of the mixed exponent at rule w, and its alpha.
-
-        Returns (values, alphas), each of shape (pairs,).  A pair that some
-        weighted action separates perfectly has value +inf; every alpha
-        maximizes it, and 0.5 is reported.
-        """
-        P = len(self.pairs)
-        values, alphas = np.full(P, math.inf), np.full(P, 0.5)
-        active = [a for a in range(self.model.K) if w[a] > 0.0]
-        for p in range(P):
-            if self.model.is_finite:
-                g = self._mixed_finite(p, w)
-                if g is None:
-                    continue
-            else:
-                def g(alpha, p=p):
-                    total = 0.0
-                    for a in active:
-                        term = self.exponent(p, a, alpha)
-                        if math.isinf(term):
-                            return math.inf
-                        total += w[a] * term
-                    return total
-
-            alphas[p], values[p] = _golden_max(g)
-        return values, alphas
+    return table, objective
 
 
 def d_hat(model: ObservationModel) -> DiscriminationOptimum:
@@ -431,10 +348,24 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     rule.
     """
     K = model.K
-    curves = _PairCurves(model)
+    table, objective = _pair_exponents(model)
+    P = model.M * (model.M - 1) // 2
+
+    def pair_optima(w):
+        # Per pair, max over alpha of the mixed exponent at w, and its alpha.  A
+        # pair some weighted action separates has value +inf at every alpha; 0.5
+        # is reported.  One scalar search per pair: a golden search vectorized
+        # over the pairs ran twice as slow on the corpus models.
+        values, alphas = np.full(P, math.inf), np.full(P, 0.5)
+        for p in range(P):
+            g = objective(p, w)
+            if g is not None:
+                alphas[p], values[p] = _golden_max(g)
+        return values, alphas
+
     grid = simplex_grid(K, _SCREEN_RESOLUTION)
-    table = curves.curve_table(np.linspace(0.0, 1.0, 129))  # (P, K, S)
-    screen_table = np.where(np.isinf(table), 1e9, table)
+    curves = table(np.broadcast_to(np.linspace(0.0, 1.0, 129), (P, 129)))  # (P, K, S)
+    screen_table = np.where(np.isinf(curves), 1e9, curves)
     screened = np.einsum("gk,pks->gps", grid, screen_table).max(axis=2).min(axis=1)
     top = np.argsort(screened)[::-1][:25]
     vertices = np.eye(K)
@@ -447,7 +378,7 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     best_w, best_v = None, -math.inf
     for w in candidates:
         if key(w) not in optima:
-            optima[key(w)] = curves.pair_optima(w)
+            optima[key(w)] = pair_optima(w)
             v = optima[key(w)][0].min()
             if v > best_v:
                 best_w, best_v = w, v
@@ -462,8 +393,8 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     for _ in range(_ASCENT_ITERATIONS):
         if not best_v < upper * (1.0 - _ASCENT_TOL):  # certified, or F infinite
             break
-        w, _ = _reliability_lp(_cap(curves.exponent_rows(alphas))[0])
-        values, w_alphas = curves.pair_optima(w)
+        w, _ = _reliability_lp(_cap(table(alphas[:, None])[:, :, 0])[0])
+        values, w_alphas = pair_optima(w)
         if not values.min() > best_v * (1.0 + _ASCENT_TOL):
             break
         best_w, best_v, alphas = w, values.min(), w_alphas
@@ -518,7 +449,6 @@ def _log_prior_spreads(prior: np.ndarray):
 def leading_order_bounds(
     model: ObservationModel,
     *,
-    D: np.ndarray,
     d_hat_value: float,
     reliabilities,
     maxmin_value: float,
@@ -535,7 +465,7 @@ def leading_order_bounds(
     nn_lower = (logL - max_ratio.max()) / d_hat_value if d_hat_value > 0 else math.inf
     nn_lower_factor2 = 2.0 * (logL - max_ratio.max()) / maxmin_value
 
-    stacked = _stacked_rows(D)
+    stacked = _stacked_rows(kl_matrix(model))
     sn = {}
     for tag, wgt in (("upper", w_up), ("lower", w_lo)):
         coeffs = prior * wgt
@@ -609,7 +539,7 @@ class BinaryReport:
     log_adaptivity_gain: bool
 
 
-def binary_specialize(model: ObservationModel, D: np.ndarray | None = None) -> BinaryReport:
+def binary_specialize(model: ObservationModel) -> BinaryReport:
     """Closed-form coefficients for M = 2, plus the adaptivity-gain predicate.
 
     With two hypotheses the reliabilities are plain mixtures, so the optimal
@@ -619,8 +549,7 @@ def binary_specialize(model: ObservationModel, D: np.ndarray | None = None) -> B
     """
     if model.M != 2:
         raise ValueError(f"binary specialization requires M == 2, got M = {model.M}")
-    if D is None:
-        D = kl_matrix(model)
+    D = kl_matrix(model)
     d12 = D[0, 1].copy()
     d21 = D[1, 0].copy()
 
@@ -652,15 +581,14 @@ def binary_specialize(model: ObservationModel, D: np.ndarray | None = None) -> B
     )
 
 
-def dominance_check(model: ObservationModel, D: np.ndarray | None = None, tol: float = 1e-9):
+def dominance_check(model: ObservationModel, tol: float = 1e-9):
     """First action whose divergences dominate every other action pairwise.
 
     Returns the lowest such action index, or None.  When a dominating action
     exists, playing it alone is optimal for every hypothesis, so adaptivity
     buys nothing at leading order.
     """
-    if D is None:
-        D = kl_matrix(model)
+    D = kl_matrix(model)
     for a_star in range(model.K):
         ok = True
         for a in range(model.K):
@@ -692,7 +620,6 @@ class BoundsReport:
     exponents: ErrorExponents
     flags: tuple
     penalty: float = math.nan
-    kl: np.ndarray = field(repr=False, compare=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -793,25 +720,23 @@ def compute_bounds(model: ObservationModel) -> BoundsReport:
     if not report.bounded_ratios:
         flags.append("unbounded_likelihood_ratios")
 
-    D = kl_matrix(model)
-    if np.any(np.isinf(D)):
+    if np.any(np.isinf(kl_matrix(model))):
         flags.append("kl_capped")
 
-    reliabilities = tuple(max_reliability(model, i, D) for i in range(model.M))
+    reliabilities = tuple(max_reliability(model, i) for i in range(model.M))
     r_values = [value for _, value in reliabilities]
     inv = sum(0.0 if math.isinf(v) else 1.0 / v for v in r_values)
     r_bar_star = math.inf if inv == 0.0 else model.M / inv
 
-    maxmin_rule, maxmin_value = maxmin_reliability(model, D)
+    maxmin_rule, maxmin_value = maxmin_reliability(model)
     minmax_value = min(r_values)
 
-    hr_rule, max_r_bar = max_harmonic_reliability(model, D)
+    hr_rule, max_r_bar = max_harmonic_reliability(model)
 
     opt = d_hat(model)
 
     costs = leading_order_bounds(
         model,
-        D=D,
         d_hat_value=opt.value,
         reliabilities=reliabilities,
         maxmin_value=maxmin_value,
@@ -837,7 +762,6 @@ def compute_bounds(model: ObservationModel) -> BoundsReport:
         exponents=exponents,
         flags=tuple(flags),
         penalty=model.penalty,
-        kl=D,
     )
 
 
@@ -855,24 +779,12 @@ def report_at_penalty(report: BoundsReport, model: ObservationModel) -> BoundsRe
     if np.allclose(prior, 1.0 / prior.size, rtol=0.0, atol=1e-12):
         ratio = math.log(model.penalty) / math.log(report.penalty)
         old = report.cost_bounds
-        costs = LeadingOrderBounds(
-            nn_upper=old.nn_upper * ratio,
-            nn_lower=old.nn_lower * ratio,
-            nn_lower_factor2=old.nn_lower_factor2 * ratio,
-            sn_upper=old.sn_upper * ratio,
-            sn_upper_rule=old.sn_upper_rule,
-            sn_lower=old.sn_lower * ratio,
-            sn_lower_rule=old.sn_lower_rule,
-            sa_upper=old.sa_upper * ratio,
-            sa_lower=old.sa_lower * ratio,
-            na_lower=old.na_lower * ratio,
-            na_index=old.na_index,
+        costs = dc_replace(
+            old, **{f.name: getattr(old, f.name) * ratio for f in fields(old) if f.type == "float"}
         )
     else:
-        D = report.kl if report.kl is not None else kl_matrix(model)
         costs = leading_order_bounds(
             model,
-            D=D,
             d_hat_value=report.d_hat,
             reliabilities=report.reliabilities,
             maxmin_value=report.maxmin_r,

@@ -248,40 +248,39 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _policy_for(args, model, report):
-    rule = None
-    if args.lam is not None:
-        rule = np.asarray(args.lam, dtype=float)
-    if args.policy == "fixed":
-        if rule is None:
-            raise UsageError("--policy fixed requires --lambda")
-        if (getattr(args, "n", None) is None) == (getattr(args, "threshold", None) is None):
-            raise UsageError("fixed policies take exactly one of --n / --threshold")
+def _run_inputs(args):
+    """(model, threads, report, rule) of a simulate, sweep or exponents run.
+
+    The bounds report is computed only for the built families and for
+    threshold rules, and ``--policy fixed`` needs ``--lambda``.
+    """
+    model = load_model(args.model)
+    threads = _threads_default(args.threads)
+    report = None
+    if args.policy in ("nn", "sn", "sa") or getattr(args, "threshold", None) is not None:
+        report = compute_bounds(model)
+    rule = np.asarray(args.lam, dtype=float) if args.lam is not None else None
+    if args.policy == "fixed" and rule is None:
+        raise UsageError("--policy fixed requires --lambda")
+    return model, threads, report, rule
+
+
+def _cmd_simulate(args) -> int:
+    model, threads, report, rule = _run_inputs(args)
+    if args.policy == "fixed" and (args.n is None) == (args.threshold is None):
+        raise UsageError("fixed policies take exactly one of --n / --threshold")
     try:
-        return build_policy(
+        policy = build_policy(
             args.policy,
             model,
             report,
             rule=rule,
-            n=getattr(args, "n", None),
-            threshold=getattr(args, "threshold", None),
-            phase_threshold=getattr(args, "phase_threshold", 0.5),
+            n=args.n,
+            threshold=args.threshold,
+            phase_threshold=args.phase_threshold,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _needs_report(policy: str, threshold) -> bool:
-    return policy in ("nn", "sn", "sa") or threshold is not None
-
-
-def _cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    threads = _threads_default(args.threads)
-    report = None
-    if _needs_report(args.policy, args.threshold):
-        report = compute_bounds(model)
-    policy = _policy_for(args, model, report)
     summary, records = run_trials(
         model,
         policy,
@@ -326,14 +325,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model = load_model(args.model)
-    threads = _threads_default(args.threads)
-    report = None
-    if _needs_report(args.policy, args.threshold):
-        report = compute_bounds(model)
-    rule = np.asarray(args.lam, dtype=float) if args.lam is not None else None
-    if args.policy == "fixed" and rule is None:
-        raise UsageError("--policy fixed requires --lambda")
+    model, threads, report, rule = _run_inputs(args)
     points, _ = sweep_L(
         model,
         args.policy,
@@ -376,14 +368,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_exponents(args) -> int:
-    model = load_model(args.model)
-    threads = _threads_default(args.threads)
-    report = None
-    if args.policy in ("nn", "sn", "sa"):
-        report = compute_bounds(model)
-    rule = np.asarray(args.lam, dtype=float) if args.lam is not None else None
-    if args.policy == "fixed" and rule is None:
-        raise UsageError("--policy fixed requires --lambda")
+    model, threads, report, rule = _run_inputs(args)
     est = estimate_error_exponent(
         model,
         args.policy,
@@ -441,7 +426,7 @@ def _cmd_gains(args) -> int:
     print(f"sequentiality_coefficient: {_fmt(g.sequentiality_coefficient)}")
     print(f"adaptivity_coefficient: {_fmt(g.adaptivity_coefficient)}")
     print(f"zero_adaptivity: {_fmt(g.zero_adaptivity)}")
-    dom = dominance_check(model, report.kl)
+    dom = dominance_check(model)
     print(f"dominating_action: {dom if dom is not None else 'none'}")
     return 0
 

@@ -8,9 +8,11 @@ Gaussian (a mean/variance per pair).
 
 Each kernel computes its derived tables (hypothesis first) once, on first
 use, and every copy of the model shares them: ``log_probs`` and ``cdf`` for
-finite kernels, ``stds`` and ``log_norm`` for Gaussian ones.  Every
-posterior in the package reads ``ObservationModel.log_likelihood`` or these
-tables.  Every draw maps one uniform to an index through
+finite kernels, ``stds`` and ``log_norm`` for Gaussian ones, and for both the
+divergence table ``kl_table``.  Every posterior in the package reads
+``ObservationModel.log_likelihood`` or these tables, and every KL divergence
+between kernel rows that ``validate`` and ``bounds`` use is read from
+``kl_table``.  Every draw maps one uniform to an index through
 ``inverse_cdf_index``, or to a symbol through ``draw_symbol``.
 """
 
@@ -57,6 +59,20 @@ def inverse_cdf_index(cdf: np.ndarray, u) -> np.ndarray:
     return index
 
 
+def _density(kernel, i: int, a: int):
+    if isinstance(kernel, FiniteKernel):
+        return kernel.probs[i, a]
+    return Gaussian(float(kernel.means[i, a]), float(kernel.variances[i, a]))
+
+
+def _kl_table(kernel, M: int, K: int) -> np.ndarray:
+    D = np.zeros((M, M, K))
+    for i, j, a in np.ndindex(M, M, K):
+        if i != j:
+            D[i, j, a] = kl(_density(kernel, i, a), _density(kernel, j, a))
+    return _read_only(D)
+
+
 def draw_symbol(kernel, i, a, u):
     """Symbol(s) drawn by uniform(s) ``u`` under hypothesis ``i`` and action ``a``.
 
@@ -99,6 +115,11 @@ class FiniteKernel:
     def cdf(self) -> np.ndarray:
         """Cumulative masses of each (hypothesis, action) row over symbols."""
         return _read_only(np.cumsum(self.probs, axis=2))
+
+    @cached_property
+    def kl_table(self) -> np.ndarray:
+        """D[i, j, a] = D(q_i^a || q_j^a), +inf where q_j^a misses q_i^a's support."""
+        return _kl_table(self, *self.probs.shape[:2])
 
     def violations(self, M: int, K: int) -> list[str]:
         out = []
@@ -146,6 +167,11 @@ class GaussianKernel:
     def log_norm(self) -> np.ndarray:
         """The log density's constant term, -log(2 pi variance) / 2."""
         return _read_only(-0.5 * np.log(2.0 * np.pi * self.variances))
+
+    @cached_property
+    def kl_table(self) -> np.ndarray:
+        """D[i, j, a] = D(q_i^a || q_j^a) between the Gaussians of each pair."""
+        return _kl_table(self, *self.means.shape)
 
     def violations(self, M: int, K: int) -> list[str]:
         out = []
@@ -283,9 +309,7 @@ class ObservationModel:
         Returns a read-only pmf vector for finite kernels, a Gaussian for
         Gaussian kernels.
         """
-        if self.is_finite:
-            return self.kernel.probs[i, a]
-        return Gaussian(float(self.kernel.means[i, a]), float(self.kernel.variances[i, a]))
+        return _density(self.kernel, i, a)
 
     def log_likelihood(self, a, z) -> np.ndarray:
         """log q_i(z | a) for every hypothesis i, with log 0 = -inf.
@@ -366,16 +390,13 @@ def validate(model: ObservationModel) -> ValidationReport:
     ratio bound is reported separately: Gaussian kernels never satisfy it,
     which is flagged but does not make the model unusable.
     """
-    bad_pairs = []
-    for i in range(model.M):
-        for j in range(model.M):
-            if i == j:
-                continue
-            if all(
-                kl(model.density_of(i, a), model.density_of(j, a)) <= 0.0
-                for a in range(model.K)
-            ):
-                bad_pairs.append((i, j))
+    D = model.kernel.kl_table
+    bad_pairs = [
+        (i, j)
+        for i in range(model.M)
+        for j in range(model.M)
+        if i != j and np.all(D[i, j] <= 0.0)
+    ]
     xi = likelihood_ratio_bound(model)
     notes = []
     if math.isinf(xi):

@@ -28,7 +28,9 @@ from active_ht import (
     reliability,
     report_at_penalty,
     simplex_grid,
+    tilted_exponent,
 )
+from active_ht.bounds import _pair_exponents
 from conftest import make_two_probe_model, random_finite_model
 
 MAXMIN_TP = 0.6506724213610958
@@ -211,10 +213,48 @@ class TestSimplexGrid:
 class TestDHat:
     @staticmethod
     def _worst_pair(m, w):
-        """min over pairs of alpha_max: F evaluated without _PairCurves."""
+        """min over pairs of alpha_max: F evaluated through the scalar
+        tilted_exponent, not d_hat's pair evaluator."""
         return min(
             alpha_max(m, i, j, w).value for i in range(m.M) for j in range(i + 1, m.M)
         )
+
+    @pytest.mark.parametrize("name", ["two_probe", "disjoint_support", "gaussian_m3"])
+    def test_pair_exponents_match_tilted_exponent(self, name, two_probe_model):
+        rng = np.random.default_rng(5)
+        m = {
+            "two_probe": two_probe_model,
+            # Hypotheses 0 and 1 have disjoint supports under action 0: E = +inf.
+            "disjoint_support": ObservationModel(
+                kernel=FiniteKernel([
+                    [[1.0, 0.0, 0.0], [0.6, 0.3, 0.1]],
+                    [[0.0, 0.5, 0.5], [0.2, 0.5, 0.3]],
+                    [[0.0, 0.3, 0.7], [0.3, 0.3, 0.4]],
+                ]),
+                prior=[0.2, 0.3, 0.5],
+                penalty=100.0,
+            ),
+            "gaussian_m3": ObservationModel(
+                kernel=GaussianKernel(means=rng.normal(size=(3, 2)), variances=rng.uniform(0.5, 3.0, size=(3, 2))),
+                prior=np.full(3, 1.0 / 3.0),
+                penalty=100.0,
+            ),
+        }[name]
+        alphas = np.array([0.0, 0.3, 1.0])
+        pairs = [(i, j) for i in range(m.M) for j in range(i + 1, m.M)]
+        table, objective = _pair_exponents(m)
+        got = table(np.broadcast_to(alphas, (len(pairs), alphas.size)))
+        for p, (i, j) in enumerate(pairs):
+            for a, vertex in enumerate(np.eye(m.K)):
+                g = objective(p, vertex)
+                for s, alpha in enumerate(alphas):
+                    want = tilted_exponent(m.density_of(i, a), m.density_of(j, a), alpha)
+                    assert_allclose(got[p, a, s], want, rtol=1e-12, atol=1e-15)
+                    if math.isinf(want):
+                        assert g is None
+                    else:
+                        assert_allclose(g(alpha), want, rtol=1e-12, atol=1e-15)
+        assert np.isinf(got).any() == (name == "disjoint_support")
 
     def test_two_probe_optimum_is_a_vertex(self, two_probe_report):
         w = two_probe_report.d_hat_rule.weights
@@ -349,7 +389,6 @@ class TestMaxHarmonic:
                 rep = compute_bounds(m)
                 assert rep.to_dict() == compute_bounds(m).to_dict()
 
-                D = kl_matrix(m)
                 logL = math.log(m.penalty)
                 logp = np.log(prior)
                 spread_min = np.array([logp[i] - np.delete(logp, i).max() for i in range(M)])
@@ -359,16 +398,16 @@ class TestMaxHarmonic:
 
                 def weighted_inverse(coeffs, w):
                     return sum(
-                        c / reliability(m, i, RandomizedRule(w), D)
+                        c / reliability(m, i, RandomizedRule(w))
                         for i, c in enumerate(coeffs)
                         if c > 0.0
                     )
 
                 grid = simplex_grid(K, 0.05)
                 cb = rep.cost_bounds
-                best_harmonic = max(harmonic_reliability(m, RandomizedRule(w), D) for w in grid)
+                best_harmonic = max(harmonic_reliability(m, RandomizedRule(w)) for w in grid)
                 assert rep.max_r_bar >= best_harmonic * (1.0 - 1e-9)
-                assert_allclose(rep.max_r_bar, harmonic_reliability(m, rep.max_r_bar_rule, D), rtol=1e-12)
+                assert_allclose(rep.max_r_bar, harmonic_reliability(m, rep.max_r_bar_rule), rtol=1e-12)
                 for value, rule, coeffs in (
                     (cb.sn_upper, cb.sn_upper_rule, prior * (logL - spread_min)),
                     (cb.sn_lower, cb.sn_lower_rule, w_lo),

@@ -19,7 +19,9 @@ from active_ht import (
     RandomizedRule,
     backward_eval,
     bayes_update,
+    compute_bounds,
     exact_pairwise,
+    kl,
     likelihood_ratio_bound,
     load_model,
     pairwise_error_rates,
@@ -237,6 +239,55 @@ class TestLogLikelihood:
         assert two_probe_model.with_penalty(5.0).kernel.log_probs is kernel.log_probs
         for table in (kernel.log_probs, kernel.cdf):
             assert not table.flags.writeable
+
+
+class TestKLTable:
+    @pytest.mark.parametrize("name", ["two_probe", "zero_entries", "gaussian_binary"])
+    def test_equals_kl_entrywise_read_only_and_shared(self, name, gaussian_binary_model):
+        m = {
+            "two_probe": make_two_probe_model(),
+            # Action 0 gives hypothesis 0 a support the others miss: +inf entries.
+            "zero_entries": ObservationModel(
+                kernel=FiniteKernel([
+                    [[1.0, 0.0, 0.0], [0.6, 0.3, 0.1]],
+                    [[0.0, 0.5, 0.5], [0.2, 0.5, 0.3]],
+                    [[0.0, 0.3, 0.7], [0.3, 0.3, 0.4]],
+                ]),
+                prior=[0.2, 0.3, 0.5],
+                penalty=100.0,
+            ),
+            "gaussian_binary": gaussian_binary_model,
+        }[name]
+        D = m.kernel.kl_table
+        assert D.shape == (m.M, m.M, m.K)
+        for i in range(m.M):
+            for j in range(m.M):
+                for a in range(m.K):
+                    want = 0.0 if i == j else kl(m.density_of(i, a), m.density_of(j, a))
+                    assert D[i, j, a] == want
+        assert np.isinf(D).any() == (name == "zero_entries")
+        assert not D.flags.writeable
+        assert m.with_penalty(5.0).kernel.kl_table is D
+
+    def test_second_compute_bounds_calls_no_kl(self, monkeypatch):
+        import active_ht.divergences
+        import active_ht.model
+
+        calls = []
+
+        def counting(p, q):
+            calls.append(1)
+            return kl(p, q)
+
+        monkeypatch.setattr(active_ht.divergences, "kl", counting)
+        monkeypatch.setattr(active_ht.model, "kl", counting)
+        m = make_garbled_model()
+        compute_bounds(m)
+        assert calls
+        calls.clear()
+        compute_bounds(m)
+        compute_bounds(m.with_penalty(1e4))
+        assert not calls
 
 
 def _bad_rule_calls():
