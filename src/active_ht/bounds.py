@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import dataclass, fields, is_dataclass, replace as dc_replace
 
 import numpy as np
 from scipy.linalg import null_space
@@ -601,6 +601,15 @@ def dominance_check(model: ObservationModel, tol: float = 1e-9):
     return None
 
 
+def _jsonable(value):
+    """Rules as weight lists, report dataclasses as dicts, tuples as lists."""
+    if isinstance(value, RandomizedRule):
+        return value.weights.tolist()
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    return list(value) if isinstance(value, tuple) else value
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """Everything the asymptotic analysis produces for one model."""
@@ -622,47 +631,21 @@ class BoundsReport:
     penalty: float = math.nan
 
     def to_dict(self) -> dict:
-        return {
-            "d_hat": self.d_hat,
-            "d_hat_rule": self.d_hat_rule.weights.tolist(),
-            "d_hat_upper": self.d_hat_upper,
-            "reliabilities": [
-                {"rule": rule.weights.tolist(), "value": value}
-                for rule, value in self.reliabilities
-            ],
-            "r_bar_star": self.r_bar_star,
-            "max_r_bar": self.max_r_bar,
-            "max_r_bar_rule": self.max_r_bar_rule.weights.tolist(),
-            "maxmin_r": self.maxmin_r,
-            "maxmin_rule": self.maxmin_rule.weights.tolist(),
-            "minmax_r": self.minmax_r,
-            "bounds": {
-                "nn_upper": self.cost_bounds.nn_upper,
-                "nn_lower": self.cost_bounds.nn_lower,
-                "nn_lower_factor2": self.cost_bounds.nn_lower_factor2,
-                "sn_upper": self.cost_bounds.sn_upper,
-                "sn_upper_rule": self.cost_bounds.sn_upper_rule.weights.tolist(),
-                "sn_lower": self.cost_bounds.sn_lower,
-                "sn_lower_rule": self.cost_bounds.sn_lower_rule.weights.tolist(),
-                "sa_upper": self.cost_bounds.sa_upper,
-                "sa_lower": self.cost_bounds.sa_lower,
-                "na_lower": self.cost_bounds.na_lower,
-                "na_index": self.cost_bounds.na_index,
-                "note": "leading order: o(log L) terms evaluated as zero",
-            },
-            "gains": {
-                "sequentiality_coefficient": self.gains.sequentiality_coefficient,
-                "adaptivity_coefficient": self.gains.adaptivity_coefficient,
-                "zero_adaptivity": self.gains.zero_adaptivity,
-            },
-            "exponents": {
-                "nn": self.exponents.nn,
-                "sn": self.exponents.sn,
-                "sa": self.exponents.sa,
-                "na_upper": self.exponents.na_upper,
-            },
-            "flags": list(self.flags),
+        """Every field but ``penalty``, JSON-ready; ``cost_bounds`` is keyed
+        ``"bounds"`` and notes that its o(log L) terms are dropped."""
+        doc = {
+            f.name: _jsonable(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in ("reliabilities", "cost_bounds", "penalty")
         }
+        doc["reliabilities"] = [
+            {"rule": rule.weights.tolist(), "value": value} for rule, value in self.reliabilities
+        ]
+        doc["bounds"] = {
+            **_jsonable(self.cost_bounds),
+            "note": "leading order: o(log L) terms evaluated as zero",
+        }
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

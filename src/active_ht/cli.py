@@ -84,7 +84,16 @@ def _model_digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def make_manifest(command, model_path, parameters, solver_settings, master_seed, threads):
+_SOLVER_SETTINGS = {
+    "kl_cap": KL_CAP,
+    "lp_tolerance": 1e-10,
+    "block_size": BLOCK,
+    "theta_stratification": "prior_quota",
+    "gap_tol": GAP_TOL,
+}
+
+
+def make_manifest(command, model_path, parameters, master_seed, threads):
     """Run manifest; the id covers everything that can influence results."""
     core = {
         "artifact_version": ARTIFACT_VERSION,
@@ -92,7 +101,7 @@ def make_manifest(command, model_path, parameters, solver_settings, master_seed,
         "model_file": os.path.basename(str(model_path)),
         "model_digest": _model_digest(model_path),
         "parameters": parameters,
-        "solver_settings": solver_settings,
+        "solver_settings": _SOLVER_SETTINGS,
         "master_seed": master_seed,
     }
     canon = json.dumps(core, sort_keys=True, separators=(",", ":"))
@@ -113,14 +122,28 @@ def write_manifest(prefix, manifest) -> str:
     return path
 
 
-def _solver_settings():
-    return {
-        "kl_cap": KL_CAP,
-        "lp_tolerance": 1e-10,
-        "block_size": BLOCK,
-        "theta_stratification": "prior_quota",
-        "gap_tol": GAP_TOL,
-    }
+# Parsed flags that never enter a manifest's parameters: the subcommand and
+# model file have their own manifest fields, and neither the worker count
+# nor the output prefix can change a result.
+_NOT_PARAMETERS = ("command", "model", "threads", "out")
+
+
+def _write_artifacts(args, tables, threads) -> None:
+    """With ``--out``, write each ``(suffix, header, rows)`` table as
+    ``<out><suffix>.csv`` and then the run manifest.
+
+    The manifest's parameters are the parsed flags minus ``_NOT_PARAMETERS``,
+    so each argparse dest is named after its manifest key.
+    """
+    if not args.out:
+        return
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    manifest = make_manifest(
+        args.command, args.model, parameters, getattr(args, "seed", None), threads
+    )
+    for suffix, header, rows in tables:
+        emit_csv(f"{args.out}{suffix}.csv", header, rows, manifest["manifest_id"])
+    write_manifest(args.out, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -148,48 +171,37 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="active-ht", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, help_text, parents=()):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.add_argument("model", help="model file (JSON)")
         return p
+
+    run = _Parser(add_help=False)
+    run.add_argument("--policy", required=True, choices=["nn", "sn", "sa", "fixed"])
+    run.add_argument("--lambda", type=_float_list, help="action weights w1,w2,...")
+    run.add_argument("--trials", type=int, required=True)
+    run.add_argument("--seed", type=int, required=True)
+    run.add_argument("--threads", type=int)
+    run.add_argument("--out", help="prefix for CSV + manifest output")
+
+    stop = _Parser(add_help=False)
+    stop.add_argument("--n", type=int, help="fixed horizon (fixed policy)")
+    stop.add_argument("--threshold", type=float, help="posterior stop threshold (fixed policy)")
+    stop.add_argument("--phase-threshold", type=float, default=0.5)
 
     p = add("validate", "check the model's testability assumptions")
 
     p = add("bounds", "asymptotic coefficients, bounds, gains, exponents")
     p.add_argument("--out", help="prefix for CSV + manifest output")
 
-    p = add("simulate", "Monte Carlo run of one policy")
-    p.add_argument("--policy", required=True, choices=["nn", "sn", "sa", "fixed"])
-    p.add_argument("--lambda", dest="lam", type=_float_list, help="action weights w1,w2,...")
-    p.add_argument("--n", type=int, help="fixed horizon (fixed policy)")
-    p.add_argument("--threshold", type=float, help="posterior stop threshold (fixed policy)")
-    p.add_argument("--phase-threshold", type=float, default=0.5)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p = add("simulate", "Monte Carlo run of one policy", [run, stop])
     p.add_argument("--record-trials", action="store_true", help="also emit per-trial CSV")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out", help="prefix for CSV + manifest output")
 
-    p = add("sweep", "cost-vs-penalty table for one policy family")
-    p.add_argument("--policy", required=True, choices=["nn", "sn", "sa", "fixed"])
-    p.add_argument("--L", dest="L_values", type=_float_list, required=True, help="penalties l1,l2,...")
-    p.add_argument("--lambda", dest="lam", type=_float_list)
-    p.add_argument("--n", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--phase-threshold", type=float, default=0.5)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out", help="prefix for CSV + manifest output")
+    p = add("sweep", "cost-vs-penalty table for one policy family", [run, stop])
+    p.add_argument("--L", type=_float_list, required=True, help="penalties l1,l2,...")
 
-    p = add("exponents", "error-exponent slope estimate for one policy family")
-    p.add_argument("--policy", required=True, choices=["nn", "sn", "sa", "fixed"])
+    p = add("exponents", "error-exponent slope estimate for one policy family", [run])
     p.add_argument("--budgets", type=_float_list, required=True, help="step budgets t1,t2,...")
-    p.add_argument("--lambda", dest="lam", type=_float_list)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out", help="prefix for CSV + manifest output")
 
     p = add("gains", "sequentiality/adaptivity coefficients and dominance verdict")
 
@@ -197,7 +209,7 @@ def build_parser() -> _Parser:
 
     p = add("oracle-check", "exact enumeration vs Monte Carlo agreement suite")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=_float_list)
+    p.add_argument("--lambda", type=_float_list)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes", type=int, default=10_000_000,
@@ -233,18 +245,7 @@ def _cmd_bounds(args) -> int:
     model = load_model(args.model)
     report = compute_bounds(model)
     print(report.to_json())
-    if args.out:
-        manifest = make_manifest(
-            "bounds",
-            args.model,
-            {},
-            _solver_settings(),
-            None,
-            1,
-        )
-        header, rows = report.csv_rows()
-        emit_csv(f"{args.out}.csv", header, rows, manifest["manifest_id"])
-        write_manifest(args.out, manifest)
+    _write_artifacts(args, [("", *report.csv_rows())], 1)
     return 0
 
 
@@ -252,35 +253,35 @@ def _run_inputs(args):
     """(model, threads, report, rule) of a simulate, sweep or exponents run.
 
     The bounds report is computed only for the built families and for
-    threshold rules, and ``--policy fixed`` needs ``--lambda``.
+    threshold rules.  ``--policy fixed`` needs ``--lambda`` and, where the
+    command takes stop flags, exactly one of ``--n`` / ``--threshold``.
     """
     model = load_model(args.model)
     threads = _threads_default(args.threads)
     report = None
     if args.policy in ("nn", "sn", "sa") or getattr(args, "threshold", None) is not None:
         report = compute_bounds(model)
-    rule = np.asarray(args.lam, dtype=float) if args.lam is not None else None
-    if args.policy == "fixed" and rule is None:
-        raise UsageError("--policy fixed requires --lambda")
+    lam = vars(args)["lambda"]
+    rule = np.asarray(lam, dtype=float) if lam is not None else None
+    if args.policy == "fixed":
+        if rule is None:
+            raise UsageError("--policy fixed requires --lambda")
+        if "n" in args and (args.n is None) == (args.threshold is None):
+            raise UsageError("fixed policies take exactly one of --n / --threshold")
     return model, threads, report, rule
 
 
 def _cmd_simulate(args) -> int:
     model, threads, report, rule = _run_inputs(args)
-    if args.policy == "fixed" and (args.n is None) == (args.threshold is None):
-        raise UsageError("fixed policies take exactly one of --n / --threshold")
-    try:
-        policy = build_policy(
-            args.policy,
-            model,
-            report,
-            rule=rule,
-            n=args.n,
-            threshold=args.threshold,
-            phase_threshold=args.phase_threshold,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    policy = build_policy(
+        args.policy,
+        model,
+        report,
+        rule=rule,
+        n=args.n,
+        threshold=args.threshold,
+        phase_threshold=args.phase_threshold,
+    )
     summary, records = run_trials(
         model,
         policy,
@@ -294,33 +295,19 @@ def _cmd_simulate(args) -> int:
         f"se_tau={_fmt(summary.se_tau)} pe={_fmt(summary.pe)} se_pe={_fmt(summary.se_pe)} "
         f"cost={_fmt(summary.cost)} n_wrong={summary.n_wrong} n_truncated={summary.n_truncated}"
     )
-    if args.out:
-        params = {
-            "policy": args.policy,
-            "lambda": args.lam,
-            "n": args.n,
-            "threshold": args.threshold,
-            "phase_threshold": args.phase_threshold,
-            "trials": args.trials,
-            "seed": args.seed,
-            "record_trials": bool(args.record_trials),
-        }
-        manifest = make_manifest(
-            "simulate", args.model, params, _solver_settings(), args.seed, threads
+    row = [
+        summary.n_trials, summary.mean_tau, summary.se_tau, summary.pe, summary.se_pe,
+        summary.cost, summary.se_cost, summary.n_wrong, summary.n_truncated,
+        summary.penalty, args.seed,
+    ]
+    tables = [("", SUMMARY_HEADER, [row])]
+    if args.record_trials:
+        trial_rows = (
+            [r.index, r.theta, r.tau, r.declared, r.correct, r.posterior_error, r.truncated]
+            for r in records
         )
-        row = [
-            summary.n_trials, summary.mean_tau, summary.se_tau, summary.pe, summary.se_pe,
-            summary.cost, summary.se_cost, summary.n_wrong, summary.n_truncated,
-            summary.penalty, args.seed,
-        ]
-        emit_csv(f"{args.out}.csv", SUMMARY_HEADER, [row], manifest["manifest_id"])
-        if args.record_trials:
-            trial_rows = [
-                [r.index, r.theta, r.tau, r.declared, r.correct, r.posterior_error, r.truncated]
-                for r in records
-            ]
-            emit_csv(f"{args.out}_trials.csv", TRIALS_HEADER, trial_rows, manifest["manifest_id"])
-        write_manifest(args.out, manifest)
+        tables.append(("_trials", TRIALS_HEADER, trial_rows))
+    _write_artifacts(args, tables, threads)
     return 0
 
 
@@ -329,7 +316,7 @@ def _cmd_sweep(args) -> int:
     points, _ = sweep_L(
         model,
         args.policy,
-        args.L_values,
+        args.L,
         args.trials,
         args.seed,
         report=report,
@@ -339,31 +326,16 @@ def _cmd_sweep(args) -> int:
         phase_threshold=args.phase_threshold,
         workers=threads,
     )
-    rows = [
-        [p.L, p.log_L, p.mean_tau, p.se_tau, p.pe, p.se_pe, p.cost, p.cost_over_log_L]
-        for p in points
-    ]
     for p in points:
         print(
             f"L={_fmt(p.L)} mean_tau={_fmt(p.mean_tau)} pe={_fmt(p.pe)} "
             f"cost={_fmt(p.cost)} cost/logL={_fmt(p.cost_over_log_L)}"
         )
-    if args.out:
-        params = {
-            "policy": args.policy,
-            "L": list(args.L_values),
-            "lambda": args.lam,
-            "n": args.n,
-            "threshold": args.threshold,
-            "phase_threshold": args.phase_threshold,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        manifest = make_manifest(
-            "sweep", args.model, params, _solver_settings(), args.seed, threads
-        )
-        emit_csv(f"{args.out}.csv", SWEEP_HEADER, rows, manifest["manifest_id"])
-        write_manifest(args.out, manifest)
+    rows = [
+        [p.L, p.log_L, p.mean_tau, p.se_tau, p.pe, p.se_pe, p.cost, p.cost_over_log_L]
+        for p in points
+    ]
+    _write_artifacts(args, [("", SWEEP_HEADER, rows)], threads)
     return 0
 
 
@@ -390,32 +362,20 @@ def _cmd_exponents(args) -> int:
             f"mean_tau={_fmt(p.mean_tau)} pe={_fmt(p.pe)} errors={p.n_errors}"
             + ("" if p.clean else " (floored)")
         )
-    if args.out:
-        params = {
-            "policy": args.policy,
-            "budgets": list(args.budgets),
-            "lambda": args.lam,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        manifest = make_manifest(
-            "exponents", args.model, params, _solver_settings(), args.seed, threads
-        )
-        rows = [
-            [
-                p.budget,
-                p.penalty if p.penalty is not None else math.nan,
-                p.mean_tau,
-                p.pe,
-                p.n_errors,
-                p.clean,
-                p.neg_log_pe,
-                p.tuned,
-            ]
-            for p in est.points
+    rows = [
+        [
+            p.budget,
+            p.penalty if p.penalty is not None else math.nan,
+            p.mean_tau,
+            p.pe,
+            p.n_errors,
+            p.clean,
+            p.neg_log_pe,
+            p.tuned,
         ]
-        emit_csv(f"{args.out}.csv", EXPONENTS_HEADER, rows, manifest["manifest_id"])
-        write_manifest(args.out, manifest)
+        for p in est.points
+    ]
+    _write_artifacts(args, [("", EXPONENTS_HEADER, rows)], threads)
     return 0
 
 
@@ -450,12 +410,9 @@ def _cmd_oracle_check(args) -> int:
     threads = _threads_default(args.threads)
     if not model.is_finite:
         raise UsageError("oracle-check requires a finite-kernel model")
-    lam = args.lam if args.lam is not None else [1.0 / model.K] * model.K
-    rule = np.asarray(lam, dtype=float)
-    try:
-        policy = build_policy("fixed", model, rule=rule, n=args.horizon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    lam = vars(args)["lambda"]
+    rule = np.asarray(lam if lam is not None else [1.0 / model.K] * model.K, dtype=float)
+    policy = build_policy("fixed", model, rule=rule, n=args.horizon)
     budget = OracleBudget(horizon=max(args.horizon, 1), nodes=args.nodes)
     exact = exact_eval(model, policy, budget)
     dp = backward_eval(model, rule, args.horizon, budget)

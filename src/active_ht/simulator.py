@@ -75,6 +75,10 @@ TIE_TOL = 1e-12
 # tau is a step function of L, so a target band inside a step is never hit.
 MIN_LOG_L_BRACKET = 1e-3
 
+# estimate_error_exponent tunes a sequential family's penalty until the mean
+# stopping time is within this relative distance of the step budget.
+TUNE_REL_TOL = 0.02
+
 # When a run observes zero wrong declarations, the error estimate is floored
 # at 1/(2N) and flagged: the tail of the posterior-error distribution is then
 # under-sampled and the estimate is only trustworthy as a lower bound.
@@ -644,13 +648,12 @@ def _tune_penalty(
     path: tuple,
     *,
     phase_threshold: float,
-    rel_tol: float,
     workers: int,
     pool,
 ):
     """Bisection on log L until the probe's mean stopping time hits target.
 
-    The bisection accepts at half of ``rel_tol`` so that, with probe noise on
+    The bisection accepts at half of ``TUNE_REL_TOL`` so that, with probe noise on
     top, the final full-size run lands within the stated tolerance, and gives
     up untuned once the bracket is narrower than ``MIN_LOG_L_BRACKET``.
     Probes run on the caller's ``workers`` and open ``_worker_pool``.
@@ -680,7 +683,7 @@ def _tune_penalty(
     while True:
         mid = 0.5 * (lo + hi)
         t_mid = tau_at(mid)
-        if abs(t_mid - target) <= 0.5 * rel_tol * target:
+        if abs(t_mid - target) <= 0.5 * TUNE_REL_TOL * target:
             return math.exp(mid), True
         if t_mid < target:
             lo = mid
@@ -700,14 +703,13 @@ def estimate_error_exponent(
     report: Optional[BoundsReport] = None,
     rule=None,
     phase_threshold: float = 0.5,
-    tune_rel_tol: float = 0.02,
     workers: int = 1,
 ) -> ExponentEstimate:
     """Estimate how fast the error probability decays with the step budget.
 
     For fixed-horizon families (``nn``/``fixed``) the budget is the horizon
     itself; for sequential families the penalty is tuned by bisection until
-    the mean stopping time matches the budget within ``tune_rel_tol``.  A
+    the mean stopping time matches the budget within ``TUNE_REL_TOL``.  A
     budget with zero observed wrong declarations has its error estimate
     floored at 1/(2N) and flagged; flagged budgets are excluded from the
     least-squares fit when at least two trustworthy budgets remain, otherwise
@@ -738,7 +740,6 @@ def estimate_error_exponent(
                     probe_trials,
                     (*path, idx),
                     phase_threshold=phase_threshold,
-                    rel_tol=tune_rel_tol,
                     workers=workers,
                     pool=pool,
                 )

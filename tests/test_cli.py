@@ -22,7 +22,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import active_ht
-from active_ht.cli import main
+from active_ht.cli import _threads_default, main
 from active_ht.model import FiniteKernel, ObservationModel, save_model
 
 from conftest import make_garbled_model, make_two_probe_model
@@ -250,6 +250,19 @@ class TestSweep:
             assert_allclose(float(r[6]), float(r[2]) + L * float(r[4]), rtol=1e-7)
             assert_allclose(float(r[7]), float(r[6]) / logL, rtol=1e-7)
 
+    @pytest.mark.parametrize(
+        "stop",
+        [[], ["--n", "4", "--threshold", "0.9"]],
+        ids=["no-stop-mode", "both-stop-modes"],
+    )
+    def test_usage_errors(self, two_probe_path, stop, capsys):
+        args = ["sweep", two_probe_path, "--policy", "fixed", "--lambda", "0.5,0.5",
+                *stop, "--L", "10", "--trials", "10", "--seed", "1"]
+        assert main(args) == 4
+        assert capsys.readouterr().err == (
+            "active-ht: usage: fixed policies take exactly one of --n / --threshold\n"
+        )
+
     def test_rerun_is_byte_identical(self, two_probe_path, tmp_path, capsys):
         args = ["sweep", two_probe_path, "--policy", "sn", "--L", "50,500",
                 "--trials", "800", "--seed", "9"]
@@ -279,6 +292,75 @@ class TestExponents:
         assert all(r[1] == "nan" for r in rows)
         slope = float(out.split("slope=")[1].split()[0])
         assert slope > 0.0
+
+
+# ---------------------------------------------------------------------------
+# manifest parameters and worker count
+
+
+# Each run command's manifest parameters are its parsed flags minus the
+# subcommand, the model file, --threads and --out.  A flag added to a command
+# changes every manifest id it writes, so each dict is pinned exactly.
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (
+            ["simulate", "--policy", "fixed", "--lambda", "0.5,0.5", "--n", "6",
+             "--trials", "50", "--seed", "7"],
+            {"policy": "fixed", "lambda": [0.5, 0.5], "n": 6, "threshold": None,
+             "phase_threshold": 0.5, "trials": 50, "seed": 7, "record_trials": False},
+        ),
+        (
+            ["sweep", "--policy", "fixed", "--lambda", "0.5,0.5", "--n", "3",
+             "--L", "100,1000", "--trials", "50", "--seed", "5"],
+            {"policy": "fixed", "L": [100.0, 1000.0], "lambda": [0.5, 0.5], "n": 3,
+             "threshold": None, "phase_threshold": 0.5, "trials": 50, "seed": 5},
+        ),
+        (
+            ["exponents", "--policy", "fixed", "--lambda", "0.5,0.5", "--budgets", "4,8",
+             "--trials", "500", "--seed", "13"],
+            {"policy": "fixed", "budgets": [4.0, 8.0], "lambda": [0.5, 0.5],
+             "trials": 500, "seed": 13},
+        ),
+    ],
+    ids=["simulate", "sweep", "exponents"],
+)
+def test_manifest_parameters(two_probe_path, tmp_path, capsys, argv, parameters):
+    prefix = str(tmp_path / "m")
+    command, *flags = argv
+    assert main([command, two_probe_path, *flags, "--threads", "1", "--out", prefix]) == 0
+    capsys.readouterr()
+    manifest = read_manifest(prefix)
+    assert manifest["parameters"] == parameters
+    assert not {"threads", "out", "model", "command"} & set(manifest["parameters"])
+    assert manifest["command"] == command
+    assert manifest["master_seed"] == parameters["seed"]
+    assert manifest["threads"] == 1
+
+
+def test_threads_flag_beats_env_beats_cpu_count(two_probe_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.delenv("ACTIVE_HT_THREADS", raising=False)
+    assert _threads_default(None) == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _threads_default(None) == 1
+    monkeypatch.setenv("ACTIVE_HT_THREADS", "3")
+    assert _threads_default(None) == 3
+    assert _threads_default(2) == 2
+    # values below 1 clamp to one worker
+    assert _threads_default(0) == 1
+    monkeypatch.setenv("ACTIVE_HT_THREADS", "-2")
+    assert _threads_default(None) == 1
+    # the CLI records the count it ran with in the manifest
+    monkeypatch.setenv("ACTIVE_HT_THREADS", "2")
+    args = ["simulate", two_probe_path, "--policy", "fixed", "--lambda", "0.5,0.5",
+            "--n", "3", "--trials", "50", "--seed", "1"]
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main([*args, "--out", a]) == 0
+    assert main([*args, "--threads", "1", "--out", b]) == 0
+    capsys.readouterr()
+    assert read_manifest(a)["threads"] == 2
+    assert read_manifest(b)["threads"] == 1
 
 
 # ---------------------------------------------------------------------------
