@@ -2,7 +2,10 @@
 
 Beliefs are kept in log space (log masses plus a cached normalized vector)
 so that long observation sequences cannot underflow, and every update
-renormalizes via log-sum-exp.
+renormalizes via log-sum-exp.  ``normalize`` (the posterior step) and
+``posterior_mode`` (the declaration) act on one row or a (B, M) stack; the
+simulator's lockstep engine and fixed-horizon path call them on whole
+blocks, ``Belief`` and ``map_hypothesis`` on one posterior.
 """
 
 from __future__ import annotations
@@ -17,17 +20,34 @@ from .exceptions import ImpossibleObservationError, UndefinedOddsError
 from .model import log0
 
 
-def _normalize_log_masses(log_masses: np.ndarray):
-    finite = log_masses[np.isfinite(log_masses)]
-    if finite.size == 0:
-        raise ImpossibleObservationError("belief has no remaining mass")
-    m = finite.max()
-    shifted = log_masses - m
-    probs = np.exp(shifted)
-    total = probs.sum()
-    probs = probs / total
-    log_masses = shifted - math.log(total)
-    return log_masses, probs
+# Relative tolerance per step under which posterior masses tie.
+TIE_TOL = 1e-12
+
+
+def normalize(log_masses: np.ndarray):
+    """The posterior of unnormalized log masses, over the last axis.
+
+    Shifts each row of a row or a (B, M) stack by its max, exponentiates and
+    normalizes.  Returns (shifted log masses, probabilities, each row's total
+    before normalizing).
+    """
+    shifted = log_masses - log_masses.max(axis=-1, keepdims=True)
+    p = np.exp(shifted)
+    total = p.sum(axis=-1)
+    return shifted, p / total[..., None], total
+
+
+def posterior_mode(probs: np.ndarray, steps=0):
+    """The posterior mode of each row, the lowest index among tied masses.
+
+    Masses that are equal in exact arithmetic differ by rounding that grows
+    with the step count (the simulator's two paths sum a trial's log masses
+    in different orders).  As ``exact_pairwise`` snaps structural ties,
+    masses within a relative ``TIE_TOL`` per step of the row's largest count
+    as tied; ``steps`` is the step count of each row (at least 1 is used).
+    """
+    cut = probs.max(axis=-1) * np.exp(-TIE_TOL * np.maximum(steps, 1))
+    return (probs >= cut[..., None]).argmax(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -45,13 +65,19 @@ class Belief:
         if np.any(p < 0.0) or not np.all(np.isfinite(p)):
             raise ValueError("belief masses must be finite and nonnegative")
         if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"belief must sum to 1, got {p.sum()!r}")
+            raise ValueError(f"belief must sum to 1, got {float(p.sum())}")
         return cls.from_log_masses(log0(np.where(p > ZERO_PROB, p, 0.0)))
 
     @classmethod
     def from_log_masses(cls, log_masses) -> "Belief":
         lm = np.asarray(log_masses, dtype=float)
-        lm, probs = _normalize_log_masses(lm)
+        top = lm.max(initial=-math.inf)
+        if math.isnan(top) or top == math.inf:
+            raise ValueError("belief log masses must not be NaN or +inf")
+        if top == -math.inf:
+            raise ImpossibleObservationError("belief has no remaining mass")
+        shifted, probs, total = normalize(lm)
+        lm = shifted - math.log(total)
         lm.setflags(write=False)
         probs.setflags(write=False)
         return cls(log_masses=lm, probs=probs)
@@ -69,7 +95,7 @@ def bayes_update(belief: Belief, model, a: int, z) -> Belief:
     lm = belief.log_masses + model.log_likelihood(a, z)
     if not np.any(np.isfinite(lm)):
         raise ImpossibleObservationError(
-            f"observation {z!r} under action {a} has zero probability under every "
+            f"observation {z} under action {a} has zero probability under every "
             "hypothesis with remaining mass"
         )
     return Belief.from_log_masses(lm)
@@ -89,5 +115,5 @@ def log_odds(belief: Belief, i: int, j: int) -> float:
 
 
 def map_hypothesis(belief: Belief) -> int:
-    """Index of the posterior mode; ties break toward the lowest index."""
-    return int(np.argmax(belief.probs))
+    """Index of the posterior mode; ties (up to rounding) break toward the lowest index."""
+    return int(posterior_mode(belief.probs))

@@ -92,22 +92,14 @@ def kl(p, q) -> float:
 def renyi(p, q, alpha: float) -> float:
     """Renyi divergence D_alpha(p || q) of order alpha in [0, 1].
 
-    D_alpha = -(1/(1-alpha)) * log sum p^alpha q^(1-alpha); at alpha = 1 this
-    is the KL divergence.  Only the order range [0, 1] needed by the
+    D_alpha = ``tilted_exponent(p, q, alpha)`` / (1 - alpha), that is
+    -(1/(1-alpha)) * log sum p^alpha q^(1-alpha); at alpha = 1 it is the KL
+    divergence.  Only the order range [0, 1] needed by the
     discrimination exponent is supported.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if alpha == 1.0:
         return kl(p, q)
-    p, q = _check_same_domain(p, q)
-    if isinstance(p, Gaussian):
-        value = _gaussian_tilted_exponent(p, q, alpha)
-        return value / (1.0 - alpha)
-    m = _finite_tilted_mass(_as_pmf(p), _as_pmf(q), alpha)
-    if m == 0.0:
-        return math.inf
-    return -math.log(m) / (1.0 - alpha)
+    return tilted_exponent(p, q, alpha) / (1.0 - alpha)
 
 
 def _finite_tilted_mass(p: np.ndarray, q: np.ndarray, alpha: float) -> float:

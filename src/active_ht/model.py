@@ -139,7 +139,7 @@ class FiniteKernel:
             bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
             for i, a in bad:
                 out.append(
-                    f"kernel row (hypothesis {i}, action {a}) sums to {sums[i, a]!r}, not 1"
+                    f"kernel row (hypothesis {i}, action {a}) sums to {float(sums[i, a])}, not 1"
                 )
         return out
 
@@ -206,7 +206,7 @@ class RandomizedRule:
         w = np.clip(w, 0.0, None)
         total = w.sum()
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"rule weights must sum to 1, got {total!r}")
+            raise ValueError(f"rule weights must sum to 1, got {float(total)}")
         w = w / total
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -260,7 +260,7 @@ class ObservationModel:
             if not np.all(np.isfinite(prior)) or np.any(prior <= 0.0):
                 violations.append("all prior masses must be positive")
             elif abs(prior.sum() - 1.0) > ROW_SUM_TOL:
-                violations.append(f"prior sums to {prior.sum()!r}, not 1")
+                violations.append(f"prior sums to {float(prior.sum())}, not 1")
             M = prior.size
             K = self._kernel_K()
             if K is not None and K < 1:

@@ -1,16 +1,17 @@
 """Sensing policies: which action to play, when to stop, what to declare.
 
-A policy is queried with the current posterior (a probability vector) and
-the number of steps already taken.  ``action_weights`` returns the action
-distribution to draw from, or None to stop; ``declare`` picks the posterior
-mode (lowest index on ties).  ``batch_weights`` answers the same question for
-a stack of posteriors at one step, as the simulator's lockstep engine asks
-it: the base class loops over ``action_weights``, so a subclass that defines
-only that still runs, and the built-in families answer with array
-operations.  Policies are pure and hold no generator: every action draw,
-``step``'s and the simulator's, maps a uniform from the caller's generator
-through ``model.inverse_cdf_index``, so identical seeds replay identical
-trajectories.
+A policy is queried with the number of steps already taken and a stack of
+posteriors (B, M), one row per trial: ``batch_weights`` returns the action
+distribution of each row and which rows stop, as the simulator's lockstep
+engine and ``exact_eval`` ask it.  ``action_weights`` asks the same of one
+posterior and returns its weights, or None to stop.  Each answers through
+the other in the base class, so a subclass defines just one of them: the
+built-in families define ``batch_weights`` with array operations.
+``declare`` picks ``belief.posterior_mode`` (lowest index among masses tied
+up to rounding).  Policies are pure and hold no generator: every action
+draw, ``step``'s and the simulator's, maps a uniform from the caller's
+generator through ``model.inverse_cdf_index``, so identical seeds replay
+identical trajectories.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .belief import posterior_mode
 from .bounds import BoundsReport
 from .exceptions import AssumptionError
 from .model import ObservationModel, as_weights, inverse_cdf_index
@@ -36,7 +38,9 @@ class Policy:
     safety_horizon: Optional[int] = None
 
     def action_weights(self, probs: np.ndarray, step_count: int):
-        raise NotImplementedError
+        """The action distribution for one posterior, or None to stop."""
+        weights, stop = self.batch_weights(probs[None, :], step_count)
+        return None if stop[0] else weights[0]
 
     def batch_weights(self, probs: np.ndarray, step_count: int):
         """``action_weights`` for every row of ``probs`` (B, M) at one step.
@@ -45,6 +49,9 @@ class Policy:
         where ``action_weights`` returns None, and those rows of ``weights``
         are unspecified.
         """
+        own = type(self)
+        if own.action_weights is Policy.action_weights and own.batch_weights is Policy.batch_weights:
+            raise NotImplementedError("a policy must define action_weights or batch_weights")
         rows = [self.action_weights(p, step_count) for p in probs]
         stop = np.array([w is None for w in rows], dtype=bool)
         go = [np.asarray(w, dtype=float) for w in rows if w is not None]
@@ -54,7 +61,7 @@ class Policy:
         return weights, stop
 
     def declare(self, probs: np.ndarray) -> int:
-        return int(np.argmax(probs))
+        return int(posterior_mode(probs))
 
     def step(self, probs: np.ndarray, step_count: int, rng: np.random.Generator):
         """Draw the next action, or return None to stop."""
@@ -85,11 +92,6 @@ class FixedRulePolicy(Policy):
             raise ValueError("fixed horizon must be nonnegative")
         if self.threshold is not None and not 0.0 < self.threshold < 1.0:
             raise ValueError("stopping threshold must lie in (0, 1)")
-
-    def action_weights(self, probs: np.ndarray, step_count: int):
-        if self.n is not None:
-            return self.weights if step_count < self.n else None
-        return None if probs.max() >= self.threshold else self.weights
 
     def batch_weights(self, probs: np.ndarray, step_count: int):
         B = probs.shape[0]
@@ -138,14 +140,6 @@ class TwoPhasePolicy(Policy):
             raise ValueError("stop threshold must lie in (0, 1)")
         if not 0.0 < self.phase_threshold <= 1.0:
             raise ValueError("phase threshold must lie in (0, 1]")
-
-    def action_weights(self, probs: np.ndarray, step_count: int):
-        top = probs.max()
-        if top >= self.stop_threshold:
-            return None
-        if top < self.phase_threshold:
-            return self.explore_weights
-        return self.exploit_weights[np.argmax(probs)]
 
     def batch_weights(self, probs: np.ndarray, step_count: int):
         top = probs.max(axis=1)

@@ -17,13 +17,13 @@ Reproducibility rules:
   empirical frequencies within one trial of the prior at every prefix (for a
   uniform prior this is plain round-robin), which strips the prior-sampling
   variance out of every estimate;
-* trials are folded into fixed blocks of 1024 and block sums are merged in
-  index order, so summaries are bit-identical no matter how many workers
-  processed them.
+* trials are folded into fixed blocks of 1024, each reduced to one vector
+  of sums, and the block vectors are added in index order, so summaries
+  are bit-identical no matter how many workers processed them.
 
 Sequential policies run in a lockstep engine: all live trials of a block
 advance together, one ``Policy.batch_weights`` query and one vectorized
-log-domain Bayes update per step, and a trial retires when its policy stops
+log-domain Bayes update (``belief.normalize``) per step, and a trial retires when its policy stops
 or it reaches the policy's safety horizon (flagged as truncated).
 Fixed-horizon i.i.d.-rule policies take a separate path that draws all of a
 trial's uniforms at once and sums the log-likelihoods without per-step
@@ -35,8 +35,8 @@ steps, which yields the same stream as one call per draw).
 inverse CDF of a finite row or the inverse normal CDF of a Gaussian one.  A
 trial's trajectory therefore does not depend on the other trials in its
 block, and a fixed-horizon rule written as a plain ``Policy`` sees the same
-trajectories in the engine.  Both paths declare the posterior mode, the
-lowest index among masses tied up to rounding, and read the kernel's own
+trajectories in the engine.  Both paths declare ``belief.posterior_mode``,
+the lowest index among masses tied up to rounding, and read the kernel's own
 tables and ``ObservationModel.log_likelihood``; the simulator keeps no copy
 of them.
 
@@ -58,6 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .belief import normalize, posterior_mode
 from .bounds import BoundsReport, report_at_penalty
 from .exceptions import AssumptionError
 from .model import ObservationModel, as_weights, draw_symbol, inverse_cdf_index
@@ -67,9 +68,6 @@ BLOCK = 1024
 
 # Steps of uniforms a lockstep trial draws per refill.
 CHUNK = 64
-
-# Relative tolerance per step under which terminal posterior masses tie.
-TIE_TOL = 1e-12
 
 # _tune_penalty gives up once its log-L bracket is narrower than this: mean
 # tau is a step function of L, so a target band inside a step is never hit.
@@ -283,67 +281,31 @@ class SimulationSummary:
     master_seed: tuple
 
 
-class _Acc:
-    __slots__ = ("n", "s_tau", "s_tau2", "s_err", "s_err2", "s_cost", "s_cost2", "n_wrong", "n_trunc")
+def _block_sums(tau: np.ndarray, err: np.ndarray, wrong: np.ndarray, truncated: np.ndarray, L: float):
+    """One block's (n, sums of tau, err and cost, sums of their squares, n_wrong, n_truncated)."""
+    cols = np.stack([tau, err, tau + L * err])
+    return np.concatenate([[tau.size], cols.sum(axis=1), (cols * cols).sum(axis=1), [wrong.sum(), truncated.sum()]])
 
-    def __init__(self):
-        self.n = 0
-        self.s_tau = self.s_tau2 = 0.0
-        self.s_err = self.s_err2 = 0.0
-        self.s_cost = self.s_cost2 = 0.0
-        self.n_wrong = 0
-        self.n_trunc = 0
 
-    def add_arrays(self, tau, err, wrong, trunc, L: float):
-        cost = tau + L * err
-        self.n += tau.size
-        self.s_tau += float(tau.sum())
-        self.s_tau2 += float((tau * tau).sum())
-        self.s_err += float(err.sum())
-        self.s_err2 += float((err * err).sum())
-        self.s_cost += float(cost.sum())
-        self.s_cost2 += float((cost * cost).sum())
-        self.n_wrong += int(wrong)
-        self.n_trunc += int(trunc)
-
-    def merge(self, other: "_Acc"):
-        self.n += other.n
-        self.s_tau += other.s_tau
-        self.s_tau2 += other.s_tau2
-        self.s_err += other.s_err
-        self.s_err2 += other.s_err2
-        self.s_cost += other.s_cost
-        self.s_cost2 += other.s_cost2
-        self.n_wrong += other.n_wrong
-        self.n_trunc += other.n_trunc
-
-    def summary(self, L: float, path: tuple) -> SimulationSummary:
-        n = self.n
-
-        def mean_se(s, s2):
-            mean = s / n
-            if n > 1:
-                var = max(0.0, (s2 - n * mean * mean) / (n - 1))
-            else:
-                var = 0.0
-            return mean, math.sqrt(var / n)
-
-        mean_tau, se_tau = mean_se(self.s_tau, self.s_tau2)
-        pe, se_pe = mean_se(self.s_err, self.s_err2)
-        _, se_cost = mean_se(self.s_cost, self.s_cost2)
-        return SimulationSummary(
-            n_trials=n,
-            mean_tau=mean_tau,
-            se_tau=se_tau,
-            pe=pe,
-            se_pe=se_pe,
-            cost=mean_tau + L * pe,  # exact identity, not a re-averaged sum
-            se_cost=se_cost,
-            n_wrong=self.n_wrong,
-            n_truncated=self.n_trunc,
-            penalty=L,
-            master_seed=path,
-        )
+def _summary(sums: np.ndarray, L: float, path: tuple) -> SimulationSummary:
+    """The summary of a run from the sum of its blocks' ``_block_sums``."""
+    n, s, s2 = int(sums[0]), sums[1:4], sums[4:7]
+    mean = s / n
+    var = np.maximum(0.0, (s2 - n * mean * mean) / (n - 1)) if n > 1 else np.zeros(3)
+    (mean_tau, pe, _), (se_tau, se_pe, se_cost) = mean.tolist(), np.sqrt(var / n).tolist()
+    return SimulationSummary(
+        n_trials=n,
+        mean_tau=mean_tau,
+        se_tau=se_tau,
+        pe=pe,
+        se_pe=se_pe,
+        cost=mean_tau + L * pe,  # exact identity, not a re-averaged sum
+        se_cost=se_cost,
+        n_wrong=int(sums[7]),
+        n_truncated=int(sums[8]),
+        penalty=L,
+        master_seed=path,
+    )
 
 
 def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, k0: int):
@@ -381,10 +343,7 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
                 rngs[b].random(out=U[b])
         a = inverse_cdf_index(np.cumsum(w, axis=1), U[live, 2 * j])
         z = draw_symbol(model.kernel, thetas[live], a, U[live, 2 * j + 1])
-        lm = lm + model.log_likelihood(a, z).T
-        lm -= lm.max(axis=1)[:, None]
-        p = np.exp(lm)
-        probs = p / p.sum(axis=1)[:, None]
+        lm, probs, _ = normalize(lm + model.log_likelihood(a, z).T)
         t += 1
 
 
@@ -404,35 +363,21 @@ def _fixed_rule_logmass_block(
     return log_prior[:, None] + model.log_likelihood(actions, z).sum(axis=2)
 
 
-def _posterior_mode(final: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Each row's posterior mode, the lowest index among tied masses.
-
-    The two paths sum a trial's log masses in different orders, so masses
-    that are equal in exact arithmetic differ by rounding that grows with the
-    step count.  As ``exact_pairwise`` snaps structural ties, masses within a
-    relative ``TIE_TOL`` per step of the row's largest count as tied.
-    """
-    cut = final.max(axis=1) * np.exp(-TIE_TOL * np.maximum(tau, 1))
-    return (final >= cut[:, None]).argmax(axis=1)
-
-
 def _run_block(model, policy, block_thetas, path, k0, want_records):
     if isinstance(policy, FixedRulePolicy) and policy.n is not None:
         lm = _fixed_rule_logmass_block(model, policy.weights, policy.n, block_thetas, path, k0)
-        p = np.exp(lm - lm.max(axis=0)[None, :])
-        final = (p / p.sum(axis=0)).T
+        _, final, _ = normalize(lm.T)
         tau = np.full(block_thetas.size, policy.n)
         truncated = np.zeros(block_thetas.size, dtype=bool)
     else:
         tau, final, truncated = _lockstep_block(model, policy, block_thetas, path, k0)
     err = 1.0 - final.max(axis=1)
     if type(policy).declare is Policy.declare:
-        declared = _posterior_mode(final, tau)
+        declared = posterior_mode(final, tau)
     else:  # a subclass's own rule, asked once per terminal posterior
         declared = np.array([policy.declare(p) for p in final], dtype=np.int64)
     wrong = declared != block_thetas
-    acc = _Acc()
-    acc.add_arrays(tau.astype(float), err, wrong.sum(), truncated.sum(), model.penalty)
+    sums = _block_sums(tau.astype(float), err, wrong, truncated, model.penalty)
     records = None
     if want_records:
         records = [
@@ -447,7 +392,7 @@ def _run_block(model, policy, block_thetas, path, k0, want_records):
             )
             for b in range(block_thetas.size)
         ]
-    return acc, records
+    return sums, records
 
 
 def _block_tasks(model: ObservationModel, policy: Policy, n_trials: int, path: tuple, want_records: bool = False):
@@ -503,14 +448,14 @@ def run_trials(
         raise ValueError("n_trials must be positive")
     path = _seed_path(master_seed)
     tasks = _block_tasks(model, policy, n_trials, path, record_trials)
-    total, records = _Acc(), [] if record_trials else None
+    total, records = np.zeros(9), [] if record_trials else None
     own = _pool is None and len(tasks) > 1
     with _worker_pool(workers) if own else nullcontext(_pool) as pool:
-        for acc, recs in (map if pool is None else pool.map)(_block_task, tasks):
-            total.merge(acc)
+        for sums, recs in (map if pool is None else pool.map)(_block_task, tasks):
+            total += sums
             if record_trials:
                 records.extend(recs)
-    return total.summary(model.penalty, path), records
+    return _summary(total, model.penalty, path), records
 
 
 @dataclass(frozen=True)
@@ -595,6 +540,10 @@ def pairwise_error_rates(model: ObservationModel, rule, n: int, n_trials: int, m
     the terminal posterior strictly prefers j over i given the truth is i.
     Returns (rates, stderrs), both (M, M) with zero diagonals.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
     w = as_weights(rule, model.K)
     path = _seed_path(master_seed)
     M = model.M

@@ -57,6 +57,8 @@ class TestBayesUpdate:
         b = Belief.from_probs([0.5, 0.5])
         with pytest.raises(ImpossibleObservationError):
             bayes_update(b, m, 0, 1)
+        with pytest.raises(ImpossibleObservationError, match="^observation 1 under action 0 "):
+            bayes_update(b, m, 0, np.int64(1))
 
     def test_normalization_over_long_horizon(self, two_probe_model):
         rng = np.random.default_rng(2024)
@@ -149,6 +151,19 @@ class TestBeliefConstruction:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Belief.from_probs([1.5, -0.5])
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0], [math.inf, -math.inf]])
+    def test_rejects_nan_and_positive_infinite_log_masses(self, bad):
+        with pytest.raises(ValueError, match="NaN or \\+inf"):
+            Belief.from_log_masses(bad)
+
+    def test_no_remaining_mass(self):
+        with pytest.raises(ImpossibleObservationError):
+            Belief.from_log_masses([-math.inf, -math.inf])
+
+    def test_sum_message_shows_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"^belief must sum to 1, got 1\.1$"):
+            Belief.from_probs([0.5, 0.6])
 
     def test_log_mass_round_trip(self):
         b = Belief.from_log_masses([-1.0, -2.0, -3.0])

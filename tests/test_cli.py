@@ -107,6 +107,18 @@ class TestValidate:
         assert main(["validate", str(model_dir / "bad.json")]) == 2
         assert capsys.readouterr().err.startswith("active-ht: validation:")
 
+    def test_violations_show_plain_floats(self, tmp_path, capsys):
+        path = tmp_path / "off_simplex.json"
+        path.write_text(json.dumps({
+            "M": 2, "K": 1, "L": 10.0, "prior": [0.5, 0.6],
+            "kernel": {"type": "finite", "rows": [[[0.7, 0.2]], [[0.5, 0.5]]]},
+        }))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "active-ht: validation: prior sums to 1.1, not 1; "
+            "kernel row (hypothesis 0, action 0) sums to 0.8999999999999999, not 1\n"
+        )
+
 
 # ---------------------------------------------------------------------------
 # bounds
@@ -221,6 +233,14 @@ class TestSimulate:
     def test_usage_errors(self, two_probe_path, extra, capsys):
         assert main(["simulate", two_probe_path, *extra]) == 4
         assert capsys.readouterr().err.startswith("active-ht: usage:")
+
+    def test_off_simplex_rule_message_shows_a_plain_float(self, two_probe_path, capsys):
+        args = ["simulate", two_probe_path, "--policy", "fixed", "--lambda", "0.2,0.2",
+                "--n", "4", "--trials", "10", "--seed", "1"]
+        assert main(args) == 4
+        assert capsys.readouterr().err == (
+            "active-ht: usage: rule weights must sum to 1, got 0.4\n"
+        )
 
     def test_unknown_flag(self, two_probe_path, capsys):
         assert main(["simulate", two_probe_path, "--bogus", "1"]) == 4

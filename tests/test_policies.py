@@ -230,6 +230,33 @@ class TestBatchWeights:
                         assert np.array_equal(weights[b], ref)
 
 
+class TestPolicyInterface:
+    def test_batch_weights_alone_answers_action_weights_and_step(self):
+        class _Halves(Policy):
+            def batch_weights(self, probs, step_count):
+                return np.full((probs.shape[0], 2), 0.5), probs.max(axis=1) >= 0.9
+
+        pol = _Halves()
+        assert_allclose(pol.action_weights(np.array([0.6, 0.4]), 0), [0.5, 0.5])
+        assert pol.action_weights(np.array([0.95, 0.05]), 0) is None
+        assert pol.step(np.array([0.6, 0.4]), 0, np.random.default_rng(0)) in (0, 1)
+        assert pol.step(np.array([0.95, 0.05]), 0, np.random.default_rng(0)) is None
+        weights, stop = Policy.batch_weights(pol, np.array([[0.6, 0.4], [0.95, 0.05]]), 0)
+        assert stop.tolist() == [False, True] and weights[0].tolist() == [0.5, 0.5]
+
+    def test_neither_method_defined_raises(self):
+        class _Silent(Policy):
+            pass
+
+        probs = np.array([0.5, 0.5])
+        with pytest.raises(NotImplementedError):
+            _Silent().action_weights(probs, 0)
+        with pytest.raises(NotImplementedError):
+            _Silent().batch_weights(probs[None, :], 0)
+        with pytest.raises(NotImplementedError):
+            _Silent().step(probs, 0, np.random.default_rng(0))
+
+
 class TestBuildPolicy:
     def test_kinds(self, two_probe_model, two_probe_report):
         assert isinstance(build_policy("nn", two_probe_model, two_probe_report), FixedRulePolicy)

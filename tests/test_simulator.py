@@ -69,6 +69,19 @@ class TestRunTrials:
         assert summary.se_pe == 0.0
         assert all(r.tau == 0 and r.declared == 0 for r in records)
 
+    def test_rounding_ties_declare_the_lowest_index(self, two_probe_model):
+        # Masses equal up to rounding tie: the policy's own declare,
+        # map_hypothesis and both simulator paths all pick index 0.
+        from active_ht import Belief, map_hypothesis
+
+        row = [0.4999999999999999, 0.5000000000000001]
+        model = ObservationModel(kernel=two_probe_model.kernel, prior=row, penalty=10.0)
+        assert fixed_lambda_policy([0.5, 0.5], n=0).declare(np.array(row)) == 0
+        assert map_hypothesis(Belief.from_probs(row)) == 0
+        for pol in (fixed_lambda_policy([0.5, 0.5], n=0), fixed_lambda_policy([0.5, 0.5], threshold=0.4)):
+            _, records = run_trials(model, pol, 50, 3, record_trials=True)
+            assert all(r.tau == 0 and r.declared == 0 for r in records)
+
     def test_bitwise_deterministic(self, two_probe_model, two_probe_report):
         pol = build_policy("sn", two_probe_model, two_probe_report)
         s1, _ = run_trials(two_probe_model, pol, 3000, 11)
@@ -564,6 +577,15 @@ class TestSweep:
 
 
 class TestPairwiseRates:
+    @pytest.mark.parametrize(
+        "n, n_trials, message",
+        [(4, 0, "n_trials must be positive"), (-1, 100, "horizon must be nonnegative")],
+        ids=["no-trials", "negative-horizon"],
+    )
+    def test_rejects_bad_sizes(self, two_probe_model, n, n_trials, message):
+        with pytest.raises(ValueError, match=message):
+            pairwise_error_rates(two_probe_model, [0.5, 0.5], n, n_trials, 1)
+
     def test_no_data_is_never_strictly_ordered(self, two_probe_model):
         rates, se = pairwise_error_rates(two_probe_model, RandomizedRule([0.5, 0.5]), 0, 500, 19)
         assert np.all(rates == 0.0)
