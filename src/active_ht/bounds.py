@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .divergences import _golden_max, tilted_exponent
+from .divergences import _gaussian_tilted_exponent, _golden_max, tilted_exponent  # noqa: F401 (bounds.tilted_exponent)
 from .exceptions import AssumptionError
 from .model import ObservationModel, RandomizedRule, as_weights, validate
 
@@ -275,16 +275,15 @@ class DiscriminationOptimum:
 
 
 def _pair_exponents(model: ObservationModel):
-    """Evaluators of E[p, a](alpha) = (1 - alpha) D_alpha(q_i^a || q_j^a) over the
-    pairs p = (i, j), i < j.
+    """The evaluator of E[p, a](alpha) = (1 - alpha) D_alpha(q_i^a || q_j^a) over
+    the pairs p = (i, j), i < j.
 
-    Returns (table, objective).  ``table(alphas)`` maps alphas of shape (P, S)
-    to E[p, a](alphas[p, s]), of shape (P, K, S).  ``objective(p, w)`` is pair
-    p's mixed exponent alpha -> sum_a w_a E[p, a](alpha) at rule w, or None
-    when an action of positive weight separates the pair perfectly (E = +inf).
+    ``exponents(pairs, alphas)`` takes one pair index and one alpha per job,
+    both of shape (N,), and returns E[pairs[n], a](alphas[n]) of shape (N, K).
     Finite kernels read ``log_probs`` as E = -log sum_z exp(alpha (log q_i -
     log q_j) + log q_j), with the cells outside the common support masked to
-    -inf; Gaussian kernels evaluate ``tilted_exponent`` on the pair's densities.
+    -inf, so an action that separates the pair perfectly gives +inf; Gaussian
+    kernels use the closed form.
     """
     I, J = np.triu_indices(model.M, 1)
     if model.is_finite:
@@ -292,34 +291,20 @@ def _pair_exponents(model: ObservationModel):
         both = np.isfinite(lp) & np.isfinite(lq)
         diff = np.subtract(lp, lq, out=np.zeros(lp.shape), where=both)
         base = np.where(both, lq, -np.inf)
-        separated = ~both.any(axis=2)
 
-        def table(alphas):
-            tilted = alphas[:, None, :, None] * diff[:, :, None, :] + base[:, :, None, :]
-            with np.errstate(divide="ignore"):
-                return -np.log(np.exp(tilted).sum(axis=3))
-
-        def objective(p, w):
-            act = w > 0.0
-            if np.any(separated[p, act]):
-                return None
-            wa, d, b = w[act], diff[p, act], base[p, act]
-            return lambda alpha: float(-(wa @ np.log(np.exp(alpha * d + b).sum(axis=1))))
+        def exponents(pairs, alphas):
+            tilted = alphas[:, None, None] * diff[pairs] + base[pairs]
+            with np.errstate(divide="ignore"):  # log(0) = -inf on a separated pair
+                return -np.log(np.exp(tilted).sum(axis=2))
 
     else:
-        dens = [[(model.density_of(i, a), model.density_of(j, a)) for a in range(model.K)] for i, j in zip(I, J)]
+        means, variances = model.kernel.means, model.kernel.variances
+        dm, p_var, q_var = means[I] - means[J], variances[I], variances[J]
 
-        def table(alphas):
-            return np.array(
-                [[[tilted_exponent(q_i, q_j, s) for s in row] for q_i, q_j in pair] for pair, row in zip(dens, alphas)]
-            )
+        def exponents(pairs, alphas):
+            return _gaussian_tilted_exponent(dm[pairs], p_var[pairs], q_var[pairs], alphas[:, None])
 
-        def objective(p, w):
-            # Scalar math: at a few actions per pair numpy slices cost more.
-            terms = [(w[a], *dens[p][a]) for a in range(model.K) if w[a] > 0.0]
-            return lambda alpha: sum(wa * tilted_exponent(q_i, q_j, alpha) for wa, q_i, q_j in terms)
-
-    return table, objective
+    return exponents
 
 
 def d_hat(model: ObservationModel) -> DiscriminationOptimum:
@@ -328,13 +313,15 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     The objective  F(w) = min over pairs p of  max_alpha  sum_a w_a E_{p,a}(alpha),
     with E_{p,a}(alpha) = (1-alpha) D_alpha(q_i^a || q_j^a), is concave in
     alpha but not in w.  A fixed coarse simplex screen (alpha-grid scores,
-    then exact golden-section evaluations of the 25 leaders, the uniform rule
-    and the vertices) picks the start.  An LP ascent follows: fix each pair's
+    then exact evaluations of the 25 leaders, the uniform rule and the
+    vertices) picks the start.  An LP ascent follows: fix each pair's
     maximizing alpha_p at the current w and solve the LP
     max_w min_p sum_a w_a E_{p,a}(alpha_p), capped as the other LPs are.  At
     fixed alpha_p that LP value lower-bounds F at the new rule and equals F
     at the old one, so F never drops; the ascent stops when F rises by no
-    more than _ASCENT_TOL relative.
+    more than _ASCENT_TOL relative.  The maximizations over alpha run as
+    lockstep golden-section searches over (rule, pair) jobs: one over every
+    screen candidate and pair, then one over the pairs at each ascent step.
 
     The certificate is U = max_w min_p sum_a w_a C[p, a], where C[p, a] =
     max_alpha E_{p,a}(alpha) is the per-action Chernoff information (Chernoff,
@@ -348,56 +335,60 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     rule.
     """
     K = model.K
-    table, objective = _pair_exponents(model)
     P = model.M * (model.M - 1) // 2
+    exponents = _pair_exponents(model)
+    pairs = np.arange(P)
 
-    def pair_optima(w):
-        # Per pair, max over alpha of the mixed exponent at w, and its alpha.  A
-        # pair some weighted action separates has value +inf at every alpha; 0.5
-        # is reported.  One scalar search per pair: a golden search vectorized
-        # over the pairs ran twice as slow on the corpus models.
-        values, alphas = np.full(P, math.inf), np.full(P, 0.5)
-        for p in range(P):
-            g = objective(p, w)
-            if g is not None:
-                alphas[p], values[p] = _golden_max(g)
+    alpha_grid = np.linspace(0.0, 1.0, 129)
+    curves = exponents(np.repeat(pairs, alpha_grid.size), np.tile(alpha_grid, P))
+    curves = curves.reshape(P, alpha_grid.size, K).transpose(0, 2, 1)  # (P, K, S)
+    separated = np.isinf(curves).any(axis=2)  # no common support: E = +inf at every alpha
+
+    def pair_optima(W):
+        # Per rule W[r] and pair p, max over alpha of the mixed exponent and its
+        # alpha.  A pair some weighted action separates has value +inf at every
+        # alpha and is not searched; 0.5 is reported.
+        values, alphas = np.full((len(W), P), math.inf), np.full((len(W), P), 0.5)
+        rule, pair = np.nonzero(~((W[:, None, :] > 0.0) & separated).any(axis=2))
+        w = W[rule]
+        active = w > 0.0
+
+        def mixed(x):
+            # A stacked matmul sums each job's terms as w @ E would.
+            E = np.where(active, exponents(pair, x), 0.0)
+            return np.matmul(w[:, None, :], E[:, :, None])[:, 0, 0]
+
+        alphas[rule, pair], values[rule, pair] = _golden_max(mixed, rule.size)
         return values, alphas
 
     grid = simplex_grid(K, _SCREEN_RESOLUTION)
-    curves = table(np.broadcast_to(np.linspace(0.0, 1.0, 129), (P, 129)))  # (P, K, S)
-    screen_table = np.where(np.isinf(curves), 1e9, curves)
+    # C order: einsum's rounding, and so the ranking of near-tied rules, follows the layout.
+    screen_table = np.ascontiguousarray(np.where(np.isinf(curves), 1e9, curves))
     screened = np.einsum("gk,pks->gps", grid, screen_table).max(axis=2).min(axis=1)
     top = np.argsort(screened)[::-1][:25]
     vertices = np.eye(K)
-    candidates = [*grid[top], np.full(K, 1.0 / K), *vertices]
-
-    def key(w):
-        return tuple(np.round(w, 12))
-
-    optima = {}
-    best_w, best_v = None, -math.inf
-    for w in candidates:
-        if key(w) not in optima:
-            optima[key(w)] = pair_optima(w)
-            v = optima[key(w)][0].min()
-            if v > best_v:
-                best_w, best_v = w, v
+    candidates = {}
+    for w in (*grid[top], np.full(K, 1.0 / K), *vertices):
+        candidates.setdefault(tuple(np.round(w, 12)), w)
+    W = np.array(list(candidates.values()))
+    values, alphas = pair_optima(W)
+    best = int(np.argmax(values.min(axis=1)))
+    best_w, best_v, alphas = W[best], values[best].min(), alphas[best]
 
     # At a vertex the mixed exponent is a single action's, so C[:, a] = F's
     # pair values at vertex a.
-    C = np.column_stack([optima[key(e)][0] for e in vertices])
+    C = values[[list(candidates).index(tuple(e)) for e in vertices]].T
     bounded = np.all(np.isfinite(C), axis=1)
     upper = _reliability_lp(C[bounded])[1] if bounded.any() else math.inf
 
-    alphas = optima[key(best_w)][1]
     for _ in range(_ASCENT_ITERATIONS):
         if not best_v < upper * (1.0 - _ASCENT_TOL):  # certified, or F infinite
             break
-        w, _ = _reliability_lp(_cap(table(alphas[:, None])[:, :, 0])[0])
-        values, w_alphas = pair_optima(w)
+        w, _ = _reliability_lp(_cap(exponents(pairs, alphas))[0])
+        values, w_alphas = pair_optima(w[None, :])
         if not values.min() > best_v * (1.0 + _ASCENT_TOL):
             break
-        best_w, best_v, alphas = w, values.min(), w_alphas
+        best_w, best_v, alphas = w, values.min(), w_alphas[0]
 
     return DiscriminationOptimum(
         rule=RandomizedRule(_clean_weights(best_w)),

@@ -102,28 +102,17 @@ def renyi(p, q, alpha: float) -> float:
     return tilted_exponent(p, q, alpha) / (1.0 - alpha)
 
 
-def _finite_tilted_mass(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """sum_z p^alpha q^(1-alpha) over the common support."""
-    both = (p > ZERO_PROB) & (q > ZERO_PROB)
-    if not np.any(both):
-        return 0.0
-    lp = np.log(p[both])
-    lq = np.log(q[both])
-    return float(np.sum(np.exp(alpha * lp + (1.0 - alpha) * lq)))
+def _gaussian_tilted_exponent(dm, p_var, q_var, alpha):
+    """(1 - alpha) * D_alpha(p || q) for Gaussians, elementwise, smooth on all of [0, 1].
 
-
-def _gaussian_tilted_exponent(p: Gaussian, q: Gaussian, alpha: float) -> float:
-    """(1 - alpha) * D_alpha(p || q) for Gaussians, smooth on all of [0, 1].
-
-    With v* = alpha*v_q + (1-alpha)*v_p:
+    With mean gap dm = m_p - m_q and v* = alpha*v_q + (1-alpha)*v_p:
         (1-a) D_a = (1-a) log(s_q/s_p) - 0.5 log(v_q/v*) + a(1-a) dm^2 / (2 v*)
     The mixture variance v* is positive for every alpha in [0, 1].
     """
-    vstar = alpha * q.var + (1.0 - alpha) * p.var
-    dm = p.mean - q.mean
+    vstar = alpha * q_var + (1.0 - alpha) * p_var
     return (
-        (1.0 - alpha) * 0.5 * math.log(q.var / p.var)
-        - 0.5 * math.log(q.var / vstar)
+        (1.0 - alpha) * 0.5 * np.log(q_var / p_var)
+        - 0.5 * np.log(q_var / vstar)
         + alpha * (1.0 - alpha) * dm * dm / (2.0 * vstar)
     )
 
@@ -137,13 +126,24 @@ def tilted_exponent(p, q, alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return _tilted_curve(p, q)(alpha)
+
+
+def _tilted_curve(p, q):
+    """alpha -> ``tilted_exponent(p, q, alpha)``, with the alpha-free work done once."""
     p, q = _check_same_domain(p, q)
     if isinstance(p, Gaussian):
-        return _gaussian_tilted_exponent(p, q, alpha)
-    m = _finite_tilted_mass(_as_pmf(p), _as_pmf(q), alpha)
-    if m == 0.0:
-        return math.inf
-    return -math.log(m)
+        dm = p.mean - q.mean
+        return lambda alpha: float(_gaussian_tilted_exponent(dm, p.var, q.var, alpha))
+    both = (p > ZERO_PROB) & (q > ZERO_PROB)
+    lp, lq = np.log(p[both]), np.log(q[both])
+
+    def curve(alpha):
+        # sum_z p^alpha q^(1-alpha) over the common support, 0 when there is none
+        m = float(np.exp(alpha * lp + (1.0 - alpha) * lq).sum())
+        return -math.log(m) if m > 0.0 else math.inf
+
+    return curve
 
 
 @dataclass(frozen=True)
@@ -154,30 +154,40 @@ class AlphaOptimum:
     value: float
 
 
-def _golden_max(g, lo: float = 0.0, hi: float = 1.0, bracket_tol: float = 1e-9):
-    """Golden-section search for the maximum of a concave scalar function."""
-    a, b = lo, hi
+def _golden_max(g, n: int, bracket_tol: float = 1e-9):
+    """Golden-section search for the maxima of n concave functions on [0, 1], in lockstep.
+
+    ``g(x)`` maps n abscissae, one per function, to the n values.  Each
+    function keeps its own bracket, starting at [0, 1], and follows the
+    scalar recurrence on it.  The loop runs while any bracket is wider than
+    ``bracket_tol``; a narrower one keeps its bracket and best probe, so
+    each element ends as a one-element search would.  Returns (x, f), each
+    function's best probe and value, with the bracket ends and the final
+    midpoint probed too.
+    """
+    a, b = np.zeros(n), np.ones(n)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = g(c), g(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while (b - a) > bracket_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = g(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = g(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    for x in (lo, hi, 0.5 * (a + b)):
+    best_x, best_f = np.where(fc >= fd, c, d), np.where(fc >= fd, fc, fd)
+    live = (b - a) > bracket_tol
+    while live.any():
+        # left: the maximum is not right of d, so the bracket becomes [a, d]
+        # with c its upper probe; right: [c, b] with d its lower probe.
+        left = fc >= fd
+        a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
+        width = b - a
+        step = _INVPHI * width
+        x = np.where(left, b - step, a + step)
         fx = g(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
+        c, d, fc, fd = np.where(left, x, d), np.where(left, c, x), np.where(left, fx, fd), np.where(left, fc, fx)
+        better = live & (fx > best_f)
+        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
+        live = width > bracket_tol
+    for x in (np.zeros(n), np.ones(n), 0.5 * (a + b)):
+        fx = g(x)
+        better = fx > best_f
+        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
     return best_x, best_f
 
 
@@ -185,28 +195,27 @@ def alpha_max(model, i: int, j: int, weights) -> AlphaOptimum:
     """Maximize sum_a w_a * (1-alpha) * D_alpha(q_i^a || q_j^a) over alpha in [0, 1].
 
     The objective is concave in alpha, so a golden-section search with a
-    1e-9 bracket tolerance locates the maximizer.  ``weights`` is a point on
-    the action simplex.
+    1e-9 bracket tolerance locates the maximizer.  ``weights`` is a rule or a
+    point on the action simplex with one weight per action.
     """
+    from .model import as_weights  # model imports this module
     if i == j:
         raise ValueError("hypotheses must be distinct")
-    w = np.asarray(getattr(weights, "weights", weights), dtype=float)
-    if w.shape != (model.K,):
-        raise ValueError(f"weights must have length {model.K}")
+    w = as_weights(weights, model.K)
     curves = [
-        (w[a], model.density_of(i, a), model.density_of(j, a))
+        (w[a], _tilted_curve(model.density_of(i, a), model.density_of(j, a)))
         for a in range(model.K)
         if w[a] > 0.0
     ]
 
     def g(alpha: float) -> float:
         total = 0.0
-        for wa, p, q in curves:
-            term = tilted_exponent(p, q, alpha)
+        for wa, curve in curves:
+            term = curve(alpha)
             if math.isinf(term):
                 return math.inf
             total += wa * term
         return total
 
-    alpha_star, value = _golden_max(g)
-    return AlphaOptimum(alpha_star=alpha_star, value=value)
+    alpha_star, value = _golden_max(lambda x: np.array([g(float(x[0]))]), 1)
+    return AlphaOptimum(alpha_star=float(alpha_star[0]), value=float(value[0]))

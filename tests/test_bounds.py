@@ -242,18 +242,17 @@ class TestDHat:
         }[name]
         alphas = np.array([0.0, 0.3, 1.0])
         pairs = [(i, j) for i in range(m.M) for j in range(i + 1, m.M)]
-        table, objective = _pair_exponents(m)
-        got = table(np.broadcast_to(alphas, (len(pairs), alphas.size)))
+        exponents = _pair_exponents(m)
+        # One job per (pair, alpha), every pair in one call.
+        got = exponents(np.repeat(np.arange(len(pairs)), alphas.size), np.tile(alphas, len(pairs)))
+        got = got.reshape(len(pairs), alphas.size, m.K)
         for p, (i, j) in enumerate(pairs):
-            for a, vertex in enumerate(np.eye(m.K)):
-                g = objective(p, vertex)
+            for a in range(m.K):
                 for s, alpha in enumerate(alphas):
                     want = tilted_exponent(m.density_of(i, a), m.density_of(j, a), alpha)
-                    assert_allclose(got[p, a, s], want, rtol=1e-12, atol=1e-15)
-                    if math.isinf(want):
-                        assert g is None
-                    else:
-                        assert_allclose(g(alpha), want, rtol=1e-12, atol=1e-15)
+                    assert_allclose(got[p, s, a], want, rtol=1e-12, atol=1e-15)
+                    # A one-job call gives the same value.
+                    assert_allclose(exponents(np.array([p]), np.array([alpha]))[0, a], want, rtol=1e-12, atol=1e-15)
         assert np.isinf(got).any() == (name == "disjoint_support")
 
     def test_two_probe_optimum_is_a_vertex(self, two_probe_report):
@@ -295,6 +294,22 @@ class TestDHat:
             grid_best = max(self._worst_pair(m, w) for w in simplex_grid(m.K, 0.05))
             assert opt.value >= grid_best * (1.0 - 1e-12)
             assert_allclose(self._worst_pair(m, opt.rule), opt.value, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "name, value, weights",
+        [
+            ("two_probe", 0.16960418110785774, [1.0, 0.0]),
+            ("garbled", 0.05559116763042172, [1.0, 0.0]),
+            ("gaussian_binary", 0.17211672293201685, [1.0, 0.0]),
+        ],
+    )
+    def test_reference_values_do_not_drift(self, name, value, weights, request):
+        # Bit-for-bit pins: a change to the alpha search or the pair
+        # evaluator that moves these also moves the CLI's bounds artifacts.
+        opt = d_hat(request.getfixturevalue(f"{name}_model"))
+        assert opt.value == value
+        assert opt.rule.weights.tolist() == weights
+        assert opt.d_hat_upper == value
 
     @pytest.mark.parametrize("name", ["two_probe", "garbled", "gaussian_binary"])
     def test_reference_models_are_certified(self, name, request):

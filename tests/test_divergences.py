@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from active_ht import Gaussian, RandomizedRule, alpha_max, kl, renyi, tilted_exponent
+from active_ht.divergences import _golden_max
 from conftest import make_two_probe_model, random_finite_model
 
 BERN_9 = np.array([0.9, 0.1])
@@ -173,3 +174,66 @@ class TestAlphaMax:
     def test_two_probe_equal_rule_value(self, two_probe_model):
         opt = alpha_max(two_probe_model, 0, 1, RandomizedRule([0.5, 0.5]))
         assert_allclose(opt.value, 0.16847903891768543, rtol=1e-9)
+
+    @pytest.mark.parametrize("weights", [[2.0, 0.0], [-0.5, 1.5], [1.0]])
+    def test_rejects_weights_off_the_simplex(self, two_probe_model, weights):
+        with pytest.raises(ValueError):
+            alpha_max(two_probe_model, 0, 1, weights)
+
+    def test_returns_plain_floats(self, two_probe_model):
+        opt = alpha_max(two_probe_model, 0, 1, [0.5, 0.5])
+        assert type(opt.value) is float and type(opt.alpha_star) is float
+
+
+def _scalar_golden_max(g, bracket_tol=1e-9):
+    """Reference: the scalar golden-section recurrence on [0, 1]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = g(c), g(d)
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    while (b - a) > bracket_tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = g(c)
+            if fc > best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = g(d)
+            if fd > best_f:
+                best_x, best_f = d, fd
+    for x in (0.0, 1.0, 0.5 * (a + b)):
+        fx = g(x)
+        if fx > best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
+class TestGoldenMax:
+    def test_batch_matches_one_element_searches(self):
+        # Concave curves of different shapes and peaks, some at an end of [0, 1].
+        rng = np.random.default_rng(11)
+        n = 40
+        peak, scale = rng.uniform(-0.2, 1.2, n), rng.uniform(0.1, 5.0, n)
+        power = rng.choice([2.0, 4.0], n)
+
+        def batch(x, idx=slice(None)):
+            return -scale[idx] * np.abs(x - peak[idx]) ** power[idx]
+
+        xs, fs = _golden_max(batch, n)
+        for k in range(n):
+            x1, f1 = _golden_max(lambda x: batch(x, [k]), 1)
+            assert_allclose(xs[k], x1[0], rtol=0.0, atol=1e-15)
+            assert_allclose(fs[k], f1[0], rtol=0.0, atol=1e-15)
+            # Same arithmetic as the scalar recurrence, so the same bits.
+            assert (xs[k], fs[k]) == _scalar_golden_max(lambda x: float(batch(np.array([x]), [k])[0]))
+
+    def test_finds_a_quadratic_argmax(self):
+        # The peak value is 0, so values near it keep their digits and the
+        # comparisons stay exact down to the 1e-9 bracket.
+        x, f = _golden_max(lambda x: -((x - 0.3141592653589793) ** 2), 1)
+        assert abs(x[0] - 0.3141592653589793) <= 1e-9
+        assert -1e-18 <= f[0] <= 0.0
