@@ -12,6 +12,10 @@ divergences over the action simplex:
                            screen, then an LP ascent, with an LP upper bound
                            from the per-action Chernoff information)
 
+All but ``d_hat`` read one table, ``_pair_rows``: the rows D[i, j], j != i, as
+an (M, M-1, K) array.  ``_mixed_min`` evaluates R(i, w) on it, the LPs and
+barrier solves take its rows (capped), and ``_harmonic`` is the one harmonic mean.
+
 The leading-order upper/lower bounds on E[steps] + L * P(error) for the
 non-adaptive, sequential, and adaptive policy families are assembled from
 these coefficients; o(log L) terms are evaluated as zero and the entries are
@@ -30,7 +34,7 @@ from scipy.optimize import linprog
 
 from .divergences import _gaussian_tilted_exponent, _golden_max, tilted_exponent  # noqa: F401 (bounds.tilted_exponent)
 from .exceptions import AssumptionError
-from .model import ObservationModel, RandomizedRule, as_weights, validate
+from .model import ObservationModel, RandomizedRule, as_weights, check_hypotheses, validate
 
 # Infinite divergences are capped at this value inside the LPs and the
 # barrier solves; reports carry a flag whenever the cap was exercised.  The
@@ -66,9 +70,8 @@ def kl_matrix(model: ObservationModel) -> np.ndarray:
     return model.kernel.kl_table
 
 
-def _cap(D: np.ndarray):
-    capped = np.isinf(D)
-    return np.where(capped, KL_CAP, D), bool(np.any(capped))
+def _cap(D: np.ndarray) -> np.ndarray:
+    return np.where(np.isinf(D), KL_CAP, D)
 
 
 def _clean_weights(w: np.ndarray) -> np.ndarray:
@@ -76,22 +79,34 @@ def _clean_weights(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _mixture_value(row: np.ndarray, w: np.ndarray) -> float:
-    """sum_a w_a * row_a with the conventions 0 * inf = 0 and w * inf = inf."""
-    active = w > 0.0
-    if np.any(active & np.isinf(row)):
-        return math.inf
-    return float(np.where(active, row, 0.0)[active] @ w[active])
+def _pair_rows(model: ObservationModel) -> np.ndarray:
+    """Uncapped divergence rows (M, M-1, K): block i holds D[i, j] for j != i, in j order."""
+    D = kl_matrix(model)
+    return D[~np.eye(model.M, dtype=bool)].reshape(model.M, model.M - 1, model.K)
+
+
+def _mixed_min(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """min over each block of rows of sum_{w_a > 0} w_a * row_a, so 0 * inf = 0."""
+    active = np.flatnonzero(w > 0.0)
+    # A stacked matmul of contiguous rows rounds each mixture as np.dot(row, w) does.
+    mixed = np.matmul(np.take(rows, active, axis=-1)[..., None, :], w[active, None])
+    return mixed[..., 0, 0].min(axis=-1)
+
+
+def _harmonic(r) -> float:
+    """len(r) / sum_i 1/r_i: 0 if any r_i <= 0; infinite r_i add nothing (inf if all are)."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        return 0.0
+    inv_sum = np.cumsum(1.0 / r)[-1]  # index order, unlike np.sum's pairwise order
+    return math.inf if inv_sum == 0.0 else float(r.size / inv_sum)
 
 
 def reliability(model: ObservationModel, i: int, rule) -> float:
     """Worst-case drift R(i, w): the slowest rate at which the mixture of
     divergences separates hypothesis i from its nearest alternative."""
-    D = kl_matrix(model)
-    w = as_weights(rule, model.K)
-    return min(
-        _mixture_value(D[i, j], w) for j in range(model.M) if j != i
-    )
+    check_hypotheses(model, i)
+    return float(_mixed_min(_pair_rows(model)[i], as_weights(rule, model.K)))
 
 
 def _reliability_lp(rows: np.ndarray):
@@ -124,42 +139,27 @@ def _reliability_lp(rows: np.ndarray):
     return _clean_weights(res.x[:K]), float((y @ rows).max())
 
 
+def _maxmin_rule(rows: np.ndarray):
+    """The rule maximizing min(rows @ w), from the LP on the capped rows, and
+    its value re-evaluated on the uncapped rows, so the rule attains it exactly."""
+    w, _ = _reliability_lp(_cap(rows))
+    return RandomizedRule(w), float(_mixed_min(rows, w))
+
+
 def max_reliability(model: ObservationModel, i: int):
     """The rule maximizing R(i, .) and its value, solved as an LP."""
-    D = kl_matrix(model)
-    rows = np.vstack([D[i, j] for j in range(model.M) if j != i])
-    capped_rows, _ = _cap(rows)
-    w, _ = _reliability_lp(capped_rows)
-    # Re-evaluate against the uncapped divergences so the reported value is
-    # attained exactly by the returned rule.
-    value = min(_mixture_value(rows[r], w) for r in range(rows.shape[0]))
-    return RandomizedRule(w), value
+    check_hypotheses(model, i)
+    return _maxmin_rule(_pair_rows(model)[i])
 
 
 def harmonic_reliability(model: ObservationModel, rule) -> float:
     """Harmonic mean M / sum_i 1/R(i, w); 0 when any R(i, w) = 0."""
-    inv_sum = 0.0
-    for i in range(model.M):
-        r = reliability(model, i, rule)
-        if r <= 0.0:
-            return 0.0
-        if math.isfinite(r):
-            inv_sum += 1.0 / r
-    if inv_sum == 0.0:
-        return math.inf
-    return model.M / inv_sum
+    return _harmonic(_mixed_min(_pair_rows(model), as_weights(rule, model.K)))
 
 
 def maxmin_reliability(model: ObservationModel):
     """The rule maximizing min_i R(i, .) and its value, solved as one LP."""
-    D = kl_matrix(model)
-    rows = np.vstack(
-        [D[i, j] for i in range(model.M) for j in range(model.M) if j != i]
-    )
-    capped_rows, _ = _cap(rows)
-    w, _ = _reliability_lp(capped_rows)
-    value = min(_mixture_value(rows[r], w) for r in range(rows.shape[0]))
-    return RandomizedRule(w), value
+    return _maxmin_rule(_pair_rows(model).reshape(-1, model.K))
 
 
 def minmax_reliability(model: ObservationModel) -> float:
@@ -181,15 +181,6 @@ def simplex_grid(K: int, resolution: float) -> np.ndarray:
 
     rec([], n, K)
     return np.asarray(points, dtype=float) / n
-
-
-def _stacked_rows(D: np.ndarray):
-    """Capped divergence rows reshaped to (M, M-1, K) for vector evaluation."""
-    M = D.shape[0]
-    rows = np.stack(
-        [np.vstack([D[i, j] for j in range(M) if j != i]) for i in range(M)]
-    )
-    return _cap(rows)[0]
 
 
 def _minimize_weighted_inverse(stacked: np.ndarray, coeffs: np.ndarray):
@@ -254,7 +245,7 @@ def _minimize_weighted_inverse(stacked: np.ndarray, coeffs: np.ndarray):
 
 def max_harmonic_reliability(model: ObservationModel):
     """The rule maximizing the harmonic reliability, and its value."""
-    w, _ = _minimize_weighted_inverse(_stacked_rows(kl_matrix(model)), np.ones(model.M))
+    w, _ = _minimize_weighted_inverse(_cap(_pair_rows(model)), np.ones(model.M))
     rule = RandomizedRule(w)
     return rule, harmonic_reliability(model, rule)
 
@@ -384,7 +375,7 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     for _ in range(_ASCENT_ITERATIONS):
         if not best_v < upper * (1.0 - _ASCENT_TOL):  # certified, or F infinite
             break
-        w, _ = _reliability_lp(_cap(exponents(pairs, alphas))[0])
+        w, _ = _reliability_lp(_cap(exponents(pairs, alphas)))
         values, w_alphas = pair_optima(w[None, :])
         if not values.min() > best_v * (1.0 + _ASCENT_TOL):
             break
@@ -426,15 +417,11 @@ class LeadingOrderBounds:
 
 
 def _log_prior_spreads(prior: np.ndarray):
+    """Per hypothesis i, the min and the max over j != i of log prior_i - log prior_j."""
     logp = np.log(prior)
-    M = prior.size
-    min_ratio = np.empty(M)
-    max_ratio = np.empty(M)
-    for i in range(M):
-        others = np.delete(logp, i)
-        min_ratio[i] = logp[i] - others.max()
-        max_ratio[i] = logp[i] - others.min()
-    return min_ratio, max_ratio
+    spread = logp[:, None] - logp[None, :]
+    off = ~np.eye(prior.size, dtype=bool)
+    return np.where(off, spread, np.inf).min(axis=1), np.where(off, spread, -np.inf).max(axis=1)
 
 
 def leading_order_bounds(
@@ -456,7 +443,7 @@ def leading_order_bounds(
     nn_lower = (logL - max_ratio.max()) / d_hat_value if d_hat_value > 0 else math.inf
     nn_lower_factor2 = 2.0 * (logL - max_ratio.max()) / maxmin_value
 
-    stacked = _stacked_rows(kl_matrix(model))
+    stacked = _cap(_pair_rows(model))
     sn = {}
     for tag, wgt in (("upper", w_up), ("lower", w_lo)):
         coeffs = prior * wgt
@@ -500,7 +487,8 @@ def gains_from_values(maxmin_value: float, max_r_bar: float, r_bar_star: float) 
     return Gains(
         sequentiality_coefficient=seq,
         adaptivity_coefficient=adp,
-        zero_adaptivity=abs(max_r_bar - r_bar_star) <= 1e-6,
+        # Equal values are a zero gap even when both are inf (inf - inf is NaN).
+        zero_adaptivity=max_r_bar == r_bar_star or abs(max_r_bar - r_bar_star) <= 1e-6,
     )
 
 
@@ -540,24 +528,19 @@ def binary_specialize(model: ObservationModel) -> BinaryReport:
     """
     if model.M != 2:
         raise ValueError(f"binary specialization requires M == 2, got M = {model.M}")
+    _validated(model)
     D = kl_matrix(model)
     d12 = D[0, 1].copy()
     d21 = D[1, 0].copy()
 
     def argmax_set(values: np.ndarray):
-        top = values.max()
-        if math.isinf(top):
-            return tuple(int(a) for a in np.nonzero(np.isinf(values))[0])
-        return tuple(int(a) for a in np.nonzero(values >= top - 1e-9)[0])
+        # At an infinite maximum, top - 1e-9 is inf and only the infinite entries tie.
+        return tuple(int(a) for a in np.nonzero(values >= values.max() - 1e-9)[0])
 
     set1 = argmax_set(d12)
     set2 = argmax_set(d21)
     r1 = float(d12.max())
     r2 = float(d21.max())
-    if math.isinf(r1) and math.isinf(r2):
-        r_bar = math.inf
-    else:
-        r_bar = 2.0 / ((0.0 if math.isinf(r1) else 1.0 / r1) + (0.0 if math.isinf(r2) else 1.0 / r2))
     return BinaryReport(
         d12=d12,
         d21=d21,
@@ -565,7 +548,7 @@ def binary_specialize(model: ObservationModel) -> BinaryReport:
         rule_2=RandomizedRule.point_mass(model.K, set2[0]),
         r1_star=r1,
         r2_star=r2,
-        r_bar_star=r_bar,
+        r_bar_star=_harmonic([r1, r2]),
         argmax_set_1=set1,
         argmax_set_2=set2,
         log_adaptivity_gain=not set(set1) & set(set2),
@@ -580,16 +563,9 @@ def dominance_check(model: ObservationModel, tol: float = 1e-9):
     buys nothing at leading order.
     """
     D = kl_matrix(model)
-    for a_star in range(model.K):
-        ok = True
-        for a in range(model.K):
-            diff_ok = D[:, :, a] <= D[:, :, a_star] + tol
-            if not np.all(diff_ok):
-                ok = False
-                break
-        if ok:
-            return a_star
-    return None
+    # dominates[s]: D[:, :, a] <= D[:, :, s] + tol for every action a.
+    dominates = np.all(D[:, :, None, :] <= D[:, :, :, None] + tol, axis=(0, 1, 3))
+    return int(np.argmax(dominates)) if dominates.any() else None
 
 
 def _jsonable(value):
@@ -678,18 +654,22 @@ class BoundsReport:
         return header, rows
 
 
+def _validated(model: ObservationModel):
+    """validate(model), raising AssumptionError on an indistinguishable pair."""
+    report = validate(model)
+    if not report.distinguishable:
+        pairs = ", ".join(map(str, report.indistinguishable_pairs))
+        raise AssumptionError(f"indistinguishable hypothesis pairs: {pairs}")
+    return report
+
+
 def compute_bounds(model: ObservationModel) -> BoundsReport:
     """Run the full asymptotic analysis for one model.
 
     Raises AssumptionError when some pair of hypotheses cannot be separated
     by any action (the coefficients would all degenerate to zero).
     """
-    report = validate(model)
-    if not report.distinguishable:
-        raise AssumptionError(
-            "indistinguishable hypothesis pairs: "
-            + ", ".join(map(str, report.indistinguishable_pairs))
-        )
+    report = _validated(model)
     flags = []
     if not report.bounded_ratios:
         flags.append("unbounded_likelihood_ratios")
@@ -699,8 +679,7 @@ def compute_bounds(model: ObservationModel) -> BoundsReport:
 
     reliabilities = tuple(max_reliability(model, i) for i in range(model.M))
     r_values = [value for _, value in reliabilities]
-    inv = sum(0.0 if math.isinf(v) else 1.0 / v for v in r_values)
-    r_bar_star = math.inf if inv == 0.0 else model.M / inv
+    r_bar_star = _harmonic(r_values)
 
     maxmin_rule, maxmin_value = maxmin_reliability(model)
     minmax_value = min(r_values)

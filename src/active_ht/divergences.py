@@ -198,7 +198,8 @@ def alpha_max(model, i: int, j: int, weights) -> AlphaOptimum:
     1e-9 bracket tolerance locates the maximizer.  ``weights`` is a rule or a
     point on the action simplex with one weight per action.
     """
-    from .model import as_weights  # model imports this module
+    from .model import as_weights, check_hypotheses  # model imports this module
+    check_hypotheses(model, i, j)
     if i == j:
         raise ValueError("hypotheses must be distinct")
     w = as_weights(weights, model.K)

@@ -237,6 +237,13 @@ def as_weights(rule, K: Optional[int] = None) -> np.ndarray:
     return w
 
 
+def check_hypotheses(model, *indices) -> None:
+    """Raise ValueError unless every index names one of the model's hypotheses."""
+    for i in indices:
+        if not 0 <= i < model.M:
+            raise ValueError(f"hypothesis index {i} is outside [0, {model.M})")
+
+
 @dataclass(frozen=True)
 class ObservationModel:
     """An active hypothesis testing instance.

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .belief import posterior_mode
-from .bounds import BoundsReport
+from .bounds import BoundsReport, _log_prior_spreads
 from .exceptions import AssumptionError
 from .model import ObservationModel, as_weights, inverse_cdf_index
 
@@ -187,10 +187,7 @@ def nn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:
     if not (report.d_hat > 1e-12):
         raise AssumptionError("fixed-horizon sizing requires a positive discrimination exponent")
     logL = math.log(model.penalty)
-    logp = np.log(model.prior)
-    spread = min(
-        logp[i] - logp[j] for i in range(model.M) for j in range(model.M) if i != j
-    )
+    spread = _log_prior_spreads(model.prior)[0].min()
     steps = (logL + math.log(model.M - 1) - spread) / report.d_hat
     return FixedRulePolicy(
         weights=report.d_hat_rule.weights, n=max(1, int(math.ceil(steps)))

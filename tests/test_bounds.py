@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from active_ht import (
+    AssumptionError,
     FiniteKernel,
     GaussianKernel,
     ObservationModel,
@@ -30,7 +33,7 @@ from active_ht import (
     simplex_grid,
     tilted_exponent,
 )
-from active_ht.bounds import _pair_exponents
+from active_ht.bounds import _log_prior_spreads, _pair_exponents
 from conftest import make_two_probe_model, random_finite_model
 
 MAXMIN_TP = 0.6506724213610958
@@ -78,6 +81,72 @@ class TestReliability:
         r1 = reliability(two_probe_model, 1, rule)
         want = 2.0 / (1.0 / r0 + 1.0 / r1)
         assert_allclose(harmonic_reliability(two_probe_model, rule), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_hypothesis_index_outside_the_model_is_rejected(self, two_probe_model, i):
+        # -1 must not wrap around to the last hypothesis, nor 2 escape as IndexError.
+        for call in (
+            lambda: reliability(two_probe_model, i, [0.5, 0.5]),
+            lambda: max_reliability(two_probe_model, i),
+            lambda: alpha_max(two_probe_model, i, 0, [0.5, 0.5]),
+            lambda: alpha_max(two_probe_model, 0, i, [0.5, 0.5]),
+        ):
+            with pytest.raises(ValueError, match=f"hypothesis index {i} is outside"):
+                call()
+
+
+def _model_with_zeros(seed):
+    """A random finite model with ~30% zero kernel entries, so that some
+    divergences are +inf."""
+    rng = np.random.default_rng(seed)
+    M, K, Z = (int(x) for x in rng.integers((2, 1, 2), (5, 5, 5)))
+    rows = rng.dirichlet(np.ones(Z), size=(M, K))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[..., 0] += rows.sum(axis=-1) == 0.0
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return ObservationModel(kernel=FiniteKernel(rows), prior=rng.dirichlet(np.full(M, 2.0)), penalty=100.0), rng
+
+
+class TestReliabilityTableProperties:
+    """The vectorized reliability table against loops over scalars, on models
+    where some divergences are infinite."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_dominance_spreads_and_harmonic_match_loops(self, seed):
+        m, rng = _model_with_zeros(seed)
+        D = kl_matrix(m)
+        M, K = m.M, m.K
+
+        dominating = [
+            s for s in range(K)
+            if all(D[i, j, a] <= D[i, j, s] + 1e-9 for i in range(M) for j in range(M) for a in range(K))
+        ]
+        assert dominance_check(m) == (dominating[0] if dominating else None)
+
+        logp = np.log(m.prior)
+        diffs = [[logp[i] - logp[j] for j in range(M) if j != i] for i in range(M)]
+        min_ratio, max_ratio = _log_prior_spreads(m.prior)
+        assert min_ratio.tolist() == [min(d) for d in diffs]
+        assert max_ratio.tolist() == [max(d) for d in diffs]
+
+        w = rng.dirichlet(np.ones(K))
+        w[rng.random(K) < 0.3] = 0.0
+        w = w / w.sum() if w.sum() > 0.0 else np.eye(K)[0]
+
+        def mixture(i, j):
+            terms = [w[a] * D[i, j, a] for a in range(K) if w[a] > 0.0]  # 0 * inf = 0
+            return math.inf if math.inf in terms else sum(terms)
+
+        R = [min(mixture(i, j) for j in range(M) if j != i) for i in range(M)]
+        assert_allclose([reliability(m, i, w) for i in range(M)], R, rtol=1e-12, atol=0.0)
+        if min(R) <= 0.0:
+            want = 0.0
+        elif all(math.isinf(r) for r in R):
+            want = math.inf
+        else:
+            want = M / sum(1.0 / r for r in R)
+        assert_allclose(harmonic_reliability(m, w), want, rtol=1e-12, atol=0.0)
 
 
 class TestTwoProbeCoefficients:
@@ -154,6 +223,12 @@ class TestGaussianCoefficients:
         assert_allclose(b.r1_star, 1.3068528194400546, rtol=1e-12)
         assert_allclose(b.r_bar_star, 1.3068528194400546, rtol=1e-12)
 
+    def test_binary_rejects_indistinguishable_pairs(self):
+        rows = [[[0.3, 0.7], [0.6, 0.4]], [[0.3, 0.7], [0.6, 0.4]]]
+        m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=10.0)
+        with pytest.raises(AssumptionError, match=r"indistinguishable hypothesis pairs: \(0, 1\)"):
+            binary_specialize(m)
+
 
 class TestChainOrdering:
     def test_sample_of_random_models(self):
@@ -196,6 +271,14 @@ class TestGainsFromValues:
         g = gains_from_values(0.6, 0.75, 0.75)
         assert g.zero_adaptivity
         assert_allclose(g.adaptivity_coefficient, 0.0, atol=1e-12)
+
+    def test_equal_infinite_values_are_a_zero_gap(self):
+        # Disjoint supports: every reliability is infinite, and inf - inf is NaN.
+        m = ObservationModel(kernel=FiniteKernel([[[1.0, 0.0]], [[0.0, 1.0]]]), prior=[0.5, 0.5], penalty=10.0)
+        rep = compute_bounds(m)
+        assert rep.max_r_bar == rep.r_bar_star == math.inf
+        assert rep.gains.adaptivity_coefficient == 0.0
+        assert rep.gains.zero_adaptivity
 
 
 class TestSimplexGrid:
@@ -341,6 +424,54 @@ class TestDHat:
         opt = d_hat(m)
         assert opt.value >= 0.1228899
         assert opt.value <= opt.d_hat_upper
+
+
+class TestReliabilityPins:
+    # Bit-for-bit pins of everything read from the reliability table; a change
+    # that moves one of them also moves the CLI's bounds artifacts.
+    PINS = {
+        "two_probe": dict(
+            reliabilities=[([0.0, 1.0], 0.7506835950503012), ([1.0, 0.0], 0.7506835950503012)],
+            maxmin_r=0.6506724213610958, minmax_r=0.7506835950503012,
+            r_bar_star=0.7506835950503012, max_r_bar=0.6506724213610958,
+            sn=(10.616333276477723, 10.616333276477723), sa=(9.2019531591326, 9.2019531591326),
+            nn=(40.7286850705009, 40.7286850705009, 21.23266655295545),
+            dominance=None, binary_r_bar_star=0.7506835950503012,
+        ),
+        "garbled": dict(
+            reliabilities=[([1.0, 0.0], 0.9704758097650875), ([1.0, 0.0], 0.188848996990402),
+                           ([1.0, 0.0], 0.25353856342155195)],
+            maxmin_r=0.188848996990402, minmax_r=0.188848996990402,
+            r_bar_star=0.2921177425631009, max_r_bar=0.2921177425631009,
+            sn=(15.764773976347296, 15.764773976347296), sa=(15.764773976347296, 15.764773976347296),
+            nn=(82.83996149539334, 82.83996149539334, 48.770925547697175),
+            dominance=0, binary_r_bar_star=None,
+        ),
+        "gaussian_binary": dict(
+            reliabilities=[([0.0, 1.0], 1.3068528194400546), ([1.0, 0.0], 1.3068528194400546)],
+            maxmin_r=0.875, minmax_r=1.3068528194400546,
+            r_bar_star=1.3068528194400546, max_r_bar=0.875,
+            sn=(7.894577461693871, 7.894577461693871), sa=(5.285794372729664, 5.285794372729664),
+            nn=(40.13413200825687, 40.13413200825687, 15.789154923387741),
+            dominance=None, binary_r_bar_star=1.3068528194400546,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_reference_values_do_not_drift(self, name, request):
+        pin = self.PINS[name]
+        m = request.getfixturevalue(f"{name}_model")
+        rep = compute_bounds(m)
+        cb = rep.cost_bounds
+        assert [(rule.weights.tolist(), value) for rule, value in rep.reliabilities] == pin["reliabilities"]
+        assert (rep.maxmin_r, rep.minmax_r) == (pin["maxmin_r"], pin["minmax_r"])
+        assert (rep.r_bar_star, rep.max_r_bar) == (pin["r_bar_star"], pin["max_r_bar"])
+        assert (cb.sn_upper, cb.sn_lower) == pin["sn"]
+        assert (cb.sa_upper, cb.sa_lower) == pin["sa"]
+        assert (cb.nn_upper, cb.nn_lower, cb.nn_lower_factor2) == pin["nn"]
+        assert dominance_check(m) == pin["dominance"]
+        if m.M == 2:
+            assert binary_specialize(m).r_bar_star == pin["binary_r_bar_star"]
 
 
 class TestPenaltyRescaling:

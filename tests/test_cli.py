@@ -406,6 +406,12 @@ class TestGainsAndBinary:
         assert "logarithmic adaptivity gain: true" in out
         assert "best_reliability_1:" in out and "at actions [1]" in out
 
+    def test_binary_indistinguishable_pair_is_an_assumption_failure(self, model_dir, capsys):
+        assert main(["binary", str(model_dir / "twins.json")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "active-ht: assumption: indistinguishable hypothesis pairs: (0, 1)"
+        )
+
     def test_binary_rejects_three_hypotheses(self, model_dir, capsys):
         assert main(["binary", str(model_dir / "garbled.json")]) == 4
         assert capsys.readouterr().err.startswith(

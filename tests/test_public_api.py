@@ -1,0 +1,34 @@
+"""The package's public names: every name in ``__all__`` resolves, and the set
+is frozen, so a change that drops or adds one must edit this list (and record
+a dropped name as deprecated in CHANGES.md)."""
+
+import active_ht
+
+PUBLIC_NAMES = frozenset({
+    "ActiveHTError", "AlphaOptimum", "AssumptionError", "Belief", "BinaryReport",
+    "BoundsReport", "BudgetError", "BudgetPoint", "DiscriminationOptimum", "DomainError",
+    "ErrorExponents", "ExactEvaluation", "ExponentEstimate", "FiniteKernel",
+    "FixedRulePolicy", "Gains", "Gaussian", "GaussianKernel", "HorizonError",
+    "ImpossibleObservationError", "LeadingOrderBounds", "ModelValidationError",
+    "ObservationModel", "OracleBudget", "PairSandwich", "PairwiseExact", "Policy",
+    "RandomizedRule", "SimulationSummary", "SweepPoint", "TrialRecord", "TwoPhasePolicy",
+    "UndefinedOddsError", "UsageError", "ValidationReport",
+    "alpha_max", "backward_eval", "bayes_update", "binary_specialize", "build_policy",
+    "compute_bounds", "d_hat", "dominance_check", "estimate_error_exponent", "exact_eval",
+    "exact_pairwise", "fixed_lambda_policy", "gains_from_values", "harmonic_reliability",
+    "kl", "kl_matrix", "likelihood_ratio_bound", "load_model", "log_odds",
+    "map_hypothesis", "max_harmonic_reliability", "max_reliability", "maxmin_reliability",
+    "minmax_reliability", "nn_policy", "pairwise_error_rates", "reliability", "renyi",
+    "report_at_penalty", "run_trials", "sa_policy", "sample", "save_model", "simplex_grid",
+    "sn_policy", "stratified_hypotheses", "sweep_L", "tilted_exponent", "validate",
+})
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in active_ht.__all__ if not hasattr(active_ht, name)]
+    assert missing == []
+
+
+def test_public_names_are_frozen():
+    assert len(active_ht.__all__) == len(set(active_ht.__all__))
+    assert set(active_ht.__all__) == PUBLIC_NAMES
