@@ -16,6 +16,11 @@ All but ``d_hat`` read one table, ``_pair_rows``: the rows D[i, j], j != i, as
 an (M, M-1, K) array.  ``_mixed_min`` evaluates R(i, w) on it, the LPs and
 barrier solves take its rows (capped), and ``_harmonic`` is the one harmonic mean.
 
+Every LP here, ``d_hat``'s included, is the value of a matrix game
+max_w min(rows @ w).  ``linprog`` solves it with a numpy tableau simplex and
+returns both players' optimal strategies, so each LP's upper bound comes from
+the solver's own optimal basis.
+
 The leading-order upper/lower bounds on E[steps] + L * P(error) for the
 non-adaptive, sequential, and adaptive policy families are assembled from
 these coefficients; o(log L) terms are evaluated as zero and the entries are
@@ -29,8 +34,6 @@ import math
 from dataclasses import dataclass, fields, is_dataclass, replace as dc_replace
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .divergences import _gaussian_tilted_exponent, _golden_max, tilted_exponent  # noqa: F401 (bounds.tilted_exponent)
 from .exceptions import AssumptionError
@@ -55,11 +58,8 @@ _SCREEN_RESOLUTION = 0.1
 _ASCENT_TOL = 1e-12
 _ASCENT_ITERATIONS = 50
 
-_LP_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+# Pivot tolerance of the game solver, relative to the scale of the tableau.
+PIVOT_TOL = 1e-12
 
 
 def kl_matrix(model: ObservationModel) -> np.ndarray:
@@ -109,34 +109,68 @@ def reliability(model: ObservationModel, i: int, rule) -> float:
     return float(_mixed_min(_pair_rows(model)[i], as_weights(rule, model.K)))
 
 
-def _reliability_lp(rows: np.ndarray):
-    """max t s.t. rows @ w >= t, w on the simplex.
+def linprog(rows: np.ndarray):
+    """Solve the matrix game max_w min(rows @ w), w on the simplex.
 
-    Returns (w, upper): the optimal rule and an upper bound on the optimum
-    read off the dual solution y, since max_a (y @ rows)_a >= min(rows @ w)
-    for every pair of points y and w on their simplices.
+    Returns optimal strategies for both players: the rule w and the weights y
+    on the rows, each on its simplex.  Every LP of this module is such a game
+    (Dantzig's game/LP equivalence), and this is the one solver they call, by
+    the name under which profilers and traces find the LP time.
+
+    Shifted and scaled, A = (rows + 1 - min rows) / max is positive with a
+    largest entry of 1, so the LP  max 1'y s.t. A'y <= 1, y >= 0  is feasible
+    at its slack basis and needs no phase 1.  Its dual is  min 1'u s.t.
+    A u >= 1, u >= 0, and w = u / sum(u).  A dense tableau simplex with
+    Bland's rule (Bland, Math. Oper. Res. 1977), which terminates on
+    degenerate pivots, finds an optimal basis.  PIVOT_TOL is relative to the
+    tableau: its objective row starts at -1, and a pivot must exceed
+    PIVOT_TOL times the largest entry of its column.
     """
     n, K = rows.shape
-    c = np.zeros(K + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-rows, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    A_eq = np.concatenate([np.ones(K), [0.0]])[None, :]
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0)] * K + [(0.0, None)],
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if not res.success:
-        raise RuntimeError(f"reliability LP failed: {res.message}")
-    y = np.maximum(-res.ineqlin.marginals, 0.0)
-    y = y / y.sum() if y.sum() > 0.0 else np.full(n, 1.0 / n)
-    return _clean_weights(res.x[:K]), float((y @ rows).max())
+    A = rows + (1.0 - rows.min())
+    A = A / A.max()
+    T = np.zeros((K + 1, n + K + 1))
+    T[:K, :n] = A.T
+    T[:K, n:-1] = np.eye(K)
+    T[:K, -1] = 1.0
+    T[K, :n] = -1.0
+    basis = np.arange(n, n + K)
+    while True:
+        entering = np.flatnonzero(T[K, :-1] < -PIVOT_TOL)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        col = T[:K, j]
+        rows_in = np.flatnonzero(col > PIVOT_TOL * np.abs(col).max())
+        ratios = T[rows_in, -1] / col[rows_in]
+        tied = rows_in[ratios == ratios.min()]
+        r = tied[np.argmin(basis[tied])]
+        pivot = T[r] / T[r, j]
+        T -= np.outer(T[:, j], pivot)
+        T[r] = pivot
+        np.maximum(T[:K, -1], 0.0, out=T[:K, -1])
+        basis[r] = j
+    # Both strategies solve the optimal basis's square system, which keeps the
+    # digits of tiny weights that the tableau's reduced costs lose.
+    is_y = basis < n
+    B, N = basis[is_y], np.setdiff1d(np.arange(K), basis[~is_y] - n)
+    G = A[np.ix_(B, N)]
+    u, y = np.zeros(K), np.zeros(n)
+    u[N] = np.maximum(np.linalg.solve(G, np.ones(B.size)), 0.0)
+    y[B] = np.maximum(np.linalg.solve(G.T, np.ones(B.size)), 0.0)
+    return u / u.sum(), y / y.sum()
+
+
+def _reliability_lp(rows: np.ndarray):
+    """max t s.t. rows @ w >= t, w on the simplex, solved as a matrix game.
+
+    Returns (w, upper): the optimal rule and an upper bound on the optimum
+    read off the pair weights y of the solver's optimal basis, since
+    max_a (y @ rows)_a >= min(rows @ w) for every pair of points y and w on
+    their simplices.
+    """
+    w, y = linprog(rows)
+    return _clean_weights(w), float((y @ rows).max())
 
 
 def _maxmin_rule(rows: np.ndarray):
@@ -183,11 +217,14 @@ def simplex_grid(K: int, resolution: float) -> np.ndarray:
     return np.asarray(points, dtype=float) / n
 
 
-def _minimize_weighted_inverse(stacked: np.ndarray, coeffs: np.ndarray):
-    """Minimize sum_i coeffs_i / R(i, w) over the simplex.
+def _minimize_weighted_inverse(pair_rows: np.ndarray, coeffs: np.ndarray):
+    """Minimize sum_i coeffs_i / R(i, w) over the simplex, given the uncapped
+    ``_pair_rows`` table.
 
     Terms with coeffs_i <= 0 are dropped; with none left the value is 0.  The
-    rest is the lifted convex program  min sum_i c_i / t_i  subject to
+    rest is solved on the capped rows and its value re-evaluated on the
+    uncapped ones, where an infinite R(i, w) adds 0.  The solve is the lifted
+    convex program  min sum_i c_i / t_i  subject to
     t_i <= D_ij . w, t > 0, w >= 0, sum(w) = 1, solved by the log-barrier
     method (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 11): Newton
     centering within sum(w) = 1, with the barrier weight tau raised until the
@@ -197,7 +234,7 @@ def _minimize_weighted_inverse(stacked: np.ndarray, coeffs: np.ndarray):
     minimum-norm step instead of a singular system.
     """
     keep = coeffs > 0.0
-    c, rows = coeffs[keep], stacked[keep]
+    c, rows = coeffs[keep], _cap(pair_rows[keep])
     n, J, K = rows.shape
     w = np.full(K, 1.0 / K)
     if n == 0:
@@ -209,7 +246,7 @@ def _minimize_weighted_inverse(stacked: np.ndarray, coeffs: np.ndarray):
     A = np.vstack(
         [np.hstack([rows.reshape(n * J, K), -np.repeat(np.eye(n), J, axis=0)]), np.eye(K + n)]
     )
-    Z = null_space(np.concatenate([np.ones(K), np.zeros(n)])[None, :])
+    Z = np.linalg.svd(np.concatenate([np.ones(K), np.zeros(n)])[None, :])[2][1:].T
     m = A.shape[0]
     x = np.concatenate([w, 0.5 * r])
     tau = m / np.sum(c / x[K:])
@@ -239,13 +276,13 @@ def _minimize_weighted_inverse(stacked: np.ndarray, coeffs: np.ndarray):
                     step *= 0.5
             x = x + step * d
     w = _clean_weights(x[:K])
-    r = (rows @ w).min(axis=1)
+    r = _mixed_min(pair_rows[keep], w)
     return w, math.inf if np.any(r <= 0.0) else float(np.sum(c / r))
 
 
 def max_harmonic_reliability(model: ObservationModel):
     """The rule maximizing the harmonic reliability, and its value."""
-    w, _ = _minimize_weighted_inverse(_cap(_pair_rows(model)), np.ones(model.M))
+    w, _ = _minimize_weighted_inverse(_pair_rows(model), np.ones(model.M))
     rule = RandomizedRule(w)
     return rule, harmonic_reliability(model, rule)
 
@@ -317,8 +354,8 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     The certificate is U = max_w min_p sum_a w_a C[p, a], where C[p, a] =
     max_alpha E_{p,a}(alpha) is the per-action Chernoff information (Chernoff,
     Ann. Math. Stat. 1952) and a max of sums is at most the sum of maxima.  U
-    is one LP, bounded from its dual solution, and the ascent is skipped once
-    F meets it.  A pair with an infinite C[p, a] (disjoint supports, so the
+    is one LP, bounded by the row weights of the solver's optimal basis, and
+    the ascent is skipped once F meets it.  A pair with an infinite C[p, a] (disjoint supports, so the
     model carries the ``kl_capped`` flag) is left out of that LP: F is a
     minimum over pairs, so the minimum over the other pairs still bounds it
     from above.  U is +inf only when every pair has an infinite entry.
@@ -443,11 +480,11 @@ def leading_order_bounds(
     nn_lower = (logL - max_ratio.max()) / d_hat_value if d_hat_value > 0 else math.inf
     nn_lower_factor2 = 2.0 * (logL - max_ratio.max()) / maxmin_value
 
-    stacked = _cap(_pair_rows(model))
+    pair_rows = _pair_rows(model)
     sn = {}
     for tag, wgt in (("upper", w_up), ("lower", w_lo)):
         coeffs = prior * wgt
-        w, val = _minimize_weighted_inverse(stacked, coeffs)
+        w, val = _minimize_weighted_inverse(pair_rows, coeffs)
         sn[tag] = (RandomizedRule(w), val)
 
     r_star = np.array([val for _, val in reliabilities])

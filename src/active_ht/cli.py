@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import GAP_TOL, KL_CAP, binary_specialize, compute_bounds, dominance_check
+from .bounds import GAP_TOL, KL_CAP, PIVOT_TOL, binary_specialize, compute_bounds, dominance_check
 from .exceptions import (
     ActiveHTError,
     AssumptionError,
@@ -42,7 +42,7 @@ from .oracle import OracleBudget, backward_eval, exact_eval
 from .policies import build_policy
 from .simulator import BLOCK, estimate_error_exponent, run_trials, sweep_L
 
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 SWEEP_HEADER = ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe", "cost", "cost_over_logL"]
 SUMMARY_HEADER = [
@@ -86,7 +86,7 @@ def _model_digest(path) -> str:
 
 _SOLVER_SETTINGS = {
     "kl_cap": KL_CAP,
-    "lp_tolerance": 1e-10,
+    "pivot_tol": PIVOT_TOL,
     "block_size": BLOCK,
     "theta_stratification": "prior_quota",
     "gap_tol": GAP_TOL,

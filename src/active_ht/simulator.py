@@ -48,6 +48,7 @@ wrong declarations; the raw count is kept alongside it.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -409,8 +410,16 @@ def _block_task(task):
 
 
 def _worker_pool(workers: int):
-    """One process pool for every ``run_trials`` call of a caller (none for 1 worker)."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    """One process pool for every ``run_trials`` call of a caller (none for 1 worker).
+
+    Each worker freezes the objects it inherits from the parent.  Otherwise
+    its first full collection, which comes sooner or later depending on the
+    parent's allocation history, scans every inherited object and copies the
+    pages they sit on.
+    """
+    if workers <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
 
 
 class _SharedMap:

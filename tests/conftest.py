@@ -15,9 +15,15 @@ Three reference models appear throughout:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import active_ht
 from active_ht.bounds import BoundsReport, compute_bounds
 from active_ht.model import FiniteKernel, GaussianKernel, ObservationModel
 
@@ -56,6 +62,16 @@ def make_garbled_model(penalty: float = 100.0) -> ObservationModel:
     rows = np.stack([q, q @ w], axis=1)
     return ObservationModel(
         kernel=FiniteKernel(rows), prior=np.full(3, 1.0 / 3.0), penalty=penalty
+    )
+
+
+def run_python(*args, cwd=None, timeout=120) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args``, importing this source tree's package."""
+    src_dir = str(Path(active_ht.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, cwd=cwd, env=env
     )
 
 

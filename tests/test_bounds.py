@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog as highs_linprog
 
 from active_ht import (
     AssumptionError,
@@ -33,8 +34,9 @@ from active_ht import (
     simplex_grid,
     tilted_exponent,
 )
-from active_ht.bounds import _log_prior_spreads, _pair_exponents
-from conftest import make_two_probe_model, random_finite_model
+from active_ht import bounds
+from active_ht.bounds import KL_CAP, _log_prior_spreads, _pair_exponents, _reliability_lp
+from conftest import make_two_probe_model, random_finite_model, run_python
 
 MAXMIN_TP = 0.6506724213610958
 RSTAR_TP = 0.7506835950503012
@@ -105,6 +107,92 @@ def _model_with_zeros(seed):
     rows[..., 0] += rows.sum(axis=-1) == 0.0
     rows /= rows.sum(axis=-1, keepdims=True)
     return ObservationModel(kernel=FiniteKernel(rows), prior=rng.dirichlet(np.full(M, 2.0)), penalty=100.0), rng
+
+
+def _highs_game(rows):
+    """(value, dual bound) of max t s.t. rows @ w >= t, w on the simplex, from
+    scipy's HiGHS: an independent reference for the tableau solver."""
+    n, K = rows.shape
+    res = highs_linprog(
+        np.concatenate([np.zeros(K), [-1.0]]),
+        A_ub=np.hstack([-rows, np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        A_eq=np.concatenate([np.ones(K), [0.0]])[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, 1.0)] * K + [(None, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    return float((rows @ res.x[:K]).min()), float((y / y.sum() @ rows).max())
+
+
+def _random_game(kind, rng):
+    n, K = (int(x) for x in rng.integers(1, 9, size=2))
+    if kind == "K=1":
+        K = 1
+    elif kind == "n=1":
+        n = 1
+    if kind == "ties":
+        return rng.integers(-2, 3, size=(n, K)).astype(float)
+    rows = rng.normal(size=(n, K))
+    if kind == "duplicated":
+        rows = rows[rng.integers(0, n, size=n + 3)][:, rng.integers(0, K, size=K + 2)]
+    return rows
+
+
+class TestGameSolver:
+    """``bounds.linprog``, the tableau simplex behind every LP, against HiGHS."""
+
+    @pytest.mark.parametrize("seed, kind", enumerate(["negative", "K=1", "n=1", "duplicated", "ties"]))
+    def test_value_and_dual_bound_match_highs(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            rows = _random_game(kind, rng)
+            w, y = bounds.linprog(rows)
+            for p in (w, y):
+                assert np.all(p >= 0.0) and math.isclose(p.sum(), 1.0, rel_tol=1e-15)
+            value, upper = _highs_game(rows)
+            # Relative to the table's largest entry, since a game's value may be 0.
+            atol = 1e-12 * np.abs(rows).max()
+            assert_allclose((rows @ w).min(), value, rtol=1e-12, atol=atol)
+            assert_allclose((y @ rows).max(), upper, rtol=1e-12, atol=atol)
+
+    def test_degenerate_game_terminates(self):
+        # Each row covers two of four columns; 3 of the solve's 5 pivots are
+        # degenerate (their ratio test ties at 0), where Bland's rule is what
+        # rules out cycling.  A child process turns a cycle into a timeout.
+        rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
+        script = (
+            f"import numpy as np; from active_ht.bounds import linprog; rows = np.array({rows}, float); "
+            "print(repr(float((rows @ linprog(rows)[0]).min())))"
+        )
+        proc = run_python("-c", script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert_allclose(float(proc.stdout), 0.5, rtol=1e-12)
+
+    def test_capped_lps_stay_within_highs(self, monkeypatch):
+        # Every LP compute_bounds solves on 60 models with ~30% zero kernel
+        # entries; those with entries at KL_CAP mix scales 1e6 apart, and may
+        # lose at most 1e-8 of HiGHS's value.
+        recorded = []
+
+        def recording(rows):
+            recorded.append(np.array(rows))
+            return solve(rows)
+
+        solve = bounds.linprog
+        monkeypatch.setattr(bounds, "linprog", recording)
+        for seed in range(60):
+            try:
+                compute_bounds(_model_with_zeros(seed)[0])
+            except AssumptionError:
+                pass
+        capped = [rows for rows in recorded if rows.max() >= KL_CAP]
+        assert len(capped) > 100
+        for rows in capped:
+            value = (rows @ _reliability_lp(rows)[0]).min()
+            assert value >= _highs_game(rows)[0] * (1.0 - 1e-8)
 
 
 class TestReliabilityTableProperties:
@@ -449,10 +537,10 @@ class TestReliabilityPins:
         ),
         "gaussian_binary": dict(
             reliabilities=[([0.0, 1.0], 1.3068528194400546), ([1.0, 0.0], 1.3068528194400546)],
-            maxmin_r=0.875, minmax_r=1.3068528194400546,
+            maxmin_r=0.8749999999999999, minmax_r=1.3068528194400546,
             r_bar_star=1.3068528194400546, max_r_bar=0.875,
             sn=(7.894577461693871, 7.894577461693871), sa=(5.285794372729664, 5.285794372729664),
-            nn=(40.13413200825687, 40.13413200825687, 15.789154923387741),
+            nn=(40.13413200825687, 40.13413200825687, 15.789154923387743),
             dominance=None, binary_r_bar_star=1.3068528194400546,
         ),
     }
@@ -587,6 +675,14 @@ class TestCappedDivergences:
         rep = self._check(m, fully_separable=True)
         # No pair is left whose Chernoff informations are all finite.
         assert math.isinf(rep.d_hat_upper)
+
+    def test_fully_separable_model_has_zero_sn_bounds(self):
+        # One action gives the two hypotheses disjoint supports: every R(i, w)
+        # is infinite, so the sn bounds sum nothing but 0 terms, as sa does.
+        m = ObservationModel(kernel=FiniteKernel([[[1, 0]], [[0, 1]]]), prior=[0.5, 0.5], penalty=10.0)
+        rep = self._check(m, fully_separable=True)
+        assert rep.cost_bounds.sn_upper == rep.cost_bounds.sn_lower == 0.0
+        assert rep.cost_bounds.sa_upper == 0.0
 
     def test_some_pairs_separated(self):
         # Under action 0 hypothesis 0 alone has disjoint support; the pair

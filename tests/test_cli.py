@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -21,11 +20,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import active_ht
 from active_ht.cli import _threads_default, main
 from active_ht.model import FiniteKernel, ObservationModel, save_model
 
-from conftest import make_garbled_model, make_two_probe_model
+from conftest import make_garbled_model, make_two_probe_model, run_python
 
 MAXMIN_TP = 0.6506724213610958
 
@@ -478,15 +476,7 @@ def _declared_script(name):
 
 def _run_script(name, *args, cwd):
     """Run the declared console script ``name`` as its own process."""
-    src_dir = str(Path(active_ht.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, name, _declared_script(name), *args],
-        capture_output=True, text=True, timeout=120, cwd=cwd, env=env,
-    )
+    return run_python("-c", _LAUNCHER, name, _declared_script(name), *args, cwd=cwd)
 
 
 def test_console_script_entry_point(two_probe_path, tmp_path):

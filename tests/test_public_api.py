@@ -4,6 +4,8 @@ a dropped name as deprecated in CHANGES.md)."""
 
 import active_ht
 
+from conftest import run_python
+
 PUBLIC_NAMES = frozenset({
     "ActiveHTError", "AlphaOptimum", "AssumptionError", "Belief", "BinaryReport",
     "BoundsReport", "BudgetError", "BudgetPoint", "DiscriminationOptimum", "DomainError",
@@ -32,3 +34,15 @@ def test_every_public_name_resolves():
 def test_public_names_are_frozen():
     assert len(active_ht.__all__) == len(set(active_ht.__all__))
     assert set(active_ht.__all__) == PUBLIC_NAMES
+
+
+def test_import_loads_no_scipy_solvers():
+    # The package uses scipy only for ndtri; scipy.optimize and scipy.linalg
+    # would add ~0.25 s and ~25 MB to every process that imports it.
+    proc = run_python(
+        "-c",
+        "import sys, active_ht; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

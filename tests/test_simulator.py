@@ -499,7 +499,7 @@ def test_pool_task_size_does_not_grow_with_trials(monkeypatch, two_probe_model):
     sizes = []
 
     class _InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             pass
 
         def __enter__(self):
