@@ -19,6 +19,7 @@ from .exceptions import DomainError
 ZERO_PROB = 1e-300
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET_TOL = 1e-9  # golden-section searches stop at this bracket width
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,13 @@ class AlphaOptimum:
     value: float
 
 
-def _golden_max(g, n: int, bracket_tol: float = 1e-9):
+def _golden_max(g, n: int):
     """Golden-section search for the maxima of n concave functions on [0, 1], in lockstep.
 
     ``g(x)`` maps n abscissae, one per function, to the n values.  Each
     function keeps its own bracket, starting at [0, 1], and follows the
     scalar recurrence on it.  The loop runs while any bracket is wider than
-    ``bracket_tol``; a narrower one keeps its bracket and best probe, so
+    ``_BRACKET_TOL``; a narrower one keeps its bracket and best probe, so
     each element ends as a one-element search would.  Returns (x, f), each
     function's best probe and value, with the bracket ends and the final
     midpoint probed too.
@@ -170,7 +171,7 @@ def _golden_max(g, n: int, bracket_tol: float = 1e-9):
     d = a + _INVPHI * (b - a)
     fc, fd = g(c), g(d)
     best_x, best_f = np.where(fc >= fd, c, d), np.where(fc >= fd, fc, fd)
-    live = (b - a) > bracket_tol
+    live = (b - a) > _BRACKET_TOL
     while live.any():
         # left: the maximum is not right of d, so the bracket becomes [a, d]
         # with c its upper probe; right: [c, b] with d its lower probe.
@@ -183,7 +184,7 @@ def _golden_max(g, n: int, bracket_tol: float = 1e-9):
         c, d, fc, fd = np.where(left, x, d), np.where(left, c, x), np.where(left, fx, fd), np.where(left, fc, fx)
         better = live & (fx > best_f)
         best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
-        live = width > bracket_tol
+        live = width > _BRACKET_TOL
     for x in (np.zeros(n), np.ones(n), 0.5 * (a + b)):
         fx = g(x)
         better = fx > best_f
@@ -194,9 +195,9 @@ def _golden_max(g, n: int, bracket_tol: float = 1e-9):
 def alpha_max(model, i: int, j: int, weights) -> AlphaOptimum:
     """Maximize sum_a w_a * (1-alpha) * D_alpha(q_i^a || q_j^a) over alpha in [0, 1].
 
-    The objective is concave in alpha, so a golden-section search with a
-    1e-9 bracket tolerance locates the maximizer.  ``weights`` is a rule or a
-    point on the action simplex with one weight per action.
+    The objective is concave in alpha, so a golden-section search to a
+    ``_BRACKET_TOL`` bracket locates the maximizer.  ``weights`` is a rule or
+    a point on the action simplex with one weight per action.
     """
     from .model import as_weights, check_hypotheses  # model imports this module
     check_hypotheses(model, i, j)

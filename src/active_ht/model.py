@@ -359,21 +359,11 @@ def likelihood_ratio_bound(model: ObservationModel) -> float:
             if np.ptp(kern.means[:, a]) != 0.0 or np.ptp(kern.variances[:, a]) != 0.0:
                 return math.inf
         return 1.0
-    probs = model.kernel.probs
-    bound = 1.0
-    for a in range(model.K):
-        for i in range(model.M):
-            for j in range(model.M):
-                if i == j:
-                    continue
-                qi = probs[i, a]
-                qj = probs[j, a]
-                live = qi > 0.0
-                if np.any(live & (qj == 0.0)):
-                    return math.inf
-                if np.any(live):
-                    bound = max(bound, float(np.max(qi[live] / qj[live])))
-    return bound
+    q = model.kernel.probs
+    live = ~np.eye(model.M, dtype=bool)[:, :, None, None] & (q[:, None] > 0.0)  # [i, j, a, z]
+    if np.any(live & (q[None, :] == 0.0)):
+        return math.inf
+    return float(np.divide(q[:, None], q[None, :], out=np.ones(live.shape), where=live).max())
 
 
 @dataclass(frozen=True)

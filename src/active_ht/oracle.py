@@ -5,8 +5,8 @@ Two evaluators are provided on purpose:
 * ``exact_eval``    — a layered forward pass over merged (action, symbol)
   count-vector states for any policy that reads only (posterior, step),
   with exact pruning of zero-probability branches;
-* ``backward_eval`` — a backward dynamic program over the same count-matrix
-  states, valid for fixed-horizon i.i.d.-rule policies.
+* ``backward_eval`` — a backward DP, depth by depth, over the count-matrix
+  lattice of fixed-horizon i.i.d.-rule policies, finding children by rank.
 
 Both merge paths by count vector, but one pushes probability mass forward
 and the other pulls values back from the horizon, so their agreement
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .belief import normalize
 from .divergences import alpha_max
 from .exceptions import BudgetError, HorizonError
 from .model import ObservationModel, as_weights, log0
@@ -168,20 +168,24 @@ def _n_count_matrices(cells: int, n: int) -> int:
     return math.comb(n + cells - 1, cells - 1)
 
 
+def _before(k: int, n: int) -> np.ndarray:
+    """comb(j + k - 2, k - 1) for j = 0 .. n + 1: with k cells left for m
+    draws, the count vectors whose first count exceeds m - j."""
+    return np.array([math.comb(j + k - 2, k - 1) for j in range(n + 2)], dtype=np.int64)
+
+
 def _count_matrices(cells: int, n: int, ranks: np.ndarray) -> np.ndarray:
     """Count vectors of n draws over ``cells`` categories, by rank.
 
     Rank r is the r-th vector in decreasing lexicographic order, (n, 0, ...)
     first, so ``np.arange(_n_count_matrices(cells, n))`` lists them all.
-    Unranked one cell at a time: with k cells left for m draws, the vectors
-    whose first count exceeds m - j number comb(j + k - 2, k - 1).
+    Unranked one cell at a time against the ``_before`` table.
     """
     out = np.empty((ranks.size, cells), dtype=np.int64)
     r = ranks.astype(np.int64)
     left = np.full(ranks.size, n, dtype=np.int64)
     for c in range(cells - 1):
-        k = cells - c
-        before = np.array([math.comb(j + k - 2, k - 1) for j in range(n + 2)], dtype=np.int64)
+        before = _before(cells - c, n)
         j = np.searchsorted(before, r, side="right") - 1
         out[:, c] = left - j
         r = r - before[j]
@@ -190,62 +194,58 @@ def _count_matrices(cells: int, n: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count_ranks(counts: np.ndarray) -> np.ndarray:
+    """Rank of each count vector (row) among those of its total, the exact
+    inverse of ``_count_matrices``."""
+    cells = counts.shape[1]
+    after = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]  # after[:, c] = counts[:, c + 1:].sum(axis=1)
+    ranks = np.zeros(counts.shape[0], dtype=np.int64)
+    for c in range(cells - 1):
+        ranks += _before(cells - c, int(after.max()))[after[:, c]]
+    return ranks
+
+
+def _class_log_masses(offset, counts: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
+    """offset + counts . log_terms: (B, M) from (B, C) counts and (M, C) log
+    terms, where a zero count contributes 0 even against a log 0 term."""
+    carr = counts.astype(float)[:, None, :]  # (B, 1, C)
+    return offset + (carr * np.where(carr > 0, log_terms, 0.0)).sum(axis=2)
+
+
 def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | None = None) -> ExactEvaluation:
     """Backward dynamic program for an i.i.d.-rule, fixed-horizon policy.
 
     States are the (action, symbol) count matrices — a sufficient statistic
-    when actions are i.i.d. — and the value function is propagated from the
-    horizon back to the root using posterior-weighted transition
-    probabilities.  Deliberately different arithmetic from ``exact_eval``.
+    when actions are i.i.d. — of the lattice ``exact_pairwise`` scores.  The
+    value, the posterior mass off the mode at the horizon, is pulled back
+    one depth at a time; each state finds its children by rank in the next
+    depth.  Posteriors come from log masses, so deep horizons cannot
+    underflow.  Deliberately different arithmetic from ``exact_eval``.
     """
     _require_finite(model)
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     if budget is None:
         budget = OracleBudget()
-    cell_prob, _ = _rule_cells(model, as_weights(rule, model.K))  # (M, C)
+    cell_prob, cell_loglike = _rule_cells(model, as_weights(rule, model.K))  # (M, C)
     n_cells = cell_prob.shape[1]
     total_states = sum(_n_count_matrices(n_cells, d) for d in range(n + 1))
     if total_states > budget.nodes:
         raise BudgetError(
             f"backward DP needs {total_states} states, over node budget {budget.nodes}"
         )
-    prior = np.asarray(model.prior, dtype=float)
-
-    @lru_cache(maxsize=None)
-    def weight_vec(counts):
-        v = prior.copy()
-        for c_idx, cnt in enumerate(counts):
-            if cnt:
-                v = v * cell_prob[:, c_idx] ** cnt
-        return v
-
-    @lru_cache(maxsize=None)
-    def value(counts):
-        v = weight_vec(counts)
-        s = v.sum()
-        if s == 0.0:
-            return 0.0
-        depth = sum(counts)
-        if depth == n:
-            return float(np.sort(v)[:-1].sum()) / s
-        acc = 0.0
-        post = v / s
-        for c_idx in range(n_cells):
-            p_trans = float(post @ cell_prob[:, c_idx])
-            if p_trans > 0.0:
-                child = list(counts)
-                child[c_idx] += 1
-                acc += p_trans * value(tuple(child))
-        return acc
-
-    try:
-        pe = value(tuple([0] * n_cells))
-    finally:
-        # value calls itself through its closure, a reference cycle: empty
-        # the caches now instead of at the next full garbage collection
-        value.cache_clear()
-        weight_vec.cache_clear()
+    log_prior = log0(model.prior)
+    for d in range(n, -1, -1):
+        counts = _count_matrices(n_cells, d, np.arange(_n_count_matrices(n_cells, d)))
+        lm = _class_log_masses(log_prior, counts, cell_loglike)
+        # states no hypothesis reaches (parents move there with chance 0) get a stand-in posterior
+        _, post, _ = normalize(np.where(np.isneginf(lm).all(axis=1)[:, None], 0.0, lm))
+        if d == n:
+            value = np.sort(post, axis=1)[:, :-1].sum(axis=1)
+        else:
+            children = _count_ranks((counts[:, None, :] + np.eye(n_cells, dtype=np.int64)).reshape(-1, n_cells))
+            value = ((post @ cell_prob) * value[children.reshape(-1, n_cells)]).sum(axis=1)
+    pe = float(value[0])
     return ExactEvaluation(
         expected_tau=float(n),
         pe=pe,
@@ -322,18 +322,16 @@ def exact_pairwise(model: ObservationModel, rule, n: int, budget: OracleBudget |
     off_diagonal = ~np.eye(M, dtype=bool)
     for r0 in range(0, n_states, PAIRWISE_CHUNK):
         counts = _count_matrices(n_cells, n, np.arange(r0, min(r0 + PAIRWISE_CHUNK, n_states)))
-        carr = counts.astype(float)[:, None, :]  # (B, 1, C)
-        active = carr > 0
         # P(count matrix | theta = i), multinomial multiplicity and
         # action-draw probabilities included: (B, M)
         log_mult = log_fact[n] - log_fact[counts].sum(axis=1)
-        path_prob = np.exp(log_mult[:, None] + (carr * np.where(active, log_gen, 0.0)).sum(axis=2))
+        path_prob = np.exp(_class_log_masses(log_mult[:, None], counts, log_gen))
         # terminal log posterior masses (common action probs cancel)
-        lm = log_prior + (carr * np.where(active, cell_loglike, 0.0)).sum(axis=2)
+        lm = _class_log_masses(log_prior, counts, cell_loglike)
         # tie tolerance: rounding in the lm sums accumulates to at most a few
         # ulps of the total term magnitude, far below the spacing of distinct
         # lattice values, so this snaps exactly the structurally tied classes
-        magnitude = abs_log_prior + (carr * np.where(active, abs_loglike, 0.0)).sum(axis=2)
+        magnitude = _class_log_masses(abs_log_prior, counts, abs_loglike)
         tol = 1e-12 * np.maximum(magnitude.max(axis=1), 1.0)[:, None, None]
         with np.errstate(invalid="ignore"):
             diff = lm[:, None, :] - lm[:, :, None]  # diff[b, i, j] = lm[b, j] - lm[b, i]

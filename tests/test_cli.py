@@ -281,6 +281,15 @@ class TestSweep:
             "active-ht: usage: fixed policies take exactly one of --n / --threshold\n"
         )
 
+    @pytest.mark.parametrize("penalties", ["1,100", "nan"])
+    def test_bad_penalty_is_usage_error(self, two_probe_path, penalties, capsys):
+        args = ["sweep", two_probe_path, "--policy", "sn", "--L", penalties,
+                "--trials", "10", "--seed", "1"]
+        assert main(args) == 4
+        assert capsys.readouterr().err == (
+            f"active-ht: usage: argument --L: penalties must be finite and exceed 1, got {penalties}\n"
+        )
+
     def test_rerun_is_byte_identical(self, two_probe_path, tmp_path, capsys):
         args = ["sweep", two_probe_path, "--policy", "sn", "--L", "50,500",
                 "--trials", "800", "--seed", "9"]
@@ -431,6 +440,15 @@ class TestOracleCheck:
         assert "backward_dp:" in out and "mass_residual_max:" in out
         # merged count-vector states over 4 cells: sum of C(d + 3, 3), d = 0..5
         assert "exact_states: 126\n" in out
+
+    def test_deep_horizon_agrees(self, two_probe_path, capsys):
+        # pe ~ 4e-39: each trial's posterior error rounds to 0, so se is 0 too
+        args = ["oracle-check", two_probe_path, "--horizon", "500", "--lambda", "1,0",
+                "--trials", "2000", "--seed", "3", "--threads", "1"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "agreement: true" in out
+        assert "monte_carlo: pe=0 se=0 " in out
 
     def test_node_budget_exit_code(self, two_probe_path, capsys):
         args = ["oracle-check", two_probe_path, "--horizon", "8",

@@ -123,6 +123,37 @@ class TestValidate:
         )
         assert math.isinf(likelihood_ratio_bound(m))
 
+    def test_ratio_bound_matches_pairwise_loop(self):
+        def reference(model):
+            probs, bound = model.kernel.probs, 1.0
+            for a in range(model.K):
+                for i in range(model.M):
+                    for j in range(model.M):
+                        if i == j:
+                            continue
+                        qi, qj = probs[i, a], probs[j, a]
+                        live = qi > 0.0
+                        if np.any(live & (qj == 0.0)):
+                            return math.inf
+                        if np.any(live):
+                            bound = max(bound, float(np.max(qi[live] / qj[live])))
+            return bound
+
+        rng = np.random.default_rng(2024)
+        n_finite = 0
+        for _ in range(400):
+            M, K, Z = rng.integers(2, 5), rng.integers(1, 4), rng.integers(2, 6)
+            q = rng.dirichlet(np.ones(Z), size=(M, K))
+            q[:, rng.random((K, Z)) < 0.3] = 0.0           # symbols no hypothesis emits
+            q[rng.random((M, K, Z)) < rng.choice([0.0, 0.05])] = 0.0  # one-sided zeros
+            q[..., 0] += q.sum(axis=2) == 0.0
+            q /= q.sum(axis=2, keepdims=True)
+            m = ObservationModel(kernel=FiniteKernel(q), prior=np.full(M, 1.0 / M), penalty=10.0)
+            expected = reference(m)
+            assert likelihood_ratio_bound(m) == expected
+            n_finite += math.isfinite(expected)
+        assert 50 <= n_finite <= 350  # both branches are exercised
+
 
 class TestRoundTrip:
     def test_finite_round_trip(self, tmp_path):

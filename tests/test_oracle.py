@@ -26,7 +26,7 @@ from active_ht import (
     fixed_lambda_policy,
     run_trials,
 )
-from active_ht.oracle import _count_matrices
+from active_ht.oracle import _count_matrices, _count_ranks
 
 HALF_RULE = RandomizedRule([0.5, 0.5])
 
@@ -249,6 +249,19 @@ class TestBackwardAgreement:
         bk = backward_eval(garbled_model, rule, 4, OracleBudget())
         assert_allclose(bk.pe, fwd.pe, rtol=1e-10)
 
+    @pytest.mark.parametrize("n", [498, 1200])
+    def test_deep_horizon_agreement(self, two_probe_model, n):
+        # one depth per loop pass: no Python recursion limit, and posteriors
+        # from log masses, so the ~1e-39 .. 1e-90 error masses do not underflow
+        budget = OracleBudget(horizon=n)
+        fwd = exact_eval(two_probe_model, fixed_lambda_policy([1.0, 0.0], n=n), budget)
+        bk = backward_eval(two_probe_model, RandomizedRule([1.0, 0.0]), n, budget)
+        assert type(bk.pe) is float
+        assert 0.0 < bk.pe < 1e-30
+        assert_allclose(bk.pe, fwd.pe, rtol=1e-12)
+        # one action with two symbols: d + 1 count vectors at depth d
+        assert bk.nodes == (n + 1) * (n + 2) // 2
+
 
 class TestExactPairwise:
     def test_count_matrices_follow_itertools_order(self):
@@ -260,6 +273,13 @@ class TestExactPairwise:
             ranks = np.arange(math.comb(n + cells - 1, cells - 1))
             assert _count_matrices(cells, n, ranks).tolist() == expected
             assert _count_matrices(cells, n, ranks[1::3]).tolist() == expected[1::3]
+
+    def test_count_ranks_invert_count_matrices(self):
+        for cells in (1, 2, 4, 5):
+            for n in (0, 1, 3, 7, 12):
+                ranks = np.arange(math.comb(n + cells - 1, cells - 1))
+                assert _count_ranks(_count_matrices(cells, n, ranks)).tolist() == ranks.tolist()
+                assert _count_ranks(_count_matrices(cells, n, ranks[::-2])).tolist() == ranks[::-2].tolist()
 
     @pytest.mark.parametrize(
         "weights, rates",
