@@ -61,6 +61,10 @@ _ASCENT_ITERATIONS = 50
 # Pivot tolerance of the game solver, relative to the scale of the tableau.
 PIVOT_TOL = 1e-12
 
+# dominance_check counts an action as dominating when no divergence of another
+# action exceeds its own by more than this.
+_DOMINANCE_TOL = 1e-9
+
 
 def kl_matrix(model: ObservationModel) -> np.ndarray:
     """Pairwise divergence tensor D[i, j, a] = D(q_i^a || q_j^a); +inf allowed.
@@ -481,11 +485,10 @@ def leading_order_bounds(
     nn_lower_factor2 = 2.0 * (logL - max_ratio.max()) / maxmin_value
 
     pair_rows = _pair_rows(model)
-    sn = {}
-    for tag, wgt in (("upper", w_up), ("lower", w_lo)):
-        coeffs = prior * wgt
-        w, val = _minimize_weighted_inverse(pair_rows, coeffs)
-        sn[tag] = (RandomizedRule(w), val)
+    up_w, sn_upper = _minimize_weighted_inverse(pair_rows, prior * w_up)
+    # M = 2 and uniform priors give w_lo == w_up, and so the same program
+    same = np.array_equal(w_lo, w_up)
+    lo_w, sn_lower = (up_w, sn_upper) if same else _minimize_weighted_inverse(pair_rows, prior * w_lo)
 
     r_star = np.array([val for _, val in reliabilities])
     sa_upper = float(np.sum(prior * w_up / r_star))
@@ -498,10 +501,10 @@ def leading_order_bounds(
         nn_upper=nn_upper,
         nn_lower=nn_lower,
         nn_lower_factor2=nn_lower_factor2,
-        sn_upper=sn["upper"][1],
-        sn_upper_rule=sn["upper"][0],
-        sn_lower=sn["lower"][1],
-        sn_lower_rule=sn["lower"][0],
+        sn_upper=sn_upper,
+        sn_upper_rule=RandomizedRule(up_w),
+        sn_lower=sn_lower,
+        sn_lower_rule=RandomizedRule(lo_w),
         sa_upper=sa_upper,
         sa_lower=sa_lower,
         na_lower=na_lower,
@@ -592,7 +595,7 @@ def binary_specialize(model: ObservationModel) -> BinaryReport:
     )
 
 
-def dominance_check(model: ObservationModel, tol: float = 1e-9):
+def dominance_check(model: ObservationModel):
     """First action whose divergences dominate every other action pairwise.
 
     Returns the lowest such action index, or None.  When a dominating action
@@ -600,8 +603,8 @@ def dominance_check(model: ObservationModel, tol: float = 1e-9):
     buys nothing at leading order.
     """
     D = kl_matrix(model)
-    # dominates[s]: D[:, :, a] <= D[:, :, s] + tol for every action a.
-    dominates = np.all(D[:, :, None, :] <= D[:, :, :, None] + tol, axis=(0, 1, 3))
+    # dominates[s]: D[:, :, a] <= D[:, :, s] + _DOMINANCE_TOL for every action a.
+    dominates = np.all(D[:, :, None, :] <= D[:, :, :, None] + _DOMINANCE_TOL, axis=(0, 1, 3))
     return int(np.argmax(dominates)) if dominates.any() else None
 
 

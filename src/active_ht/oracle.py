@@ -170,8 +170,14 @@ def _n_count_matrices(cells: int, n: int) -> int:
 
 def _before(k: int, n: int) -> np.ndarray:
     """comb(j + k - 2, k - 1) for j = 0 .. n + 1: with k cells left for m
-    draws, the count vectors whose first count exceeds m - j."""
-    return np.array([math.comb(j + k - 2, k - 1) for j in range(n + 2)], dtype=np.int64)
+    draws, the count vectors whose first count exceeds m - j.  Built as
+    k - 1 cumsums of (0, 1, 1, ...), since comb(j + k - 2, k - 1) is the sum
+    over i <= j of comb(i + k - 3, k - 2)."""
+    table = np.ones(n + 2, dtype=np.int64)
+    table[0] = 0
+    for _ in range(k - 1):
+        table = np.cumsum(table)
+    return table
 
 
 def _count_matrices(cells: int, n: int, ranks: np.ndarray) -> np.ndarray:
@@ -252,8 +258,8 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
         cost=float(n) + model.penalty * pe,
         nodes=total_states,
         truncated_mass=0.0,
-        entering_mass=(1.0,),
-        stopped_mass=(0.0,),
+        entering_mass=(1.0,) * (n + 1),
+        stopped_mass=(0.0,) * n + (1.0,),
     )
 
 

@@ -77,7 +77,9 @@ class Policy:
 @dataclass(frozen=True)
 class FixedRulePolicy(Policy):
     """Draw actions i.i.d. from one rule; stop at a fixed horizon or a
-    posterior threshold (exactly one of the two must be given)."""
+    posterior threshold (exactly one of the two must be given).  Only a
+    threshold rule takes a safety horizon: a fixed horizon already ends
+    every trial."""
 
     weights: np.ndarray
     n: Optional[int] = None
@@ -88,6 +90,8 @@ class FixedRulePolicy(Policy):
         object.__setattr__(self, "weights", as_weights(self.weights))
         if (self.n is None) == (self.threshold is None):
             raise ValueError("specify exactly one of n (fixed horizon) or threshold")
+        if self.n is not None and self.safety_horizon is not None:
+            raise ValueError("a fixed-horizon rule takes no safety horizon")
         if self.n is not None and self.n < 0:
             raise ValueError("fixed horizon must be nonnegative")
         if self.threshold is not None and not 0.0 < self.threshold < 1.0:

@@ -25,12 +25,14 @@ Sequential policies run in a lockstep engine: all live trials of a block
 advance together, one ``Policy.batch_weights`` query and one vectorized
 log-domain Bayes update (``belief.normalize``) per step, and a trial retires when its policy stops
 or it reaches the policy's safety horizon (flagged as truncated).
-Fixed-horizon i.i.d.-rule policies take a separate path that draws all of a
-trial's uniforms at once and sums the log-likelihoods without per-step
-normalization.  Both paths read one uniform stream per trial, in the same
-order on every kernel type: per step, the action uniform, then the symbol
-uniform (the engine takes them from ``rng.random`` in chunks of ``CHUNK``
-steps, which yields the same stream as one call per draw).
+A fixed-horizon ``FixedRulePolicy`` whose class keeps its ``batch_weights``
+takes a separate path that draws all of a trial's uniforms at once and sums
+the log-likelihoods without per-step normalization; a subclass that
+overrides ``batch_weights`` runs in the engine.  Both paths read one
+uniform stream per trial, in the same order on every kernel type: per
+step, the action uniform, then the symbol uniform (the engine takes them
+from ``rng.random`` in chunks of ``CHUNK`` steps, which yields the same
+stream as one call per draw).
 ``model.draw_symbol`` turns the symbol uniform into a symbol, through the
 inverse CDF of a finite row or the inverse normal CDF of a Gaussian one.  A
 trial's trajectory therefore does not depend on the other trials in its
@@ -365,7 +367,7 @@ def _fixed_rule_logmass_block(
 
 
 def _run_block(model, policy, block_thetas, path, k0, want_records):
-    if isinstance(policy, FixedRulePolicy) and policy.n is not None:
+    if type(policy).batch_weights is FixedRulePolicy.batch_weights and policy.n is not None:
         lm = _fixed_rule_logmass_block(model, policy.weights, policy.n, block_thetas, path, k0)
         _, final, _ = normalize(lm.T)
         tau = np.full(block_thetas.size, policy.n)
@@ -605,8 +607,6 @@ def _tune_penalty(
     probe_trials: int,
     path: tuple,
     *,
-    phase_threshold: float,
-    workers: int,
     pool,
 ):
     """Bisection on log L until the probe's mean stopping time hits target.
@@ -614,18 +614,16 @@ def _tune_penalty(
     The bisection accepts at half of ``TUNE_REL_TOL`` so that, with probe noise on
     top, the final full-size run lands within the stated tolerance, and gives
     up untuned once the bracket is narrower than ``MIN_LOG_L_BRACKET``.
-    Probes run on the caller's ``workers`` and open ``_worker_pool``.
+    Probes run on the caller's open ``_worker_pool``.
     """
 
     probes = itertools.count(7000)
 
     def tau_at(logL: float) -> float:
         model_L = model.with_penalty(math.exp(logL))
-        policy = build_policy(
-            policy_kind, model_L, report_at_penalty(report, model_L), phase_threshold=phase_threshold
-        )
+        policy = build_policy(policy_kind, model_L, report_at_penalty(report, model_L))
         seed = (*path, next(probes))
-        summary, _ = run_trials(model_L, policy, probe_trials, seed, workers=workers, _pool=pool)
+        summary, _ = run_trials(model_L, policy, probe_trials, seed, _pool=pool)
         return summary.mean_tau
 
     rate = report.exponents.sa if policy_kind == "sa" else report.exponents.sn
@@ -660,7 +658,6 @@ def estimate_error_exponent(
     *,
     report: Optional[BoundsReport] = None,
     rule=None,
-    phase_threshold: float = 0.5,
     workers: int = 1,
 ) -> ExponentEstimate:
     """Estimate how fast the error probability decays with the step budget.
@@ -691,27 +688,12 @@ def estimate_error_exponent(
                 tuned = True
             else:
                 L, tuned = _tune_penalty(
-                    model,
-                    policy_kind,
-                    report,
-                    float(budget),
-                    probe_trials,
-                    (*path, idx),
-                    phase_threshold=phase_threshold,
-                    workers=workers,
-                    pool=pool,
+                    model, policy_kind, report, float(budget), probe_trials, (*path, idx), pool=pool
                 )
                 model_L = model.with_penalty(L)
-                policy = build_policy(
-                    policy_kind,
-                    model_L,
-                    report_at_penalty(report, model_L),
-                    phase_threshold=phase_threshold,
-                )
+                policy = build_policy(policy_kind, model_L, report_at_penalty(report, model_L))
                 penalty = L
-            summary, _ = run_trials(
-                model_L, policy, n_trials, (*path, idx), workers=workers, _pool=pool
-            )
+            summary, _ = run_trials(model_L, policy, n_trials, (*path, idx), _pool=pool)
             clean = summary.n_wrong > 0
             pe = summary.pe if clean else max(summary.pe, _pe_floor(n_trials))
             points.append(

@@ -650,6 +650,19 @@ class TestMaxHarmonic:
                     assert value <= best * (1.0 + 1e-9) + 1e-12
                     assert_allclose(value, weighted_inverse(coeffs, rule.weights), rtol=1e-12, atol=1e-15)
 
+    def test_two_hypotheses_solve_the_sn_program_once(self, monkeypatch):
+        # With M = 2 each hypothesis has one rival, so the sn_upper and
+        # sn_lower weights coincide whatever the prior.
+        calls = []
+        solve = bounds._minimize_weighted_inverse
+        monkeypatch.setattr(bounds, "_minimize_weighted_inverse", lambda *a: calls.append(a) or solve(*a))
+        rows = np.random.default_rng(9).dirichlet(np.ones(3), size=(2, 2))
+        m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.3, 0.7], penalty=100.0)
+        cb = compute_bounds(m).cost_bounds
+        assert len(calls) == 2  # max_harmonic_reliability, then sn
+        assert cb.sn_lower == cb.sn_upper
+        assert np.array_equal(cb.sn_lower_rule.weights, cb.sn_upper_rule.weights)
+
 
 class TestCappedDivergences:
     """Models where some KL divergences are infinite and enter the solves at KL_CAP."""

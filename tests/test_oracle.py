@@ -233,6 +233,14 @@ class TestBackwardAgreement:
         # Count-matrix states over depths 0..6 with 4 cells.
         assert bk.nodes == sum(math.comb(d + 3, 3) for d in range(7))
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_mass_diagnostics_describe_a_fixed_horizon(self, two_probe_model, n):
+        # all mass enters every depth and stops at the horizon
+        bk = backward_eval(two_probe_model, HALF_RULE, n)
+        assert len(bk.entering_mass) == len(bk.stopped_mass) == n + 1
+        assert bk.stopped_mass[-1] == 1.0
+        assert np.all(bk.mass_residuals() == 0.0)
+
     def test_agreement_on_random_rules(self, two_probe_model):
         rng = np.random.default_rng(404)
         for _ in range(5):

@@ -41,6 +41,14 @@ class TestFixedRulePolicy:
         with pytest.raises(ValueError):
             fixed_lambda_policy([1.0], n=-1)
 
+    def test_fixed_horizon_takes_no_safety_horizon(self):
+        # The Monte Carlo runs a fixed-n rule to n; a safety horizon below n
+        # would truncate it in exact_eval alone.
+        with pytest.raises(ValueError, match="safety horizon"):
+            FixedRulePolicy(weights=[0.5, 0.5], n=10, safety_horizon=5)
+        with pytest.raises(ValueError, match="safety horizon"):
+            fixed_lambda_policy([0.5, 0.5], n=10, safety_horizon=5)
+
     def test_threshold_range(self):
         with pytest.raises(ValueError):
             FixedRulePolicy(weights=[1.0], threshold=1.0)

@@ -23,6 +23,7 @@ from active_ht import (
     build_policy,
     compute_bounds,
     estimate_error_exponent,
+    exact_eval,
     exact_pairwise,
     fixed_lambda_policy,
     pairwise_error_rates,
@@ -172,6 +173,20 @@ class TestRunTrials:
         summary, records = run_trials(two_probe_model, pol, 1000, 27, record_trials=True)
         assert {r.declared for r in records} == {1}
         assert summary.n_wrong == sum(r.theta != 1 for r in records) == 500
+
+    def test_fixed_horizon_subclass_batch_weights_is_honoured(self, two_probe_model):
+        # Overriding batch_weights moves a fixed-n rule into the engine, which
+        # plays the override as exact_eval does.
+        class _PlaysLeader(FixedRulePolicy):
+            def batch_weights(self, probs, step_count):
+                _, stop = super().batch_weights(probs, step_count)
+                return np.eye(2)[probs.argmax(axis=1)], stop
+
+        pol = _PlaysLeader(weights=[0.5, 0.5], n=6)
+        summary, _ = run_trials(two_probe_model, pol, 20_000, 1)
+        exact = exact_eval(two_probe_model, pol)
+        assert summary.mean_tau == 6.0
+        assert abs(summary.pe - exact.pe) <= 4.0 * summary.se_pe
 
     def test_summary_matches_records(self, two_probe_model, two_probe_report):
         pol = build_policy("sn", two_probe_model, two_probe_report)
