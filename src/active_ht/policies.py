@@ -1,17 +1,15 @@
-"""Sensing policies: which action to play, when to stop, what to declare.
+"""Sensing policies: which action to play and when to stop.
 
-A policy is queried with the number of steps already taken and a stack of
-posteriors (B, M), one row per trial: ``batch_weights`` returns the action
-distribution of each row and which rows stop, as the simulator's lockstep
-engine and ``exact_eval`` ask it.  ``action_weights`` asks the same of one
-posterior and returns its weights, or None to stop.  Each answers through
-the other in the base class, so a subclass defines just one of them: the
-built-in families define ``batch_weights`` with array operations.
-``declare`` picks ``belief.posterior_mode`` (lowest index among masses tied
-up to rounding).  Policies are pure and hold no generator: every action
-draw, ``step``'s and the simulator's, maps a uniform from the caller's
-generator through ``model.inverse_cdf_index``, so identical seeds replay
-identical trajectories.
+A policy answers one query, ``batch_weights``: given the number of steps
+already taken and a stack of posteriors (B, M), one row per trial, it
+returns the action distribution of each row and which rows stop.  The
+simulator's lockstep engine and ``exact_eval`` ask it once per step, and
+the built-in families answer with array operations.  A policy does not
+choose the declaration: at the stop every evaluator declares
+``belief.posterior_mode``, the MAP rule that every cost bound scores.
+Policies are pure and hold no generator: the simulator maps a uniform from
+each trial's generator through ``model.inverse_cdf_index``, so identical
+seeds replay identical trajectories.
 """
 
 from __future__ import annotations
@@ -22,10 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .belief import posterior_mode
 from .bounds import BoundsReport, _log_prior_spreads
 from .exceptions import AssumptionError
-from .model import ObservationModel, as_weights, inverse_cdf_index
+from .model import ObservationModel, as_weights
 
 # Threshold-stopping policies abort a trial after this many multiples of
 # log(L) / maxmin reliability; truncations are flagged, never dropped.
@@ -37,40 +34,12 @@ class Policy:
 
     safety_horizon: Optional[int] = None
 
-    def action_weights(self, probs: np.ndarray, step_count: int):
-        """The action distribution for one posterior, or None to stop."""
-        weights, stop = self.batch_weights(probs[None, :], step_count)
-        return None if stop[0] else weights[0]
-
     def batch_weights(self, probs: np.ndarray, step_count: int):
-        """``action_weights`` for every row of ``probs`` (B, M) at one step.
+        """The action distribution of each row of ``probs`` (B, M) at one step.
 
-        Returns ``(weights (B, K), stop (B,))``: ``stop`` is True exactly
-        where ``action_weights`` returns None, and those rows of ``weights``
-        are unspecified.
+        Returns ``(weights (B, K), stop (B,))``; the rows of ``weights``
+        where ``stop`` is True are unspecified.
         """
-        own = type(self)
-        if own.action_weights is Policy.action_weights and own.batch_weights is Policy.batch_weights:
-            raise NotImplementedError("a policy must define action_weights or batch_weights")
-        rows = [self.action_weights(p, step_count) for p in probs]
-        stop = np.array([w is None for w in rows], dtype=bool)
-        go = [np.asarray(w, dtype=float) for w in rows if w is not None]
-        weights = np.zeros((len(rows), go[0].size if go else 0))
-        if go:
-            weights[~stop] = go
-        return weights, stop
-
-    def declare(self, probs: np.ndarray) -> int:
-        return int(posterior_mode(probs))
-
-    def step(self, probs: np.ndarray, step_count: int, rng: np.random.Generator):
-        """Draw the next action, or return None to stop."""
-        w = self.action_weights(probs, step_count)
-        if w is None:
-            return None
-        return int(inverse_cdf_index(np.cumsum(w), rng.random()))
-
-    def descriptor(self) -> dict:
         raise NotImplementedError
 
 
@@ -105,19 +74,6 @@ class FixedRulePolicy(Policy):
             stop = probs.max(axis=1) >= self.threshold
         return np.broadcast_to(self.weights, (B, self.weights.size)), stop
 
-    def descriptor(self) -> dict:
-        mode = (
-            {"stop": "fixed_n", "n": int(self.n)}
-            if self.n is not None
-            else {"stop": "threshold", "threshold": self.threshold}
-        )
-        return {
-            "kind": "fixed",
-            "weights": self.weights.tolist(),
-            "safety_horizon": self.safety_horizon,
-            **mode,
-        }
-
 
 @dataclass(frozen=True)
 class TwoPhasePolicy(Policy):
@@ -150,16 +106,6 @@ class TwoPhasePolicy(Policy):
         weights = self.exploit_weights[probs.argmax(axis=1)]
         weights[top < self.phase_threshold] = self.explore_weights
         return weights, top >= self.stop_threshold
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "two_phase",
-            "explore_weights": self.explore_weights.tolist(),
-            "exploit_weights": self.exploit_weights.tolist(),
-            "phase_threshold": self.phase_threshold,
-            "stop_threshold": self.stop_threshold,
-            "safety_horizon": self.safety_horizon,
-        }
 
 
 def fixed_lambda_policy(

@@ -375,10 +375,7 @@ def _run_block(model, policy, block_thetas, path, k0, want_records):
     else:
         tau, final, truncated = _lockstep_block(model, policy, block_thetas, path, k0)
     err = 1.0 - final.max(axis=1)
-    if type(policy).declare is Policy.declare:
-        declared = posterior_mode(final, tau)
-    else:  # a subclass's own rule, asked once per terminal posterior
-        declared = np.array([policy.declare(p) for p in final], dtype=np.int64)
+    declared = posterior_mode(final, tau)
     wrong = declared != block_thetas
     sums = _block_sums(tau.astype(float), err, wrong, truncated, model.penalty)
     records = None

@@ -113,11 +113,12 @@ def _raw_paths(model, policy, horizon):
 
     def walk(v, d):
         s = v.sum()
-        w = policy.action_weights(v / s, d)
-        if w is None or (policy.safety_horizon is not None and d >= policy.safety_horizon):
+        weights, stop = policy.batch_weights((v / s)[None], d)
+        w = weights[0]
+        if stop[0] or (policy.safety_horizon is not None and d >= policy.safety_horizon):
             totals[0] += d * s
             totals[1] += s - v.max()
-            totals[2] += 0.0 if w is None else s
+            totals[2] += 0.0 if stop[0] else s
             return
         assert d < horizon
         for a in range(K):
@@ -131,12 +132,12 @@ def _raw_paths(model, policy, horizon):
 
 
 class _PosteriorMatching(Policy):
-    """Plays each probe with its hypothesis' posterior mass; only action_weights."""
+    """Plays each probe with its hypothesis' posterior mass."""
 
     safety_horizon = 6
 
-    def action_weights(self, probs, step_count):
-        return None if probs.max() >= 0.9 else probs.copy()
+    def batch_weights(self, probs, step_count):
+        return probs.copy(), probs.max(axis=1) >= 0.9
 
 
 SEQUENTIAL_POLICIES = {

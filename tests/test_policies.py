@@ -19,13 +19,22 @@ from active_ht import (
     TwoPhasePolicy,
     build_policy,
     compute_bounds,
+    exact_eval,
     fixed_lambda_policy,
     nn_policy,
     run_trials,
     sa_policy,
     sn_policy,
 )
+from active_ht.model import inverse_cdf_index
 from conftest import make_two_probe_model
+
+
+def _draws(policy, probs, step, rng, n):
+    """n action draws for one posterior, through the simulator's inverse CDF."""
+    weights, stop = policy.batch_weights(np.tile(probs, (n, 1)), step)
+    assert not stop.any()
+    return inverse_cdf_index(np.cumsum(weights, axis=1), rng.random(n))
 
 
 class TestFixedRulePolicy:
@@ -37,7 +46,7 @@ class TestFixedRulePolicy:
 
     def test_zero_horizon_allowed_negative_rejected(self):
         p = fixed_lambda_policy([1.0], n=0)
-        assert p.action_weights(np.array([0.5, 0.5]), 0) is None
+        assert p.batch_weights(np.array([[0.5, 0.5]]), 0)[1].tolist() == [True]
         with pytest.raises(ValueError):
             fixed_lambda_policy([1.0], n=-1)
 
@@ -57,36 +66,40 @@ class TestFixedRulePolicy:
 
     def test_fixed_horizon_stops_exactly(self):
         p = fixed_lambda_policy([0.5, 0.5], n=4)
-        probs = np.array([0.99, 0.01])
-        for step in range(4):
-            assert p.action_weights(probs, step) is not None
-        assert p.action_weights(probs, 4) is None
+        probs = np.array([[0.99, 0.01]])
+        assert [bool(p.batch_weights(probs, step)[1][0]) for step in range(6)] == [False] * 4 + [True] * 2
 
     def test_threshold_stop(self):
         p = fixed_lambda_policy([1.0], threshold=0.9)
-        assert p.action_weights(np.array([0.89, 0.11]), 7) is not None
-        assert p.action_weights(np.array([0.91, 0.09]), 7) is None
+        weights, stop = p.batch_weights(np.array([[0.89, 0.11], [0.91, 0.09]]), 7)
+        assert stop.tolist() == [False, True]
+        assert weights[0].tolist() == [1.0]
 
     def test_point_mass_draws_single_action(self):
         p = fixed_lambda_policy([0.0, 1.0, 0.0], n=100)
         rng = np.random.default_rng(1)
         probs = np.full(3, 1.0 / 3.0)
-        draws = {p.step(probs, t, rng) for t in range(100)}
-        assert draws == {1}
+        assert set(_draws(p, probs, 0, rng, 100).tolist()) == {1}
 
     def test_draw_frequencies_match_weights(self):
         p = fixed_lambda_policy([0.3, 0.7], n=10**9)
         rng = np.random.default_rng(2)
         probs = np.array([0.5, 0.5])
         n = 100_000
-        draws = np.array([p.step(probs, t, rng) for t in range(n)])
-        freq = (draws == 0).mean()
+        freq = (_draws(p, probs, 0, rng, n) == 0).mean()
         assert abs(freq - 0.3) < 3.0 * math.sqrt(0.3 * 0.7 / n)
 
     def test_declare_is_posterior_mode(self):
-        p = fixed_lambda_policy([1.0], n=1)
-        assert p.declare(np.array([0.2, 0.5, 0.3])) == 1
-        assert p.declare(np.array([0.5, 0.5])) == 0
+        # A policy only plays and stops; both evaluators declare the mode.
+        m = ObservationModel(
+            kernel=FiniteKernel([[[0.9, 0.1]], [[0.5, 0.5]], [[0.1, 0.9]]]),
+            prior=[0.2, 0.5, 0.3],
+            penalty=10.0,
+        )
+        p = fixed_lambda_policy([1.0], n=0)
+        _, records = run_trials(m, p, 30, 5, record_trials=True)
+        assert {r.declared for r in records} == {1}
+        assert exact_eval(m, p).pe == 0.5
 
 
 class TestFixedHorizonSizing:
@@ -139,11 +152,10 @@ class TestThresholdPolicies:
             phase_threshold=0.5,
             stop_threshold=0.99,
         )
-        third = np.full(3, 1.0 / 3.0)
-        assert_allclose(p.action_weights(third, 0), [0.5, 0.5])
-        assert_allclose(p.action_weights(np.array([0.6, 0.2, 0.2]), 3), [0.0, 1.0])
-        assert_allclose(p.action_weights(np.array([0.2, 0.6, 0.2]), 3), [1.0, 0.0])
-        assert p.action_weights(np.array([0.995, 0.004, 0.001]), 3) is None
+        probs = np.array([np.full(3, 1.0 / 3.0), [0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.995, 0.004, 0.001]])
+        weights, stop = p.batch_weights(probs, 3)
+        assert stop.tolist() == [False, False, False, True]
+        assert_allclose(weights[:3], [[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize(
         "exploit",
@@ -169,7 +181,7 @@ class TestThresholdPolicies:
         rng = np.random.default_rng(3)
         probs = np.array([0.9, 0.1])
         n = 50_000
-        draws = np.array([p.step(probs, t, rng) for t in range(n)])
+        draws = _draws(p, probs, 0, rng, n)
         assert abs((draws == 1).mean() - 0.75) < 3.0 * math.sqrt(0.25 * 0.75 / n)
 
     def test_almost_surely_finite_stopping(self, two_probe_model, two_probe_report):
@@ -224,45 +236,26 @@ def _policies_for(M, rng):
 class TestBatchWeights:
     @given(_posterior_stacks(), st.integers(0, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_rows_equal_action_weights(self, probs, step, seed):
-        # Every row of the vectorized answer equals the scalar one, stop is
-        # set exactly where action_weights returns None, and the base-class
-        # loop gives the same answer.
+    def test_rows_are_answered_independently(self, probs, step, seed):
+        # Row b of a stack's answer is the answer for that row alone, so a
+        # trial's play does not depend on the other trials of its block.
         for pol in _policies_for(probs.shape[1], np.random.default_rng(seed)):
-            for weights, stop in (pol.batch_weights(probs, step), Policy.batch_weights(pol, probs, step)):
-                assert stop.shape == (probs.shape[0],)
-                for b, row in enumerate(probs):
-                    ref = pol.action_weights(row, step)
-                    assert bool(stop[b]) == (ref is None)
-                    if ref is not None:
-                        assert np.array_equal(weights[b], ref)
+            weights, stop = pol.batch_weights(probs, step)
+            assert weights.shape[0] == stop.shape[0] == probs.shape[0]
+            for b in range(probs.shape[0]):
+                w_b, stop_b = pol.batch_weights(probs[b][None], step)
+                assert stop_b.tolist() == [bool(stop[b])]
+                if not stop[b]:
+                    assert np.array_equal(weights[b], w_b[0])
 
 
 class TestPolicyInterface:
-    def test_batch_weights_alone_answers_action_weights_and_step(self):
-        class _Halves(Policy):
-            def batch_weights(self, probs, step_count):
-                return np.full((probs.shape[0], 2), 0.5), probs.max(axis=1) >= 0.9
-
-        pol = _Halves()
-        assert_allclose(pol.action_weights(np.array([0.6, 0.4]), 0), [0.5, 0.5])
-        assert pol.action_weights(np.array([0.95, 0.05]), 0) is None
-        assert pol.step(np.array([0.6, 0.4]), 0, np.random.default_rng(0)) in (0, 1)
-        assert pol.step(np.array([0.95, 0.05]), 0, np.random.default_rng(0)) is None
-        weights, stop = Policy.batch_weights(pol, np.array([[0.6, 0.4], [0.95, 0.05]]), 0)
-        assert stop.tolist() == [False, True] and weights[0].tolist() == [0.5, 0.5]
-
-    def test_neither_method_defined_raises(self):
+    def test_undefined_batch_weights_raises(self):
         class _Silent(Policy):
             pass
 
-        probs = np.array([0.5, 0.5])
         with pytest.raises(NotImplementedError):
-            _Silent().action_weights(probs, 0)
-        with pytest.raises(NotImplementedError):
-            _Silent().batch_weights(probs[None, :], 0)
-        with pytest.raises(NotImplementedError):
-            _Silent().step(probs, 0, np.random.default_rng(0))
+            _Silent().batch_weights(np.array([[0.5, 0.5]]), 0)
 
 
 class TestBuildPolicy:
@@ -293,15 +286,6 @@ class TestBuildPolicy:
         with pytest.raises(ValueError, match="actions"):
             build_policy("fixed", two_probe_model, rule=[0.5, 0.25, 0.25], n=3)
 
-    def test_descriptors_serializable(self, two_probe_model, two_probe_report):
-        import json
-
-        for kind in ("nn", "sn", "sa"):
-            pol = build_policy(kind, two_probe_model, two_probe_report)
-            doc = pol.descriptor()
-            assert json.dumps(doc)
-            assert "kind" in doc
-
 
 class TestSingleActionModel:
     def test_all_families_play_the_only_action(self):
@@ -311,8 +295,7 @@ class TestSingleActionModel:
             penalty=50.0,
         )
         rep = compute_bounds(m)
-        rng = np.random.default_rng(4)
-        probs = np.array([0.5, 0.5])
+        probs = np.array([[0.5, 0.5]])
         pols = [
             nn_policy(m, rep),
             sn_policy(m, rep),
@@ -320,4 +303,5 @@ class TestSingleActionModel:
             fixed_lambda_policy([1.0], n=5),
         ]
         for pol in pols:
-            assert pol.step(probs, 0, rng) == 0
+            weights, stop = pol.batch_weights(probs, 0)
+            assert not stop[0] and weights[0].tolist() == [1.0]

@@ -1,8 +1,12 @@
 """The package's public names: every name in ``__all__`` resolves, and the set
 is frozen, so a change that drops or adds one must edit this list (and record
-a dropped name as deprecated in CHANGES.md)."""
+a dropped name as deprecated in CHANGES.md).  The policy interface is frozen
+the same way: a policy answers ``batch_weights`` and nothing else."""
+
+import pytest
 
 import active_ht
+from active_ht import FixedRulePolicy, Policy, TwoPhasePolicy
 
 from conftest import run_python
 
@@ -26,6 +30,9 @@ PUBLIC_NAMES = frozenset({
 })
 
 
+POLICY_METHODS = frozenset({"batch_weights"})
+
+
 def test_every_public_name_resolves():
     missing = [name for name in active_ht.__all__ if not hasattr(active_ht, name)]
     assert missing == []
@@ -34,6 +41,12 @@ def test_every_public_name_resolves():
 def test_public_names_are_frozen():
     assert len(active_ht.__all__) == len(set(active_ht.__all__))
     assert set(active_ht.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("cls", [Policy, FixedRulePolicy, TwoPhasePolicy])
+def test_policy_methods_are_frozen(cls):
+    public = {name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
+    assert public == POLICY_METHODS
 
 
 def test_import_loads_no_scipy_solvers():

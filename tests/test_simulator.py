@@ -42,8 +42,9 @@ class _Stepwise(Policy):
         self.weights = np.asarray(weights, dtype=float)
         self.n = n
 
-    def action_weights(self, probs, step_count):
-        return self.weights if step_count < self.n else None
+    def batch_weights(self, probs, step_count):
+        B = probs.shape[0]
+        return np.tile(self.weights, (B, 1)), np.full(B, step_count >= self.n)
 
 
 def _summaries_equal(a, b):
@@ -71,13 +72,12 @@ class TestRunTrials:
         assert all(r.tau == 0 and r.declared == 0 for r in records)
 
     def test_rounding_ties_declare_the_lowest_index(self, two_probe_model):
-        # Masses equal up to rounding tie: the policy's own declare,
-        # map_hypothesis and both simulator paths all pick index 0.
+        # Masses equal up to rounding tie: map_hypothesis and both simulator
+        # paths pick index 0.
         from active_ht import Belief, map_hypothesis
 
         row = [0.4999999999999999, 0.5000000000000001]
         model = ObservationModel(kernel=two_probe_model.kernel, prior=row, penalty=10.0)
-        assert fixed_lambda_policy([0.5, 0.5], n=0).declare(np.array(row)) == 0
         assert map_hypothesis(Belief.from_probs(row)) == 0
         for pol in (fixed_lambda_policy([0.5, 0.5], n=0), fixed_lambda_policy([0.5, 0.5], threshold=0.4)):
             _, records = run_trials(model, pol, 50, 3, record_trials=True)
@@ -129,19 +129,13 @@ class TestRunTrials:
         assert_allclose(s_fast.pe, s_engine.pe, rtol=1e-12)
 
     def test_user_subclass_with_truncating_horizon(self, two_probe_model):
-        # A subclass defining only action_weights runs through the default
-        # batch_weights; a second one overriding declare is honoured too.
-        from active_ht import Policy
-
+        # A user subclass that stops at a threshold is truncated at its own
+        # safety horizon, like the built-in threshold rule.
         class _Capped(Policy):
             safety_horizon = 6
 
-            def action_weights(self, probs, step_count):
-                return None if probs.max() >= 0.99 else np.array([0.5, 0.5])
-
-        class _DeclaresOne(_Capped):
-            def declare(self, probs):
-                return 1
+            def batch_weights(self, probs, step_count):
+                return np.full((probs.shape[0], 2), 0.5), probs.max(axis=1) >= 0.99
 
         summary, records = run_trials(two_probe_model, _Capped(), 1500, 26, record_trials=True)
         taus = np.array([r.tau for r in records])
@@ -158,21 +152,6 @@ class TestRunTrials:
             two_probe_model, fixed_lambda_policy([0.5, 0.5], threshold=0.99, safety_horizon=6), 1500, 26
         )
         assert builtin == summary
-
-        other, others = run_trials(two_probe_model, _DeclaresOne(), 1500, 26, record_trials=True)
-        assert all(r.declared == 1 for r in others)
-        assert other.n_wrong == sum(r.theta != 1 for r in records)
-        assert [(r.tau, r.truncated, r.posterior_error) for r in others] == list(zip(taus, trunc, errs))
-
-    def test_fixed_horizon_subclass_declare_is_honoured(self, two_probe_model):
-        class _DeclaresOne(FixedRulePolicy):
-            def declare(self, probs):
-                return 1
-
-        pol = _DeclaresOne(weights=[0.5, 0.5], n=6)
-        summary, records = run_trials(two_probe_model, pol, 1000, 27, record_trials=True)
-        assert {r.declared for r in records} == {1}
-        assert summary.n_wrong == sum(r.theta != 1 for r in records) == 500
 
     def test_fixed_horizon_subclass_batch_weights_is_honoured(self, two_probe_model):
         # Overriding batch_weights moves a fixed-n rule into the engine, which
