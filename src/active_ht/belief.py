@@ -3,7 +3,8 @@
 Beliefs are kept in log space (log masses plus a cached normalized vector)
 so that long observation sequences cannot underflow, and every update
 renormalizes via log-sum-exp.  ``normalize`` (the posterior step) and
-``posterior_mode`` (the declaration) act on one row or a (B, M) stack; the
+``posterior_mode`` (the declaration) act on one row or a (B, M) stack, as
+does ``posterior_error`` (the chance that declaration is wrong); the
 simulator's lockstep engine and fixed-horizon path call them on whole
 blocks, ``Belief`` and ``map_hypothesis`` on one posterior.
 """
@@ -48,6 +49,15 @@ def posterior_mode(probs: np.ndarray, steps=0):
     """
     cut = probs.max(axis=-1) * np.exp(-TIE_TOL * np.maximum(steps, 1))
     return (probs >= cut[..., None]).argmax(axis=-1)
+
+
+def posterior_error(probs: np.ndarray):
+    """The mass off the mode of each row, over the last axis.
+
+    Summed directly from the smaller masses: ``1 - max`` cancels, and reads
+    0 once the error is below the rounding of the largest mass.
+    """
+    return np.sort(probs, axis=-1)[..., :-1].sum(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import normalize
+from .belief import normalize, posterior_error
 from .divergences import alpha_max
 from .exceptions import BudgetError, HorizonError
 from .model import ObservationModel, as_weights, log0
@@ -135,8 +135,7 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
         entering.append(float(s.sum()))
         stopped.append(float(s[stop].sum()))
         exp_tau += d * stopped[-1]
-        # mass off the mode, summed directly: s - max would cancel when small
-        err_mass += float(np.sort(mass[stop], axis=1)[:, :-1].sum())
+        err_mass += float(posterior_error(mass[stop]).sum())
         trunc_mass += float(s[truncates].sum())
         live = ~stop
         if not live.any():
@@ -247,7 +246,7 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
         # states no hypothesis reaches (parents move there with chance 0) get a stand-in posterior
         _, post, _ = normalize(np.where(np.isneginf(lm).all(axis=1)[:, None], 0.0, lm))
         if d == n:
-            value = np.sort(post, axis=1)[:, :-1].sum(axis=1)
+            value = posterior_error(post)
         else:
             children = _count_ranks((counts[:, None, :] + np.eye(n_cells, dtype=np.int64)).reshape(-1, n_cells))
             value = ((post @ cell_prob) * value[children.reshape(-1, n_cells)]).sum(axis=1)

@@ -43,9 +43,11 @@ tables and ``ObservationModel.log_likelihood``; the simulator keeps no copy
 of them.
 
 The error probability reported by a summary is the mean terminal posterior
-error E[1 - max_i posterior_i(stop)], which is exactly the probability of a
-wrong declaration under the model and has far lower variance than counting
-wrong declarations; the raw count is kept alongside it.
+error, E[posterior mass off the mode at the stop] (``belief.posterior_error``,
+summed directly so that it does not cancel when small), which is exactly
+the probability of a wrong declaration under the model and has far lower
+variance than counting wrong declarations; the raw count is kept alongside
+it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .belief import normalize, posterior_mode
+from .belief import normalize, posterior_error, posterior_mode
 from .bounds import BoundsReport, report_at_penalty
 from .exceptions import AssumptionError
 from .model import ObservationModel, as_weights, draw_symbol, inverse_cdf_index
@@ -374,7 +376,7 @@ def _run_block(model, policy, block_thetas, path, k0, want_records):
         truncated = np.zeros(block_thetas.size, dtype=bool)
     else:
         tau, final, truncated = _lockstep_block(model, policy, block_thetas, path, k0)
-    err = 1.0 - final.max(axis=1)
+    err = posterior_error(final)
     declared = posterior_mode(final, tau)
     wrong = declared != block_thetas
     sums = _block_sums(tau.astype(float), err, wrong, truncated, model.penalty)

@@ -18,6 +18,7 @@ from active_ht import (
     map_hypothesis,
     sample,
 )
+from active_ht.belief import posterior_error
 
 
 def _uninformative_model():
@@ -141,6 +142,19 @@ class TestMapHypothesis:
 
     def test_degenerate(self):
         assert map_hypothesis(Belief.from_probs([1.0, 0.0, 0.0])) == 0
+
+
+class TestPosteriorError:
+    def test_mass_off_the_mode_per_row(self):
+        probs = np.array([[0.2, 0.5, 0.3], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+        assert_allclose(posterior_error(probs), [0.5, 0.5, 0.0], rtol=1e-15)
+        assert posterior_error(probs[0]) == posterior_error(probs[:1])[0]
+
+    def test_tiny_error_does_not_cancel(self):
+        # 1 - max reads 0 here; the off-mode masses are summed directly
+        row = np.array([1e-40, 1.0, 3e-41])
+        assert 1.0 - row.max() == 0.0
+        assert_allclose(posterior_error(row), 1.3e-40, rtol=1e-15)
 
 
 class TestBeliefConstruction:

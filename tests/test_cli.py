@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -442,13 +443,16 @@ class TestOracleCheck:
         assert "exact_states: 126\n" in out
 
     def test_deep_horizon_agrees(self, two_probe_path, capsys):
-        # pe ~ 4e-39: each trial's posterior error rounds to 0, so se is 0 too
+        # pe ~ 4e-39 lies in a tail 2,000 trials cannot sample: each trial's
+        # mass off the mode is positive but tiny, so the Monte Carlo agrees
+        # only through the M * eps slack
         args = ["oracle-check", two_probe_path, "--horizon", "500", "--lambda", "1,0",
                 "--trials", "2000", "--seed", "3", "--threads", "1"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "agreement: true" in out
-        assert "monte_carlo: pe=0 se=0 " in out
+        pe, se = re.search(r"monte_carlo: pe=(\S+) se=(\S+) ", out).groups()
+        assert 0.0 < float(pe) < 1e-60 and float(se) > 0.0
 
     def test_node_budget_exit_code(self, two_probe_path, capsys):
         args = ["oracle-check", two_probe_path, "--horizon", "8",
