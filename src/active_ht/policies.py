@@ -181,13 +181,19 @@ def build_policy(
     threshold: Optional[float] = None,
     phase_threshold: float = 0.5,
 ) -> Policy:
-    """Construct a policy by family name: ``nn``, ``sn``, ``sa`` or ``fixed``."""
+    """Construct a policy by family name: ``nn``, ``sn``, ``sa`` or ``fixed``.
+
+    A ``fixed`` threshold rule needs ``report`` too, for its safety horizon:
+    a rule that plays only uninformative actions never reaches a threshold.
+    """
     if kind == "fixed":
         if rule is None:
             raise ValueError("fixed policies need an action rule")
         weights = as_weights(rule, model.K)
         horizon = None
-        if threshold is not None and report is not None:
+        if threshold is not None:
+            if report is None:
+                raise ValueError("a fixed threshold rule needs a bounds report for its safety horizon")
             horizon = _safety_horizon(model, report.maxmin_r)
         return fixed_lambda_policy(weights, n=n, threshold=threshold, safety_horizon=horizon)
     if report is None:

@@ -504,7 +504,7 @@ def sweep_L(
     from .bounds import compute_bounds
 
     path = _seed_path(master_seed)
-    if report is None and policy_kind in ("nn", "sn", "sa"):
+    if report is None and (policy_kind in ("nn", "sn", "sa") or threshold is not None):
         report = compute_bounds(model)
     runs = []
     for idx, L in enumerate(L_values):

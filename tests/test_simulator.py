@@ -579,6 +579,21 @@ class TestSweep:
         )
         assert all(pt.mean_tau == 6.0 for pt in points)
 
+    def test_fixed_threshold_sweep_is_truncated_at_a_safety_horizon(self):
+        # Action 0 is uninformative, so rule [1, 0] never reaches the
+        # threshold; the sweep computes a report for the safety horizon and
+        # flags every trial as truncated there.
+        m = ObservationModel(
+            kernel=FiniteKernel([[[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.1, 0.9]]]),
+            prior=[0.5, 0.5],
+            penalty=2.0,
+        )
+        points, _ = sweep_L(m, "fixed", [1.5, 3.0], 64, 5, rule=[1.0, 0.0], threshold=0.99)
+        assert [pt.n_truncated for pt in points] == [64, 64]
+        assert all(pt.pe == 0.5 for pt in points)
+        with pytest.raises(ValueError, match="bounds report"):
+            build_policy("fixed", m, rule=[1.0, 0.0], threshold=0.99)
+
 
 class TestPairwiseRates:
     @pytest.mark.parametrize(
