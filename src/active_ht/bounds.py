@@ -157,7 +157,9 @@ def linprog(rows: np.ndarray):
     # Both strategies solve the optimal basis's square system, which keeps the
     # digits of tiny weights that the tableau's reduced costs lose.
     is_y = basis < n
-    B, N = basis[is_y], np.setdiff1d(np.arange(K), basis[~is_y] - n)
+    nonbasic = np.ones(K, dtype=bool)
+    nonbasic[basis[~is_y] - n] = False
+    B, N = basis[is_y], np.flatnonzero(nonbasic)
     G = A[np.ix_(B, N)]
     u, y = np.zeros(K), np.zeros(n)
     u[N] = np.maximum(np.linalg.solve(G, np.ones(B.size)), 0.0)
@@ -221,21 +223,37 @@ def simplex_grid(K: int, resolution: float) -> np.ndarray:
     return np.asarray(points, dtype=float) / n
 
 
+def _first_feasible_step(ds: np.ndarray, s: np.ndarray) -> float:
+    """The first step of the line search's halvings 1, 1/2, ..., 2**-40 (its
+    floor, the first below 1e-12) at which every step * ds / s > -1, for s > 0.
+
+    Scaling by a power of two is exact, so for q = min(ds / s) = -f 2**e with
+    1/2 <= f < 1 that step is 2**-e.  A q that is not finite skips nothing.
+    """
+    q = float((ds / s).min())
+    if q <= -1.0 and math.isfinite(q):
+        return 2.0 ** -min(math.frexp(-q)[1], 40)
+    return 1.0
+
+
 def _minimize_weighted_inverse(pair_rows: np.ndarray, coeffs: np.ndarray):
     """Minimize sum_i coeffs_i / R(i, w) over the simplex, given the uncapped
     ``_pair_rows`` table.
 
     Terms with coeffs_i <= 0 are dropped; with none left the value is 0.  The
     rest is solved on the capped rows and its value re-evaluated on the
-    uncapped ones, where an infinite R(i, w) adds 0.  The solve is the lifted
-    convex program  min sum_i c_i / t_i  subject to
+    uncapped ones, where an infinite R(i, w) adds 0.  With one action the
+    simplex is the point w = [1], which is only re-evaluated.  Otherwise the
+    solve is the lifted convex program  min sum_i c_i / t_i  subject to
     t_i <= D_ij . w, t > 0, w >= 0, sum(w) = 1, solved by the log-barrier
     method (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 11): Newton
     centering within sum(w) = 1, with the barrier weight tau raised until the
     duality gap m / tau of the m inequality rows is at most GAP_TOL times the
     objective.  Each Newton step is a least-squares solve, so a flat optimal
     face (several actions separating every pair at KL_CAP) yields a
-    minimum-norm step instead of a singular system.
+    minimum-norm step instead of a singular system.  Its backtracking line
+    search starts at the first power-of-two step that keeps every inequality
+    row positive (``_first_feasible_step``).
     """
     keep = coeffs > 0.0
     c, rows = coeffs[keep], _cap(pair_rows[keep])
@@ -246,13 +264,27 @@ def _minimize_weighted_inverse(pair_rows: np.ndarray, coeffs: np.ndarray):
     r = (rows @ w).min(axis=1)
     if np.any(r <= 0.0):  # a pair no action separates: R(i, .) = 0 everywhere
         return w, math.inf
+    if K > 1:
+        w = _barrier_rule(c, rows, r)
+    r = _mixed_min(pair_rows[keep], w)
+    return w, math.inf if np.any(r <= 0.0) else float(np.sum(c / r))
+
+
+def _barrier_rule(c: np.ndarray, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The barrier solve of ``_minimize_weighted_inverse``, started at the
+    uniform rule, whose worst rates on the capped rows are r."""
+    n, J, K = rows.shape
     # Inequality rows A @ (w, t) > 0, and a basis Z of the moves keeping sum(w) = 1.
     A = np.vstack(
         [np.hstack([rows.reshape(n * J, K), -np.repeat(np.eye(n), J, axis=0)]), np.eye(K + n)]
     )
     Z = np.linalg.svd(np.concatenate([np.ones(K), np.zeros(n)])[None, :])[2][1:].T
     m = A.shape[0]
-    x = np.concatenate([w, 0.5 * r])
+    # The Newton matrix [A / s; 0 diag(h)] and its right-hand side [1; h t / 2],
+    # refilled in place at each step.
+    N, rhs = np.zeros((m + n, K + n)), np.ones(m + n)
+    h_entries = (np.arange(m, m + n), np.arange(K, K + n))
+    x = np.concatenate([np.full(K, 1.0 / K), 0.5 * r])
     tau = m / np.sum(c / x[K:])
     while m / tau > GAP_TOL * np.sum(c / x[K:]):
         tau *= 50.0
@@ -261,15 +293,18 @@ def _minimize_weighted_inverse(pair_rows: np.ndarray, coeffs: np.ndarray):
             # The quadratic model of the centering objective along Z is
             # ||L y - b||^2 / 2 up to a constant, so its minimizer is the Newton step.
             h = np.sqrt(2.0 * tau * c / t**3)
-            L = np.vstack([A / s[:, None], np.hstack([np.zeros((n, K)), np.diag(h)])]) @ Z
-            y = np.linalg.lstsq(L, np.concatenate([np.ones(m), 0.5 * h * t]), rcond=None)[0]
+            np.divide(A, s[:, None], out=N[:m])
+            N[h_entries] = h
+            rhs[m:] = 0.5 * h * t
+            L = N @ Z
+            y = np.linalg.lstsq(L, rhs, rcond=None)[0]
             decrement = float(np.sum((L @ y) ** 2))
             if decrement <= 1e-6:  # a tighter test stalls on rounding at large tau
                 break
             d = Z @ y
             ds, dt = A @ d, d[K:]
-            step = 1.0
             with np.errstate(invalid="ignore", divide="ignore"):
+                step = _first_feasible_step(ds, s)
                 # The change of the objective, formed as a difference so it keeps
                 # its digits at large tau; an infeasible step makes it NaN and fails.
                 while step > 1e-12 and not (
@@ -279,9 +314,7 @@ def _minimize_weighted_inverse(pair_rows: np.ndarray, coeffs: np.ndarray):
                 ):
                     step *= 0.5
             x = x + step * d
-    w = _clean_weights(x[:K])
-    r = _mixed_min(pair_rows[keep], w)
-    return w, math.inf if np.any(r <= 0.0) else float(np.sum(c / r))
+    return _clean_weights(x[:K])
 
 
 def max_harmonic_reliability(model: ObservationModel):

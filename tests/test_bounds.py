@@ -664,6 +664,130 @@ class TestMaxHarmonic:
         assert np.array_equal(cb.sn_lower_rule.weights, cb.sn_upper_rule.weights)
 
 
+class TestBarrierSolvePins:
+    # Bit-for-bit pins, as float.hex, of every weighted-inverse barrier solve
+    # of compute_bounds: (value, rule) for max_r_bar, sn_upper and sn_lower.
+    # The random_finite_model seeds span K = 1..4 and M = 2..4 with
+    # non-uniform priors, so sn_lower is its own solve for M >= 3.
+    PINS = {
+        "random_0": (  # M = 4, K = 3
+            ("0x1.06bbdedd6ac55p+0", ["0x1.37e6fc497a1b5p-2", "0x1.7df1d5b8e2b99p-2", "0x1.4a272dfda32b3p-2"]),
+            ("0x1.e847100531adap+2", ["0x1.698c873dc6375p-2", "0x1.d530a6c38f07cp-2", "0x1.8285a3fd5581ep-3"]),
+            ("0x1.9cc2a9ff9519bp+2", ["0x1.636b5496ee016p-2", "0x1.ca6b0ef4379b9p-2", "0x1.a45338e9b4c66p-3"]),
+        ),
+        "random_1": (  # M = 3, K = 3
+            ("0x1.118c86c918123p+0", ["0x1.9d69c0a937badp-1", "0x0.0p+0", "0x1.8a58fd5b2114bp-3"]),
+            ("0x1.a227b362b499ep+2", ["0x1.f23165bc1695fp-2", "0x0.0p+0", "0x1.06e74d21f4b51p-1"]),
+            ("0x1.766871247bcddp+2", ["0x1.de236138eb232p-2", "0x0.0p+0", "0x1.10ee4f638a6e7p-1"]),
+        ),
+        "random_3": (  # M = 4, K = 1
+            ("0x1.58fe5ffe8b910p-8", ["0x1.0000000000000p+0"]),
+            ("0x1.6f7ada9a1128cp+10", ["0x1.0000000000000p+0"]),
+            ("0x1.3aae19f166db6p+10", ["0x1.0000000000000p+0"]),
+        ),
+        "random_4": (  # M = 4, K = 4
+            ("0x1.12dcb2d3dde65p-2", ["0x1.db9000cc2b6e9p-2", "0x1.b362498a56296p-3", "0x1.4abeda6ea97cdp-2", "0x0.0p+0"]),
+            ("0x1.083a0b58ab820p+5", ["0x1.dc2dbca34a503p-2", "0x1.b128567ae472fp-3", "0x1.4b3e181f43767p-2", "0x0.0p+0"]),
+            ("0x1.e18fc68c58954p+4", ["0x1.de9eb58ed1341p-2", "0x1.b15f62c51b97fp-3", "0x1.48b1990ea1000p-2", "0x0.0p+0"]),
+        ),
+        "random_9": (  # M = 3, K = 4
+            ("0x1.5ec196b5257c7p-1", ["0x1.1765744cb12d9p-2", "0x0.0p+0", "0x0.0p+0", "0x1.744d45d9a7693p-1"]),
+            ("0x1.a6191ec46ca29p+3", ["0x1.0faa88a537ffcp-2", "0x0.0p+0", "0x0.0p+0", "0x1.782abbad64002p-1"]),
+            ("0x1.9dc7aaa1d83e4p+3", ["0x1.0faa88a593215p-2", "0x0.0p+0", "0x0.0p+0", "0x1.782abbad366f6p-1"]),
+        ),
+        "random_11": (  # M = 2, K = 1
+            ("0x1.24c12f4098cdbp-1", ["0x1.0000000000000p+0"]),
+            ("0x1.f801a8b5c817ap+3", ["0x1.0000000000000p+0"]),
+            ("0x1.f801a8b5c817ap+3", ["0x1.0000000000000p+0"]),
+        ),
+        "random_12": (  # M = 3, K = 2
+            ("0x1.c70e9d3f18794p-2", ["0x1.179b919a1bc9bp-1", "0x1.d0c8dccbc86cap-2"]),
+            ("0x1.3ebc3792a733cp+4", ["0x1.179b919a17fb4p-1", "0x1.d0c8dccbd0099p-2"]),
+            ("0x1.f609a1d42bff1p+3", ["0x1.179b919a17f7fp-1", "0x1.d0c8dccbd0103p-2"]),
+        ),
+        "random_14": (  # M = 2, K = 4
+            ("0x1.5060b24727ea1p-1", ["0x0.0p+0", "0x1.fffffffffc892p-1", "0x1.bb70b196fe7f3p-40", "0x0.0p+0"]),
+            ("0x1.b2e85634e14f4p+3", ["0x0.0p+0", "0x1.fffffffffc846p-1", "0x1.bdcfa726eb356p-40", "0x0.0p+0"]),
+            ("0x1.b2e85634e14f4p+3", ["0x0.0p+0", "0x1.fffffffffc846p-1", "0x1.bdcfa726eb356p-40", "0x0.0p+0"]),
+        ),
+        "flat_face": (  # M = 3, K = 3
+            ("inf", ["0x1.fff5d7124db4dp-2", "0x1.00051476d925ap-1", "0x0.0p+0"]),
+            ("0x0.0p+0", ["0x1.0001d5058298ap-1", "0x1.fffc55f4facedp-2", "0x0.0p+0"]),
+            ("0x0.0p+0", ["0x1.fff96af8ef3dbp-2", "0x1.00034a8388613p-1", "0x0.0p+0"]),
+        ),
+        "zero_entry": (  # M = 3, K = 2
+            ("0x1.07339d21bc960p-3", ["0x1.f13511caccdf9p-10", "0x1.ff0765771a999p-1"]),
+            ("0x1.4fba795db14d4p+5", ["0x1.8060ecbd1c690p-10", "0x1.ff3fcf89a171dp-1"]),
+            ("0x1.234f84bc8d96bp+5", ["0x1.876f9dc1cb635p-10", "0x1.ff3c48311f1a5p-1"]),
+        ),
+    }
+
+    @staticmethod
+    def _model(name):
+        if name.startswith("random_"):
+            return random_finite_model(np.random.default_rng(int(name.split("_")[1])))
+        return {"flat_face": _flat_face_model, "zero_entry": _zero_entry_model}[name]()
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_solves_do_not_drift(self, name):
+        rep = compute_bounds(self._model(name))
+        cb = rep.cost_bounds
+        solves = [(rep.max_r_bar, rep.max_r_bar_rule), (cb.sn_upper, cb.sn_upper_rule),
+                  (cb.sn_lower, cb.sn_lower_rule)]
+        got = tuple((float(v).hex(), [float(x).hex() for x in rule.weights]) for v, rule in solves)
+        assert got == self.PINS[name]
+
+
+def _halving_step(ds, s):
+    """The line search's own sequence: halve from 1 until every 1 + step * ds / s > 0."""
+    step = 1.0
+    while step > 1e-12 and not np.all(step * ds / s > -1.0):
+        step *= 0.5
+    return step
+
+
+class TestFirstFeasibleStep:
+    @given(st.lists(st.tuples(st.floats(1e-150, 1e150), st.floats(-1e150, 1e150)), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_first_feasible_halving_step(self, pairs):
+        s, ds = np.array(pairs).T
+        assert bounds._first_feasible_step(ds, s) == _halving_step(ds, s)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 38, 39, 40, 41, 60, 600])
+    def test_power_of_two_ratios(self, k):
+        # -ds / s = 2**k exactly: 2**-k lands on -1, which fails, so the step is
+        # 2**-(k + 1), until the search's floor 2**-40; k > 40 is past that floor.
+        s = np.array([3.0, 0.5, 7.0])
+        ds = np.array([-3.0 * 2.0**k, 1.0, -7.0])
+        step = bounds._first_feasible_step(ds, s)
+        assert step == _halving_step(ds, s) == 2.0 ** -min(k + 1, 40)
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_non_finite_ratio_skips_nothing(self, bad):
+        assert bounds._first_feasible_step(np.array([bad, -8.0]), np.array([1.0, 1.0])) == 1.0
+
+
+def _flat_face_model():
+    # Actions 0 and 1 both give each hypothesis its own symbol, so every
+    # pair has disjoint supports under both and the optimum is a flat face.
+    rows = np.zeros((3, 3, 3))
+    rows[:, 0, :] = np.eye(3)
+    rows[:, 1, :] = np.eye(3)[[1, 2, 0]]
+    rows[:, 2, :] = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+    return ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.3, 0.2], penalty=100.0)
+
+
+def _zero_entry_model():
+    # Under action 0 hypothesis 0 alone has disjoint support; the pair
+    # (1, 2) keeps finite divergences under both actions.
+    rows = np.array([
+        [[1.0, 0.0, 0.0], [0.6, 0.3, 0.1]],
+        [[0.0, 0.5, 0.5], [0.2, 0.5, 0.3]],
+        [[0.0, 0.3, 0.7], [0.3, 0.3, 0.4]],
+    ])
+    return ObservationModel(kernel=FiniteKernel(rows), prior=[0.2, 0.3, 0.5], penalty=100.0)
+
+
 class TestCappedDivergences:
     """Models where some KL divergences are infinite and enter the solves at KL_CAP."""
 
@@ -678,14 +802,7 @@ class TestCappedDivergences:
         return rep
 
     def test_every_pair_separated(self):
-        # Actions 0 and 1 both give each hypothesis its own symbol, so every
-        # pair has disjoint supports under both and the optimum is a flat face.
-        rows = np.zeros((3, 3, 3))
-        rows[:, 0, :] = np.eye(3)
-        rows[:, 1, :] = np.eye(3)[[1, 2, 0]]
-        rows[:, 2, :] = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
-        m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.3, 0.2], penalty=100.0)
-        rep = self._check(m, fully_separable=True)
+        rep = self._check(_flat_face_model(), fully_separable=True)
         # No pair is left whose Chernoff informations are all finite.
         assert math.isinf(rep.d_hat_upper)
 
@@ -698,14 +815,7 @@ class TestCappedDivergences:
         assert rep.cost_bounds.sa_upper == 0.0
 
     def test_some_pairs_separated(self):
-        # Under action 0 hypothesis 0 alone has disjoint support; the pair
-        # (1, 2) keeps finite divergences under both actions.
-        rows = np.array([
-            [[1.0, 0.0, 0.0], [0.6, 0.3, 0.1]],
-            [[0.0, 0.5, 0.5], [0.2, 0.5, 0.3]],
-            [[0.0, 0.3, 0.7], [0.3, 0.3, 0.4]],
-        ])
-        m = ObservationModel(kernel=FiniteKernel(rows), prior=[0.2, 0.3, 0.5], penalty=100.0)
+        m = _zero_entry_model()
         rep = self._check(m, fully_separable=False)
         # The certificate LP runs over the pair (1, 2) alone and still bounds F.
         assert math.isfinite(rep.d_hat_upper)

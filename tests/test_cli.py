@@ -9,6 +9,7 @@ timestamps and thread counts so reruns reproduce artifacts byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from active_ht import cli
 from active_ht.cli import _threads_default, main
 from active_ht.model import FiniteKernel, ObservationModel, save_model
 
@@ -444,15 +446,43 @@ class TestOracleCheck:
 
     def test_deep_horizon_agrees(self, two_probe_path, capsys):
         # pe ~ 4e-39 lies in a tail 2,000 trials cannot sample: each trial's
-        # mass off the mode is positive but tiny, so the Monte Carlo agrees
-        # only through the M * eps slack
+        # mass off the mode is positive but tiny, and with pe * trials < 1
+        # the Monte Carlo is reported as unable to test the exact value
         args = ["oracle-check", two_probe_path, "--horizon", "500", "--lambda", "1,0",
                 "--trials", "2000", "--seed", "3", "--threads", "1"]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "agreement: true" in out
+        assert "agreement: unresolved" in out
         pe, se = re.search(r"monte_carlo: pe=(\S+) se=(\S+) ", out).groups()
         assert 0.0 < float(pe) < 1e-60 and float(se) > 0.0
+
+    RESOLVABLE = ["--horizon", "20", "--lambda", "1,0", "--trials", "2000", "--seed", "3", "--threads", "1"]
+
+    def test_resolvable_run_agrees(self, two_probe_path, capsys):
+        # exact pe 4.4e-3, so about 9 errors expected among the trials
+        assert main(["oracle-check", two_probe_path, *self.RESOLVABLE]) == 0
+        assert "agreement: true" in capsys.readouterr().out
+
+    def test_zero_exact_error_is_tested(self, tmp_path, capsys):
+        # action 0 gives the hypotheses disjoint supports, so pe is exactly 0
+        path = tmp_path / "separable.json"
+        rows = [[[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]]]
+        save_model(ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=10.0), path)
+        args = ["oracle-check", str(path), "--horizon", "3", "--lambda", "1,0", "--trials", "500", "--threads", "1"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "monte_carlo: pe=0 se=0 " in out and "agreement: true" in out
+
+    def test_monte_carlo_off_by_five_se_disagrees(self, two_probe_path, capsys, monkeypatch):
+        run_trials = cli.run_trials
+
+        def shifted(*args, **kwargs):
+            summary, records = run_trials(*args, **kwargs)
+            return dataclasses.replace(summary, pe=summary.pe + 5.0 * summary.se_pe), records
+
+        monkeypatch.setattr(cli, "run_trials", shifted)
+        assert main(["oracle-check", two_probe_path, *self.RESOLVABLE]) == 1
+        assert "agreement: false" in capsys.readouterr().out
 
     def test_node_budget_exit_code(self, two_probe_path, capsys):
         args = ["oracle-check", two_probe_path, "--horizon", "8",
