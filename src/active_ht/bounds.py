@@ -265,14 +265,14 @@ def _minimize_weighted_inverse(pair_rows: np.ndarray, coeffs: np.ndarray):
     if np.any(r <= 0.0):  # a pair no action separates: R(i, .) = 0 everywhere
         return w, math.inf
     if K > 1:
-        w = _barrier_rule(c, rows, r)
+        w = _barrier_rule(c, rows, w, r)
     r = _mixed_min(pair_rows[keep], w)
     return w, math.inf if np.any(r <= 0.0) else float(np.sum(c / r))
 
 
-def _barrier_rule(c: np.ndarray, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The barrier solve of ``_minimize_weighted_inverse``, started at the
-    uniform rule, whose worst rates on the capped rows are r."""
+def _barrier_rule(c: np.ndarray, rows: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The barrier solve of ``_minimize_weighted_inverse``, started at the rule
+    w with t = r / 2, where r are w's worst rates on the capped rows."""
     n, J, K = rows.shape
     # Inequality rows A @ (w, t) > 0, and a basis Z of the moves keeping sum(w) = 1.
     A = np.vstack(
@@ -284,7 +284,7 @@ def _barrier_rule(c: np.ndarray, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
     # refilled in place at each step.
     N, rhs = np.zeros((m + n, K + n)), np.ones(m + n)
     h_entries = (np.arange(m, m + n), np.arange(K, K + n))
-    x = np.concatenate([np.full(K, 1.0 / K), 0.5 * r])
+    x = np.concatenate([w, 0.5 * r])
     tau = m / np.sum(c / x[K:])
     while m / tau > GAP_TOL * np.sum(c / x[K:]):
         tau *= 50.0
