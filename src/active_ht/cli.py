@@ -42,7 +42,7 @@ from .oracle import OracleBudget, backward_eval, exact_eval
 from .policies import build_policy
 from .simulator import BLOCK, estimate_error_exponent, run_trials, sweep_L
 
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 SWEEP_HEADER = ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe", "cost", "cost_over_logL"]
 SUMMARY_HEADER = [
@@ -194,7 +194,6 @@ def build_parser() -> _Parser:
     stop = _Parser(add_help=False)
     stop.add_argument("--n", type=int, help="fixed horizon (fixed policy)")
     stop.add_argument("--threshold", type=float, help="posterior stop threshold (fixed policy)")
-    stop.add_argument("--phase-threshold", type=float, default=0.5)
 
     p = add("validate", "check the model's testability assumptions")
 
@@ -259,36 +258,28 @@ def _cmd_bounds(args) -> int:
 def _run_inputs(args):
     """(model, threads, report, rule) of a simulate, sweep or exponents run.
 
-    The bounds report is computed only for the built families and for
-    threshold rules.  ``--policy fixed`` needs ``--lambda`` and, where the
-    command takes stop flags, exactly one of ``--n`` / ``--threshold``.
+    ``--policy fixed`` needs ``--lambda`` and, where the command takes stop
+    flags, exactly one of ``--n`` / ``--threshold``; it gets no bounds
+    report.  The built families take none of those flags and get a report.
     """
-    model = load_model(args.model)
-    threads = _threads_default(args.threads)
-    report = None
-    if args.policy in ("nn", "sn", "sa") or getattr(args, "threshold", None) is not None:
-        report = compute_bounds(model)
     lam = vars(args)["lambda"]
-    rule = np.asarray(lam, dtype=float) if lam is not None else None
+    stops = [getattr(args, flag, None) for flag in ("n", "threshold")]
     if args.policy == "fixed":
-        if rule is None:
+        if lam is None:
             raise UsageError("--policy fixed requires --lambda")
-        if "n" in args and (args.n is None) == (args.threshold is None):
+        if "n" in args and stops.count(None) != 1:
             raise UsageError("fixed policies take exactly one of --n / --threshold")
-    return model, threads, report, rule
+    elif lam is not None or stops != [None, None]:
+        raise UsageError(f"--policy {args.policy} takes no --lambda, --n or --threshold")
+    model = load_model(args.model)
+    report = compute_bounds(model) if args.policy != "fixed" else None
+    rule = np.asarray(lam, dtype=float) if lam is not None else None
+    return model, _threads_default(args.threads), report, rule
 
 
 def _cmd_simulate(args) -> int:
     model, threads, report, rule = _run_inputs(args)
-    policy = build_policy(
-        args.policy,
-        model,
-        report,
-        rule=rule,
-        n=args.n,
-        threshold=args.threshold,
-        phase_threshold=args.phase_threshold,
-    )
+    policy = build_policy(args.policy, model, report, rule=rule, n=args.n, threshold=args.threshold)
     summary, records = run_trials(
         model,
         policy,
@@ -330,7 +321,6 @@ def _cmd_sweep(args) -> int:
         rule=rule,
         fixed_n=args.n,
         threshold=args.threshold,
-        phase_threshold=args.phase_threshold,
         workers=threads,
     )
     for p in points:

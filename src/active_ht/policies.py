@@ -15,18 +15,22 @@ seeds replay identical trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundsReport, _log_prior_spreads
+from .bounds import BoundsReport, _log_prior_spreads, maxmin_reliability
 from .exceptions import AssumptionError
 from .model import ObservationModel, as_weights
 
 # Threshold-stopping policies abort a trial after this many multiples of
-# log(L) / maxmin reliability; truncations are flagged, never dropped.
+# log(1 / (1 - T)) / maxmin reliability for a stop threshold T (log L for
+# sn and sa, whose T is 1 - 1/L); truncations are flagged, never dropped.
 HORIZON_FACTOR = 1000.0
+
+# sa explores until the posterior mode reaches this mass.
+PHASE_THRESHOLD = 0.5
 
 
 class Policy:
@@ -125,10 +129,10 @@ def _stop_threshold(model: ObservationModel) -> float:
     return 1.0 - 1.0 / model.penalty
 
 
-def _safety_horizon(model: ObservationModel, maxmin_value: float) -> int:
+def _safety_horizon(log_odds: float, maxmin_value: float) -> int:
     if not math.isfinite(maxmin_value) or maxmin_value <= 0.0:
         raise AssumptionError("safety horizon undefined: max-min reliability is not positive")
-    return int(math.ceil(HORIZON_FACTOR * math.log(model.penalty) / maxmin_value))
+    return int(math.ceil(HORIZON_FACTOR * log_odds / maxmin_value))
 
 
 def nn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:
@@ -150,24 +154,19 @@ def sn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:
     return FixedRulePolicy(
         weights=report.cost_bounds.sn_upper_rule.weights,
         threshold=_stop_threshold(model),
-        safety_horizon=_safety_horizon(model, report.maxmin_r),
+        safety_horizon=_safety_horizon(math.log(model.penalty), report.maxmin_r),
     )
 
 
-def sa_policy(
-    model: ObservationModel,
-    report: BoundsReport,
-    *,
-    phase_threshold: float = 0.5,
-) -> TwoPhasePolicy:
+def sa_policy(model: ObservationModel, report: BoundsReport) -> TwoPhasePolicy:
     """Sequential and adaptive: explore with the max-min rule until one
     hypothesis dominates, then switch to that hypothesis's best rule."""
     return TwoPhasePolicy(
         explore_weights=report.maxmin_rule.weights,
         exploit_weights=[rule for rule, _ in report.reliabilities],
-        phase_threshold=phase_threshold,
+        phase_threshold=PHASE_THRESHOLD,
         stop_threshold=_stop_threshold(model),
-        safety_horizon=_safety_horizon(model, report.maxmin_r),
+        safety_horizon=_safety_horizon(math.log(model.penalty), report.maxmin_r),
     )
 
 
@@ -179,29 +178,29 @@ def build_policy(
     rule=None,
     n: Optional[int] = None,
     threshold: Optional[float] = None,
-    phase_threshold: float = 0.5,
 ) -> Policy:
     """Construct a policy by family name: ``nn``, ``sn``, ``sa`` or ``fixed``.
 
-    A ``fixed`` threshold rule needs ``report`` too, for its safety horizon:
-    a rule that plays only uninformative actions never reaches a threshold.
+    The built families ``nn``, ``sn`` and ``sa`` are fixed by the model and
+    its bounds ``report``, and reject ``rule``, ``n`` and ``threshold``.  A
+    ``fixed`` policy plays ``rule`` with exactly one of ``n`` / ``threshold``
+    and needs no report: a threshold rule's safety horizon is sized from the
+    threshold and the model's max-min reliability, so a rule that plays only
+    uninformative actions is truncated instead of running forever.
     """
     if kind == "fixed":
         if rule is None:
             raise ValueError("fixed policies need an action rule")
-        weights = as_weights(rule, model.K)
-        horizon = None
-        if threshold is not None:
-            if report is None:
-                raise ValueError("a fixed threshold rule needs a bounds report for its safety horizon")
-            horizon = _safety_horizon(model, report.maxmin_r)
-        return fixed_lambda_policy(weights, n=n, threshold=threshold, safety_horizon=horizon)
+        policy = fixed_lambda_policy(as_weights(rule, model.K), n=n, threshold=threshold)
+        if threshold is None:
+            return policy
+        _, maxmin_value = maxmin_reliability(model)
+        return replace(policy, safety_horizon=_safety_horizon(-math.log1p(-threshold), maxmin_value))
+    builders = {"nn": nn_policy, "sn": sn_policy, "sa": sa_policy}
+    if kind not in builders:
+        raise ValueError(f"unknown policy kind {kind!r}")
+    if rule is not None or n is not None or threshold is not None:
+        raise ValueError(f"policy kind {kind!r} takes no rule, n or threshold")
     if report is None:
         raise ValueError(f"policy kind {kind!r} needs a bounds report")
-    if kind == "nn":
-        return nn_policy(model, report)
-    if kind == "sn":
-        return sn_policy(model, report)
-    if kind == "sa":
-        return sa_policy(model, report, phase_threshold=phase_threshold)
-    raise ValueError(f"unknown policy kind {kind!r}")
+    return builders[kind](model, report)

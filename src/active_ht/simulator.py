@@ -494,31 +494,20 @@ def sweep_L(
     rule=None,
     fixed_n: Optional[int] = None,
     threshold: Optional[float] = None,
-    phase_threshold: float = 0.5,
     workers: int = 1,
 ):
     """Rebuild the policy at each penalty L and simulate it.
 
+    The built families ``nn``, ``sn`` and ``sa`` need ``report``; ``fixed``
+    takes ``rule`` and one of ``fixed_n`` / ``threshold`` (see ``build_policy``).
     Returns (points, summaries); cost is E[tau] + L * P(error) per point.
     """
-    from .bounds import compute_bounds
-
     path = _seed_path(master_seed)
-    if report is None and (policy_kind in ("nn", "sn", "sa") or threshold is not None):
-        report = compute_bounds(model)
     runs = []
     for idx, L in enumerate(L_values):
         model_L = model.with_penalty(float(L))
         report_L = report_at_penalty(report, model_L) if report is not None else None
-        policy = build_policy(
-            policy_kind,
-            model_L,
-            report_L,
-            rule=rule,
-            n=fixed_n,
-            threshold=threshold,
-            phase_threshold=phase_threshold,
-        )
+        policy = build_policy(policy_kind, model_L, report_L, rule=rule, n=fixed_n, threshold=threshold)
         runs.append((model_L, policy, (*path, idx)))
     # one map over every point's blocks, so no worker waits at a point's end;
     # each point's run_trials folds its own blocks, in index order
@@ -662,26 +651,33 @@ def estimate_error_exponent(
     """Estimate how fast the error probability decays with the step budget.
 
     For fixed-horizon families (``nn``/``fixed``) the budget is the horizon
-    itself; for sequential families the penalty is tuned by bisection until
-    the mean stopping time matches the budget within ``TUNE_REL_TOL``.  A
-    budget with zero observed wrong declarations has its error estimate
+    itself, a whole number; for sequential families the penalty is tuned by
+    bisection until the mean stopping time matches the budget within
+    ``TUNE_REL_TOL``.  Budgets must be finite and positive.  ``nn``, ``sn``
+    and ``sa`` need ``report`` and take no ``rule``; ``fixed`` plays ``rule``.
+    A budget with zero observed wrong declarations has its error estimate
     floored at 1/(2N) and flagged; flagged budgets are excluded from the
     least-squares fit when at least two trustworthy budgets remain, otherwise
     the fit uses the floored values and the whole estimate is marked as a
     lower bound only.
     """
-    from .bounds import compute_bounds
-
-    if report is None and policy_kind in ("nn", "sn", "sa"):
-        report = compute_bounds(model)
+    fixed_horizon = policy_kind in ("nn", "fixed")
+    if not all(math.isfinite(b) and b > 0 and (not fixed_horizon or float(b).is_integer()) for b in budgets):
+        kind = "positive whole numbers" if fixed_horizon else "finite and positive"
+        raise ValueError(f"{policy_kind} budgets must be {kind}, got {[float(b) for b in budgets]}")
+    if policy_kind != "fixed":
+        if rule is not None:
+            raise ValueError(f"policy kind {policy_kind!r} takes no rule")
+        if report is None:
+            raise ValueError(f"policy kind {policy_kind!r} needs a bounds report")
     path = _seed_path(master_seed)
     probe_trials = max(4000, n_trials // 25)
     points = []
     with _worker_pool(workers) as pool:
         for idx, budget in enumerate(budgets):
-            if policy_kind in ("nn", "fixed"):
+            if fixed_horizon:
                 use_rule = rule if policy_kind == "fixed" else report.d_hat_rule
-                policy = build_policy("fixed", model, report, rule=use_rule, n=int(budget))
+                policy = build_policy("fixed", model, rule=use_rule, n=int(budget))
                 model_L = model
                 penalty = None
                 tuned = True

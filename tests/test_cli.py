@@ -8,6 +8,7 @@ timestamps and thread counts so reruns reproduce artifacts byte for byte.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from active_ht import cli
+from active_ht import bounds, cli
 from active_ht.cli import _threads_default, main
 from active_ht.model import FiniteKernel, ObservationModel, save_model
 
@@ -247,6 +248,36 @@ class TestSimulate:
         assert main(["simulate", two_probe_path, "--bogus", "1"]) == 4
         assert capsys.readouterr().err.startswith("active-ht: usage:")
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--n", "5"], ["--lambda", "1,0"], ["--threshold", "0.6"],
+         ["--n", "5", "--lambda", "1,0", "--threshold", "0.6"]],
+        ids=["n", "lambda", "threshold", "all-three"],
+    )
+    def test_built_policy_rejects_fixed_rule_flags(self, two_probe_path, extra, capsys):
+        args = ["simulate", two_probe_path, "--policy", "sn", *extra, "--trials", "10", "--seed", "1"]
+        assert main(args) == 4
+        assert capsys.readouterr().err == (
+            "active-ht: usage: --policy sn takes no --lambda, --n or --threshold\n"
+        )
+
+    def test_phase_threshold_is_not_a_flag(self, two_probe_path, capsys):
+        args = ["simulate", two_probe_path, "--policy", "sa", "--phase-threshold", "0.5",
+                "--trials", "10", "--seed", "1"]
+        assert main(args) == 4
+        assert capsys.readouterr().err.startswith("active-ht: usage: unrecognized arguments")
+
+    def test_fixed_threshold_rule_computes_no_report(self, two_probe_path, monkeypatch, capsys):
+        def refuse(model):
+            raise AssertionError("compute_bounds called")
+
+        monkeypatch.setattr(bounds, "compute_bounds", refuse)
+        monkeypatch.setattr(cli, "compute_bounds", refuse)
+        args = ["simulate", two_probe_path, "--policy", "fixed", "--lambda", "0.5,0.5",
+                "--threshold", "0.99", "--trials", "200", "--seed", "1", "--threads", "1"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("trials=200 ")
+
 
 # ---------------------------------------------------------------------------
 # sweep / exponents
@@ -283,6 +314,12 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "active-ht: usage: fixed policies take exactly one of --n / --threshold\n"
         )
+
+    def test_built_policy_rejects_a_horizon(self, two_probe_path, capsys):
+        args = ["sweep", two_probe_path, "--policy", "sa", "--n", "5", "--L", "10",
+                "--trials", "10", "--seed", "1"]
+        assert main(args) == 4
+        assert capsys.readouterr().err.startswith("active-ht: usage: --policy sa takes no")
 
     @pytest.mark.parametrize("penalties", ["1,100", "nan"])
     def test_bad_penalty_is_usage_error(self, two_probe_path, penalties, capsys):
@@ -323,6 +360,23 @@ class TestExponents:
         slope = float(out.split("slope=")[1].split()[0])
         assert slope > 0.0
 
+    @pytest.mark.parametrize(
+        "policy, budgets",
+        [("sn", "nan,5"), ("sn", "inf,5"), ("sn", "0,5"), ("fixed", "2.5,4,6"), ("nn", "2.5,4")],
+    )
+    def test_bad_budgets_are_usage_errors(self, two_probe_path, policy, budgets, capsys):
+        rule = ["--lambda", "0.5,0.5"] if policy == "fixed" else []
+        args = ["exponents", two_probe_path, "--policy", policy, *rule, "--budgets", budgets,
+                "--trials", "100", "--seed", "1"]
+        assert main(args) == 4
+        assert capsys.readouterr().err.startswith(f"active-ht: usage: {policy} budgets must be")
+
+    def test_built_policy_rejects_a_rule(self, two_probe_path, capsys):
+        args = ["exponents", two_probe_path, "--policy", "nn", "--lambda", "0.5,0.5",
+                "--budgets", "4,8", "--trials", "100", "--seed", "1"]
+        assert main(args) == 4
+        assert capsys.readouterr().err.startswith("active-ht: usage: --policy nn takes no")
+
 
 # ---------------------------------------------------------------------------
 # manifest parameters and worker count
@@ -338,13 +392,13 @@ class TestExponents:
             ["simulate", "--policy", "fixed", "--lambda", "0.5,0.5", "--n", "6",
              "--trials", "50", "--seed", "7"],
             {"policy": "fixed", "lambda": [0.5, 0.5], "n": 6, "threshold": None,
-             "phase_threshold": 0.5, "trials": 50, "seed": 7, "record_trials": False},
+             "trials": 50, "seed": 7, "record_trials": False},
         ),
         (
             ["sweep", "--policy", "fixed", "--lambda", "0.5,0.5", "--n", "3",
              "--L", "100,1000", "--trials", "50", "--seed", "5"],
             {"policy": "fixed", "L": [100.0, 1000.0], "lambda": [0.5, 0.5], "n": 3,
-             "threshold": None, "phase_threshold": 0.5, "trials": 50, "seed": 5},
+             "threshold": None, "trials": 50, "seed": 5},
         ),
         (
             ["exponents", "--policy", "fixed", "--lambda", "0.5,0.5", "--budgets", "4,8",
@@ -497,6 +551,36 @@ class TestOracleCheck:
         save_model(make_gaussian_binary_model(), path)
         assert main(["oracle-check", str(path), "--horizon", "4"]) == 4
         assert capsys.readouterr().err.startswith("active-ht: usage:")
+
+
+# ---------------------------------------------------------------------------
+# README synopsis
+
+
+def _readme_synopsis_flags():
+    """{subcommand: its --flags} from the README's command-line synopsis, RUN expanded."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    synopsis, run = {}, set()
+    # an entry starts at column 0; its continuation lines are indented
+    for entry in re.split(r"\n(?=\S)", block.strip()):
+        tokens = entry.split()
+        found = set(re.findall(r"--[A-Za-z][\w-]*", entry))
+        if tokens[0] == "RUN":
+            run = found
+        else:
+            synopsis[tokens[1]] = (found, "RUN" in tokens)
+    return {name: found | (run if uses_run else set()) for name, (found, uses_run) in synopsis.items()}
+
+
+def test_readme_synopsis_lists_every_parser_flag():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {opt for action in p._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert _readme_synopsis_flags() == parsed
 
 
 # ---------------------------------------------------------------------------

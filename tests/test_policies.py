@@ -27,6 +27,7 @@ from active_ht import (
     sn_policy,
 )
 from active_ht.model import inverse_cdf_index
+from active_ht.policies import PHASE_THRESHOLD
 from conftest import make_two_probe_model
 
 
@@ -285,6 +286,32 @@ class TestBuildPolicy:
             build_policy("fixed", two_probe_model, rule=[1.0], n=3)
         with pytest.raises(ValueError, match="actions"):
             build_policy("fixed", two_probe_model, rule=[0.5, 0.25, 0.25], n=3)
+
+    @pytest.mark.parametrize("kind", ["nn", "sn", "sa"])
+    @pytest.mark.parametrize("given", [{"rule": [0.5, 0.5]}, {"n": 5}, {"threshold": 0.6}])
+    def test_built_kinds_reject_fixed_rule_inputs(self, two_probe_model, two_probe_report, kind, given):
+        with pytest.raises(ValueError, match="takes no rule, n or threshold"):
+            build_policy(kind, two_probe_model, two_probe_report, **given)
+
+    @pytest.mark.parametrize("kind", ["nn", "sn", "sa"])
+    def test_built_kinds_need_a_report(self, two_probe_model, kind):
+        with pytest.raises(ValueError, match="needs a bounds report"):
+            build_policy(kind, two_probe_model)
+
+    def test_sa_explores_until_the_phase_constant(self, two_probe_model, two_probe_report):
+        assert build_policy("sa", two_probe_model, two_probe_report).phase_threshold == PHASE_THRESHOLD == 0.5
+
+    def test_fixed_threshold_horizon_comes_from_the_threshold(self, two_probe_report):
+        # 1000 log(1 / (1 - T)) / maxmin r at every penalty: near L = 1 a
+        # horizon sized from log L would cut the rule off after 2 steps.
+        def build(L):
+            return build_policy("fixed", make_two_probe_model(L), rule=[0.5, 0.5], threshold=0.999)
+
+        near_one, pol = make_two_probe_model(1.001), build(1.001)
+        assert pol.safety_horizon == build(1000.0).safety_horizon == 10_617
+        assert pol.safety_horizon == math.ceil(1000.0 * math.log(1000.0) / two_probe_report.maxmin_r)
+        summary, _ = run_trials(near_one, pol, 2000, 93)
+        assert summary.n_truncated == 0
 
 
 class TestSingleActionModel:

@@ -26,12 +26,14 @@ from active_ht import (
     exact_eval,
     exact_pairwise,
     fixed_lambda_policy,
+    maxmin_reliability,
     pairwise_error_rates,
     report_at_penalty,
     run_trials,
     stratified_hypotheses,
     sweep_L,
 )
+from active_ht.policies import HORIZON_FACTOR
 from conftest import make_gaussian_binary_model, make_garbled_model, make_two_probe_model
 
 
@@ -581,8 +583,9 @@ class TestSweep:
 
     def test_fixed_threshold_sweep_is_truncated_at_a_safety_horizon(self):
         # Action 0 is uninformative, so rule [1, 0] never reaches the
-        # threshold; the sweep computes a report for the safety horizon and
-        # flags every trial as truncated there.
+        # threshold; its safety horizon comes from the threshold and the
+        # model's max-min reliability, with no report, and the sweep flags
+        # every trial as truncated there.
         m = ObservationModel(
             kernel=FiniteKernel([[[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.1, 0.9]]]),
             prior=[0.5, 0.5],
@@ -591,8 +594,18 @@ class TestSweep:
         points, _ = sweep_L(m, "fixed", [1.5, 3.0], 64, 5, rule=[1.0, 0.0], threshold=0.99)
         assert [pt.n_truncated for pt in points] == [64, 64]
         assert all(pt.pe == 0.5 for pt in points)
-        with pytest.raises(ValueError, match="bounds report"):
-            build_policy("fixed", m, rule=[1.0, 0.0], threshold=0.99)
+        policy = build_policy("fixed", m, rule=[1.0, 0.0], threshold=0.99)
+        _, maxmin = maxmin_reliability(m)
+        assert policy.safety_horizon == math.ceil(HORIZON_FACTOR * math.log(1.0 / (1.0 - 0.99)) / maxmin)
+
+    @pytest.mark.parametrize("kind", ["nn", "sn", "sa"])
+    def test_built_families_need_a_report(self, two_probe_model, kind):
+        with pytest.raises(ValueError, match="needs a bounds report"):
+            sweep_L(two_probe_model, kind, [100.0], 10, 1)
+
+    def test_built_families_reject_fixed_rule_inputs(self, two_probe_model, two_probe_report):
+        with pytest.raises(ValueError, match="takes no rule, n or threshold"):
+            sweep_L(two_probe_model, "sn", [100.0], 10, 1, report=two_probe_report, fixed_n=5)
 
 
 class TestPairwiseRates:
@@ -724,3 +737,27 @@ class TestExponentEstimate:
         for pt, budget in zip(est.points, [4, 6, 8]):
             assert pt.mean_tau == budget
         assert est.slope > 0.0
+
+    @pytest.mark.parametrize(
+        "kind, budgets",
+        [
+            ("sn", [math.nan, 5.0]),
+            ("sn", [math.inf, 5.0]),
+            ("sa", [0.0, 5.0]),
+            ("sn", [-4.0, 5.0]),
+            ("nn", [2.5, 4.0]),
+            ("fixed", [2.5, 4.0, 6.0]),
+            ("fixed", [math.nan, 4.0]),
+        ],
+    )
+    def test_bad_budgets_are_rejected(self, two_probe_model, two_probe_report, kind, budgets):
+        rule = [0.5, 0.5] if kind == "fixed" else None
+        with pytest.raises(ValueError, match="budgets must be"):
+            estimate_error_exponent(two_probe_model, kind, budgets, 100, 1, report=two_probe_report, rule=rule)
+
+    @pytest.mark.parametrize("kind", ["nn", "sn", "sa"])
+    def test_built_families_take_no_rule_and_need_a_report(self, two_probe_model, two_probe_report, kind):
+        with pytest.raises(ValueError, match="takes no rule"):
+            estimate_error_exponent(two_probe_model, kind, [4], 100, 1, report=two_probe_report, rule=[0.5, 0.5])
+        with pytest.raises(ValueError, match="needs a bounds report"):
+            estimate_error_exponent(two_probe_model, kind, [4], 100, 1)
