@@ -96,9 +96,6 @@ class Belief:
     def M(self) -> int:
         return self.probs.size
 
-    def max_prob(self) -> float:
-        return float(self.probs.max())
-
 
 def bayes_update(belief: Belief, model, a: int, z) -> Belief:
     """Condition the belief on observing symbol z after playing action a."""

@@ -35,15 +35,8 @@ class Gaussian:
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
 
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.var)
-
     def log_density(self, z: float) -> float:
         return -0.5 * math.log(2.0 * math.pi * self.var) - (z - self.mean) ** 2 / (2.0 * self.var)
-
-    def density(self, z: float) -> float:
-        return math.exp(self.log_density(z))
 
 
 def _as_pmf(p) -> np.ndarray:

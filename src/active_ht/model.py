@@ -102,10 +102,6 @@ class FiniteKernel:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    @property
-    def n_symbols(self) -> int:
-        return self.probs.shape[2]
-
     @cached_property
     def log_probs(self) -> np.ndarray:
         """log probs[i, a, z], with log 0 = -inf."""
@@ -303,12 +299,6 @@ class ObservationModel:
     @property
     def is_finite(self) -> bool:
         return isinstance(self.kernel, FiniteKernel)
-
-    @property
-    def n_symbols(self) -> int:
-        if not self.is_finite:
-            raise TypeError("Gaussian kernels have no finite symbol alphabet")
-        return self.kernel.n_symbols
 
     def density_of(self, i: int, a: int):
         """The observation density under hypothesis i and action a.

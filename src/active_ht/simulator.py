@@ -3,16 +3,15 @@
 Reproducibility rules:
 
 * trial k draws from ``default_rng((*master_seed, k))`` so every trial is an
-  independent stream that can be replayed on its own.  A block builds those
-  generators together: it runs numpy's ``SeedSequence`` hash (entropy pool
+  independent stream that can be replayed on its own.  A block builds no
+  generator: ``_seed_rows`` runs numpy's ``SeedSequence`` hash (entropy pool
   of 4 words, then ``generate_state(4, uint64)``) over all of its trial
-  indices at once in uint32 arrays, and hands each hashed row to ``PCG64``,
-  which seeds itself from it as it would from the ``SeedSequence``.  A
-  fixed-horizon block builds no generator: ``_block_uniforms`` runs PCG64
-  itself over the hashed rows, all trials at once, and returns the uniforms
-  ``Generator.random`` would.  When a seed word or a trial index does not
-  fit in one uint32 word (or is negative), the block calls ``default_rng``
-  per trial instead, which also raises what it always raised;
+  indices at once in uint32 arrays, and ``_Streams`` runs PCG64 over the
+  hashed rows, all trials at once, returning the uniforms
+  ``Generator.random`` would.  A seed word enters the hash as its uint32
+  words, as numpy splits it, and a trial index as one word, so a run has at
+  most 2**32 trials; a negative or non-integer seed word raises numpy's own
+  error;
 * true hypotheses are assigned by a deterministic quota scheme that keeps
   empirical frequencies within one trial of the prior at every prefix (for a
   uniform prior this is plain round-robin), which strips the prior-sampling
@@ -30,9 +29,9 @@ takes a separate path that draws all of a trial's uniforms at once and sums
 the log-likelihoods without per-step normalization; a subclass that
 overrides ``batch_weights`` runs in the engine.  Both paths read one
 uniform stream per trial, in the same order on every kernel type: per
-step, the action uniform, then the symbol uniform (the engine takes them
-from ``rng.random`` in chunks of ``CHUNK`` steps, which yields the same
-stream as one call per draw).
+step, the action uniform, then the symbol uniform (the engine continues the
+streams of its live trials in chunks of ``CHUNK`` steps, which yields the
+same stream at any chunk size).
 ``model.draw_symbol`` turns the symbol uniform into a symbol, through the
 inverse CDF of a finite row or the inverse normal CDF of a Gaussian one.  A
 trial's trajectory therefore does not depend on the other trials in its
@@ -61,7 +60,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .belief import normalize, posterior_error, posterior_mode
 from .bounds import BoundsReport, report_at_penalty
@@ -71,8 +69,9 @@ from .policies import FixedRulePolicy, Policy, build_policy
 
 BLOCK = 1024
 
-# Steps of uniforms a lockstep trial draws per refill.
-CHUNK = 64
+# Steps of uniforms a lockstep trial draws per refill; the stream is the same
+# at any value, and 8 ran fastest of 4, 8, 12, 16, 32 and 64 (CHANGES.md).
+CHUNK = 8
 
 # _tune_penalty gives up once its log-L bracket is narrower than this: mean
 # tau is a step function of L, so a target band inside a step is never hit.
@@ -90,18 +89,32 @@ def _pe_floor(n_trials: int) -> float:
 
 
 def _seed_path(master_seed) -> tuple:
-    if isinstance(master_seed, (int, np.integer)):
-        return (int(master_seed),)
-    return tuple(int(s) for s in master_seed)
+    """The words of ``master_seed``, an integer or a sequence of them, checked as numpy checks them."""
+    words = (master_seed,) if np.ndim(master_seed) == 0 else tuple(master_seed)
+    if any(isinstance(word, (float, np.inexact)) for word in words):
+        raise TypeError("seed must be integer")
+    path = tuple(int(word) for word in words)
+    if any(word < 0 for word in path):
+        raise ValueError("expected non-negative integer")
+    return path
+
+
+def _check_trials(n_trials: int) -> None:
+    """Trial indices are one uint32 entropy word each, so at most 2**32 trials."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
+    if n_trials > 2**32:
+        raise ValueError(f"n_trials must be at most 2**32, got {n_trials}")
 
 
 def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
     """``SeedSequence((*path, k)).generate_state(4, np.uint64)`` for k0 <= k < k0 + B.
 
     numpy's hash (``mix_entropy`` into a pool of 4 words, then
-    ``generate_state``) run over uint32 arrays, one entry per trial.  Every
-    entry of ``path`` and every k must lie in [0, 2**32), so that each is
-    one entropy word.  Returns (B, 4) uint64.
+    ``generate_state``) run over uint32 arrays, one entry per trial.  Each
+    word of ``path`` enters as its little-endian uint32 words (0 as one
+    word), as numpy splits it; every k must lie in [0, 2**32), one word.
+    Returns (B, 4) uint64.
     """
     u32 = np.uint32
     pool_size, mask = 4, 0xFFFFFFFF
@@ -119,7 +132,11 @@ def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
         result = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
         return result ^ result >> xshift
 
-    entropy = [np.full(B, word, dtype=u32) for word in path]
+    entropy = [
+        np.full(B, word >> shift & mask, dtype=u32)
+        for word in path
+        for shift in range(0, max(word.bit_length(), 1), 32)
+    ]
     entropy.append(np.arange(k0, k0 + B, dtype=u32))
     # an entropy shorter than the pool runs the hash out on zeros
     entropy += [np.zeros(B, dtype=u32)] * (pool_size - len(entropy))
@@ -142,104 +159,92 @@ def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _HashedSeed(ISeedSequence):
-    """A seed whose ``generate_state`` output was computed by ``_seed_rows``."""
-
-    def __init__(self, row: np.ndarray):
-        self.row = row
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.row
-
-
-def _hashable(path: tuple, k0: int, B: int) -> bool:
-    """Whether ``_seed_rows`` can hash the seeds of trials k0, ..., k0 + B - 1."""
-    return all(0 <= word < 2**32 for word in (*path, k0 + B - 1))
-
-
-def _block_rngs(path: tuple, k0: int, B: int):
-    """Yield ``default_rng((*path, k))`` for k = k0, ..., k0 + B - 1, one at a time."""
-    if _hashable(path, k0, B):
-        for row in _seed_rows(path, k0, B):
-            yield np.random.Generator(np.random.PCG64(_HashedSeed(row)))
-    else:
-        for k in range(k0, k0 + B):
-            yield np.random.default_rng((*path, k))
-
-
 # numpy's PCG64 multiplier, as 64-bit words and the 32-bit limbs of its low word
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & 0xFFFFFFFF), np.uint64(_PCG_MULT >> 32 & 0xFFFFFFFF)
+_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _block_uniforms(path: tuple, k0: int, B: int, T: int) -> np.ndarray:
-    """``default_rng((*path, k)).random(T)`` for k0 <= k < k0 + B, as (B, T).
+def _lcg_step(hi, lo, inc_hi, inc_lo, scratch):
+    """(hi:lo) = (hi:lo) * MULT + (inc_hi:inc_lo) mod 2**128, in place.
+
+    The high word of lo * MULT_LO is built from 32-bit limbs, the low words
+    wrap in uint64; ``scratch`` is (5, n) uint64.
+    """
+    a0, a1, t, u, carry = scratch
+    np.bitwise_and(lo, _M32, out=a0)
+    np.right_shift(lo, _S32, out=a1)
+    np.multiply(a0, _MULT_LO0, out=t)
+    np.right_shift(t, _S32, out=t)
+    np.multiply(a1, _MULT_LO0, out=u)
+    np.add(u, t, out=t)
+    np.bitwise_and(t, _M32, out=u)
+    np.multiply(a0, _MULT_LO1, out=a0)
+    np.add(a0, u, out=u)
+    np.multiply(a1, _MULT_LO1, out=a1)
+    np.right_shift(t, _S32, out=t)
+    np.add(a1, t, out=a1)
+    np.right_shift(u, _S32, out=u)
+    np.add(a1, u, out=a1)
+    np.multiply(hi, _MULT_LO, out=hi)
+    np.add(hi, a1, out=hi)
+    np.multiply(lo, _MULT_HI, out=a1)
+    np.add(hi, a1, out=hi)
+    np.multiply(lo, _MULT_LO, out=lo)
+    np.add(lo, inc_lo, out=lo)
+    np.less(lo, inc_lo, out=carry)
+    np.add(hi, inc_hi, out=hi)
+    np.add(hi, carry, out=hi)
+
+
+class _Streams:
+    """The uniform streams of trials k0 <= k < k0 + B: row b continues
+    ``default_rng((*path, k0 + b)).random``.
 
     Runs numpy's PCG64 (128-bit LCG, XSL-RR output) on the hashed seed rows
-    of the whole block at once, each 128-bit state as two uint64 arrays, so
-    that no ``Generator`` is built.  Seeds ``_seed_rows`` cannot hash are
-    drawn from ``_block_rngs``.
+    of the whole block at once, each 128-bit state and increment as two
+    uint64 arrays, so that no ``Generator`` is built.
     """
-    U = np.empty((B, T))
-    if not _hashable(path, k0, B):
-        for b, rng in enumerate(_block_rngs(path, k0, B)):
-            U[b] = rng.random(T)
+
+    def __init__(self, path: tuple, k0: int, B: int):
+        one = np.uint64(1)
+        s0, s1, s2, s3 = _seed_rows(path, k0, B).T
+        # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * MULT + inc
+        self.inc_hi = s2 << one | s3 >> np.uint64(63)
+        self.inc_lo = s3 << one | one
+        self.lo = self.inc_lo + s1
+        self.hi = self.inc_hi + s0 + (self.lo < s1)
+        _lcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo, np.empty((5, B), dtype=np.uint64))
+
+    def random(self, rows, T: int) -> np.ndarray:
+        """The next T uniforms of each of ``rows`` (None: every row), as (rows, T).
+
+        Every row is stepped in place; a subset is gathered and written back.
+        """
+        hi, lo, inc_hi, inc_lo = state = self.hi, self.lo, self.inc_hi, self.inc_lo
+        if rows is not None:
+            hi, lo, inc_hi, inc_lo = (x[rows] for x in state)
+        scratch = np.empty((5, hi.size), dtype=np.uint64)
+        x, r = scratch[:2]
+        raw = np.empty((T, hi.size), dtype=np.uint64)
+        for row in raw:
+            _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
+            # XSL-RR: rotate hi ^ lo right by the top 6 bits of hi; numpy's shift
+            # by 64 gives 0, so a rotation by 0 needs no mask
+            np.bitwise_xor(hi, lo, out=x)
+            np.right_shift(hi, np.uint64(58), out=r)
+            np.right_shift(x, r, out=row)
+            np.subtract(np.uint64(64), r, out=r)
+            np.left_shift(x, r, out=x)
+            np.bitwise_or(row, x, out=row)
+        if rows is not None:
+            self.hi[rows], self.lo[rows] = hi, lo
+        # Generator.random: the top 53 bits of each word, scaled to [0, 1)
+        raw >>= np.uint64(11)
+        U = np.empty((hi.size, T))
+        np.multiply(raw.T, 2.0**-53, out=U)
         return U
-    one, m32, s32 = np.uint64(1), np.uint64(0xFFFFFFFF), np.uint64(32)
-    s0, s1, s2, s3 = _seed_rows(path, k0, B).T
-    # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * MULT + inc
-    inc_hi = s2 << one | s3 >> np.uint64(63)
-    inc_lo = s3 << one | one
-    lo = inc_lo + s1
-    hi = inc_hi + s0 + (lo < s1)
-    a0, a1, t, u = (np.empty(B, dtype=np.uint64) for _ in range(4))
-    carry = np.empty(B, dtype=bool)
-
-    def step():
-        # (hi:lo) = (hi:lo) * MULT + inc mod 2**128; the high word of lo * MULT_LO
-        # is built from 32-bit limbs, the low words wrap in uint64
-        np.bitwise_and(lo, m32, out=a0)
-        np.right_shift(lo, s32, out=a1)
-        np.multiply(a0, _MULT_LO0, out=t)
-        np.right_shift(t, s32, out=t)
-        np.multiply(a1, _MULT_LO0, out=u)
-        np.add(u, t, out=t)
-        np.bitwise_and(t, m32, out=u)
-        np.multiply(a0, _MULT_LO1, out=a0)
-        np.add(a0, u, out=u)
-        np.multiply(a1, _MULT_LO1, out=a1)
-        np.right_shift(t, s32, out=t)
-        np.add(a1, t, out=a1)
-        np.right_shift(u, s32, out=u)
-        np.add(a1, u, out=a1)
-        np.multiply(hi, _MULT_LO, out=hi)
-        np.add(hi, a1, out=hi)
-        np.multiply(lo, _MULT_HI, out=a1)
-        np.add(hi, a1, out=hi)
-        np.multiply(lo, _MULT_LO, out=lo)
-        np.add(lo, inc_lo, out=lo)
-        np.less(lo, inc_lo, out=carry)
-        np.add(hi, inc_hi, out=hi)
-        np.add(hi, carry, out=hi)
-
-    step()
-    raw = np.empty((T, B), dtype=np.uint64)
-    x, r = a0, a1
-    for row in raw:
-        step()
-        # XSL-RR: rotate hi ^ lo right by the top 6 bits of hi; numpy's shift
-        # by 64 gives 0, so a rotation by 0 needs no mask
-        np.bitwise_xor(hi, lo, out=x)
-        np.right_shift(hi, np.uint64(58), out=r)
-        np.right_shift(x, r, out=row)
-        np.subtract(np.uint64(64), r, out=r)
-        np.left_shift(x, r, out=x)
-        np.bitwise_or(row, x, out=row)
-    # Generator.random: the top 53 bits of each word, scaled to [0, 1)
-    raw >>= np.uint64(11)
-    np.multiply(raw.T, 2.0**-53, out=U)
-    return U
 
 
 def stratified_hypotheses(prior: np.ndarray, n: int) -> np.ndarray:
@@ -319,7 +324,7 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     Returns per-trial (tau, terminal posterior (B, M), truncated).
     """
     B, M = thetas.size, model.M
-    rngs = list(_block_rngs(path, k0, B))
+    streams = _Streams(path, k0, B)
     lm = np.tile(np.log(model.prior), (B, 1))
     probs = np.tile(model.prior, (B, 1))
     tau = np.zeros(B, dtype=np.int64)
@@ -344,8 +349,7 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
                 return tau, final, truncated
         j = t % CHUNK
         if j == 0:
-            for b in live:
-                rngs[b].random(out=U[b])
+            U[live] = streams.random(live, 2 * CHUNK)
         a = inverse_cdf_index(np.cumsum(w, axis=1), U[live, 2 * j])
         z = draw_symbol(model.kernel, thetas[live], a, U[live, 2 * j + 1])
         lm, probs, _ = normalize(lm + model.log_likelihood(a, z).T)
@@ -360,7 +364,7 @@ def _fixed_rule_logmass_block(
     log_prior = np.log(model.prior)
     if n == 0:
         return np.tile(log_prior[:, None], (1, B))
-    U = _block_uniforms(path, k0, B, 2 * n)
+    U = _Streams(path, k0, B).random(None, 2 * n)
     actions = inverse_cdf_index(np.cumsum(weights), U[:, 0::2])
     z = draw_symbol(model.kernel, thetas[:, None], actions, U[:, 1::2])
     # summed over the last axis of (M, B, n): numpy's pairwise summation
@@ -399,6 +403,7 @@ def _run_block(model, policy, block_thetas, path, k0, want_records):
 
 def _block_tasks(model: ObservationModel, policy: Policy, n_trials: int, path: tuple, want_records: bool = False):
     """``_run_block`` arguments for each block of ``BLOCK`` trials, in index order."""
+    _check_trials(n_trials)
     thetas = stratified_hypotheses(model.prior, n_trials)
     return [
         (model, policy, thetas[k0 : k0 + BLOCK], path, k0, want_records)
@@ -454,8 +459,6 @@ def run_trials(
     open ``_worker_pool`` (or ``_SharedMap``), used instead of a pool of this
     call's own.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
     path = _seed_path(master_seed)
     tasks = _block_tasks(model, policy, n_trials, path, record_trials)
     total, records = np.zeros(9), [] if record_trials else None
@@ -539,8 +542,7 @@ def pairwise_error_rates(model: ObservationModel, rule, n: int, n_trials: int, m
     the terminal posterior strictly prefers j over i given the truth is i.
     Returns (rates, stderrs), both (M, M) with zero diagonals.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
+    _check_trials(n_trials)
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     w = as_weights(rule, model.K)

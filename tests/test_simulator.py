@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -126,6 +126,20 @@ class TestRunTrials:
         model = make_model()
         s_fast, _ = run_trials(model, fixed_lambda_policy([0.3, 0.7], n=6), 20_000, 47)
         s_engine, _ = run_trials(model, _Stepwise([0.3, 0.7], 6), 20_000, 47)
+        assert s_fast.mean_tau == s_engine.mean_tau
+        assert s_fast.n_wrong == s_engine.n_wrong
+        assert_allclose(s_fast.pe, s_engine.pe, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_model", [make_two_probe_model, make_garbled_model, make_gaussian_binary_model]
+    )
+    def test_fixed_rule_paths_agree_across_refills(self, make_model):
+        # the engine refills its uniforms every CHUNK steps; the fixed path
+        # draws a trial's 2n at once
+        n = 3 * simulator.CHUNK + 5
+        model = make_model()
+        s_fast, _ = run_trials(model, fixed_lambda_policy([0.3, 0.7], n=n), 2500, 49)
+        s_engine, _ = run_trials(model, _Stepwise([0.3, 0.7], n), 2500, 49)
         assert s_fast.mean_tau == s_engine.mean_tau
         assert s_fast.n_wrong == s_engine.n_wrong
         assert_allclose(s_fast.pe, s_engine.pe, rtol=1e-12)
@@ -321,7 +335,7 @@ _WORD = 2**32
 
 @st.composite
 def _seed_blocks(draw):
-    path = tuple(draw(st.lists(st.integers(0, _WORD - 1), max_size=6)))
+    path = tuple(draw(st.lists(st.integers(0, 2**96), max_size=6)))
     B = draw(st.integers(1, 48))
     offset = draw(st.integers(0, 16))
     k0 = draw(st.sampled_from([offset, _WORD - B - offset]))
@@ -329,22 +343,20 @@ def _seed_blocks(draw):
 
 
 @given(_seed_blocks())
+@example(((_WORD,), 0, 4))
+@example(((3, 2**40), 0, 4))
+@example(((0, 2**64 - 1, 2**96), _WORD - 4, 4))
 @settings(max_examples=60, deadline=None)
-def test_hashed_block_seeds_match_numpy_else_use_default_rng_fallback(case):
-    # The block seeding re-implements numpy's SeedSequence hash.  If this
-    # fails after a numpy upgrade, numpy changed that hash: make _block_rngs
-    # always take its default_rng fallback until the port is updated.
+def test_seed_rows_match_numpy_seed_sequence(case):
+    # The block seeding re-implements numpy's SeedSequence hash, splitting
+    # each seed word into uint32 words as numpy does.  If this fails after a
+    # numpy upgrade, numpy changed that hash and _seed_rows must follow it.
     path, k0, B = case
     rows = simulator._seed_rows(path, k0, B)
-    with mock.patch.object(simulator, "_seed_rows", wraps=simulator._seed_rows) as hashed:
-        rngs = list(simulator._block_rngs(path, k0, B))
-    assert hashed.call_count == 1
     assert rows.shape == (B, 4) and rows.dtype == np.uint64
-    for b, rng in enumerate(rngs):
+    for b in range(B):
         ref = np.random.SeedSequence((*path, k0 + b)).generate_state(4, np.uint64)
         assert rows[b].tolist() == ref.tolist()
-        want = np.random.default_rng((*path, k0 + b)).random(2 * simulator.CHUNK)
-        assert rng.random(2 * simulator.CHUNK).tolist() == want.tolist()
 
 
 @st.composite
@@ -356,37 +368,54 @@ def _uniform_blocks(draw):
 @given(_uniform_blocks())
 @settings(max_examples=60, deadline=None)
 def test_block_uniforms_match_default_rng(case):
-    # hashable seeds go through the vectorized PCG64 kernel, which builds no Generator
     path, k0, B, T = case
-    with mock.patch.object(simulator, "_block_rngs", wraps=simulator._block_rngs) as generators:
-        got = simulator._block_uniforms(path, k0, B, T)
-    assert generators.call_count == 0
+    got = simulator._Streams(path, k0, B).random(None, T)
     assert got.shape == (B, T) and got.flags.c_contiguous
     for b in range(B):
         assert got[b].tolist() == np.random.default_rng((*path, k0 + b)).random(T).tolist()
 
 
-_UNHASHABLE = [((_WORD,), 0), ((3, 2**40), 0), ((7,), _WORD - 2)]
+@given(_uniform_blocks(), st.integers(1, 80), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_streams_continue_on_any_subset_of_rows(case, T2, random):
+    # the lockstep engine refills only its live trials, chunk by chunk
+    path, k0, B, T1 = case
+    rows = np.array(sorted(random.sample(range(B), random.randint(1, B))))
+    streams = simulator._Streams(path, k0, B)
+    first = streams.random(None, T1)
+    second = streams.random(rows, T2)
+    assert second.shape == (rows.size, T2)
+    for i, b in enumerate(rows):
+        want = np.random.default_rng((*path, k0 + b)).random(T1 + T2)
+        assert first[b].tolist() + second[i].tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("T", [5, 120])
-@pytest.mark.parametrize("path, k0", _UNHASHABLE)
-def test_block_uniforms_fall_back_to_default_rng(monkeypatch, path, k0, T):
-    monkeypatch.setattr(simulator, "_seed_rows", None)
-    got = simulator._block_uniforms(path, k0, 4, T)
-    for b in range(4):
-        assert got[b].tolist() == np.random.default_rng((*path, k0 + b)).random(T).tolist()
+def test_simulation_builds_no_generator(monkeypatch, two_probe_model, two_probe_report, gaussian_binary_model):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulator built a numpy generator")
+
+    monkeypatch.setattr(np.random, "PCG64", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    run_trials(two_probe_model, build_policy("sn", two_probe_model, two_probe_report), 1100, 3)
+    run_trials(gaussian_binary_model, fixed_lambda_policy([0.5, 0.5], threshold=0.99), 1100, 4)
+    run_trials(gaussian_binary_model, fixed_lambda_policy([0.5, 0.5], n=5), 1100, 5)
+    sweep_L(two_probe_model, "sa", [10.0, 100.0], 600, 6, report=two_probe_report, workers=1)
 
 
-@pytest.mark.parametrize("path, k0", _UNHASHABLE)
-def test_block_seeds_fall_back_to_default_rng(monkeypatch, path, k0):
-    # a seed word of 2**32 or more, or a trial index past 2**32 - 1, is
-    # never hashed in numpy
-    monkeypatch.setattr(simulator, "_seed_rows", None)
-    for b, rng in enumerate(simulator._block_rngs(path, k0, 4)):
-        want = np.random.default_rng((*path, k0 + b))
-        assert rng.random(2 * simulator.CHUNK).tolist() == want.random(2 * simulator.CHUNK).tolist()
-        assert rng.standard_normal(3).tolist() == want.standard_normal(3).tolist()
+def test_more_than_2_to_the_32_trials_are_rejected_before_any_work(monkeypatch, two_probe_model, two_probe_report):
+    # a trial index is one uint32 entropy word
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulator, "stratified_hypotheses", refuse)
+    monkeypatch.setattr(simulator, "_fixed_rule_logmass_block", refuse)
+    too_many = 2**32 + 1
+    with pytest.raises(ValueError, match=r"n_trials must be at most 2\*\*32"):
+        run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=3), too_many, 1)
+    with pytest.raises(ValueError, match=r"n_trials must be at most 2\*\*32"):
+        sweep_L(two_probe_model, "sn", [10.0], too_many, 1, report=two_probe_report)
+    with pytest.raises(ValueError, match=r"n_trials must be at most 2\*\*32"):
+        pairwise_error_rates(two_probe_model, [0.5, 0.5], 3, too_many, 1)
 
 
 def test_negative_seed_raises_as_default_rng_does(two_probe_model):
@@ -394,6 +423,17 @@ def test_negative_seed_raises_as_default_rng_does(two_probe_model):
         np.random.default_rng((-1, 0))
     with pytest.raises(ValueError) as got:
         run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=3), 10, -1)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("master_seed", [(1.5, 0), 2.5, (3, np.float64(4.0))])
+def test_non_integer_seed_raises_as_default_rng_does(two_probe_model, master_seed):
+    # trial 0 of seed path S replays default_rng((*S, 0))
+    path = master_seed if isinstance(master_seed, tuple) else (master_seed,)
+    with pytest.raises(TypeError) as expected:
+        np.random.default_rng((*path, 0))
+    with pytest.raises(TypeError) as got:
+        run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=3), 10, master_seed)
     assert str(got.value) == str(expected.value)
 
 
