@@ -618,11 +618,10 @@ def _tune_penalty(
 
     rate = report.exponents.sa if policy_kind == "sa" else report.exponents.sn
     lo = hi = max(0.05, rate * target)
-    t_lo = tau_at(lo)
+    t_lo = t_hi = tau_at(lo)
     while t_lo > target and lo > 0.05:
         lo = max(0.05, lo * 0.5)
         t_lo = tau_at(lo)
-    t_hi = tau_at(hi)
     while t_hi < target and hi < 200.0:
         hi = min(200.0, hi * 1.6)
         t_hi = tau_at(hi)

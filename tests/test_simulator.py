@@ -541,6 +541,21 @@ def test_penalty_tuning_stops_when_the_bracket_stops_shrinking(
     assert point(4) == tuned
 
 
+@pytest.mark.parametrize("kind, budget", [("sn", 5), ("sa", 4), ("sa", 6)])
+def test_penalty_probes_never_repeat_a_penalty(monkeypatch, two_probe_model, two_probe_report, kind, budget):
+    penalties = []
+    real_run_trials = simulator.run_trials
+
+    def spy(*args, **kwargs):
+        penalties.append(args[0].penalty)
+        return real_run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_trials", spy)
+    estimate_error_exponent(two_probe_model, kind, [budget], 2000, 37, report=two_probe_report)
+    probes = penalties[:-1]
+    assert len(probes) > 1 and len(set(probes)) == len(probes)
+
+
 def test_pool_task_size_does_not_grow_with_trials(monkeypatch, two_probe_model):
     sizes = []
 
