@@ -70,8 +70,8 @@ from .policies import FixedRulePolicy, Policy, build_policy
 BLOCK = 1024
 
 # Steps of uniforms a lockstep trial draws per refill; the stream is the same
-# at any value, and 8 ran fastest of 4, 8, 12, 16, 32 and 64 (CHANGES.md).
-CHUNK = 8
+# at any value, and 16 ran fastest of 2 to 32 on the benchmark's sweep.
+CHUNK = 16
 
 # _tune_penalty gives up once its log-L bracket is narrower than this: mean
 # tau is a step function of L, so a target band inside a step is never hit.
@@ -132,11 +132,8 @@ def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
         result = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
         return result ^ result >> xshift
 
-    entropy = [
-        np.full(B, word >> shift & mask, dtype=u32)
-        for word in path
-        for shift in range(0, max(word.bit_length(), 1), 32)
-    ]
+    words = [word >> shift & mask for word in path for shift in range(0, max(word.bit_length(), 1), 32)]
+    entropy = [np.full(B, word, dtype=u32) for word in words]
     entropy.append(np.arange(k0, k0 + B, dtype=u32))
     # an entropy shorter than the pool runs the hash out on zeros
     entropy += [np.zeros(B, dtype=u32)] * (pool_size - len(entropy))
@@ -159,42 +156,51 @@ def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-# numpy's PCG64 multiplier, as 64-bit words and the 32-bit limbs of its low word
+# numpy's PCG64 multiplier: each draw maps the 128-bit state to state * MULT + inc
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & 0xFFFFFFFF), np.uint64(_PCG_MULT >> 32 & 0xFFFFFFFF)
 _M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
+# A jump of d = 2**j draws maps the state to state * MULT**d + inc_d, with
+# inc_d = inc * (1 + MULT + ... + MULT**(d - 1)); _JUMPS[j] holds MULT**d as
+# uint64 (high word, low word, low word's 32-bit limbs).  _LANES caps d and so
+# the rows one jump fills: T draws take about log2(_LANES) + T / _LANES jumps.
+_LANES = 16
+_JUMPS = [
+    tuple(np.uint64(w) for w in (m >> 64, m & 2**64 - 1, m & 2**32 - 1, m >> 32 & 2**32 - 1))
+    for m in (pow(_PCG_MULT, 2**j, 2**128) for j in range(_LANES.bit_length()))
+]
 
-def _lcg_step(hi, lo, inc_hi, inc_lo, scratch):
-    """(hi:lo) = (hi:lo) * MULT + (inc_hi:inc_lo) mod 2**128, in place.
 
-    The high word of lo * MULT_LO is built from 32-bit limbs, the low words
-    wrap in uint64; ``scratch`` is (5, n) uint64.
+def _mul_add(hi, lo, mult, add_hi, add_lo, scratch):
+    """(hi:lo) = (hi:lo) * mult + (add_hi:add_lo) mod 2**128 in place, ``mult`` from ``_JUMPS``.
+
+    The high word of lo * mult's low word is built from 32-bit limbs, the low
+    words wrap in uint64; ``scratch`` holds five uint64 arrays shaped like ``hi``.
     """
+    m_hi, m_lo, m_lo0, m_lo1 = mult
     a0, a1, t, u, carry = scratch
     np.bitwise_and(lo, _M32, out=a0)
     np.right_shift(lo, _S32, out=a1)
-    np.multiply(a0, _MULT_LO0, out=t)
+    np.multiply(a0, m_lo0, out=t)
     np.right_shift(t, _S32, out=t)
-    np.multiply(a1, _MULT_LO0, out=u)
+    np.multiply(a1, m_lo0, out=u)
     np.add(u, t, out=t)
     np.bitwise_and(t, _M32, out=u)
-    np.multiply(a0, _MULT_LO1, out=a0)
+    np.multiply(a0, m_lo1, out=a0)
     np.add(a0, u, out=u)
-    np.multiply(a1, _MULT_LO1, out=a1)
+    np.multiply(a1, m_lo1, out=a1)
     np.right_shift(t, _S32, out=t)
     np.add(a1, t, out=a1)
     np.right_shift(u, _S32, out=u)
     np.add(a1, u, out=a1)
-    np.multiply(hi, _MULT_LO, out=hi)
+    np.multiply(hi, m_lo, out=hi)
     np.add(hi, a1, out=hi)
-    np.multiply(lo, _MULT_HI, out=a1)
+    np.multiply(lo, m_hi, out=a1)
     np.add(hi, a1, out=hi)
-    np.multiply(lo, _MULT_LO, out=lo)
-    np.add(lo, inc_lo, out=lo)
-    np.less(lo, inc_lo, out=carry)
-    np.add(hi, inc_hi, out=hi)
+    np.multiply(lo, m_lo, out=lo)
+    np.add(lo, add_lo, out=lo)
+    np.less(lo, add_lo, out=carry)
+    np.add(hi, add_hi, out=hi)
     np.add(hi, carry, out=hi)
 
 
@@ -208,43 +214,54 @@ class _Streams:
     """
 
     def __init__(self, path: tuple, k0: int, B: int):
-        one = np.uint64(1)
         s0, s1, s2, s3 = _seed_rows(path, k0, B).T
+        scratch = np.empty((5, B), dtype=np.uint64)
         # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * MULT + inc
-        self.inc_hi = s2 << one | s3 >> np.uint64(63)
-        self.inc_lo = s3 << one | one
-        self.lo = self.inc_lo + s1
-        self.hi = self.inc_hi + s0 + (self.lo < s1)
-        _lcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo, np.empty((5, B), dtype=np.uint64))
+        inc = s2 << 1 | s3 >> 63, s3 << 1 | 1
+        self.lo = inc[1] + s1
+        self.hi = inc[0] + s0 + (self.lo < s1)
+        _mul_add(self.hi, self.lo, _JUMPS[0], *inc, scratch)
+        # incs[j] = inc_d for d = 2**j, from inc_2d = inc_d * MULT**d + inc_d
+        self.incs = [inc]
+        for mult in _JUMPS[:-1]:
+            hi, lo = (x.copy() for x in self.incs[-1])
+            _mul_add(hi, lo, mult, *self.incs[-1], scratch)
+            self.incs.append((hi, lo))
 
     def random(self, rows, T: int) -> np.ndarray:
         """The next T uniforms of each of ``rows`` (None: every row), as (rows, T).
 
-        Every row is stepped in place; a subset is gathered and written back.
+        Row 0 of ``hi``/``lo`` holds the current states and row t the states
+        t draws on; rows [m, m + k) are rows [m - d, m - d + k) jumped by
+        d = min(m, _LANES) draws.
         """
-        hi, lo, inc_hi, inc_lo = state = self.hi, self.lo, self.inc_hi, self.inc_lo
-        if rows is not None:
-            hi, lo, inc_hi, inc_lo = (x[rows] for x in state)
-        scratch = np.empty((5, hi.size), dtype=np.uint64)
-        x, r = scratch[:2]
-        raw = np.empty((T, hi.size), dtype=np.uint64)
-        for row in raw:
-            _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
-            # XSL-RR: rotate hi ^ lo right by the top 6 bits of hi; numpy's shift
-            # by 64 gives 0, so a rotation by 0 needs no mask
-            np.bitwise_xor(hi, lo, out=x)
-            np.right_shift(hi, np.uint64(58), out=r)
-            np.right_shift(x, r, out=row)
-            np.subtract(np.uint64(64), r, out=r)
-            np.left_shift(x, r, out=x)
-            np.bitwise_or(row, x, out=row)
-        if rows is not None:
-            self.hi[rows], self.lo[rows] = hi, lo
+        rows = slice(None) if rows is None else rows
+        incs = [(c_hi[rows], c_lo[rows]) for c_hi, c_lo in self.incs[: min(T, _LANES).bit_length()]]
+        n = self.hi[rows].size
+        hi, lo = np.empty((2, T + 1, n), dtype=np.uint64)
+        hi[0], lo[0] = self.hi[rows], self.lo[rows]
+        scratch = np.empty((5, min(T, _LANES), n), dtype=np.uint64)
+        m = 1
+        while m <= T:
+            d = min(m, _LANES)
+            k = min(d, T + 1 - m)
+            j = d.bit_length() - 1
+            hi[m : m + k], lo[m : m + k] = hi[m - d : m - d + k], lo[m - d : m - d + k]
+            _mul_add(hi[m : m + k], lo[m : m + k], _JUMPS[j], *incs[j], scratch[:, :k])
+            m += k
+        self.hi[rows], self.lo[rows] = hi[T], lo[T]
+        # XSL-RR: rotate hi ^ lo right by the top 6 bits of hi; numpy's shift
+        # by 64 gives 0, so a rotation by 0 needs no mask
+        x, r = lo[1:], hi[1:]
+        np.bitwise_xor(x, r, out=x)
+        np.right_shift(r, np.uint64(58), out=r)
+        y = np.right_shift(x, r)
+        np.subtract(np.uint64(64), r, out=r)
+        np.left_shift(x, r, out=x)
+        np.bitwise_or(x, y, out=x)
         # Generator.random: the top 53 bits of each word, scaled to [0, 1)
-        raw >>= np.uint64(11)
-        U = np.empty((hi.size, T))
-        np.multiply(raw.T, 2.0**-53, out=U)
-        return U
+        x >>= np.uint64(11)
+        return np.multiply(x.T, 2.0**-53, out=np.empty((n, T)))
 
 
 def stratified_hypotheses(prior: np.ndarray, n: int) -> np.ndarray:
