@@ -70,7 +70,7 @@ from .policies import FixedRulePolicy, Policy, build_policy
 BLOCK = 1024
 
 # Steps of uniforms a lockstep trial draws per refill; the stream is the same
-# at any value, and 16 ran fastest of 2 to 32 on the benchmark's sweep.
+# at any value, and 16 ran fastest of 2 to 32 replaying a sweep's refills.
 CHUNK = 16
 
 # _tune_penalty gives up once its log-L bracket is narrower than this: mean

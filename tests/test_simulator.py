@@ -3,7 +3,6 @@ error rates, and the error-exponent estimator."""
 
 import math
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
