@@ -43,13 +43,5 @@ class HorizonError(ActiveHTError):
     """A policy failed to stop within the declared horizon."""
 
 
-class ImpossibleObservationError(ActiveHTError):
-    """A Bayes update was asked to condition on a zero-probability symbol."""
-
-
-class UndefinedOddsError(ActiveHTError):
-    """Log-odds requested between two hypotheses that both have zero mass."""
-
-
 class UsageError(ActiveHTError):
     """Bad command-line usage (unknown flag, wrong model for a subcommand)."""

@@ -324,17 +324,6 @@ class ObservationModel:
         return replace(self, penalty=float(penalty))
 
 
-def sample(model: ObservationModel, i: int, a: int, rng: np.random.Generator, size=None):
-    """Draw one observation (or ``size`` of them) under hypothesis i, action a.
-
-    Each costs one ``rng.random`` uniform, mapped through ``draw_symbol``.
-    """
-    z = draw_symbol(model.kernel, i, a, rng.random(size))
-    if size is None:
-        return int(z) if model.is_finite else float(z)
-    return z
-
-
 def likelihood_ratio_bound(model: ObservationModel) -> float:
     """Worst-case single-step likelihood ratio over all pairs and actions.
 

@@ -129,10 +129,10 @@ def _stop_threshold(model: ObservationModel) -> float:
     return 1.0 - 1.0 / model.penalty
 
 
-def _safety_horizon(log_odds: float, maxmin_value: float) -> int:
+def _safety_horizon(log_ratio: float, maxmin_value: float) -> int:
     if not math.isfinite(maxmin_value) or maxmin_value <= 0.0:
         raise AssumptionError("safety horizon undefined: max-min reliability is not positive")
-    return int(math.ceil(HORIZON_FACTOR * log_odds / maxmin_value))
+    return int(math.ceil(HORIZON_FACTOR * log_ratio / maxmin_value))
 
 
 def nn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:

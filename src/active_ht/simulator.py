@@ -10,8 +10,8 @@ Reproducibility rules:
   hashed rows, all trials at once, returning the uniforms
   ``Generator.random`` would.  A seed word enters the hash as its uint32
   words, as numpy splits it, and a trial index as one word, so a run has at
-  most 2**32 trials; a negative or non-integer seed word raises numpy's own
-  error;
+  most 2**32 trials; a negative seed word raises numpy's own error, and any
+  word that is not an integer a ``TypeError`` naming it;
 * true hypotheses are assigned by a deterministic quota scheme that keeps
   empirical frequencies within one trial of the prior at every prefix (for a
   uniform prior this is plain round-robin), which strips the prior-sampling
@@ -63,7 +63,6 @@ import numpy as np
 
 from .belief import normalize, posterior_error, posterior_mode
 from .bounds import BoundsReport, report_at_penalty
-from .exceptions import AssumptionError
 from .model import ObservationModel, as_weights, draw_symbol, inverse_cdf_index
 from .policies import FixedRulePolicy, Policy, build_policy
 
@@ -89,10 +88,15 @@ def _pe_floor(n_trials: int) -> float:
 
 
 def _seed_path(master_seed) -> tuple:
-    """The words of ``master_seed``, an integer or a sequence of them, checked as numpy checks them."""
-    words = (master_seed,) if np.ndim(master_seed) == 0 else tuple(master_seed)
-    if any(isinstance(word, (float, np.inexact)) for word in words):
-        raise TypeError("seed must be integer")
+    """The words of ``master_seed``, an integer or a sequence of them.
+
+    A word must be an ``int``, ``bool`` or numpy integer, and not negative;
+    a word numpy would parse (a nested list, a hex string) is rejected.
+    """
+    words = tuple(master_seed) if isinstance(master_seed, (tuple, list)) or np.ndim(master_seed) else (master_seed,)
+    for word in words:
+        if not isinstance(word, (int, np.integer)):
+            raise TypeError(f"seed must be integer, got {word!r}")
     path = tuple(int(word) for word in words)
     if any(word < 0 for word in path):
         raise ValueError("expected non-negative integer")

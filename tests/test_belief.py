@@ -1,24 +1,18 @@
-"""Posterior dynamics: Bayes updates, log-odds bookkeeping, MAP declarations."""
+"""Posterior dynamics: Bayes updates, log-odds bookkeeping, MAP declarations.
+
+A Bayes step is the engines' own: ``normalize`` of the posterior's log
+masses plus ``model.log_likelihood``, with symbols drawn by ``draw_symbol``
+from uniforms.
+"""
 
 import math
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from active_ht import (
-    Belief,
-    FiniteKernel,
-    ImpossibleObservationError,
-    ObservationModel,
-    UndefinedOddsError,
-    bayes_update,
-    kl,
-    log_odds,
-    map_hypothesis,
-    sample,
-)
-from active_ht.belief import posterior_error
+from active_ht import FiniteKernel, ObservationModel, kl
+from active_ht.belief import normalize, posterior_error, posterior_mode
+from active_ht.model import draw_symbol, log0
 
 
 def _uninformative_model():
@@ -29,91 +23,77 @@ def _uninformative_model():
     )
 
 
+def _update(log_masses, model, a, z):
+    """One Bayes step: the posterior's shifted log masses and its probabilities."""
+    shifted, probs, _ = normalize(log_masses + model.log_likelihood(a, z))
+    return shifted, probs
+
+
+def _draws(model, rng, n, actions=None):
+    """n (action, symbol) pairs under hypothesis 0, actions uniform unless given."""
+    if actions is None:
+        actions = rng.integers(0, model.K, size=n)
+    return actions, draw_symbol(model.kernel, 0, actions, rng.random(n))
+
+
 class TestBayesUpdate:
     def test_two_probe_single_step(self, two_probe_model):
-        b = Belief.from_probs([0.5, 0.5])
-        b2 = bayes_update(b, two_probe_model, 0, 0)
-        assert_allclose(b2.probs, [0.9 / 1.3, 0.4 / 1.3], rtol=1e-12)
-        assert_allclose(b2.probs, [0.692308, 0.307692], atol=5e-7)
+        _, probs = _update(np.log([0.5, 0.5]), two_probe_model, 0, 0)
+        assert_allclose(probs, [0.9 / 1.3, 0.4 / 1.3], rtol=1e-12)
+        assert_allclose(probs, [0.692308, 0.307692], atol=5e-7)
 
     def test_uninformative_kernel_leaves_belief_unchanged(self):
         m = _uninformative_model()
-        b = Belief.from_probs([0.7, 0.3])
+        prior = np.array([0.7, 0.3])
         for z in (0, 1):
-            assert_allclose(bayes_update(b, m, 0, z).probs, b.probs, rtol=1e-15)
+            assert_allclose(_update(np.log(prior), m, 0, z)[1], prior, rtol=1e-15)
 
     def test_zero_mass_is_absorbing(self, two_probe_model):
-        b = Belief.from_probs([0.0, 1.0])
+        lm = log0([0.0, 1.0])
         for _ in range(5):
-            b = bayes_update(b, two_probe_model, 0, 0)
-        assert b.probs[0] == 0.0
-        assert b.probs[1] == 1.0
-
-    def test_impossible_observation_raises(self):
-        m = ObservationModel(
-            kernel=FiniteKernel([[[1.0, 0.0]], [[1.0, 0.0]]]),
-            prior=[0.5, 0.5],
-            penalty=10.0,
-        )
-        b = Belief.from_probs([0.5, 0.5])
-        with pytest.raises(ImpossibleObservationError):
-            bayes_update(b, m, 0, 1)
-        with pytest.raises(ImpossibleObservationError, match="^observation 1 under action 0 "):
-            bayes_update(b, m, 0, np.int64(1))
+            lm, probs = _update(lm, two_probe_model, 0, 0)
+        assert probs[0] == 0.0
+        assert probs[1] == 1.0
 
     def test_normalization_over_long_horizon(self, two_probe_model):
-        rng = np.random.default_rng(2024)
-        b = Belief.from_probs([0.5, 0.5])
-        worst = 0.0
-        for _ in range(100_000):
-            a = int(rng.integers(0, 2))
-            z = sample(two_probe_model, 0, a, rng)
-            b = bayes_update(b, two_probe_model, a, z)
-            worst = max(worst, abs(float(b.probs.sum()) - 1.0))
-        assert worst <= 1e-12
+        n = 100_000
+        actions, symbols = _draws(two_probe_model, np.random.default_rng(2024), n)
+        lm = np.log([0.5, 0.5])
+        totals = np.empty(n)
+        for t, step in enumerate(two_probe_model.log_likelihood(actions, symbols).T):
+            lm, probs, _ = normalize(lm + step)
+            totals[t] = probs.sum()
+        assert np.abs(totals - 1.0).max() <= 1e-12
 
     def test_gaussian_update(self, gaussian_binary_model):
-        b = Belief.from_probs([0.5, 0.5])
-        b2 = bayes_update(b, gaussian_binary_model, 0, 0.0)
+        _, probs = _update(np.log([0.5, 0.5]), gaussian_binary_model, 0, 0.0)
         # Observing z = 0 under action 0 favors hypothesis 0 (mean 0, var 1).
-        assert b2.probs[0] > 0.5
+        assert probs[0] > 0.5
 
 
 class TestLogOdds:
+    # The log odds of i against j are the difference of the posterior's log
+    # masses, which normalize's shift leaves unchanged.
     def test_equal_masses_zero(self):
-        b = Belief.from_probs([0.5, 0.5])
-        assert log_odds(b, 0, 1) == 0.0
+        lm, _, _ = normalize(np.log([0.5, 0.5]))
+        assert lm[0] - lm[1] == 0.0
 
     def test_post_update_value(self, two_probe_model):
-        b = bayes_update(Belief.from_probs([0.5, 0.5]), two_probe_model, 0, 0)
-        assert_allclose(log_odds(b, 0, 1), math.log(2.25), rtol=1e-12)
-        assert_allclose(log_odds(b, 0, 1), 0.810930, atol=5e-7)
-
-    def test_one_sided_zero_is_infinite(self):
-        b = Belief.from_probs([1.0, 0.0])
-        assert log_odds(b, 0, 1) == math.inf
-        assert log_odds(b, 1, 0) == -math.inf
-
-    def test_both_zero_rejected(self):
-        b = Belief.from_probs([0.0, 0.5, 0.5])
-        with pytest.raises(UndefinedOddsError):
-            log_odds(Belief.from_log_masses([-math.inf, -math.inf, 0.0]), 0, 1)
-        assert log_odds(b, 1, 2) == 0.0
+        lm, _ = _update(np.log([0.5, 0.5]), two_probe_model, 0, 0)
+        assert_allclose(lm[0] - lm[1], math.log(2.25), rtol=1e-12)
+        assert_allclose(lm[0] - lm[1], 0.810930, atol=5e-7)
 
     def test_pathwise_telescoping_identity(self, two_probe_model):
         # Log odds after n updates = initial log odds + sum of per-step
         # log-likelihood ratios, exactly (up to float roundoff).
-        rng = np.random.default_rng(555)
         probs = two_probe_model.kernel.probs
-        b = Belief.from_probs([0.5, 0.5])
-        start = log_odds(b, 0, 1)
+        lm = np.log([0.5, 0.5])
+        start = lm[0] - lm[1]
         increments = 0.0
-        for _ in range(1000):
-            a = int(rng.integers(0, 2))
-            z = sample(two_probe_model, 0, a, rng)
-            b = bayes_update(b, two_probe_model, a, z)
+        for a, z in zip(*_draws(two_probe_model, np.random.default_rng(555), 1000)):
+            lm, _ = _update(lm, two_probe_model, a, z)
             increments += math.log(probs[0, a, z]) - math.log(probs[1, a, z])
-        assert_allclose(log_odds(b, 0, 1) - start, increments, atol=1e-9)
+        assert_allclose(lm[0] - lm[1] - start, increments, atol=1e-9)
 
     def test_expected_drift_matches_weighted_divergence(self, two_probe_model):
         # Under hypothesis 0 with actions ~ (0.3, 0.7), the mean one-step
@@ -122,26 +102,58 @@ class TestLogOdds:
         w = np.array([0.3, 0.7])
         probs = two_probe_model.kernel.probs
         n = 200_000
-        actions = rng.choice(2, size=n, p=w)
-        steps = np.empty(n)
-        for a in (0, 1):
-            mask = actions == a
-            z = sample(two_probe_model, 0, a, rng, size=int(mask.sum()))
-            steps[mask] = np.log(probs[0, a, z]) - np.log(probs[1, a, z])
+        loglik = two_probe_model.log_likelihood(*_draws(two_probe_model, rng, n, rng.choice(2, size=n, p=w)))
+        steps = loglik[0] - loglik[1]
         want = sum(w[a] * kl(probs[0, a], probs[1, a]) for a in range(2))
         se = steps.std(ddof=1) / math.sqrt(n)
         assert abs(steps.mean() - want) < 3.0 * se
 
 
-class TestMapHypothesis:
+class TestNormalize:
+    def test_log_mass_round_trip(self):
+        lm = np.array([-1.0, -2.0, -3.0])
+        shifted, probs, total = normalize(lm)
+        assert_allclose(shifted, lm + 1.0, rtol=0.0, atol=0.0)
+        assert_allclose(total, np.exp(shifted).sum(), rtol=1e-15)
+        assert_allclose(probs.sum(), 1.0, atol=1e-15)
+        assert_allclose(probs, np.exp(lm) / np.exp(lm).sum(), rtol=1e-15)
+        # the log of a posterior is its own log masses: one more pass is a no-op
+        assert_allclose(normalize(np.log(probs))[1], probs, rtol=1e-15)
+        stack = np.stack([lm, lm[::-1], [0.0, -math.inf, 5.0]])
+        for got, row in zip(zip(*normalize(stack)), stack):
+            for g, want in zip(got, normalize(row)):
+                assert_allclose(g, want, rtol=0.0, atol=0.0)
+
+
+class TestPosteriorMode:
     def test_argmax(self):
-        assert map_hypothesis(Belief.from_probs([0.2, 0.5, 0.3])) == 1
+        assert posterior_mode(np.array([0.2, 0.5, 0.3])) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        assert map_hypothesis(Belief.from_probs([0.5, 0.5])) == 0
+        assert posterior_mode(np.array([0.5, 0.5])) == 0
 
     def test_degenerate(self):
-        assert map_hypothesis(Belief.from_probs([1.0, 0.0, 0.0])) == 0
+        assert posterior_mode(np.array([1.0, 0.0, 0.0])) == 0
+
+    def test_rounding_tie_breaks_to_lowest_index(self):
+        assert posterior_mode(np.array([0.4999999999999999, 0.5000000000000001])) == 0
+
+    def test_steps_scale_the_tie(self):
+        # 5e-12 apart: distinct within one step's 1e-12, tied within ten steps'
+        row = np.array([1.0, 1.0 + 5e-12])
+        assert posterior_mode(row) == posterior_mode(row, 1) == 1
+        assert posterior_mode(row, 10) == 0
+        assert posterior_mode(np.stack([row, row]), np.array([1, 10])).tolist() == [1, 0]
+
+    def test_stack_equals_its_rows(self):
+        rng = np.random.default_rng(7)
+        probs = rng.dirichlet(np.ones(4), size=200)
+        top = probs.max(axis=1)
+        tied = rng.random(probs.shape) < 0.3
+        probs[tied] = (top[:, None] * (1.0 - rng.choice([0.0, 1e-13, 2e-11], size=probs.shape)))[tied]
+        steps = rng.integers(0, 50, size=200)
+        want = [posterior_mode(row, s) for row, s in zip(probs, steps)]
+        assert posterior_mode(probs, steps).tolist() == want
 
 
 class TestPosteriorError:
@@ -155,33 +167,3 @@ class TestPosteriorError:
         row = np.array([1e-40, 1.0, 3e-41])
         assert 1.0 - row.max() == 0.0
         assert_allclose(posterior_error(row), 1.3e-40, rtol=1e-15)
-
-
-class TestBeliefConstruction:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            Belief.from_probs([0.5, 0.6])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Belief.from_probs([1.5, -0.5])
-
-    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0], [math.inf, -math.inf]])
-    def test_rejects_nan_and_positive_infinite_log_masses(self, bad):
-        with pytest.raises(ValueError, match="NaN or \\+inf"):
-            Belief.from_log_masses(bad)
-
-    def test_no_remaining_mass(self):
-        with pytest.raises(ImpossibleObservationError):
-            Belief.from_log_masses([-math.inf, -math.inf])
-
-    def test_sum_message_shows_a_plain_float(self):
-        with pytest.raises(ValueError, match=r"^belief must sum to 1, got 1\.1$"):
-            Belief.from_probs([0.5, 0.6])
-
-    def test_log_mass_round_trip(self):
-        b = Belief.from_log_masses([-1.0, -2.0, -3.0])
-        assert_allclose(b.probs.sum(), 1.0, atol=1e-15)
-        assert_allclose(
-            b.probs, np.exp([-1.0, -2.0, -3.0]) / np.exp([-1.0, -2.0, -3.0]).sum()
-        )

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from active_ht import (
-    Belief,
     FiniteKernel,
     Gaussian,
     GaussianKernel,
@@ -18,7 +17,6 @@ from active_ht import (
     ObservationModel,
     RandomizedRule,
     backward_eval,
-    bayes_update,
     compute_bounds,
     exact_pairwise,
     kl,
@@ -26,10 +24,11 @@ from active_ht import (
     load_model,
     pairwise_error_rates,
     reliability,
-    sample,
     save_model,
     validate,
 )
+from active_ht.belief import normalize
+from active_ht.model import draw_symbol
 from conftest import make_garbled_model, make_two_probe_model, random_finite_model
 
 
@@ -196,16 +195,17 @@ class TestRoundTrip:
 
 
 class TestSampling:
+    # one uniform a symbol, as the simulator draws them
     def test_finite_sample_frequencies(self, two_probe_model):
         rng = np.random.default_rng(123)
-        draws = sample(two_probe_model, 0, 0, rng, size=200_000)
+        draws = draw_symbol(two_probe_model.kernel, 0, 0, rng.random(200_000))
         freq = np.bincount(draws, minlength=2) / draws.size
         # 3-sigma binomial band around (0.9, 0.1)
         assert abs(freq[0] - 0.9) < 3.0 * math.sqrt(0.9 * 0.1 / draws.size)
 
     def test_gaussian_sample_moments(self, gaussian_binary_model):
         rng = np.random.default_rng(321)
-        draws = sample(gaussian_binary_model, 1, 0, rng, size=200_000)
+        draws = draw_symbol(gaussian_binary_model.kernel, 1, 0, rng.random(200_000))
         assert abs(draws.mean() - 1.0) < 3.0 * 2.0 / math.sqrt(draws.size)
         assert abs(draws.var() - 4.0) < 0.1
 
@@ -233,6 +233,15 @@ def _likelihood_cases(draw):
     return model, a, symbols(shape)
 
 
+def _scalar_log_density(model, i, a, z):
+    """log q_i(z | a) from the kernel's entry or the scalar Gaussian density."""
+    k = model.kernel
+    if model.is_finite:
+        q = k.probs[i, a, int(z)]
+        return math.log(q) if q > 0.0 else -math.inf
+    return Gaussian(float(k.means[i, a]), float(k.variances[i, a])).log_density(float(z))
+
+
 class TestLogLikelihood:
     @given(_likelihood_cases())
     @settings(max_examples=80, deadline=None)
@@ -242,28 +251,23 @@ class TestLogLikelihood:
         shape = np.broadcast_shapes(np.shape(a), np.shape(z))
         assert got.shape == (model.M, *shape)
         a_b, z_b = np.broadcast_to(a, shape), np.broadcast_to(z, shape)
-        k = model.kernel
         for i in range(model.M):
             for idx in np.ndindex(shape):
-                ai, zi = int(a_b[idx]), z_b[idx]
-                if model.is_finite:
-                    q = k.probs[i, ai, int(zi)]
-                    want = math.log(q) if q > 0.0 else -math.inf
-                else:
-                    want = Gaussian(float(k.means[i, ai]), float(k.variances[i, ai])).log_density(float(zi))
+                want = _scalar_log_density(model, i, int(a_b[idx]), z_b[idx])
                 assert_allclose(got[(i, *idx)], want, rtol=1e-13)
 
     @given(_likelihood_cases())
     @settings(max_examples=40, deadline=None)
     def test_bayes_update_normalizes_the_summed_log_masses(self, case):
+        # the engines' step against Bayes' rule, p_i ∝ prior_i q_i(z | a)
         model, a, z = case
-        a, z = np.ravel(a)[0], np.ravel(z)[0]
-        lm = np.log(model.prior) + model.log_likelihood(a, z)
-        if not np.isfinite(lm).any():
-            return  # an impossible observation; covered in test_belief
-        want = np.exp(lm - lm.max())
-        got = bayes_update(Belief.from_probs(model.prior), model, a, z)
-        assert_allclose(got.probs, want / want.sum(), rtol=1e-12, atol=1e-300)
+        a, z = int(np.ravel(a)[0]), np.ravel(z)[0]
+        loglik = np.array([_scalar_log_density(model, i, a, z) for i in range(model.M)])
+        if np.isneginf(loglik).all():
+            return  # an impossible observation: no hypothesis can emit z
+        want = model.prior * np.exp(loglik - loglik.max())
+        _, got, _ = normalize(np.log(model.prior) + model.log_likelihood(a, z))
+        assert_allclose(got, want / want.sum(), rtol=1e-12, atol=1e-300)
 
     def test_derived_tables_are_read_only_and_shared(self, two_probe_model):
         kernel = two_probe_model.kernel

@@ -3,6 +3,9 @@ is frozen, so a change that drops or adds one must edit this list (and record
 a dropped name as deprecated in CHANGES.md).  The policy interface is frozen
 the same way: a policy answers ``batch_weights`` and nothing else."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import active_ht
@@ -11,21 +14,21 @@ from active_ht import FixedRulePolicy, Policy, TwoPhasePolicy
 from conftest import run_python
 
 PUBLIC_NAMES = frozenset({
-    "ActiveHTError", "AlphaOptimum", "AssumptionError", "Belief", "BinaryReport",
-    "BoundsReport", "BudgetError", "BudgetPoint", "DiscriminationOptimum", "DomainError",
+    "ActiveHTError", "AlphaOptimum", "AssumptionError", "BinaryReport", "BoundsReport",
+    "BudgetError", "BudgetPoint", "DiscriminationOptimum", "DomainError",
     "ErrorExponents", "ExactEvaluation", "ExponentEstimate", "FiniteKernel",
     "FixedRulePolicy", "Gains", "Gaussian", "GaussianKernel", "HorizonError",
-    "ImpossibleObservationError", "LeadingOrderBounds", "ModelValidationError",
+    "LeadingOrderBounds", "ModelValidationError",
     "ObservationModel", "OracleBudget", "PairSandwich", "PairwiseExact", "Policy",
     "RandomizedRule", "SimulationSummary", "SweepPoint", "TrialRecord", "TwoPhasePolicy",
-    "UndefinedOddsError", "UsageError", "ValidationReport",
-    "alpha_max", "backward_eval", "bayes_update", "binary_specialize", "build_policy",
+    "UsageError", "ValidationReport",
+    "alpha_max", "backward_eval", "binary_specialize", "build_policy",
     "compute_bounds", "d_hat", "dominance_check", "estimate_error_exponent", "exact_eval",
     "exact_pairwise", "fixed_lambda_policy", "gains_from_values", "harmonic_reliability",
-    "kl", "kl_matrix", "likelihood_ratio_bound", "load_model", "log_odds",
-    "map_hypothesis", "max_harmonic_reliability", "max_reliability", "maxmin_reliability",
+    "kl", "kl_matrix", "likelihood_ratio_bound", "load_model",
+    "max_harmonic_reliability", "max_reliability", "maxmin_reliability",
     "minmax_reliability", "nn_policy", "pairwise_error_rates", "reliability", "renyi",
-    "report_at_penalty", "run_trials", "sa_policy", "sample", "save_model", "simplex_grid",
+    "report_at_penalty", "run_trials", "sa_policy", "save_model", "simplex_grid",
     "sn_policy", "stratified_hypotheses", "sweep_L", "tilted_exponent", "validate",
 })
 
@@ -59,3 +62,29 @@ def test_import_loads_no_scipy_solvers():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports and never reads, except on lines marked ``# noqa: F401``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_modules_import_nothing_unused():
+    modules = sorted(Path(active_ht.__file__).parent.glob("*.py"))
+    assert [p.name for p in modules if p.name != "__init__.py"], "no modules found"
+    unused = [name for path in modules if path.name != "__init__.py" for name in _unused_imports(path)]
+    assert unused == []

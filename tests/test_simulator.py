@@ -3,6 +3,7 @@ error rates, and the error-exponent estimator."""
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from active_ht import (
     stratified_hypotheses,
     sweep_L,
 )
+from active_ht.belief import posterior_mode
 from active_ht.policies import HORIZON_FACTOR
 from conftest import make_gaussian_binary_model, make_garbled_model, make_two_probe_model
 
@@ -73,13 +75,11 @@ class TestRunTrials:
         assert all(r.tau == 0 and r.declared == 0 for r in records)
 
     def test_rounding_ties_declare_the_lowest_index(self, two_probe_model):
-        # Masses equal up to rounding tie: map_hypothesis and both simulator
+        # Masses equal up to rounding tie: posterior_mode and both simulator
         # paths pick index 0.
-        from active_ht import Belief, map_hypothesis
-
         row = [0.4999999999999999, 0.5000000000000001]
         model = ObservationModel(kernel=two_probe_model.kernel, prior=row, penalty=10.0)
-        assert map_hypothesis(Belief.from_probs(row)) == 0
+        assert posterior_mode(np.array(row)) == 0
         for pol in (fixed_lambda_policy([0.5, 0.5], n=0), fixed_lambda_policy([0.5, 0.5], threshold=0.4)):
             _, records = run_trials(model, pol, 50, 3, record_trials=True)
             assert all(r.tau == 0 and r.declared == 0 for r in records)
@@ -427,13 +427,22 @@ def test_negative_seed_raises_as_default_rng_does(two_probe_model):
 
 @pytest.mark.parametrize("master_seed", [(1.5, 0), 2.5, (3, np.float64(4.0))])
 def test_non_integer_seed_raises_as_default_rng_does(two_probe_model, master_seed):
-    # trial 0 of seed path S replays default_rng((*S, 0))
+    # trial 0 of seed path S replays default_rng((*S, 0)); the message adds the word
     path = master_seed if isinstance(master_seed, tuple) else (master_seed,)
+    word = next(w for w in path if isinstance(w, float))
     with pytest.raises(TypeError) as expected:
         np.random.default_rng((*path, 0))
     with pytest.raises(TypeError) as got:
         run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=3), 10, master_seed)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == f"{expected.value}, got {word!r}"
+
+
+@pytest.mark.parametrize("master_seed", [([1, 2], 0), ("0x10", 0)])
+def test_seed_words_numpy_would_parse_are_rejected(two_probe_model, master_seed):
+    # numpy flattens the list and reads the hex string; the simulator parses neither
+    np.random.default_rng(master_seed)
+    with pytest.raises(TypeError, match=re.escape(f"seed must be integer, got {master_seed[0]!r}")):
+        run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=3), 10, master_seed)
 
 
 def test_sweep_and_exponent_open_one_pool_each(monkeypatch, two_probe_model, two_probe_report):
