@@ -5,8 +5,9 @@ The Bayes update adds an observation's log likelihoods
 log-sum-exp (``normalize``), so long observation sequences cannot
 underflow.  ``normalize`` (the posterior step), ``posterior_mode`` (the
 declaration) and ``posterior_error`` (the chance that declaration is wrong)
-act on one row or a (B, M) stack; they are the only copies, which the
-simulator's lockstep engine and fixed-horizon path and the oracles call.
+act on one row or a (B, M) stack.  They are the only copies: the
+simulator's lockstep engine and fixed-horizon path call all three, and the
+oracles call ``normalize`` and ``posterior_error``.
 """
 
 from __future__ import annotations

@@ -84,7 +84,6 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_modules_import_nothing_unused():
-    modules = sorted(Path(active_ht.__file__).parent.glob("*.py"))
-    assert [p.name for p in modules if p.name != "__init__.py"], "no modules found"
-    unused = [name for path in modules if path.name != "__init__.py" for name in _unused_imports(path)]
-    assert unused == []
+    modules = [p for p in sorted(Path(active_ht.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    assert [name for path in modules for name in _unused_imports(path)] == []
