@@ -23,13 +23,11 @@ def normalize(log_masses: np.ndarray):
     """The posterior of unnormalized log masses, over the last axis.
 
     Shifts each row of a row or a (B, M) stack by its max, exponentiates and
-    normalizes.  Returns (shifted log masses, probabilities, each row's total
-    before normalizing).
+    normalizes.  Returns (shifted log masses, probabilities).
     """
     shifted = log_masses - log_masses.max(axis=-1, keepdims=True)
     p = np.exp(shifted)
-    total = p.sum(axis=-1)
-    return shifted, p / total[..., None], total
+    return shifted, p / p.sum(axis=-1, keepdims=True)
 
 
 def posterior_mode(probs: np.ndarray, steps=0):

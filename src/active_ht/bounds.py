@@ -11,10 +11,12 @@ divergences over the action simplex:
                            discrimination exponent (non-concave; a coarse
                            screen, then an LP ascent, with an LP upper bound
                            from the per-action Chernoff information)
+* ``alpha_max``            one pair's term of ``d_hat``'s objective at a rule
 
-All but ``d_hat`` read one table, ``_pair_rows``: the rows D[i, j], j != i, as
-an (M, M-1, K) array.  ``_mixed_min`` evaluates R(i, w) on it, the LPs and
-barrier solves take its rows (capped), and ``_harmonic`` is the one harmonic mean.
+The others read one table, ``_pair_rows``: the rows D[i, j], j != i, as an
+(M, M-1, K) array.  ``_mixed_min`` evaluates R(i, w) on it, the LPs and barrier
+solves take its rows (capped), and ``_harmonic`` is the one harmonic mean.
+``d_hat`` and ``alpha_max`` share ``_pair_exponents`` and ``_pair_optima``.
 
 Every LP here, ``d_hat``'s included, is the value of a matrix game
 max_w min(rows @ w).  ``linprog`` solves it with a numpy tableau simplex and
@@ -339,26 +341,26 @@ class DiscriminationOptimum:
     d_hat_upper: float
 
 
-def _pair_exponents(model: ObservationModel):
+def _pair_exponents(model: ObservationModel, pairs):
     """The evaluator of E[p, a](alpha) = (1 - alpha) D_alpha(q_i^a || q_j^a) over
-    the pairs p = (i, j), i < j.
+    the ordered pairs p = (I[p], J[p]) of ``pairs = (I, J)``.
 
-    ``exponents(pairs, alphas)`` takes one pair index and one alpha per job,
-    both of shape (N,), and returns E[pairs[n], a](alphas[n]) of shape (N, K).
+    ``exponents(p, alphas)`` takes one pair index and one alpha per job,
+    both of shape (N,), and returns E[p[n], a](alphas[n]) of shape (N, K).
     Finite kernels read ``log_probs`` as E = -log sum_z exp(alpha (log q_i -
     log q_j) + log q_j), with the cells outside the common support masked to
     -inf, so an action that separates the pair perfectly gives +inf; Gaussian
     kernels use the closed form.
     """
-    I, J = np.triu_indices(model.M, 1)
+    I, J = pairs
     if model.is_finite:
         lp, lq = model.kernel.log_probs[I], model.kernel.log_probs[J]  # (P, K, Z)
         both = np.isfinite(lp) & np.isfinite(lq)
         diff = np.subtract(lp, lq, out=np.zeros(lp.shape), where=both)
         base = np.where(both, lq, -np.inf)
 
-        def exponents(pairs, alphas):
-            tilted = alphas[:, None, None] * diff[pairs] + base[pairs]
+        def exponents(p, alphas):
+            tilted = alphas[:, None, None] * diff[p] + base[p]
             with np.errstate(divide="ignore"):  # log(0) = -inf on a separated pair
                 return -np.log(np.exp(tilted).sum(axis=2))
 
@@ -366,10 +368,58 @@ def _pair_exponents(model: ObservationModel):
         means, variances = model.kernel.means, model.kernel.variances
         dm, p_var, q_var = means[I] - means[J], variances[I], variances[J]
 
-        def exponents(pairs, alphas):
-            return _gaussian_tilted_exponent(dm[pairs], p_var[pairs], q_var[pairs], alphas[:, None])
+        def exponents(p, alphas):
+            return _gaussian_tilted_exponent(dm[p], p_var[p], q_var[p], alphas[:, None])
 
     return exponents
+
+
+def _pair_optima(exponents, separated: np.ndarray, W: np.ndarray):
+    """Per rule W[r] and pair p, max over alpha of sum_a W[r, a] E[p, a](alpha) and its
+    alpha, each (R, P), by one lockstep search over the (rule, pair) jobs.
+
+    A pair that a weighted action separates (``separated[p, a]``: E = +inf at
+    every alpha) has value +inf and is not searched; 0.5 is reported.
+    """
+    shape = (len(W), len(separated))
+    values, alphas = np.full(shape, math.inf), np.full(shape, 0.5)
+    rule, pair = np.nonzero(~((W[:, None, :] > 0.0) & separated).any(axis=2))
+    w = W[rule]
+    active = w > 0.0
+
+    def mixed(x):
+        # A stacked matmul sums each job's terms as w @ E would.
+        E = np.where(active, exponents(pair, x), 0.0)
+        return np.matmul(w[:, None, :], E[:, :, None])[:, 0, 0]
+
+    alphas[rule, pair], values[rule, pair] = _golden_max(mixed, rule.size)
+    return values, alphas
+
+
+@dataclass(frozen=True)
+class AlphaOptimum:
+    """Maximizer and value of the mixed discrimination exponent."""
+
+    alpha_star: float
+    value: float
+
+
+def alpha_max(model: ObservationModel, i: int, j: int, weights) -> AlphaOptimum:
+    """Maximize sum_a w_a * (1-alpha) * D_alpha(q_i^a || q_j^a) over alpha in [0, 1].
+
+    ``weights`` is a rule or a point on the action simplex with one weight per
+    action.  The objective is concave in alpha; this is ``d_hat``'s search run
+    as one job on the ordered pair (i, j), so a pair that a weighted action
+    separates perfectly gives value +inf at alpha_star 0.5.
+    """
+    check_hypotheses(model, i, j)
+    if i == j:
+        raise ValueError("hypotheses must be distinct")
+    w = as_weights(weights, model.K)
+    exponents = _pair_exponents(model, ([i], [j]))
+    separated = np.isinf(exponents(np.zeros(1, dtype=int), np.array([0.5])))  # +inf at one alpha is +inf at all
+    values, alphas = _pair_optima(exponents, separated, w[None, :])
+    return AlphaOptimum(alpha_star=float(alphas[0, 0]), value=float(values[0, 0]))
 
 
 def d_hat(model: ObservationModel) -> DiscriminationOptimum:
@@ -401,30 +451,13 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     """
     K = model.K
     P = model.M * (model.M - 1) // 2
-    exponents = _pair_exponents(model)
+    exponents = _pair_exponents(model, np.triu_indices(model.M, 1))
     pairs = np.arange(P)
 
     alpha_grid = np.linspace(0.0, 1.0, 129)
     curves = exponents(np.repeat(pairs, alpha_grid.size), np.tile(alpha_grid, P))
     curves = curves.reshape(P, alpha_grid.size, K).transpose(0, 2, 1)  # (P, K, S)
     separated = np.isinf(curves).any(axis=2)  # no common support: E = +inf at every alpha
-
-    def pair_optima(W):
-        # Per rule W[r] and pair p, max over alpha of the mixed exponent and its
-        # alpha.  A pair some weighted action separates has value +inf at every
-        # alpha and is not searched; 0.5 is reported.
-        values, alphas = np.full((len(W), P), math.inf), np.full((len(W), P), 0.5)
-        rule, pair = np.nonzero(~((W[:, None, :] > 0.0) & separated).any(axis=2))
-        w = W[rule]
-        active = w > 0.0
-
-        def mixed(x):
-            # A stacked matmul sums each job's terms as w @ E would.
-            E = np.where(active, exponents(pair, x), 0.0)
-            return np.matmul(w[:, None, :], E[:, :, None])[:, 0, 0]
-
-        alphas[rule, pair], values[rule, pair] = _golden_max(mixed, rule.size)
-        return values, alphas
 
     grid = simplex_grid(K, _SCREEN_RESOLUTION)
     # C order: einsum's rounding, and so the ranking of near-tied rules, follows the layout.
@@ -436,7 +469,7 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     for w in (*grid[top], np.full(K, 1.0 / K), *vertices):
         candidates.setdefault(tuple(np.round(w, 12)), w)
     W = np.array(list(candidates.values()))
-    values, alphas = pair_optima(W)
+    values, alphas = _pair_optima(exponents, separated, W)
     best = int(np.argmax(values.min(axis=1)))
     best_w, best_v, alphas = W[best], values[best].min(), alphas[best]
 
@@ -450,7 +483,7 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
         if not best_v < upper * (1.0 - _ASCENT_TOL):  # certified, or F infinite
             break
         w, _ = _reliability_lp(_cap(exponents(pairs, alphas)))
-        values, w_alphas = pair_optima(w[None, :])
+        values, w_alphas = _pair_optima(exponents, separated, w[None, :])
         if not values.min() > best_v * (1.0 + _ASCENT_TOL):
             break
         best_w, best_v, alphas = w, values.min(), w_alphas[0]

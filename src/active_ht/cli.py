@@ -155,7 +155,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str):
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {text!r}")
+    return values
 
 
 def _penalty_list(text: str):

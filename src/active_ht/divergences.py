@@ -1,9 +1,11 @@
-"""Divergences between observation densities and the mixed discrimination exponent.
+"""Divergences between two observation densities, and the golden-section search.
 
 Two density families are supported: finite distributions given as 1-D
 probability vectors, and univariate Gaussians.  All divergences use natural
 logarithms.  Probabilities below ``ZERO_PROB`` are treated as exact zeros,
 with the usual conventions 0*log(0/q) = 0 and p*log(p/0) = +inf for p > 0.
+These act on one pair of densities; ``bounds.d_hat`` and ``bounds.alpha_max``
+evaluate the kernel's tables in batches and search alpha with ``_golden_max``.
 """
 
 from __future__ import annotations
@@ -120,32 +122,13 @@ def tilted_exponent(p, q, alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return _tilted_curve(p, q)(alpha)
-
-
-def _tilted_curve(p, q):
-    """alpha -> ``tilted_exponent(p, q, alpha)``, with the alpha-free work done once."""
     p, q = _check_same_domain(p, q)
     if isinstance(p, Gaussian):
-        dm = p.mean - q.mean
-        return lambda alpha: float(_gaussian_tilted_exponent(dm, p.var, q.var, alpha))
+        return float(_gaussian_tilted_exponent(p.mean - q.mean, p.var, q.var, alpha))
     both = (p > ZERO_PROB) & (q > ZERO_PROB)
-    lp, lq = np.log(p[both]), np.log(q[both])
-
-    def curve(alpha):
-        # sum_z p^alpha q^(1-alpha) over the common support, 0 when there is none
-        m = float(np.exp(alpha * lp + (1.0 - alpha) * lq).sum())
-        return -math.log(m) if m > 0.0 else math.inf
-
-    return curve
-
-
-@dataclass(frozen=True)
-class AlphaOptimum:
-    """Maximizer and value of the mixed discrimination exponent."""
-
-    alpha_star: float
-    value: float
+    # sum_z p^alpha q^(1-alpha) over the common support, 0 when there is none
+    m = float(np.exp(alpha * np.log(p[both]) + (1.0 - alpha) * np.log(q[both])).sum())
+    return -math.log(m) if m > 0.0 else math.inf
 
 
 def _golden_max(g, n: int):
@@ -184,33 +167,3 @@ def _golden_max(g, n: int):
         best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
     return best_x, best_f
 
-
-def alpha_max(model, i: int, j: int, weights) -> AlphaOptimum:
-    """Maximize sum_a w_a * (1-alpha) * D_alpha(q_i^a || q_j^a) over alpha in [0, 1].
-
-    The objective is concave in alpha, so a golden-section search to a
-    ``_BRACKET_TOL`` bracket locates the maximizer.  ``weights`` is a rule or
-    a point on the action simplex with one weight per action.
-    """
-    from .model import as_weights, check_hypotheses  # model imports this module
-    check_hypotheses(model, i, j)
-    if i == j:
-        raise ValueError("hypotheses must be distinct")
-    w = as_weights(weights, model.K)
-    curves = [
-        (w[a], _tilted_curve(model.density_of(i, a), model.density_of(j, a)))
-        for a in range(model.K)
-        if w[a] > 0.0
-    ]
-
-    def g(alpha: float) -> float:
-        total = 0.0
-        for wa, curve in curves:
-            term = curve(alpha)
-            if math.isinf(term):
-                return math.inf
-            total += wa * term
-        return total
-
-    alpha_star, value = _golden_max(lambda x: np.array([g(float(x[0]))]), 1)
-    return AlphaOptimum(alpha_star=float(alpha_star[0]), value=float(value[0]))

@@ -13,7 +13,8 @@ and the other pulls values back from the horizon, so their agreement
 (within accumulation error) is a meaningful cross-check of both.
 ``exact_pairwise`` additionally computes the exact pairwise
 posterior-comparison error rates under i.i.d. actions and the
-discrimination-exponent sandwich they are predicted to satisfy.
+discrimination-exponent sandwich they are predicted to satisfy; the
+prediction is ``bounds.alpha_max``, the alpha-search ``d_hat`` runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import normalize, posterior_error
-from .divergences import alpha_max
+from .bounds import alpha_max
 from .exceptions import BudgetError, HorizonError
 from .model import ObservationModel, as_weights, log0
 from .policies import Policy
@@ -244,7 +245,7 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
         counts = _count_matrices(n_cells, d, np.arange(_n_count_matrices(n_cells, d)))
         lm = _class_log_masses(log_prior, counts, cell_loglike)
         # states no hypothesis reaches (parents move there with chance 0) get a stand-in posterior
-        _, post, _ = normalize(np.where(np.isneginf(lm).all(axis=1)[:, None], 0.0, lm))
+        _, post = normalize(np.where(np.isneginf(lm).all(axis=1)[:, None], 0.0, lm))
         if d == n:
             value = posterior_error(post)
         else:

@@ -373,7 +373,7 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
             U[live] = streams.random(live, 2 * CHUNK)
         a = inverse_cdf_index(np.cumsum(w, axis=1), U[live, 2 * j])
         z = draw_symbol(model.kernel, thetas[live], a, U[live, 2 * j + 1])
-        lm, probs, _ = normalize(lm + model.log_likelihood(a, z).T)
+        lm, probs = normalize(lm + model.log_likelihood(a, z).T)
         t += 1
 
 
@@ -396,7 +396,7 @@ def _fixed_rule_logmass_block(
 def _run_block(model, policy, block_thetas, path, k0, want_records):
     if type(policy).batch_weights is FixedRulePolicy.batch_weights and policy.n is not None:
         lm = _fixed_rule_logmass_block(model, policy.weights, policy.n, block_thetas, path, k0)
-        _, final, _ = normalize(lm.T)
+        _, final = normalize(lm.T)
         tau = np.full(block_thetas.size, policy.n)
         truncated = np.zeros(block_thetas.size, dtype=bool)
     else:
@@ -675,7 +675,7 @@ def estimate_error_exponent(
     For fixed-horizon families (``nn``/``fixed``) the budget is the horizon
     itself, a whole number; for sequential families the penalty is tuned by
     bisection until the mean stopping time matches the budget within
-    ``TUNE_REL_TOL``.  Budgets must be finite and positive.  ``nn``, ``sn``
+    ``TUNE_REL_TOL``.  Budgets must be a non-empty list of finite, positive numbers.  ``nn``, ``sn``
     and ``sa`` need ``report`` and take no ``rule``; ``fixed`` plays ``rule``.
     A budget with zero observed wrong declarations has its error estimate
     floored at 1/(2N) and flagged; flagged budgets are excluded from the
@@ -684,9 +684,12 @@ def estimate_error_exponent(
     lower bound only.
     """
     fixed_horizon = policy_kind in ("nn", "fixed")
-    if not all(math.isfinite(b) and b > 0 and (not fixed_horizon or float(b).is_integer()) for b in budgets):
-        kind = "positive whole numbers" if fixed_horizon else "finite and positive"
-        raise ValueError(f"{policy_kind} budgets must be {kind}, got {[float(b) for b in budgets]}")
+    valid = (math.isfinite(b) and b > 0 and (not fixed_horizon or float(b).is_integer()) for b in budgets)
+    if len(budgets) == 0 or not all(valid):
+        kind = "positive whole numbers" if fixed_horizon else "finite, positive numbers"
+        raise ValueError(
+            f"{policy_kind} budgets must be a non-empty list of {kind}, got {[float(b) for b in budgets]}"
+        )
     if policy_kind != "fixed":
         if rule is not None:
             raise ValueError(f"policy kind {policy_kind!r} takes no rule")

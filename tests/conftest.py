@@ -1,4 +1,4 @@
-"""Shared fixtures and model builders used across the test modules.
+"""Shared fixtures, model builders and reference helpers used across the test modules.
 
 Three reference models appear throughout:
 
@@ -15,6 +15,7 @@ Three reference models appear throughout:
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,33 @@ def random_finite_model(rng: np.random.Generator, n_hypotheses: int | None = Non
     prior = rng.dirichlet(np.full(m, 2.0))
     penalty = float(rng.uniform(5.0, 1e4))
     return ObservationModel(kernel=FiniteKernel(rows), prior=prior, penalty=penalty)
+
+
+def scalar_golden_max(g, bracket_tol=1e-9):
+    """Reference: the scalar golden-section recurrence on [0, 1]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = g(c), g(d)
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    while (b - a) > bracket_tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = g(c)
+            if fc > best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = g(d)
+            if fd > best_f:
+                best_x, best_f = d, fd
+    for x in (0.0, 1.0, 0.5 * (a + b)):
+        fx = g(x)
+        if fx > best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
 
 
 @pytest.fixture(scope="session")

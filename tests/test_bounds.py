@@ -36,11 +36,21 @@ from active_ht import (
 )
 from active_ht import bounds
 from active_ht.bounds import KL_CAP, _log_prior_spreads, _pair_exponents, _reliability_lp
-from conftest import make_two_probe_model, random_finite_model, run_python
+from active_ht.model import as_weights
+from conftest import make_two_probe_model, random_finite_model, run_python, scalar_golden_max
 
 MAXMIN_TP = 0.6506724213610958
 RSTAR_TP = 0.7506835950503012
 DHAT_TP = 0.16960418110785774
+
+
+def _scalar_pair_exponent(m, i, j, rule):
+    """max over alpha of sum_a w_a (1 - alpha) D_alpha(q_i^a || q_j^a), from the
+    scalar tilted_exponent and the scalar golden recurrence: a reference that
+    shares no code with the batched pair search of d_hat and alpha_max."""
+    w = as_weights(rule, m.K)
+    terms = [(w[a], m.density_of(i, a), m.density_of(j, a)) for a in range(m.K) if w[a] > 0.0]
+    return scalar_golden_max(lambda x: sum(wa * tilted_exponent(p, q, x) for wa, p, q in terms))[1]
 
 
 class TestReliability:
@@ -384,11 +394,8 @@ class TestSimplexGrid:
 class TestDHat:
     @staticmethod
     def _worst_pair(m, w):
-        """min over pairs of alpha_max: F evaluated through the scalar
-        tilted_exponent, not d_hat's pair evaluator."""
-        return min(
-            alpha_max(m, i, j, w).value for i in range(m.M) for j in range(i + 1, m.M)
-        )
+        """F at w, scored through the scalar reference, not d_hat's pair evaluator."""
+        return min(_scalar_pair_exponent(m, i, j, w) for i in range(m.M) for j in range(i + 1, m.M))
 
     @pytest.mark.parametrize("name", ["two_probe", "disjoint_support", "gaussian_m3"])
     def test_pair_exponents_match_tilted_exponent(self, name, two_probe_model):
@@ -412,8 +419,9 @@ class TestDHat:
             ),
         }[name]
         alphas = np.array([0.0, 0.3, 1.0])
-        pairs = [(i, j) for i in range(m.M) for j in range(i + 1, m.M)]
-        exponents = _pair_exponents(m)
+        I, J = np.nonzero(~np.eye(m.M, dtype=bool))  # every ordered pair, i > j included
+        pairs = list(zip(I, J))
+        exponents = _pair_exponents(m, (I, J))
         # One job per (pair, alpha), every pair in one call.
         got = exponents(np.repeat(np.arange(len(pairs)), alphas.size), np.tile(alphas, len(pairs)))
         got = got.reshape(len(pairs), alphas.size, m.K)
@@ -450,7 +458,7 @@ class TestDHat:
 
     def test_bracket_holds_on_random_models(self):
         # d_hat_upper bounds d_hat from above; the dense grid optimum, scored
-        # by alpha_max alone, bounds it from below; and the value is F at the rule.
+        # by the scalar reference, bounds it from below; and the value is F at the rule.
         rng = np.random.default_rng(77)
         models = []
         for K, M in ((1, 4), (2, 2), (2, 3), (3, 3), (4, 2)):
@@ -820,5 +828,5 @@ class TestCappedDivergences:
         # The certificate LP runs over the pair (1, 2) alone and still bounds F.
         assert math.isfinite(rep.d_hat_upper)
         assert rep.d_hat <= rep.d_hat_upper
-        chernoff_12 = max(alpha_max(m, 1, 2, RandomizedRule(e)).value for e in np.eye(2))
+        chernoff_12 = max(_scalar_pair_exponent(m, 1, 2, e) for e in np.eye(2))
         assert_allclose(rep.d_hat_upper, chernoff_12, rtol=1e-9)

@@ -378,6 +378,20 @@ class TestExponents:
         assert capsys.readouterr().err.startswith("active-ht: usage: --policy nn takes no")
 
 
+@pytest.mark.parametrize(
+    "command, flag, extra",
+    [("sweep", "--L", ["--policy", "sa"]), ("exponents", "--budgets", ["--policy", "sn"]),
+     ("simulate", "--lambda", ["--policy", "fixed", "--n", "4"])],
+)
+def test_empty_list_is_usage_error(two_probe_path, command, flag, extra, capsys):
+    # An empty --L used to run no penalty, and an empty --budgets to fit no point, both exiting 0.
+    args = [command, two_probe_path, *extra, flag, ",", "--trials", "100", "--seed", "1"]
+    assert main(args) == 4
+    assert capsys.readouterr().err == (
+        f"active-ht: usage: argument {flag}: expected a comma-separated list of numbers, got ','\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # manifest parameters and worker count
 

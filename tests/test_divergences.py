@@ -8,9 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from active_ht import Gaussian, RandomizedRule, alpha_max, kl, renyi, tilted_exponent
+from active_ht import (
+    FiniteKernel,
+    Gaussian,
+    ObservationModel,
+    RandomizedRule,
+    alpha_max,
+    kl,
+    renyi,
+    tilted_exponent,
+)
+from active_ht.bounds import _pair_exponents, _pair_optima
 from active_ht.divergences import _golden_max
-from conftest import make_two_probe_model, random_finite_model
+from conftest import random_finite_model, scalar_golden_max
 
 BERN_9 = np.array([0.9, 0.1])
 BERN_4 = np.array([0.4, 0.6])
@@ -120,8 +130,6 @@ class TestTiltedExponent:
 
 class TestAlphaMax:
     def test_identical_kernels_value_zero(self):
-        from active_ht import FiniteKernel, ObservationModel
-
         m = ObservationModel(
             kernel=FiniteKernel([[[0.5, 0.5]], [[0.5, 0.5]]]),
             prior=[0.5, 0.5],
@@ -131,8 +139,6 @@ class TestAlphaMax:
         assert_allclose(opt.value, 0.0, atol=1e-12)
 
     def test_symmetric_pair_optimum_at_half(self):
-        from active_ht import FiniteKernel, ObservationModel
-
         m = ObservationModel(
             kernel=FiniteKernel([[[0.9, 0.1]], [[0.1, 0.9]]]),
             prior=[0.5, 0.5],
@@ -184,32 +190,37 @@ class TestAlphaMax:
         opt = alpha_max(two_probe_model, 0, 1, [0.5, 0.5])
         assert type(opt.value) is float and type(opt.alpha_star) is float
 
+    def test_swapped_pair_mirrors(self, gaussian_binary_model):
+        # (1-a) D_a(p || q) = a D_{1-a}(q || p): the same value, at the mirrored alpha.
+        rng = np.random.default_rng(31)
+        models = [random_finite_model(rng) for _ in range(10)] + [gaussian_binary_model]
+        for m in models:
+            w = rng.dirichlet(np.ones(m.K))
+            fwd, rev = alpha_max(m, 0, 1, w), alpha_max(m, 1, 0, w)
+            assert_allclose(rev.value, fwd.value, rtol=1e-12)
+            assert abs(fwd.alpha_star + rev.alpha_star - 1.0) <= 1e-7
 
-def _scalar_golden_max(g, bracket_tol=1e-9):
-    """Reference: the scalar golden-section recurrence on [0, 1]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = g(c), g(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while (b - a) > bracket_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = g(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = g(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    for x in (0.0, 1.0, 0.5 * (a + b)):
-        fx = g(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
+    def test_separated_pair_matches_d_hat_pair_search(self):
+        # Action 0 gives hypotheses 0 and 1 disjoint supports; action 1 separates no pair.
+        m = ObservationModel(
+            kernel=FiniteKernel([
+                [[1.0, 0.0, 0.0], [0.6, 0.3, 0.1]],
+                [[0.0, 0.5, 0.5], [0.2, 0.5, 0.3]],
+                [[0.0, 0.3, 0.7], [0.3, 0.3, 0.4]],
+            ]),
+            prior=[0.2, 0.3, 0.5],
+            penalty=100.0,
+        )
+        exponents = _pair_exponents(m, np.triu_indices(m.M, 1))  # pairs (0, 1), (0, 2), (1, 2)
+        separated = np.array([[True, False], [True, False], [False, False]])
+        for w in ([0.5, 0.5], [1.0, 0.0]):
+            opt = alpha_max(m, 0, 1, w)
+            assert (opt.value, opt.alpha_star) == (math.inf, 0.5)
+            values, alphas = _pair_optima(exponents, separated, np.array([w]))
+            assert (values[0, 0], alphas[0, 0]) == (opt.value, opt.alpha_star)
+        # Off the separating action the pair is searched, and its value is finite.
+        opt = alpha_max(m, 0, 1, [0.0, 1.0])
+        assert math.isfinite(opt.value) and 0.0 < opt.alpha_star < 1.0
 
 
 class TestGoldenMax:
@@ -229,7 +240,7 @@ class TestGoldenMax:
             assert_allclose(xs[k], x1[0], rtol=0.0, atol=1e-15)
             assert_allclose(fs[k], f1[0], rtol=0.0, atol=1e-15)
             # Same arithmetic as the scalar recurrence, so the same bits.
-            assert (xs[k], fs[k]) == _scalar_golden_max(lambda x: float(batch(np.array([x]), [k])[0]))
+            assert (xs[k], fs[k]) == scalar_golden_max(lambda x: float(batch(np.array([x]), [k])[0]))
 
     def test_finds_a_quadratic_argmax(self):
         # The peak value is 0, so values near it keep their digits and the

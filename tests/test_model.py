@@ -266,7 +266,7 @@ class TestLogLikelihood:
         if np.isneginf(loglik).all():
             return  # an impossible observation: no hypothesis can emit z
         want = model.prior * np.exp(loglik - loglik.max())
-        _, got, _ = normalize(np.log(model.prior) + model.log_likelihood(a, z))
+        _, got = normalize(np.log(model.prior) + model.log_likelihood(a, z))
         assert_allclose(got, want / want.sum(), rtol=1e-12, atol=1e-300)
 
     def test_derived_tables_are_read_only_and_shared(self, two_probe_model):

@@ -87,3 +87,18 @@ def test_modules_import_nothing_unused():
     modules = [p for p in sorted(Path(active_ht.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
     assert modules
     assert [name for path in modules for name in _unused_imports(path)] == []
+
+
+def test_modules_import_only_at_top_level():
+    # An import inside a function hides a cycle in the module graph; with every
+    # import at the top, a cycle fails at import time instead.
+    nested = []
+    for path in sorted(Path(active_ht.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set(map(id, tree.body))
+        nested += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []

@@ -811,6 +811,7 @@ class TestExponentEstimate:
             ("nn", [2.5, 4.0]),
             ("fixed", [2.5, 4.0, 6.0]),
             ("fixed", [math.nan, 4.0]),
+            ("sn", []),  # an empty fit used to return slope 0 with an infinite standard error
         ],
     )
     def test_bad_budgets_are_rejected(self, two_probe_model, two_probe_report, kind, budgets):
