@@ -42,9 +42,9 @@ from .oracle import OracleBudget, backward_eval, exact_eval
 from .policies import build_policy
 from .simulator import BLOCK, estimate_error_exponent, run_trials, sweep_L
 
-ARTIFACT_VERSION = "0.8.0"
+ARTIFACT_VERSION = "0.9.0"
 
-SWEEP_HEADER = ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe", "cost", "cost_over_logL"]
+SWEEP_HEADER = ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe", "cost", "cost_over_logL", "n_truncated"]
 SUMMARY_HEADER = [
     "n_trials", "mean_tau", "se_tau", "pe", "se_pe", "cost", "se_cost",
     "n_wrong", "n_truncated", "L", "seed",
@@ -329,10 +329,10 @@ def _cmd_sweep(args) -> int:
     for p in points:
         print(
             f"L={_fmt(p.L)} mean_tau={_fmt(p.mean_tau)} pe={_fmt(p.pe)} "
-            f"cost={_fmt(p.cost)} cost/logL={_fmt(p.cost_over_log_L)}"
+            f"cost={_fmt(p.cost)} cost/logL={_fmt(p.cost_over_log_L)} n_truncated={p.n_truncated}"
         )
     rows = [
-        [p.L, p.log_L, p.mean_tau, p.se_tau, p.pe, p.se_pe, p.cost, p.cost_over_log_L]
+        [p.L, p.log_L, p.mean_tau, p.se_tau, p.pe, p.se_pe, p.cost, p.cost_over_log_L, p.n_truncated]
         for p in points
     ]
     _write_artifacts(args, [("", SWEEP_HEADER, rows)], threads)

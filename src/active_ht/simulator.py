@@ -24,6 +24,11 @@ Sequential policies run in a lockstep engine: all live trials of a block
 advance together, one ``Policy.batch_weights`` query and one vectorized
 log-domain Bayes update (``belief.normalize``) per step, and a trial retires when its policy stops
 or it reaches the policy's safety horizon (flagged as truncated).
+One pass of the engine can also serve a stack of lower stops, (threshold,
+horizon) pairs below the policy's own: each records a trial at its first
+passage and the trial plays on to the policy's stop.  ``sweep_L`` runs each
+group of points whose policies differ only in their stops as one such pass,
+so every point of the group sees the same trials.
 A fixed-horizon ``FixedRulePolicy`` whose class keeps its ``batch_weights``
 takes a separate path that draws all of a trial's uniforms at once and sums
 the log-likelihoods without per-step normalization; a subclass that
@@ -64,7 +69,7 @@ import numpy as np
 from .belief import normalize, posterior_error, posterior_mode
 from .bounds import BoundsReport, report_at_penalty
 from .model import ObservationModel, as_weights, draw_symbol, inverse_cdf_index
-from .policies import FixedRulePolicy, Policy, build_policy
+from .policies import FixedRulePolicy, Policy, TwoPhasePolicy, build_policy
 
 BLOCK = 1024
 
@@ -339,35 +344,59 @@ def _summary(sums: np.ndarray, L: float, path: tuple) -> SimulationSummary:
     )
 
 
-def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, k0: int):
+def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, k0: int, lower=()):
     """Run trials k0, k0+1, ... (true hypotheses ``thetas``) in lockstep.
 
-    Returns per-trial (tau, terminal posterior (B, M), truncated).
+    ``policy`` plays every step.  ``lower`` holds the (threshold, horizon)
+    stops of the points below ``policy``'s own, with thresholds and horizons
+    non-decreasing and none above ``policy``'s: point p stops a trial at the
+    first step where its posterior mode reaches its threshold, or at its
+    horizon (None: none), flagged truncated.  So a trial retires at
+    ``policy``'s own stop, the last.
+    Returns per-trial (tau (P, B), terminal posterior (P, B, M), truncated
+    (P, B)), one row per point of ``lower`` and then ``policy``'s own.
     """
-    B, M = thetas.size, model.M
+    B, M, P = thetas.size, model.M, len(lower) + 1
     streams = _Streams(path, k0, B)
     lm = np.tile(np.log(model.prior), (B, 1))
     probs = np.tile(model.prior, (B, 1))
-    tau = np.zeros(B, dtype=np.int64)
-    final = np.empty((B, M))
-    truncated = np.zeros(B, dtype=bool)
+    tau = np.zeros((P, B), dtype=np.int64)
+    final = np.empty((P, B, M))
+    truncated = np.zeros((P, B), dtype=bool)
     live = np.arange(B)
     U = np.empty((B, 2 * CHUNK))  # row b holds trial b's uniforms for CHUNK steps
     horizon = policy.safety_horizon
+    if lower:
+        thresholds = np.array([threshold for threshold, _ in lower])
+        horizons = np.array([math.inf if h is None else h for _, h in lower])
+        passed = np.zeros(B, dtype=np.intp)  # lower points each live trial has stopped at
     t = 0
     while True:
         w, stop = policy.batch_weights(probs, t)
+        if lower:
+            # lower points [passed, due) stop now; those past ``reached`` by their horizon
+            reached = np.searchsorted(thresholds, probs.max(axis=1), side="right")
+            due = np.maximum(reached, np.searchsorted(horizons, t, side="right"))
+            if (due > passed).any():
+                for p in range(passed.min(), due.max()):
+                    rows = (passed <= p) & (p < due)
+                    tau[p, live[rows]] = t
+                    final[p, live[rows]] = probs[rows]
+                    truncated[p, live[rows]] = reached[rows] <= p
+                passed = np.maximum(passed, due)
         if horizon is not None and t >= horizon:
-            truncated[live[~stop]] = True
+            truncated[-1, live[~stop]] = True
             stop = np.ones(live.size, dtype=bool)
         if stop.any():
             done = live[stop]
-            tau[done] = t
-            final[done] = probs[stop]
+            tau[-1, done] = t
+            final[-1, done] = probs[stop]
             go = ~stop
             live, lm, probs, w = live[go], lm[go], probs[go], w[go]
             if live.size == 0:
                 return tau, final, truncated
+            if lower:
+                passed = passed[go]
         j = t % CHUNK
         if j == 0:
             U[live] = streams.random(live, 2 * CHUNK)
@@ -393,41 +422,50 @@ def _fixed_rule_logmass_block(
     return log_prior[:, None] + model.log_likelihood(actions, z).sum(axis=2)
 
 
-def _run_block(model, policy, block_thetas, path, k0, want_records):
+def _run_block(model, policy, block_thetas, path, k0, want_records, lower=()):
+    """One block's (sums, records) at each stop: one per (threshold, horizon,
+    penalty) of ``lower`` (see ``_lockstep_block``), then ``policy``'s own."""
     if type(policy).batch_weights is FixedRulePolicy.batch_weights and policy.n is not None:
         lm = _fixed_rule_logmass_block(model, policy.weights, policy.n, block_thetas, path, k0)
         _, final = normalize(lm.T)
         tau = np.full(block_thetas.size, policy.n)
         truncated = np.zeros(block_thetas.size, dtype=bool)
+        stops = [(tau, final, truncated, model.penalty)]
     else:
-        tau, final, truncated = _lockstep_block(model, policy, block_thetas, path, k0)
-    err = posterior_error(final)
-    declared = posterior_mode(final, tau)
-    wrong = declared != block_thetas
-    sums = _block_sums(tau.astype(float), err, wrong, truncated, model.penalty)
-    records = None
-    if want_records:
-        records = [
-            TrialRecord(
-                index=k0 + b,
-                theta=int(block_thetas[b]),
-                tau=int(tau[b]),
-                declared=int(declared[b]),
-                correct=not wrong[b],
-                posterior_error=float(err[b]),
-                truncated=bool(truncated[b]),
-            )
-            for b in range(block_thetas.size)
-        ]
-    return sums, records
+        taus, finals, truncs = _lockstep_block(model, policy, block_thetas, path, k0, [s[:2] for s in lower])
+        stops = zip(taus, finals, truncs, [s[2] for s in lower] + [model.penalty])
+    out = []
+    for tau, final, truncated, L in stops:
+        err = posterior_error(final)
+        declared = posterior_mode(final, tau)
+        wrong = declared != block_thetas
+        sums = _block_sums(tau.astype(float), err, wrong, truncated, L)
+        records = None
+        if want_records:
+            records = [
+                TrialRecord(
+                    index=k0 + b,
+                    theta=int(block_thetas[b]),
+                    tau=int(tau[b]),
+                    declared=int(declared[b]),
+                    correct=not wrong[b],
+                    posterior_error=float(err[b]),
+                    truncated=bool(truncated[b]),
+                )
+                for b in range(block_thetas.size)
+            ]
+        out.append((sums, records))
+    return out
 
 
-def _block_tasks(model: ObservationModel, policy: Policy, n_trials: int, path: tuple, want_records: bool = False):
+def _block_tasks(
+    model: ObservationModel, policy: Policy, n_trials: int, path: tuple, want_records: bool = False, lower=()
+):
     """``_run_block`` arguments for each block of ``BLOCK`` trials, in index order."""
     _check_trials(n_trials)
     thetas = stratified_hypotheses(model.prior, n_trials)
     return [
-        (model, policy, thetas[k0 : k0 + BLOCK], path, k0, want_records)
+        (model, policy, thetas[k0 : k0 + BLOCK], path, k0, want_records, lower)
         for k0 in range(0, n_trials, BLOCK)
     ]
 
@@ -447,6 +485,27 @@ def _worker_pool(workers: int):
     if workers <= 1:
         return nullcontext()
     return ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
+
+
+def _stop(policy):
+    """The (threshold, safety horizon) at which a threshold-stopped ``policy`` stops."""
+    return (policy.threshold if type(policy) is FixedRulePolicy else policy.stop_threshold), policy.safety_horizon
+
+
+def _share_a_pass(a: Policy, b: Policy) -> bool:
+    """Whether ``a`` and ``b`` are threshold rules of one class whose fields
+    other than their stops are equal, so that one pass plays both."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is FixedRulePolicy:
+        return a.threshold is not None and b.threshold is not None and np.array_equal(a.weights, b.weights)
+    if type(a) is TwoPhasePolicy:
+        return (
+            np.array_equal(a.explore_weights, b.explore_weights)
+            and np.array_equal(a.exploit_weights, b.exploit_weights)
+            and a.phase_threshold == b.phase_threshold
+        )
+    return False
 
 
 class _SharedMap:
@@ -485,7 +544,7 @@ def run_trials(
     total, records = np.zeros(9), [] if record_trials else None
     own = _pool is None and len(tasks) > 1
     with _worker_pool(workers) if own else nullcontext(_pool) as pool:
-        for sums, recs in (map if pool is None else pool.map)(_block_task, tasks):
+        for [(sums, recs)] in (map if pool is None else pool.map)(_block_task, tasks):
             total += sums
             if record_trials:
                 records.extend(recs)
@@ -524,21 +583,48 @@ def sweep_L(
 
     The built families ``nn``, ``sn`` and ``sa`` need ``report``; ``fixed``
     takes ``rule`` and one of ``fixed_n`` / ``threshold`` (see ``build_policy``).
-    Returns (points, summaries); cost is E[tau] + L * P(error) per point.
+    Points whose policies differ only in their stop (threshold and safety
+    horizon) form a group: a ``FixedRulePolicy`` threshold rule or a
+    ``TwoPhasePolicy`` whose other fields are equal, as ``sa``'s are at every
+    L and ``sn``'s under a uniform prior.  A group runs one lockstep pass on
+    the seed path ``(*master_seed, g)``, g the index of its first point, and
+    each of its points equals ``run_trials`` of that point's policy on that
+    seed, bit for bit; any other point is a group of one.
+    Returns (points, summaries) in the order of ``L_values``; cost is
+    E[tau] + L * P(error) per point.
     """
     path = _seed_path(master_seed)
     runs = []
-    for idx, L in enumerate(L_values):
+    for L in L_values:
         model_L = model.with_penalty(float(L))
         report_L = report_at_penalty(report, model_L) if report is not None else None
         policy = build_policy(policy_kind, model_L, report_L, rule=rule, n=fixed_n, threshold=threshold)
-        runs.append((model_L, policy, (*path, idx)))
-    # one map over every point's blocks, so no worker waits at a point's end;
-    # each point's run_trials folds its own blocks, in index order
-    tasks = [task for model_L, policy, seed in runs for task in _block_tasks(model_L, policy, n_trials, seed)]
-    with _worker_pool(workers) as pool:
-        shared = _SharedMap((map if pool is None else pool.map)(_block_task, tasks))
-        summaries = [run_trials(model_L, policy, n_trials, seed, _pool=shared)[0] for model_L, policy, seed in runs]
+        runs.append((model_L, policy))
+    groups = []
+    for idx, (_, policy) in enumerate(runs):
+        group = next((g for g in groups if _share_a_pass(runs[g[0]][1], policy)), None)
+        if group is None:
+            groups.append([idx])
+        else:
+            group.append(idx)
+    # each group's pass runs its points sorted by L, so that the top point
+    # plays every step and stops last; one map over every group's blocks
+    orders = [sorted(group, key=lambda i: runs[i][0].penalty) for group in groups]
+    tasks = []
+    for group, order in zip(groups, orders):
+        lower = [(*_stop(runs[i][1]), runs[i][0].penalty) for i in order[:-1]]
+        tasks += _block_tasks(*runs[order[-1]], n_trials, (*path, group[0]), lower=lower)
+    n_blocks = -(-n_trials // BLOCK)
+    summaries = [None] * len(runs)
+    with _worker_pool(workers) if len(tasks) > 1 else nullcontext() as pool:
+        results = (map if pool is None else pool.map)(_block_task, tasks)
+        # each point's run_trials folds its own block sums, in index order;
+        # the group's first fold draws the blocks, the others read them again
+        for group, order in zip(groups, orders):
+            columns = itertools.tee(itertools.islice(results, n_blocks), len(order))
+            for pos, (idx, column) in enumerate(zip(order, columns)):
+                shared = _SharedMap(block[pos : pos + 1] for block in column)
+                summaries[idx] = run_trials(*runs[idx], n_trials, (*path, group[0]), _pool=shared)[0]
     points = [
         SweepPoint(
             L=float(L),

@@ -294,13 +294,31 @@ class TestSweep:
         assert out_lines[0].startswith("L=100 ") and out_lines[1].startswith("L=1000 ")
         _, header, rows = read_csv(f"{prefix}.csv")
         assert header == ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe",
-                          "cost", "cost_over_logL"]
+                          "cost", "cost_over_logL", "n_truncated"]
         assert [r[0] for r in rows] == ["100", "1000"]
+        assert all(line.endswith(" n_truncated=0") for line in out_lines)
         for r in rows:
             L, logL = float(r[0]), float(r[1])
             assert_allclose(logL, math.log(L), rtol=1e-8)
             assert_allclose(float(r[6]), float(r[2]) + L * float(r[4]), rtol=1e-7)
             assert_allclose(float(r[7]), float(r[6]) / logL, rtol=1e-7)
+            assert r[8] == "0"
+
+    def test_truncated_trials_are_reported(self, tmp_path, capsys):
+        # action 0 is uninformative, so rule [1, 0] never reaches the
+        # threshold and every trial stops at the safety horizon
+        path = tmp_path / "blind.json"
+        rows = [[[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.1, 0.9]]]
+        save_model(ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=2.0), path)
+        prefix = str(tmp_path / "blind")
+        args = ["sweep", str(path), "--policy", "fixed", "--lambda", "1,0", "--threshold", "0.99",
+                "--L", "1.5,3", "--trials", "64", "--seed", "5", "--out", prefix]
+        assert main(args) == 0
+        out_lines = capsys.readouterr().out.strip().splitlines()
+        assert len(out_lines) == 2
+        assert all(line.endswith(" n_truncated=64") for line in out_lines)
+        _, header, table = read_csv(f"{prefix}.csv")
+        assert [r[header.index("n_truncated")] for r in table] == ["64", "64"]
 
     @pytest.mark.parametrize(
         "stop",

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from active_ht import simulator
+from active_ht import policies, simulator
 from active_ht import (
     FiniteKernel,
     FixedRulePolicy,
@@ -35,7 +35,7 @@ from active_ht import (
 )
 from active_ht.belief import posterior_mode
 from active_ht.policies import HORIZON_FACTOR
-from conftest import make_gaussian_binary_model, make_garbled_model, make_two_probe_model
+from conftest import TWO_PROBE_ROWS, make_gaussian_binary_model, make_garbled_model, make_two_probe_model
 
 
 class _Stepwise(Policy):
@@ -478,8 +478,8 @@ def test_sweep_and_exponent_open_one_pool_each(monkeypatch, two_probe_model, two
 
 @pytest.mark.parametrize("make_model, kind", [(make_two_probe_model, "sa"), (make_gaussian_binary_model, "sn")])
 def test_sweep_points_equal_their_own_run_trials(make_model, kind):
-    # sweep_L maps every point's blocks at once; 2,500 trials make three
-    # blocks a point, the last one short
+    # the points differ only in their stops, so they share one pass on the
+    # seed path of the first; 2,500 trials make three blocks, the last one short
     model = make_model()
     report = compute_bounds(model)
     L_values = [100.0, 1000.0, 10_000.0]
@@ -488,8 +488,131 @@ def test_sweep_points_equal_their_own_run_trials(make_model, kind):
     for idx, L in enumerate(L_values):
         model_L = model.with_penalty(L)
         policy = build_policy(kind, model_L, report_at_penalty(report, model_L))
-        summary, _ = run_trials(model_L, policy, 2500, (48, 2, idx))
+        summary, _ = run_trials(model_L, policy, 2500, (48, 2, 0))
         assert serial[1][idx] == summary
+
+
+def _count_lockstep_blocks(monkeypatch):
+    calls = []
+    engine = simulator._lockstep_block
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_lockstep_block", counting)
+    return calls
+
+
+def _point_runs(model, kind, L_values, n_trials, seed, report=None, **fixed):
+    """run_trials of each point's own policy on ``seed``, with records."""
+    runs = []
+    for L in L_values:
+        model_L = model.with_penalty(L)
+        report_L = report_at_penalty(report, model_L) if report is not None else None
+        policy = build_policy(kind, model_L, report_L, **fixed)
+        runs.append(run_trials(model_L, policy, n_trials, seed, record_trials=True))
+    return runs
+
+
+def _blind_model():
+    """Action 0 is uninformative, so rule [1, 0] never reaches a threshold."""
+    rows = [[[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.1, 0.9]]]
+    return ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=2.0)
+
+
+@pytest.mark.parametrize("make_model, kind", [(make_two_probe_model, "sa"), (make_gaussian_binary_model, "sn")])
+def test_grouped_points_equal_their_own_run_trials_under_truncation(monkeypatch, make_model, kind):
+    # a safety horizon of about log L / maxmin r steps truncates some trials
+    # at every point; a trial truncated at a lower point runs on to the next
+    monkeypatch.setattr(policies, "HORIZON_FACTOR", 1.0)
+    model = make_model()
+    report = compute_bounds(model)
+    L_values = [100.0, 1000.0, 10_000.0]
+    calls = _count_lockstep_blocks(monkeypatch)
+    _, summaries = sweep_L(model, kind, L_values, 1500, (48, 3), report=report)
+    assert len(calls) == 2
+    for summary, (own, _) in zip(summaries, _point_runs(model, kind, L_values, 1500, (48, 3, 0), report)):
+        assert summary == own
+        assert 0 < summary.n_truncated < summary.n_trials
+
+
+@pytest.mark.parametrize(
+    "make_model, kind, fixed, n_trials",
+    [
+        (make_two_probe_model, "sa", {}, 1100),
+        (make_gaussian_binary_model, "sn", {}, 1100),
+        # every trial runs to a safety horizon of thousands of steps
+        (_blind_model, "fixed", {"rule": [1.0, 0.0], "threshold": 0.99}, 64),
+    ],
+    ids=["two_probe-sa", "gaussian-sn", "truncating-fixed"],
+)
+def test_trial_tau_is_monotone_in_L(make_model, kind, fixed, n_trials):
+    # under common random numbers a higher threshold and a longer horizon
+    # never stop a trial sooner
+    model = make_model()
+    report = None if fixed else compute_bounds(model)
+    L_values = [1.5, 3.0, 20.0] if fixed else [10.0, 100.0, 1000.0, 10_000.0]
+    runs = _point_runs(model, kind, L_values, n_trials, (48, 4, 0), report, **fixed)
+    taus = np.array([[record.tau for record in records] for _, records in runs])
+    assert np.all(np.diff(taus, axis=0) >= 0)
+    if fixed:
+        assert all(summary.n_truncated == n_trials for summary, _ in runs)
+    else:
+        assert np.any(np.diff(taus, axis=0) > 0)
+
+
+def test_non_uniform_prior_sn_keeps_one_group_per_point(monkeypatch):
+    # the sn rule is re-solved at each L under a non-uniform prior, and moves
+    model = ObservationModel(kernel=FiniteKernel(TWO_PROBE_ROWS), prior=[0.7, 0.3], penalty=1000.0)
+    report = compute_bounds(model)
+    L_values = [20.0, 100.0, 1000.0]
+    calls = _count_lockstep_blocks(monkeypatch)
+    _, summaries = sweep_L(model, "sn", L_values, 1500, (48, 5), report=report)
+    rules = [policy.weights for policy in calls[::2]]
+    assert len(calls) == 6 and not any(np.array_equal(a, b) for a, b in zip(rules, rules[1:]))
+    for idx, L in enumerate(L_values):
+        model_L = model.with_penalty(L)
+        policy = build_policy("sn", model_L, report_at_penalty(report, model_L))
+        assert summaries[idx] == run_trials(model_L, policy, 1500, (48, 5, idx))[0]
+
+
+def test_nn_keeps_one_group_per_point(two_probe_model, two_probe_report):
+    L_values = [100.0, 10_000.0]
+    _, summaries = sweep_L(two_probe_model, "nn", L_values, 1500, (48, 6), report=two_probe_report)
+    assert summaries[0].mean_tau < summaries[1].mean_tau
+    for idx, L in enumerate(L_values):
+        model_L = two_probe_model.with_penalty(L)
+        policy = build_policy("nn", model_L, report_at_penalty(two_probe_report, model_L))
+        assert summaries[idx] == run_trials(model_L, policy, 1500, (48, 6, idx))[0]
+
+
+def test_fixed_threshold_sweep_is_one_pass(monkeypatch, two_probe_model):
+    calls = _count_lockstep_blocks(monkeypatch)
+    points, summaries = sweep_L(
+        two_probe_model, "fixed", [10.0, 100.0, 1000.0], 1500, (48, 7), rule=[0.5, 0.5], threshold=0.99
+    )
+    assert len(calls) == 2
+    assert len({point.mean_tau for point in points}) == 1
+    policy = build_policy("fixed", two_probe_model, rule=[0.5, 0.5], threshold=0.99)
+    own, _ = run_trials(two_probe_model.with_penalty(10.0), policy, 1500, (48, 7, 0))
+    assert summaries[0] == own
+
+
+def test_unsorted_and_duplicate_penalties_come_back_in_input_order(two_probe_model, two_probe_report):
+    L_values = [1000.0, 10.0, 1000.0, 100.0]
+    points, summaries = sweep_L(two_probe_model, "sa", L_values, 1100, (48, 8), report=two_probe_report)
+    assert [point.L for point in points] == L_values
+    assert summaries[0] == summaries[2]
+    own = _point_runs(two_probe_model, "sa", L_values, 1100, (48, 8, 0), two_probe_report)
+    assert summaries == [summary for summary, _ in own]
+
+
+def test_a_sweep_group_runs_each_block_once(monkeypatch, two_probe_model, two_probe_report):
+    # three points of 2,500 trials: one pass of three blocks, not three passes
+    calls = _count_lockstep_blocks(monkeypatch)
+    sweep_L(two_probe_model, "sa", [100.0, 1000.0, 10_000.0], 2500, (48, 9), report=two_probe_report)
+    assert len(calls) == 3
 
 
 def test_exponent_probes_run_in_the_shared_pool(monkeypatch, two_probe_model, two_probe_report):
