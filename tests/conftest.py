@@ -66,6 +66,12 @@ def make_garbled_model(penalty: float = 100.0) -> ObservationModel:
     )
 
 
+def make_blind_model() -> ObservationModel:
+    """Action 0 is uninformative, so rule [1, 0] never reaches a posterior threshold."""
+    rows = [[[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.1, 0.9]]]
+    return ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=2.0)
+
+
 def run_python(*args, cwd=None, timeout=120) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with ``args``, importing this source tree's package."""
     src_dir = str(Path(active_ht.__file__).resolve().parents[1])

@@ -27,7 +27,7 @@ from active_ht import bounds, cli
 from active_ht.cli import _threads_default, main
 from active_ht.model import FiniteKernel, ObservationModel, save_model
 
-from conftest import make_garbled_model, make_two_probe_model, run_python
+from conftest import make_blind_model, make_garbled_model, make_two_probe_model, run_python
 
 MAXMIN_TP = 0.6506724213610958
 
@@ -305,11 +305,10 @@ class TestSweep:
             assert r[8] == "0"
 
     def test_truncated_trials_are_reported(self, tmp_path, capsys):
-        # action 0 is uninformative, so rule [1, 0] never reaches the
-        # threshold and every trial stops at the safety horizon
+        # rule [1, 0] never reaches the threshold, so every trial stops at
+        # the safety horizon
         path = tmp_path / "blind.json"
-        rows = [[[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.1, 0.9]]]
-        save_model(ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=2.0), path)
+        save_model(make_blind_model(), path)
         prefix = str(tmp_path / "blind")
         args = ["sweep", str(path), "--policy", "fixed", "--lambda", "1,0", "--threshold", "0.99",
                 "--L", "1.5,3", "--trials", "64", "--seed", "5", "--out", prefix]

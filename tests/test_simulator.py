@@ -35,7 +35,13 @@ from active_ht import (
 )
 from active_ht.belief import posterior_mode
 from active_ht.policies import HORIZON_FACTOR
-from conftest import TWO_PROBE_ROWS, make_gaussian_binary_model, make_garbled_model, make_two_probe_model
+from conftest import (
+    TWO_PROBE_ROWS,
+    make_blind_model,
+    make_gaussian_binary_model,
+    make_garbled_model,
+    make_two_probe_model,
+)
 
 
 class _Stepwise(Policy):
@@ -515,12 +521,6 @@ def _point_runs(model, kind, L_values, n_trials, seed, report=None, **fixed):
     return runs
 
 
-def _blind_model():
-    """Action 0 is uninformative, so rule [1, 0] never reaches a threshold."""
-    rows = [[[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.1, 0.9]]]
-    return ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=2.0)
-
-
 @pytest.mark.parametrize("make_model, kind", [(make_two_probe_model, "sa"), (make_gaussian_binary_model, "sn")])
 def test_grouped_points_equal_their_own_run_trials_under_truncation(monkeypatch, make_model, kind):
     # a safety horizon of about log L / maxmin r steps truncates some trials
@@ -543,7 +543,7 @@ def test_grouped_points_equal_their_own_run_trials_under_truncation(monkeypatch,
         (make_two_probe_model, "sa", {}, 1100),
         (make_gaussian_binary_model, "sn", {}, 1100),
         # every trial runs to a safety horizon of thousands of steps
-        (_blind_model, "fixed", {"rule": [1.0, 0.0], "threshold": 0.99}, 64),
+        (make_blind_model, "fixed", {"rule": [1.0, 0.0], "threshold": 0.99}, 64),
     ],
     ids=["two_probe-sa", "gaussian-sn", "truncating-fixed"],
 )
@@ -772,11 +772,7 @@ class TestSweep:
         # threshold; its safety horizon comes from the threshold and the
         # model's max-min reliability, with no report, and the sweep flags
         # every trial as truncated there.
-        m = ObservationModel(
-            kernel=FiniteKernel([[[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.1, 0.9]]]),
-            prior=[0.5, 0.5],
-            penalty=2.0,
-        )
+        m = make_blind_model()
         points, _ = sweep_L(m, "fixed", [1.5, 3.0], 64, 5, rule=[1.0, 0.0], threshold=0.99)
         assert [pt.n_truncated for pt in points] == [64, 64]
         assert all(pt.pe == 0.5 for pt in points)
