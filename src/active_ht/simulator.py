@@ -20,6 +20,14 @@ Reproducibility rules:
   of sums, and the block vectors are added in index order, so summaries
   are bit-identical no matter how many workers processed them.
 
+Blocks run in the process's one worker pool (``_worker_pool``), opened on
+the first call that needs more than one worker and kept for every later
+``run_trials``, ``sweep_L`` and ``estimate_error_exponent`` call; it is
+reopened when the worker count changes, a worker dies or the process forks.
+Workers are forked, so they see module state as it was when the pool
+opened: a test that patches an attribute the workers read must run at
+``workers=1`` or close the pool first (``_close_pool``).
+
 Sequential policies run in a lockstep engine: all live trials of a block
 advance together, one ``Policy.batch_weights`` query and one vectorized
 log-domain Bayes update (``belief.normalize``) per step, and a trial retires when its policy stops
@@ -59,8 +67,9 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -278,13 +287,15 @@ def stratified_hypotheses(prior: np.ndarray, n: int) -> np.ndarray:
     M = prior.size
     if np.allclose(prior, 1.0 / M, rtol=0.0, atol=1e-12):
         return np.arange(n, dtype=np.int64) % M
-    counts = np.zeros(M)
-    out = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        i = int(np.argmax(prior * (t + 1) - counts))
-        out[t] = i
+    # Python floats round as numpy's float64 does, and index(max) takes the
+    # first maximum, as argmax would, at a fraction of a numpy call per trial
+    weights, counts, out = prior.tolist(), [0.0] * M, []
+    for t in range(1, n + 1):
+        lead = [w * t - c for w, c in zip(weights, counts)]
+        i = lead.index(max(lead))
+        out.append(i)
         counts[i] += 1.0
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -474,17 +485,48 @@ def _block_task(task):
     return _run_block(*task)
 
 
+# The process's worker pool, its worker count and the pid of the process that
+# opened it; see _worker_pool.
+_process_pool = None
+_process_pool_lock = threading.RLock()
+
+
 def _worker_pool(workers: int):
-    """One process pool for every ``run_trials`` call of a caller (none for 1 worker).
+    """The process's worker pool for ``workers`` workers (None for 1 worker).
+
+    The pool is opened on the first call and shared by every later one at
+    the same worker count.  It is reopened when the worker count changes
+    (the old pool is shut down before the new one forks), when it is broken
+    (a worker died), or in a fork of the process that opened it, which must
+    not touch its parent's pool.  ``concurrent.futures`` joins the workers
+    at interpreter exit.
 
     Each worker freezes the objects it inherits from the parent.  Otherwise
     its first full collection, which comes sooner or later depending on the
     parent's allocation history, scans every inherited object and copies the
     pages they sit on.
     """
+    global _process_pool
     if workers <= 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
+        return None
+    with _process_pool_lock:
+        if _process_pool is not None:
+            pool, size, owner = _process_pool
+            if owner == os.getpid() and size == workers and not pool._broken:
+                return pool
+            _close_pool()
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
+        _process_pool = pool, workers, os.getpid()
+        return pool
+
+
+def _close_pool() -> None:
+    """Shut down the process's worker pool, if this process opened one."""
+    global _process_pool
+    with _process_pool_lock:
+        if _process_pool is not None and _process_pool[2] == os.getpid():
+            _process_pool[0].shutdown()
+        _process_pool = None
 
 
 def _stop(policy):
@@ -529,25 +571,26 @@ def run_trials(
     *,
     record_trials: bool = False,
     workers: int = 1,
-    _pool: Optional[ProcessPoolExecutor] = None,
+    _pool: Optional[_SharedMap] = None,
 ):
     """Simulate n_trials trials; returns (SimulationSummary, records or None).
 
     The summary is a deterministic fold over trial indices: the same
     (model, policy, n_trials, master_seed) always produces the identical
-    summary, bit for bit, regardless of ``workers``.  ``_pool`` is a caller's
-    open ``_worker_pool`` (or ``_SharedMap``), used instead of a pool of this
-    call's own.
+    summary, bit for bit, regardless of ``workers``.  ``_pool`` is
+    ``sweep_L``'s ``_SharedMap`` of results already computed, used instead
+    of the worker pool.
     """
     path = _seed_path(master_seed)
     tasks = _block_tasks(model, policy, n_trials, path, record_trials)
     total, records = np.zeros(9), [] if record_trials else None
-    own = _pool is None and len(tasks) > 1
-    with _worker_pool(workers) if own else nullcontext(_pool) as pool:
-        for [(sums, recs)] in (map if pool is None else pool.map)(_block_task, tasks):
-            total += sums
-            if record_trials:
-                records.extend(recs)
+    pool = _pool
+    if pool is None and len(tasks) > 1:
+        pool = _worker_pool(workers)
+    for [(sums, recs)] in (map if pool is None else pool.map)(_block_task, tasks):
+        total += sums
+        if record_trials:
+            records.extend(recs)
     return _summary(total, model.penalty, path), records
 
 
@@ -616,15 +659,15 @@ def sweep_L(
         tasks += _block_tasks(*runs[order[-1]], n_trials, (*path, group[0]), lower=lower)
     n_blocks = -(-n_trials // BLOCK)
     summaries = [None] * len(runs)
-    with _worker_pool(workers) if len(tasks) > 1 else nullcontext() as pool:
-        results = (map if pool is None else pool.map)(_block_task, tasks)
-        # each point's run_trials folds its own block sums, in index order;
-        # the group's first fold draws the blocks, the others read them again
-        for group, order in zip(groups, orders):
-            columns = itertools.tee(itertools.islice(results, n_blocks), len(order))
-            for pos, (idx, column) in enumerate(zip(order, columns)):
-                shared = _SharedMap(block[pos : pos + 1] for block in column)
-                summaries[idx] = run_trials(*runs[idx], n_trials, (*path, group[0]), _pool=shared)[0]
+    pool = _worker_pool(workers) if len(tasks) > 1 else None
+    results = (map if pool is None else pool.map)(_block_task, tasks)
+    # each point's run_trials folds its own block sums, in index order;
+    # the group's first fold draws the blocks, the others read them again
+    for group, order in zip(groups, orders):
+        columns = itertools.tee(itertools.islice(results, n_blocks), len(order))
+        for pos, (idx, column) in enumerate(zip(order, columns)):
+            shared = _SharedMap(block[pos : pos + 1] for block in column)
+            summaries[idx] = run_trials(*runs[idx], n_trials, (*path, group[0]), _pool=shared)[0]
     points = [
         SweepPoint(
             L=float(L),
@@ -703,15 +746,13 @@ def _tune_penalty(
     target: float,
     probe_trials: int,
     path: tuple,
-    *,
-    pool,
+    workers: int,
 ):
     """Bisection on log L until the probe's mean stopping time hits target.
 
     The bisection accepts at half of ``TUNE_REL_TOL`` so that, with probe noise on
     top, the final full-size run lands within the stated tolerance, and gives
     up untuned once the bracket is narrower than ``MIN_LOG_L_BRACKET``.
-    Probes run on the caller's open ``_worker_pool``.
     """
 
     probes = itertools.count(7000)
@@ -720,7 +761,7 @@ def _tune_penalty(
         model_L = model.with_penalty(math.exp(logL))
         policy = build_policy(policy_kind, model_L, report_at_penalty(report, model_L))
         seed = (*path, next(probes))
-        summary, _ = run_trials(model_L, policy, probe_trials, seed, _pool=pool)
+        summary, _ = run_trials(model_L, policy, probe_trials, seed, workers=workers)
         return summary.mean_tau
 
     rate = report.exponents.sa if policy_kind == "sa" else report.exponents.sn
@@ -784,36 +825,33 @@ def estimate_error_exponent(
     path = _seed_path(master_seed)
     probe_trials = max(4000, n_trials // 25)
     points = []
-    with _worker_pool(workers) as pool:
-        for idx, budget in enumerate(budgets):
-            if fixed_horizon:
-                use_rule = rule if policy_kind == "fixed" else report.d_hat_rule
-                policy = build_policy("fixed", model, rule=use_rule, n=int(budget))
-                model_L = model
-                penalty = None
-                tuned = True
-            else:
-                L, tuned = _tune_penalty(
-                    model, policy_kind, report, float(budget), probe_trials, (*path, idx), pool=pool
-                )
-                model_L = model.with_penalty(L)
-                policy = build_policy(policy_kind, model_L, report_at_penalty(report, model_L))
-                penalty = L
-            summary, _ = run_trials(model_L, policy, n_trials, (*path, idx), _pool=pool)
-            clean = summary.n_wrong > 0
-            pe = summary.pe if clean else max(summary.pe, _pe_floor(n_trials))
-            points.append(
-                BudgetPoint(
-                    budget=float(budget),
-                    penalty=penalty,
-                    mean_tau=summary.mean_tau,
-                    pe=pe,
-                    n_errors=summary.n_wrong,
-                    clean=clean,
-                    neg_log_pe=-math.log(pe),
-                    tuned=tuned,
-                )
+    for idx, budget in enumerate(budgets):
+        if fixed_horizon:
+            use_rule = rule if policy_kind == "fixed" else report.d_hat_rule
+            policy = build_policy("fixed", model, rule=use_rule, n=int(budget))
+            model_L = model
+            penalty = None
+            tuned = True
+        else:
+            L, tuned = _tune_penalty(model, policy_kind, report, float(budget), probe_trials, (*path, idx), workers)
+            model_L = model.with_penalty(L)
+            policy = build_policy(policy_kind, model_L, report_at_penalty(report, model_L))
+            penalty = L
+        summary, _ = run_trials(model_L, policy, n_trials, (*path, idx), workers=workers)
+        clean = summary.n_wrong > 0
+        pe = summary.pe if clean else max(summary.pe, _pe_floor(n_trials))
+        points.append(
+            BudgetPoint(
+                budget=float(budget),
+                penalty=penalty,
+                mean_tau=summary.mean_tau,
+                pe=pe,
+                n_errors=summary.n_wrong,
+                clean=clean,
+                neg_log_pe=-math.log(pe),
+                tuned=tuned,
             )
+        )
 
     fit_points = [p for p in points if p.clean]
     lower_bound_only = len(fit_points) < 2

@@ -2,8 +2,13 @@
 error rates, and the error-exponent estimator."""
 
 import math
+import multiprocessing
+import os
 import pickle
 import re
+import signal
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,7 @@ from conftest import (
     make_gaussian_binary_model,
     make_garbled_model,
     make_two_probe_model,
+    run_python,
 )
 
 
@@ -451,7 +457,16 @@ def test_seed_words_numpy_would_parse_are_rejected(two_probe_model, master_seed)
         run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=3), 10, master_seed)
 
 
-def test_sweep_and_exponent_open_one_pool_each(monkeypatch, two_probe_model, two_probe_report):
+@pytest.fixture
+def fresh_pool():
+    """Close the process's worker pool before and after the test, so that a
+    test that counts or fakes pools opens its own and leaves none cached."""
+    simulator._close_pool()
+    yield
+    simulator._close_pool()
+
+
+def test_sweep_and_exponent_open_one_pool_each(fresh_pool, monkeypatch, two_probe_model, two_probe_report):
     opened = []
 
     class _CountingPool(simulator.ProcessPoolExecutor):
@@ -469,9 +484,8 @@ def test_sweep_and_exponent_open_one_pool_each(monkeypatch, two_probe_model, two
         return summaries
 
     pooled = sweep(2)
-    assert len(opened) == 1
+    assert sweep(2) == pooled
     assert sweep(1) == pooled
-    assert len(opened) == 1
 
     def exponent(workers):
         return estimate_error_exponent(
@@ -479,7 +493,85 @@ def test_sweep_and_exponent_open_one_pool_each(monkeypatch, two_probe_model, two
         )
 
     assert exponent(2) == exponent(1)
-    assert len(opened) == 2
+    assert len(opened) == 1
+
+
+def test_a_pool_with_a_killed_worker_is_reopened(fresh_pool, two_probe_model):
+    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99)
+    first, _ = run_trials(two_probe_model, policy, 2500, 38, workers=2)
+    pool = simulator._worker_pool(2)
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool._broken
+    again, _ = run_trials(two_probe_model, policy, 2500, 38, workers=2)
+    assert again == first
+    assert simulator._worker_pool(2) is not pool
+
+
+def _is_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_a_new_worker_count_shuts_the_old_pool_down(fresh_pool, monkeypatch, two_probe_model):
+    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99)
+    at_four, _ = run_trials(two_probe_model, policy, 4500, 39, workers=4)
+    old = list(simulator._worker_pool(4)._processes)
+    alive_at_fork = []
+
+    class _CheckingPool(simulator.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            alive_at_fork.extend(pid for pid in old if _is_alive(pid))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _CheckingPool)
+    at_two, _ = run_trials(two_probe_model, policy, 4500, 39, workers=2)
+    assert at_two == at_four
+    assert len(old) == 4 and alive_at_fork == []
+
+
+def test_a_forked_process_opens_its_own_pool(fresh_pool, two_probe_model):
+    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99)
+    expected, _ = run_trials(two_probe_model, policy, 2500, 41, workers=2)
+    pool = simulator._worker_pool(2)
+
+    def in_the_fork():
+        got, _ = run_trials(two_probe_model, policy, 2500, 41, workers=2)
+        ok = got == expected and simulator._worker_pool(2) is not pool
+        simulator._close_pool()
+        os._exit(0 if ok else 1)
+
+    child = multiprocessing.get_context("fork").Process(target=in_the_fork)
+    child.start()
+    child.join(timeout=60.0)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0
+    # the parent's pool is untouched
+    assert run_trials(two_probe_model, policy, 2500, 41, workers=2)[0] == expected
+    assert simulator._worker_pool(2) is pool
+
+
+_SWEEP_AND_PRINT_WORKERS = """
+from active_ht import compute_bounds, simulator, sweep_L
+from conftest import make_two_probe_model
+
+model = make_two_probe_model()
+sweep_L(model, "sa", [100.0, 1000.0], 2500, 40, report=compute_bounds(model), workers=2)
+print(*simulator._worker_pool(2)._processes)
+"""
+
+
+def test_no_worker_outlives_the_process():
+    proc = run_python("-c", _SWEEP_AND_PRINT_WORKERS, cwd=Path(__file__).parent, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2 and not any(_is_alive(pid) for pid in pids)
 
 
 @pytest.mark.parametrize("make_model, kind", [(make_two_probe_model, "sa"), (make_gaussian_binary_model, "sn")])
@@ -615,35 +707,40 @@ def test_a_sweep_group_runs_each_block_once(monkeypatch, two_probe_model, two_pr
     assert len(calls) == 3
 
 
-def test_exponent_probes_run_in_the_shared_pool(monkeypatch, two_probe_model, two_probe_report):
-    opened, pools = [], []
+def test_exponent_probes_run_in_the_shared_pool(fresh_pool, monkeypatch, two_probe_model, two_probe_report):
+    opened, mapped, calls = [], [], []
 
     class _CountingPool(simulator.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(self)
             super().__init__(*args, **kwargs)
 
+        def map(self, *args, **kwargs):
+            mapped.append(self)
+            return super().map(*args, **kwargs)
+
     real_run_trials = simulator.run_trials
 
     def spy(*args, **kwargs):
-        pools.append(kwargs.get("_pool"))
+        calls.append(args[0].penalty)
         return real_run_trials(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(simulator, "run_trials", spy)
 
     def exponent(workers):
-        pools.clear()
+        mapped.clear()
+        calls.clear()
         return estimate_error_exponent(
             two_probe_model, "sa", [4], 2000, 36, report=two_probe_report, workers=workers
         )
 
     pooled = exponent(2)
-    # the bisection probes and the full run all use the one pool
-    assert len(opened) == 1 and len(pools) > 2
-    assert all(pool is opened[0] for pool in pools)
+    # the bisection probes and the full run each map their blocks through the one pool
+    assert len(opened) == 1 and len(calls) > 2 and len(mapped) == len(calls)
+    assert all(pool is opened[0] for pool in mapped)
     assert exponent(1) == pooled
-    assert len(opened) == 1 and set(pools) == {None}
+    assert len(opened) == 1 and mapped == []
 
 
 def test_penalty_tuning_stops_when_the_bracket_stops_shrinking(
@@ -687,18 +784,17 @@ def test_penalty_probes_never_repeat_a_penalty(monkeypatch, two_probe_model, two
     assert len(probes) > 1 and len(set(probes)) == len(probes)
 
 
-def test_pool_task_size_does_not_grow_with_trials(monkeypatch, two_probe_model):
-    sizes = []
+def test_pool_task_size_does_not_grow_with_trials(fresh_pool, monkeypatch, two_probe_model):
+    sizes, opened = [], []
 
     class _InlinePool:
+        _broken = False
+
         def __init__(self, max_workers, initializer):
+            opened.append(self)
+
+        def shutdown(self):
             pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def map(self, fn, tasks):
             for task in tasks:
@@ -715,6 +811,7 @@ def test_pool_task_size_does_not_grow_with_trials(monkeypatch, two_probe_model):
         largest.append(max(sizes))
     # only the pickled block index may take a byte or two more
     assert largest[1] - largest[0] < 16
+    assert len(opened) == 1
 
 
 class TestStratification:
@@ -734,6 +831,26 @@ class TestStratification:
         counts = np.cumsum(thetas == 0)
         steps = np.arange(1, 1001)
         assert np.all(np.abs(counts - 0.6 * steps) <= 1.0)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 6])
+    def test_equals_the_numpy_quota_loop(self, M):
+        def numpy_quotas(prior, n):
+            counts = np.zeros(prior.size)
+            out = np.empty(n, dtype=np.int64)
+            for t in range(n):
+                i = int(np.argmax(prior * (t + 1) - counts))
+                out[t] = i
+                counts[i] += 1.0
+            return out
+
+        rng = np.random.default_rng(M)
+        priors = [rng.dirichlet(np.ones(M)) for _ in range(4)]
+        if M == 3:
+            priors.append(np.array([0.25, 0.25, 0.5]))  # ties go to the lowest index
+        for prior in priors:
+            got = stratified_hypotheses(prior, 3000)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, numpy_quotas(prior, 3000))
 
 
 class TestSweep:
