@@ -27,7 +27,7 @@ import numpy as np
 from .belief import normalize, posterior_error
 from .bounds import alpha_max
 from .exceptions import BudgetError, HorizonError
-from .model import ObservationModel, as_weights, log0
+from .model import ObservationModel, RandomizedRule, as_weights, log0
 from .policies import Policy
 
 # exact_pairwise scores count matrices in chunks of this many, so its
@@ -309,6 +309,9 @@ def exact_pairwise(model: ObservationModel, rule, n: int, budget: OracleBudget |
         raise ValueError("horizon must be >= 1")
     if budget is None:
         budget = OracleBudget()
+    # validated once: alpha_max takes a RandomizedRule's weights unchanged, so
+    # the rates and the predicted exponents see the same weights
+    rule = rule if isinstance(rule, RandomizedRule) else RandomizedRule(np.asarray(rule, dtype=float))
     w = as_weights(rule, model.K)
     M = model.M
     gen, cell_loglike = _rule_cells(model, w)  # (M, C)
@@ -352,7 +355,7 @@ def exact_pairwise(model: ObservationModel, rule, n: int, budget: OracleBudget |
         for j in range(i + 1, M):
             worst = max(rates[i, j], rates[j, i])
             exponent = math.inf if worst == 0.0 else -math.log(worst) / n
-            opt = alpha_max(model, i, j, w)
+            opt = alpha_max(model, i, j, rule)
             sandwiches.append(
                 PairSandwich(
                     i=i,

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundsReport, _log_prior_spreads, maxmin_reliability
+from .bounds import BoundsReport, _log_prior_spreads, maxmin_reliability, report_at_penalty
 from .exceptions import AssumptionError
 from .model import ObservationModel, as_weights
 
@@ -85,13 +85,13 @@ class TwoPhasePolicy(Policy):
 
     While the posterior mode is below ``phase_threshold`` actions come from
     ``explore_weights``; afterwards from ``exploit_weights[mode]``.  Stops
-    once the mode reaches ``stop_threshold``.
+    once the mode reaches ``threshold``.
     """
 
     explore_weights: np.ndarray
     exploit_weights: np.ndarray  # (M, K)
     phase_threshold: float
-    stop_threshold: float
+    threshold: float
     safety_horizon: Optional[int] = None
 
     def __post_init__(self):
@@ -100,7 +100,7 @@ class TwoPhasePolicy(Policy):
         w = np.vstack([as_weights(row, explore.size) for row in self.exploit_weights])
         w.setflags(write=False)
         object.__setattr__(self, "exploit_weights", w)
-        if not 0.0 < self.stop_threshold < 1.0:
+        if not 0.0 < self.threshold < 1.0:
             raise ValueError("stop threshold must lie in (0, 1)")
         if not 0.0 < self.phase_threshold <= 1.0:
             raise ValueError("phase threshold must lie in (0, 1]")
@@ -109,7 +109,7 @@ class TwoPhasePolicy(Policy):
         top = probs.max(axis=1)
         weights = self.exploit_weights[probs.argmax(axis=1)]
         weights[top < self.phase_threshold] = self.explore_weights
-        return weights, top >= self.stop_threshold
+        return weights, top >= self.threshold
 
 
 def fixed_lambda_policy(
@@ -150,9 +150,10 @@ def nn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:
 
 def sn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:
     """Sequential, non-adaptive: i.i.d. actions from the rule minimizing the
-    prior-weighted cost bound, stopping once some posterior clears 1 - 1/L."""
+    prior-weighted cost bound at the model's penalty, stopping once some
+    posterior clears 1 - 1/L."""
     return FixedRulePolicy(
-        weights=report.cost_bounds.sn_upper_rule.weights,
+        weights=report_at_penalty(report, model).cost_bounds.sn_upper_rule.weights,
         threshold=_stop_threshold(model),
         safety_horizon=_safety_horizon(math.log(model.penalty), report.maxmin_r),
     )
@@ -165,7 +166,7 @@ def sa_policy(model: ObservationModel, report: BoundsReport) -> TwoPhasePolicy:
         explore_weights=report.maxmin_rule.weights,
         exploit_weights=[rule for rule, _ in report.reliabilities],
         phase_threshold=PHASE_THRESHOLD,
-        stop_threshold=_stop_threshold(model),
+        threshold=_stop_threshold(model),
         safety_horizon=_safety_horizon(math.log(model.penalty), report.maxmin_r),
     )
 

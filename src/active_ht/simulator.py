@@ -36,7 +36,8 @@ One pass of the engine can also serve a stack of lower stops, (threshold,
 horizon) pairs below the policy's own: each records a trial at its first
 passage and the trial plays on to the policy's stop.  ``sweep_L`` runs each
 group of points whose policies differ only in their stops as one such pass,
-so every point of the group sees the same trials.
+so every point of the group sees the same trials, and folds each point's
+summary straight from the pass's block results.
 A fixed-horizon ``FixedRulePolicy`` whose class keeps its ``batch_weights``
 takes a separate path that draws all of a trial's uniforms at once and sums
 the log-likelihoods without per-step normalization; a subclass that
@@ -70,7 +71,7 @@ import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -529,38 +530,16 @@ def _close_pool() -> None:
         _process_pool = None
 
 
-def _stop(policy):
-    """The (threshold, safety horizon) at which a threshold-stopped ``policy`` stops."""
-    return (policy.threshold if type(policy) is FixedRulePolicy else policy.stop_threshold), policy.safety_horizon
-
-
 def _share_a_pass(a: Policy, b: Policy) -> bool:
-    """Whether ``a`` and ``b`` are threshold rules of one class whose fields
-    other than their stops are equal, so that one pass plays both."""
-    if type(a) is not type(b):
+    """Whether one pass plays both ``a`` and ``b``: threshold rules of one
+    built-in class (a subclass never shares) whose every field but their
+    stop (threshold and safety horizon) is equal."""
+    if type(a) is not type(b) or type(a) not in (FixedRulePolicy, TwoPhasePolicy):
         return False
-    if type(a) is FixedRulePolicy:
-        return a.threshold is not None and b.threshold is not None and np.array_equal(a.weights, b.weights)
-    if type(a) is TwoPhasePolicy:
-        return (
-            np.array_equal(a.explore_weights, b.explore_weights)
-            and np.array_equal(a.exploit_weights, b.exploit_weights)
-            and a.phase_threshold == b.phase_threshold
-        )
-    return False
-
-
-class _SharedMap:
-    """A ``_pool`` for ``run_trials`` calls made in the order of one map's tasks.
-
-    Each call takes the next results, one per block task it builds.
-    """
-
-    def __init__(self, results):
-        self.results = results
-
-    def map(self, fn, tasks):
-        return [next(self.results) for _ in tasks]
+    if a.threshold is None or b.threshold is None:
+        return False
+    plays = [f.name for f in fields(a) if f.name not in ("threshold", "safety_horizon")]
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in plays)
 
 
 def run_trials(
@@ -571,23 +550,23 @@ def run_trials(
     *,
     record_trials: bool = False,
     workers: int = 1,
-    _pool: Optional[_SharedMap] = None,
+    _blocks=None,
 ):
     """Simulate n_trials trials; returns (SimulationSummary, records or None).
 
     The summary is a deterministic fold over trial indices: the same
     (model, policy, n_trials, master_seed) always produces the identical
-    summary, bit for bit, regardless of ``workers``.  ``_pool`` is
-    ``sweep_L``'s ``_SharedMap`` of results already computed, used instead
-    of the worker pool.
+    summary, bit for bit, regardless of ``workers``.  ``_blocks`` is
+    ``sweep_L``'s iterable of this run's block results, already run by its
+    group's pass, folded in place of running the blocks.
     """
     path = _seed_path(master_seed)
-    tasks = _block_tasks(model, policy, n_trials, path, record_trials)
+    if _blocks is None:
+        tasks = _block_tasks(model, policy, n_trials, path, record_trials)
+        pool = _worker_pool(workers) if len(tasks) > 1 else None
+        _blocks = (map if pool is None else pool.map)(_block_task, tasks)
     total, records = np.zeros(9), [] if record_trials else None
-    pool = _pool
-    if pool is None and len(tasks) > 1:
-        pool = _worker_pool(workers)
-    for [(sums, recs)] in (map if pool is None else pool.map)(_block_task, tasks):
+    for [(sums, recs)] in _blocks:
         total += sums
         if record_trials:
             records.extend(recs)
@@ -627,12 +606,14 @@ def sweep_L(
     The built families ``nn``, ``sn`` and ``sa`` need ``report``; ``fixed``
     takes ``rule`` and one of ``fixed_n`` / ``threshold`` (see ``build_policy``).
     Points whose policies differ only in their stop (threshold and safety
-    horizon) form a group: a ``FixedRulePolicy`` threshold rule or a
-    ``TwoPhasePolicy`` whose other fields are equal, as ``sa``'s are at every
-    L and ``sn``'s under a uniform prior.  A group runs one lockstep pass on
-    the seed path ``(*master_seed, g)``, g the index of its first point, and
-    each of its points equals ``run_trials`` of that point's policy on that
-    seed, bit for bit; any other point is a group of one.
+    horizon) form a group: threshold rules of one built-in class,
+    ``FixedRulePolicy`` or ``TwoPhasePolicy``, whose every other field is
+    equal, as ``sa``'s are at every L and ``sn``'s under a uniform prior.  A
+    group builds its blocks once and runs them as one lockstep pass on the
+    seed path ``(*master_seed, g)``, g the least index of its points; each
+    point's ``run_trials`` call folds that point's stop of each block, and
+    equals ``run_trials`` of that point's policy on that seed, bit for bit.
+    Any other point is a group of one.
     Returns (points, summaries) in the order of ``L_values``; cost is
     E[tau] + L * P(error) per point.
     """
@@ -643,31 +624,31 @@ def sweep_L(
         report_L = report_at_penalty(report, model_L) if report is not None else None
         policy = build_policy(policy_kind, model_L, report_L, rule=rule, n=fixed_n, threshold=threshold)
         runs.append((model_L, policy))
+    # each group lists its points sorted by L, so that the top point plays
+    # every step of the group's pass and stops last
     groups = []
-    for idx, (_, policy) in enumerate(runs):
-        group = next((g for g in groups if _share_a_pass(runs[g[0]][1], policy)), None)
+    for idx in sorted(range(len(runs)), key=lambda i: runs[i][0].penalty):
+        group = next((g for g in groups if _share_a_pass(runs[g[0]][1], runs[idx][1])), None)
         if group is None:
             groups.append([idx])
         else:
             group.append(idx)
-    # each group's pass runs its points sorted by L, so that the top point
-    # plays every step and stops last; one map over every group's blocks
-    orders = [sorted(group, key=lambda i: runs[i][0].penalty) for group in groups]
     tasks = []
-    for group, order in zip(groups, orders):
-        lower = [(*_stop(runs[i][1]), runs[i][0].penalty) for i in order[:-1]]
-        tasks += _block_tasks(*runs[order[-1]], n_trials, (*path, group[0]), lower=lower)
+    for group in groups:
+        lower = [(runs[i][1].threshold, runs[i][1].safety_horizon, runs[i][0].penalty) for i in group[:-1]]
+        tasks += _block_tasks(*runs[group[-1]], n_trials, (*path, min(group)), lower=lower)
     n_blocks = -(-n_trials // BLOCK)
     summaries = [None] * len(runs)
     pool = _worker_pool(workers) if len(tasks) > 1 else None
     results = (map if pool is None else pool.map)(_block_task, tasks)
-    # each point's run_trials folds its own block sums, in index order;
-    # the group's first fold draws the blocks, the others read them again
-    for group, order in zip(groups, orders):
-        columns = itertools.tee(itertools.islice(results, n_blocks), len(order))
-        for pos, (idx, column) in enumerate(zip(order, columns)):
-            shared = _SharedMap(block[pos : pos + 1] for block in column)
-            summaries[idx] = run_trials(*runs[idx], n_trials, (*path, group[0]), _pool=shared)[0]
+    # each point's run_trials folds its own column of its group's blocks, in
+    # index order; the group's first fold draws the blocks, the others read
+    # them again
+    for group in groups:
+        columns = itertools.tee(itertools.islice(results, n_blocks), len(group))
+        for pos, (idx, column) in enumerate(zip(group, columns)):
+            blocks = (block[pos : pos + 1] for block in column)
+            summaries[idx] = run_trials(*runs[idx], n_trials, (*path, min(group)), _blocks=blocks)[0]
     points = [
         SweepPoint(
             L=float(L),

@@ -27,6 +27,7 @@ from active_ht import (
     run_trials,
 )
 from active_ht.oracle import _count_matrices, _count_ranks
+from conftest import random_finite_model
 
 HALF_RULE = RandomizedRule([0.5, 0.5])
 
@@ -146,7 +147,7 @@ SEQUENTIAL_POLICIES = {
         explore_weights=[0.5, 0.5],
         exploit_weights=[[0.9, 0.1], [0.1, 0.9]],
         phase_threshold=0.7,
-        stop_threshold=0.97,
+        threshold=0.97,
         safety_horizon=7,
     ),
     "user_subclass": _PosteriorMatching(),
@@ -173,7 +174,7 @@ class TestSequentialPolicies:
                 explore_weights=[0.5, 0.5],
                 exploit_weights=[[0.9, 0.1], [0.1, 0.9]],
                 phase_threshold=0.8,
-                stop_threshold=0.999,
+                threshold=0.999,
                 safety_horizon=60,
             ),
         ],
@@ -357,6 +358,18 @@ class TestExactPairwise:
             else:
                 assert ex.ties[0][1] > 0.0
             assert ex.rates[0][1] + ex.rates[1][0] < 1.0
+
+    def test_predictions_use_the_rates_rule(self):
+        # the rule is validated once: renormalizing validated weights again
+        # moves the last bit of a few rules (1 of these 66), and with it
+        # alpha_max's optimum
+        model = random_finite_model(np.random.default_rng(4), 3)
+        rng = np.random.default_rng(66)
+        for w in rng.dirichlet(np.ones(model.K), size=66):
+            ex = exact_pairwise(model, w, 2)
+            for s in ex.sandwiches:
+                direct = alpha_max(model, s.i, s.j, RandomizedRule(w))
+                assert (s.predicted, s.alpha_star) == (direct.value, direct.alpha_star)
 
     def test_monotone_decay_in_horizon(self, two_probe_model):
         values = [

@@ -22,6 +22,7 @@ from active_ht import (
     exact_eval,
     fixed_lambda_policy,
     nn_policy,
+    report_at_penalty,
     run_trials,
     sa_policy,
     sn_policy,
@@ -131,6 +132,22 @@ class TestThresholdPolicies:
         want = math.ceil(1000.0 * math.log(1000.0) / two_probe_report.maxmin_r)
         assert p.safety_horizon == want
 
+    def test_sn_rule_follows_the_model_penalty(self):
+        # under a non-uniform prior the sn rule moves with L, so a report
+        # computed at another penalty must be re-derived at the model's
+        rows = np.empty((3, 3, 2))
+        for i in range(3):
+            for a, p in enumerate([0.9, 0.8, 0.7]):
+                rows[i, a] = [p, 1.0 - p] if i == a else [1.0 - p, p]
+        model = ObservationModel(kernel=FiniteKernel(rows), prior=[0.7, 0.2, 0.1], penalty=10.0)
+        report = compute_bounds(model)
+        high = model.with_penalty(1e6)
+        want = report_at_penalty(report, high).cost_bounds.sn_upper_rule.weights
+        assert_allclose(want, [0.4878, 0.5122, 0.0], atol=1e-4)
+        assert not np.allclose(want, report.cost_bounds.sn_upper_rule.weights, atol=1e-2)
+        assert np.array_equal(build_policy("sn", high, report).weights, want)
+        assert np.array_equal(sn_policy(high, report).weights, want)
+
     def test_pathwise_error_cap(self, two_probe_model, two_probe_report):
         p = sn_policy(two_probe_model, two_probe_report)
         _, records = run_trials(two_probe_model, p, 2000, 91, record_trials=True)
@@ -144,14 +161,14 @@ class TestThresholdPolicies:
         assert_allclose(p.explore_weights, [0.5, 0.5], atol=1e-9)
         assert_allclose(p.exploit_weights[0], [0.0, 1.0], atol=1e-9)
         assert_allclose(p.exploit_weights[1], [1.0, 0.0], atol=1e-9)
-        assert_allclose(p.stop_threshold, 0.999, rtol=1e-15)
+        assert_allclose(p.threshold, 0.999, rtol=1e-15)
 
     def test_two_phase_switching(self):
         p = TwoPhasePolicy(
             explore_weights=[0.5, 0.5],
             exploit_weights=[[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]],
             phase_threshold=0.5,
-            stop_threshold=0.99,
+            threshold=0.99,
         )
         probs = np.array([np.full(3, 1.0 / 3.0), [0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.995, 0.004, 0.001]])
         weights, stop = p.batch_weights(probs, 3)
@@ -169,7 +186,7 @@ class TestThresholdPolicies:
                 explore_weights=[0.5, 0.5],
                 exploit_weights=exploit,
                 phase_threshold=0.5,
-                stop_threshold=0.99,
+                threshold=0.99,
             )
 
     def test_exploit_draw_frequencies(self):
@@ -177,7 +194,7 @@ class TestThresholdPolicies:
             explore_weights=[1.0, 0.0],
             exploit_weights=[[0.25, 0.75], [1.0, 0.0]],
             phase_threshold=0.5,
-            stop_threshold=0.999,
+            threshold=0.999,
         )
         rng = np.random.default_rng(3)
         probs = np.array([0.9, 0.1])
@@ -229,7 +246,7 @@ def _policies_for(M, rng):
             explore_weights=w,
             exploit_weights=rng.dirichlet(np.ones(K), size=M),
             phase_threshold=_PHASE,
-            stop_threshold=_STOP,
+            threshold=_STOP,
         ),
     ]
 

@@ -1,6 +1,8 @@
 """Monte Carlo evaluation: trial mechanics, seeding, sweeps, pairwise
 error rates, and the error-exponent estimator."""
 
+import copy
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -255,7 +257,7 @@ def _sa(explore, exploit, L, horizon=10_000):
         explore_weights=explore,
         exploit_weights=exploit,
         phase_threshold=0.5,
-        stop_threshold=1.0 - 1.0 / L,
+        threshold=1.0 - 1.0 / L,
         safety_horizon=horizon,
     )
 
@@ -700,11 +702,62 @@ def test_unsorted_and_duplicate_penalties_come_back_in_input_order(two_probe_mod
     assert summaries == [summary for summary, _ in own]
 
 
-def test_a_sweep_group_runs_each_block_once(monkeypatch, two_probe_model, two_probe_report):
-    # three points of 2,500 trials: one pass of three blocks, not three passes
+def test_a_sweep_group_runs_each_block_once(monkeypatch):
+    # three points of 2,500 trials: one pass of three blocks, not three
+    # passes, and the points' folds rebuild neither the block tasks nor
+    # their stratified hypotheses (a quota loop under this prior)
+    model = ObservationModel(kernel=FiniteKernel(TWO_PROBE_ROWS), prior=[0.7, 0.3], penalty=1000.0)
+    report = compute_bounds(model)
     calls = _count_lockstep_blocks(monkeypatch)
-    sweep_L(two_probe_model, "sa", [100.0, 1000.0, 10_000.0], 2500, (48, 9), report=two_probe_report)
+    stratified = []
+    stratify = simulator.stratified_hypotheses
+
+    def counting(prior, n):
+        stratified.append(n)
+        return stratify(prior, n)
+
+    monkeypatch.setattr(simulator, "stratified_hypotheses", counting)
+    sweep_L(model, "sa", [100.0, 1000.0, 10_000.0], 2500, (48, 9), report=report)
     assert len(calls) == 3
+    assert stratified == [2500]
+
+
+_SHARING_BASES = {
+    FixedRulePolicy: dict(weights=[0.5, 0.5], threshold=0.99, safety_horizon=100),
+    TwoPhasePolicy: dict(
+        explore_weights=[0.5, 0.5],
+        exploit_weights=[[0.0, 1.0], [1.0, 0.0]],
+        phase_threshold=0.5,
+        threshold=0.99,
+        safety_horizon=100,
+    ),
+}
+_OTHER_STOPS = {"threshold": 0.999, "safety_horizon": 200}
+
+
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in _SHARING_BASES for f in dataclasses.fields(cls)])
+def test_a_pass_is_shared_only_across_stops(cls, name):
+    # every field but the stop decides how a policy plays, so a field added
+    # to either class is compared without naming it
+    base = cls(**_SHARING_BASES[cls])
+    if name in _OTHER_STOPS:
+        other = dataclasses.replace(base, **{name: _OTHER_STOPS[name]})
+        assert simulator._share_a_pass(base, other)
+    else:
+        other = copy.copy(base)
+        value = getattr(base, name)
+        object.__setattr__(other, name, 1 if value is None else np.asarray(value) + 1.0)
+        assert not simulator._share_a_pass(base, other)
+        assert not simulator._share_a_pass(other, base)
+
+
+@pytest.mark.parametrize("cls", list(_SHARING_BASES))
+def test_a_policy_subclass_never_shares_a_pass(cls):
+    sub = type("Sub", (cls,), {})
+    fields = _SHARING_BASES[cls]
+    assert simulator._share_a_pass(cls(**fields), cls(**fields))
+    assert not simulator._share_a_pass(sub(**fields), sub(**fields))
+    assert not simulator._share_a_pass(cls(**fields), sub(**fields))
 
 
 def test_exponent_probes_run_in_the_shared_pool(fresh_pool, monkeypatch, two_probe_model, two_probe_report):
