@@ -16,7 +16,9 @@ divergences over the action simplex:
 The others read one table, ``_pair_rows``: the rows D[i, j], j != i, as an
 (M, M-1, K) array.  ``_mixed_min`` evaluates R(i, w) on it, the LPs and barrier
 solves take its rows (capped), and ``_harmonic`` is the one harmonic mean.
-``d_hat`` and ``alpha_max`` share ``_pair_exponents`` and ``_pair_optima``.
+``d_hat`` and ``alpha_max`` share ``_pair_exponents``, which also gives the
+first two alpha derivatives, and ``_pair_optima``, a lockstep safeguarded
+Newton search over alpha.
 
 Every LP here, ``d_hat``'s included, is the value of a matrix game
 max_w min(rows @ w).  ``linprog`` solves it with a numpy tableau simplex and
@@ -37,7 +39,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace as dc_replace
 
 import numpy as np
 
-from .divergences import _gaussian_tilted_exponent, _golden_max, tilted_exponent  # noqa: F401 (bounds.tilted_exponent)
+from .divergences import _gaussian_tilted_exponent, tilted_exponent  # noqa: F401 (bounds.tilted_exponent)
 from .exceptions import AssumptionError
 from .model import ObservationModel, RandomizedRule, as_weights, check_hypotheses, validate
 
@@ -59,6 +61,12 @@ GAP_TOL = 1e-11
 _SCREEN_RESOLUTION = 0.1
 _ASCENT_TOL = 1e-12
 _ASCENT_ITERATIONS = 50
+
+# The alpha search: the step and bracket width at which a job stops, and its
+# iteration cap (where F'' vanishes at a quartic peak, each Newton step
+# closes only a third of the distance).
+_NEWTON_TOL = 1e-12
+_NEWTON_ITERATIONS = 60
 
 # Pivot tolerance of the game solver, relative to the scale of the tableau.
 PIVOT_TOL = 1e-12
@@ -249,13 +257,17 @@ def _minimize_weighted_inverse(pair_rows: np.ndarray, coeffs: np.ndarray):
     solve is the lifted convex program  min sum_i c_i / t_i  subject to
     t_i <= D_ij . w, t > 0, w >= 0, sum(w) = 1, solved by the log-barrier
     method (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 11): Newton
-    centering within sum(w) = 1, with the barrier weight tau raised until the
-    duality gap m / tau of the m inequality rows is at most GAP_TOL times the
-    objective.  Each Newton step is a least-squares solve, so a flat optimal
-    face (several actions separating every pair at KL_CAP) yields a
-    minimum-norm step instead of a singular system.  Its backtracking line
-    search starts at the first power-of-two step that keeps every inequality
-    row positive (``_first_feasible_step``).
+    centering within sum(w) = 1, with the barrier weight tau raised 50-fold
+    until the duality gap m / tau of the m inequality rows is at most GAP_TOL
+    times the objective.  From the second stage on, centering starts at the
+    first-order extrapolation of the central path x(tau) ~ x* + v / tau:
+    x + (x - x_prev) / 50, where x is the last center and x_prev the one
+    before it (the starting point, for the second stage), pulled back to 0.99
+    of the way to the domain's edge if it would leave it.  Each Newton step is
+    a least-squares solve, so a flat optimal face (several actions separating
+    every pair at KL_CAP) yields a minimum-norm step instead of a singular
+    system.  Its backtracking line search starts at the first power-of-two
+    step that keeps every inequality row positive (``_first_feasible_step``).
     """
     keep = coeffs > 0.0
     c, rows = coeffs[keep], _cap(pair_rows[keep])
@@ -287,9 +299,21 @@ def _barrier_rule(c: np.ndarray, rows: np.ndarray, w: np.ndarray, r: np.ndarray)
     N, rhs = np.zeros((m + n, K + n)), np.ones(m + n)
     h_entries = (np.arange(m, m + n), np.arange(K, K + n))
     x = np.concatenate([w, 0.5 * r])
+    x_prev = None
     tau = m / np.sum(c / x[K:])
     while m / tau > GAP_TOL * np.sum(c / x[K:]):
         tau *= 50.0
+        start = x
+        if x_prev is not None:
+            # The central path is x* + v / tau to first order, so the next
+            # center lies near x + (x - x_prev) / 50; start there, or 0.99 of
+            # the way to the edge of the domain if that is nearer.
+            d = (x - x_prev) / 50.0
+            with np.errstate(divide="ignore"):
+                ratios = -(A @ x) / (A @ d)
+            edge = ratios[ratios > 0.0].min(initial=math.inf)
+            start = x + min(1.0, 0.99 * edge) * d
+        x_prev, x = x, start
         for _ in range(50):  # Newton centering of tau * sum(c / t) - sum(log(A @ x))
             s, t = A @ x, x[K:]
             # The quadratic model of the centering objective along Z is
@@ -346,11 +370,14 @@ def _pair_exponents(model: ObservationModel, pairs):
     the ordered pairs p = (I[p], J[p]) of ``pairs = (I, J)``.
 
     ``exponents(p, alphas)`` takes one pair index and one alpha per job,
-    both of shape (N,), and returns E[p[n], a](alphas[n]) of shape (N, K).
-    Finite kernels read ``log_probs`` as E = -log sum_z exp(alpha (log q_i -
-    log q_j) + log q_j), with the cells outside the common support masked to
-    -inf, so an action that separates the pair perfectly gives +inf; Gaussian
-    kernels use the closed form.
+    both of shape (N,), and returns E[p[n], a](alphas[n]) of shape (N, K);
+    ``exponents(p, alphas, derivatives=True)`` returns (E, E', E''), the
+    derivatives taken in alpha.  Finite kernels read ``log_probs`` as
+    E = -log sum_z exp(alpha (log q_i - log q_j) + log q_j), with the cells
+    outside the common support masked to -inf, so an action that separates the
+    pair perfectly gives +inf; E' and E'' are minus the mean and the variance
+    of the log-ratio under the tilted weights.  Gaussian kernels use the
+    closed forms.
     """
     I, J = pairs
     if model.is_finite:
@@ -359,24 +386,86 @@ def _pair_exponents(model: ObservationModel, pairs):
         diff = np.subtract(lp, lq, out=np.zeros(lp.shape), where=both)
         base = np.where(both, lq, -np.inf)
 
-        def exponents(p, alphas):
-            tilted = alphas[:, None, None] * diff[p] + base[p]
+        def exponents(p, alphas, derivatives=False):
+            d = diff[p]
+            e = np.exp(alphas[:, None, None] * d + base[p])
+            total = e.sum(axis=2)
             with np.errstate(divide="ignore"):  # log(0) = -inf on a separated pair
-                return -np.log(np.exp(tilted).sum(axis=2))
+                E = -np.log(total)
+            if not derivatives:
+                return E
+            # A separated pair's 0 / 0 is NaN; no search reads it.
+            with np.errstate(invalid="ignore"):
+                mean = (d * e).sum(axis=2) / total
+                second = (d * d * e).sum(axis=2) / total
+            return E, -mean, mean * mean - second
 
     else:
         means, variances = model.kernel.means, model.kernel.variances
         dm, p_var, q_var = means[I] - means[J], variances[I], variances[J]
 
-        def exponents(p, alphas):
-            return _gaussian_tilted_exponent(dm[p], p_var[p], q_var[p], alphas[:, None])
+        def exponents(p, alphas, derivatives=False):
+            a = alphas[:, None]
+            E = _gaussian_tilted_exponent(dm[p], p_var[p], q_var[p], a)
+            if not derivatives:
+                return E
+            # With v = a Q + (1 - a) P and u = (Q - P) / v, the derivatives of
+            # (1 - a) log(Q / P) / 2 - log(Q / v) / 2 + a (1 - a) dm^2 / (2 v).
+            P, Q, d2 = p_var[p], q_var[p], dm[p] ** 2
+            v = a * Q + (1.0 - a) * P
+            u = (Q - P) / v
+            first = -0.5 * np.log(Q / P) + 0.5 * u + d2 * ((1.0 - 2.0 * a) - a * (1.0 - a) * u) / (2.0 * v)
+            second = -0.5 * u * u + d2 * (-1.0 - (1.0 - 2.0 * a) * u + a * (1.0 - a) * u * u) / v
+            return E, first, second
 
     return exponents
 
 
+def _newton_max(evaluate, n: int):
+    """Maxima of n concave functions on [0, 1] by a safeguarded Newton search, in lockstep.
+
+    ``evaluate(jobs, x)`` returns (F, F', F'') at x[k] for each listed job,
+    and ``evaluate(jobs, x, derivatives=False)`` F alone.  Each job starts at
+    0.5 with the bracket [0, 1], which the sign of F' shrinks.  It steps to x - F'/F'' when F'' <= 0 and that target lies in the
+    bracket; a target beyond 0 or 1 probes that end (so does F'' = 0, an E
+    linear in alpha), and any other target bisects the bracket.  A job stops
+    when its step is at most ``_NEWTON_TOL``, F' = 0, or its bracket is
+    narrower than ``_NEWTON_TOL``; ``_NEWTON_ITERATIONS`` caps the loop, since
+    F'' can vanish at a peak.  Only live jobs are evaluated, each on its own
+    numbers, so a batch gives every job what a one-job call gives.  Returns
+    (x, f), each job's best probe and its value, with both ends probed too.
+    """
+    lo, hi, x = np.zeros(n), np.ones(n), np.full(n, 0.5)
+    best_x, best_f = x.copy(), np.full(n, -math.inf)
+    live = np.arange(n)
+    for _ in range(_NEWTON_ITERATIONS):
+        if live.size == 0:
+            break
+        xl = x[live]
+        f, g, h = evaluate(live, xl)
+        better = f > best_f[live]
+        best_x[live[better]], best_f[live[better]] = xl[better], f[better]
+        lo[live] = np.where(g > 0.0, xl, lo[live])
+        hi[live] = np.where(g < 0.0, xl, hi[live])
+        a, b = lo[live], hi[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # x - F'/F'' for F'' <= 0, where F'' = 0 aims at the end F' points to
+            target = np.clip(xl + g / np.abs(h), 0.0, 1.0)
+        newton = (h <= 0.0) & (a <= target) & (target <= b)
+        x[live] = np.where(newton, target, 0.5 * (a + b))
+        done = (np.abs(x[live] - xl) <= _NEWTON_TOL) | (g == 0.0) | (b - a < _NEWTON_TOL)
+        live = live[~done]
+    f = evaluate(np.tile(np.arange(n), 2), np.repeat([0.0, 1.0], n), derivatives=False)
+    for end, fx in ((0.0, f[:n]), (1.0, f[n:])):
+        better = fx > best_f
+        best_x, best_f = np.where(better, end, best_x), np.where(better, fx, best_f)
+    return best_x, best_f
+
+
 def _pair_optima(exponents, separated: np.ndarray, W: np.ndarray):
     """Per rule W[r] and pair p, max over alpha of sum_a W[r, a] E[p, a](alpha) and its
-    alpha, each (R, P), by one lockstep search over the (rule, pair) jobs.
+    alpha, each (R, P), by one lockstep Newton search (``_newton_max``) over the
+    (rule, pair) jobs, which reads E' and E'' from the evaluator.
 
     A pair that a weighted action separates (``separated[p, a]``: E = +inf at
     every alpha) has value +inf and is not searched; 0.5 is reported.
@@ -387,12 +476,16 @@ def _pair_optima(exponents, separated: np.ndarray, W: np.ndarray):
     w = W[rule]
     active = w > 0.0
 
-    def mixed(x):
+    def total(jobs, terms):
         # A stacked matmul sums each job's terms as w @ E would.
-        E = np.where(active, exponents(pair, x), 0.0)
-        return np.matmul(w[:, None, :], E[:, :, None])[:, 0, 0]
+        return np.matmul(w[jobs][:, None, :], np.where(active[jobs], terms, 0.0)[:, :, None])[:, 0, 0]
 
-    alphas[rule, pair], values[rule, pair] = _golden_max(mixed, rule.size)
+    def mixed(jobs, x, derivatives=True):
+        if not derivatives:
+            return total(jobs, exponents(pair[jobs], x))
+        return tuple(total(jobs, t) for t in exponents(pair[jobs], x, derivatives=True))
+
+    alphas[rule, pair], values[rule, pair] = _newton_max(mixed, rule.size)
     return values, alphas
 
 
@@ -408,9 +501,10 @@ def alpha_max(model: ObservationModel, i: int, j: int, weights) -> AlphaOptimum:
     """Maximize sum_a w_a * (1-alpha) * D_alpha(q_i^a || q_j^a) over alpha in [0, 1].
 
     ``weights`` is a rule or a point on the action simplex with one weight per
-    action.  The objective is concave in alpha; this is ``d_hat``'s search run
-    as one job on the ordered pair (i, j), so a pair that a weighted action
-    separates perfectly gives value +inf at alpha_star 0.5.
+    action.  The objective is concave in alpha; this is ``d_hat``'s safeguarded
+    Newton search (``_pair_optima``) run as one job on the ordered pair (i, j),
+    so a pair that a weighted action separates perfectly gives value +inf at
+    alpha_star 0.5.
     """
     check_hypotheses(model, i, j)
     if i == j:
@@ -435,8 +529,9 @@ def d_hat(model: ObservationModel) -> DiscriminationOptimum:
     fixed alpha_p that LP value lower-bounds F at the new rule and equals F
     at the old one, so F never drops; the ascent stops when F rises by no
     more than _ASCENT_TOL relative.  The maximizations over alpha run as
-    lockstep golden-section searches over (rule, pair) jobs: one over every
-    screen candidate and pair, then one over the pairs at each ascent step.
+    lockstep safeguarded Newton searches over (rule, pair) jobs
+    (``_pair_optima``): one over every screen candidate and pair, then one
+    over the pairs at each ascent step.
 
     The certificate is U = max_w min_p sum_a w_a C[p, a], where C[p, a] =
     max_alpha E_{p,a}(alpha) is the per-action Chernoff information (Chernoff,

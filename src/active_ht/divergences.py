@@ -1,11 +1,12 @@
-"""Divergences between two observation densities, and the golden-section search.
+"""Divergences between two observation densities.
 
 Two density families are supported: finite distributions given as 1-D
 probability vectors, and univariate Gaussians.  All divergences use natural
 logarithms.  Probabilities below ``ZERO_PROB`` are treated as exact zeros,
 with the usual conventions 0*log(0/q) = 0 and p*log(p/0) = +inf for p > 0.
 These act on one pair of densities; ``bounds.d_hat`` and ``bounds.alpha_max``
-evaluate the kernel's tables in batches and search alpha with ``_golden_max``.
+evaluate the kernel's tables in batches, with the Gaussian closed form below,
+and search alpha there.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from .exceptions import DomainError
 
 # Below this, a probability is considered an exact zero.
 ZERO_PROB = 1e-300
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_TOL = 1e-9  # golden-section searches stop at this bracket width
 
 
 @dataclass(frozen=True)
@@ -129,41 +127,4 @@ def tilted_exponent(p, q, alpha: float) -> float:
     # sum_z p^alpha q^(1-alpha) over the common support, 0 when there is none
     m = float(np.exp(alpha * np.log(p[both]) + (1.0 - alpha) * np.log(q[both])).sum())
     return -math.log(m) if m > 0.0 else math.inf
-
-
-def _golden_max(g, n: int):
-    """Golden-section search for the maxima of n concave functions on [0, 1], in lockstep.
-
-    ``g(x)`` maps n abscissae, one per function, to the n values.  Each
-    function keeps its own bracket, starting at [0, 1], and follows the
-    scalar recurrence on it.  The loop runs while any bracket is wider than
-    ``_BRACKET_TOL``; a narrower one keeps its bracket and best probe, so
-    each element ends as a one-element search would.  Returns (x, f), each
-    function's best probe and value, with the bracket ends and the final
-    midpoint probed too.
-    """
-    a, b = np.zeros(n), np.ones(n)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = g(c), g(d)
-    best_x, best_f = np.where(fc >= fd, c, d), np.where(fc >= fd, fc, fd)
-    live = (b - a) > _BRACKET_TOL
-    while live.any():
-        # left: the maximum is not right of d, so the bracket becomes [a, d]
-        # with c its upper probe; right: [c, b] with d its lower probe.
-        left = fc >= fd
-        a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
-        width = b - a
-        step = _INVPHI * width
-        x = np.where(left, b - step, a + step)
-        fx = g(x)
-        c, d, fc, fd = np.where(left, x, d), np.where(left, c, x), np.where(left, fx, fd), np.where(left, fc, fx)
-        better = live & (fx > best_f)
-        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
-        live = width > _BRACKET_TOL
-    for x in (np.zeros(n), np.ones(n), 0.5 * (a + b)):
-        fx = g(x)
-        better = fx > best_f
-        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
-    return best_x, best_f
 

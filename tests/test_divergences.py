@@ -18,9 +18,8 @@ from active_ht import (
     renyi,
     tilted_exponent,
 )
-from active_ht.bounds import _pair_exponents, _pair_optima
-from active_ht.divergences import _golden_max
-from conftest import random_finite_model, scalar_golden_max
+from active_ht.bounds import _newton_max, _pair_exponents, _pair_optima
+from conftest import random_finite_model
 
 BERN_9 = np.array([0.9, 0.1])
 BERN_4 = np.array([0.4, 0.6])
@@ -223,28 +222,60 @@ class TestAlphaMax:
         assert math.isfinite(opt.value) and 0.0 < opt.alpha_star < 1.0
 
 
-class TestGoldenMax:
-    def test_batch_matches_one_element_searches(self):
-        # Concave curves of different shapes and peaks, some at an end of [0, 1].
-        rng = np.random.default_rng(11)
+def _concave_curves(n, seed=11):
+    """n concave curves -scale |x - peak|^power, with peaks in [-0.2, 1.2], some
+    beyond an end of [0, 1], as a _newton_max evaluator over the listed jobs."""
+    rng = np.random.default_rng(seed)
+    peak, scale = rng.uniform(-0.2, 1.2, n), rng.uniform(0.1, 5.0, n)
+    power = rng.choice([2.0, 4.0], n)
+
+    def curves(jobs, x, derivatives=True):
+        s, c, k = scale[jobs], peak[jobs], power[jobs]
+        gap = x - c
+        f = -s * np.abs(gap) ** k
+        if not derivatives:
+            return f
+        return f, -s * k * np.sign(gap) * np.abs(gap) ** (k - 1), -s * k * (k - 1) * np.abs(gap) ** (k - 2)
+
+    return curves, peak, scale, power
+
+
+class TestNewtonMax:
+    def test_batch_matches_one_job_searches(self):
         n = 40
-        peak, scale = rng.uniform(-0.2, 1.2, n), rng.uniform(0.1, 5.0, n)
-        power = rng.choice([2.0, 4.0], n)
-
-        def batch(x, idx=slice(None)):
-            return -scale[idx] * np.abs(x - peak[idx]) ** power[idx]
-
-        xs, fs = _golden_max(batch, n)
+        curves, *_ = _concave_curves(n)
+        xs, fs = _newton_max(curves, n)
         for k in range(n):
-            x1, f1 = _golden_max(lambda x: batch(x, [k]), 1)
-            assert_allclose(xs[k], x1[0], rtol=0.0, atol=1e-15)
-            assert_allclose(fs[k], f1[0], rtol=0.0, atol=1e-15)
-            # Same arithmetic as the scalar recurrence, so the same bits.
-            assert (xs[k], fs[k]) == scalar_golden_max(lambda x: float(batch(np.array([x]), [k])[0]))
+            x1, f1 = _newton_max(lambda jobs, x, derivatives=True: curves(jobs + k, x, derivatives), 1)
+            # Each job runs on its own numbers, so the same bits.
+            assert (xs[k], fs[k]) == (x1[0], f1[0])
 
-    def test_finds_a_quadratic_argmax(self):
-        # The peak value is 0, so values near it keep their digits and the
-        # comparisons stay exact down to the 1e-9 bracket.
-        x, f = _golden_max(lambda x: -((x - 0.3141592653589793) ** 2), 1)
-        assert abs(x[0] - 0.3141592653589793) <= 1e-9
-        assert -1e-18 <= f[0] <= 0.0
+    def test_finds_the_argmax_and_value(self):
+        # Quadratic peaks converge in a step or two; a quartic's F'' vanishes
+        # at its peak, so Newton closes in linearly there, up to the cap.
+        n = 40
+        curves, peak, scale, power = _concave_curves(n)
+        xs, fs = _newton_max(curves, n)
+        top = np.clip(peak, 0.0, 1.0)
+        top_f = -scale * np.abs(top - peak) ** power
+        inside = (peak > 0.0) & (peak < 1.0)
+        assert np.array_equal(xs[~inside], top[~inside]) and np.array_equal(fs[~inside], top_f[~inside])
+        assert np.all(np.abs(xs - top)[inside & (power == 2.0)] <= 1e-15)
+        assert np.all(np.abs(xs - top)[inside & (power == 4.0)] <= 1e-10)
+        assert np.all((fs[inside] <= 0.0) & (fs[inside] >= -1e-30))
+        assert np.array_equal(fs, curves(np.arange(n), xs, derivatives=False))
+
+    @pytest.mark.parametrize("slope", [-2.0, 3.0])
+    def test_a_linear_curve_probes_the_end_it_rises_to(self, slope):
+        # F'' = 0 everywhere: the first step aims at the end F' points to.
+        calls = []
+
+        def line(jobs, x, derivatives=True):
+            calls.append(x.copy())
+            f = slope * x
+            return (f, np.full_like(x, slope), np.zeros_like(x)) if derivatives else f
+
+        x, f = _newton_max(line, 1)
+        end = 1.0 if slope > 0.0 else 0.0
+        assert (x[0], f[0]) == (end, slope * end)
+        assert [c.tolist() for c in calls] == [[0.5], [end], [0.0, 1.0]]
