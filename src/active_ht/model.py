@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .divergences import Gaussian, ZERO_PROB, kl
 from .exceptions import ModelValidationError
@@ -80,9 +79,15 @@ def draw_symbol(kernel, i, a, u):
     ``means[i, a] + stds[i, a] * ndtri(u)``, the inverse normal CDF with ``u``
     clipped off 0 and 1.  Either way one symbol costs one uniform.  ``i``,
     ``a`` and ``u`` broadcast together.
+
+    ``scipy.special.ndtri`` is imported on the first Gaussian draw, not with
+    the package: it costs ~0.3 s and ~20 MB, and a path that meets only
+    finite kernels loads numpy alone.
     """
     if isinstance(kernel, FiniteKernel):
         return inverse_cdf_index(kernel.cdf[i, a], u)
+    from scipy.special import ndtri
+
     return kernel.means[i, a] + kernel.stds[i, a] * ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
 
 

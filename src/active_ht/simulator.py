@@ -26,7 +26,10 @@ the first call that needs more than one worker and kept for every later
 reopened when the worker count changes, a worker dies or the process forks.
 Workers are forked, so they see module state as it was when the pool
 opened: a test that patches an attribute the workers read must run at
-``workers=1`` or close the pool first (``_close_pool``).
+``workers=1`` or close the pool first (``_close_pool``).  Modules load the
+same way: a worker forked before the process's first Gaussian draw imports
+``scipy.special`` (for ``model.draw_symbol``) itself, once, on its own first
+Gaussian draw (~0.3 s).
 
 Sequential policies run in a lockstep engine: all live trials of a block
 advance together, one ``Policy.batch_weights`` query and one vectorized
@@ -429,8 +432,9 @@ def _fixed_rule_logmass_block(
     U = _Streams(path, k0, B).random(None, 2 * n)
     actions = inverse_cdf_index(np.cumsum(weights), U[:, 0::2])
     z = draw_symbol(model.kernel, thetas[:, None], actions, U[:, 1::2])
-    # summed over the last axis of (M, B, n): numpy's pairwise summation
-    # would round differently for n >= 8 along another axis
+    # log_likelihood's (M, B, n) result is laid out (B, n, M), so the sum
+    # over axis 2 adds each trial's n terms in step order.  On a C-contiguous
+    # copy numpy would sum them pairwise, which rounds differently for n >= 8.
     return log_prior[:, None] + model.log_likelihood(actions, z).sum(axis=2)
 
 

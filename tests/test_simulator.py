@@ -157,6 +157,30 @@ class TestRunTrials:
         assert s_fast.n_wrong == s_engine.n_wrong
         assert_allclose(s_fast.pe, s_engine.pe, rtol=1e-12)
 
+    @pytest.mark.parametrize("make_model", [make_two_probe_model, make_gaussian_binary_model])
+    @pytest.mark.parametrize("n", [8, 9, 17])
+    def test_fixed_rule_sums_each_trial_in_step_order(self, monkeypatch, make_model, n):
+        # The block's (M, B, n) log-likelihoods are laid out (B, n, M), so
+        # numpy adds a trial's n terms one after another.  Summed along a
+        # contiguous axis they would be added pairwise, which rounds
+        # differently from n = 8 on and moves the seed pins.
+        model = make_model()
+        seen = []
+        log_likelihood = ObservationModel.log_likelihood
+
+        def recording(self, a, z):
+            seen.append(log_likelihood(self, a, z))
+            return seen[-1]
+
+        monkeypatch.setattr(ObservationModel, "log_likelihood", recording)
+        thetas = np.arange(simulator.BLOCK) % model.M
+        lm = simulator._fixed_rule_logmass_block(model, np.array([0.3, 0.7]), n, thetas, (53,), 0)
+        (ll,) = seen
+        total = ll[:, :, 0]
+        for t in range(1, n):
+            total = total + ll[:, :, t]
+        np.testing.assert_array_equal(lm, np.log(model.prior)[:, None] + total)
+
     def test_user_subclass_with_truncating_horizon(self, two_probe_model):
         # A user subclass that stops at a threshold is truncated at its own
         # safety horizon, like the built-in threshold rule.
