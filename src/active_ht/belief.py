@@ -23,11 +23,15 @@ def normalize(log_masses: np.ndarray):
     """The posterior of unnormalized log masses, over the last axis.
 
     Shifts each row of a row or a (B, M) stack by its max, exponentiates and
-    normalizes.  Returns (shifted log masses, probabilities).
+    normalizes.  Returns (shifted log masses, probabilities), laid out as
+    ``log_masses`` is, so a hypothesis-major stack stays hypothesis-major.
     """
     shifted = log_masses - log_masses.max(axis=-1, keepdims=True)
     p = np.exp(shifted)
-    return shifted, p / p.sum(axis=-1, keepdims=True)
+    # numpy adds a contiguous row of 8 or more masses pairwise but a strided
+    # one in sequence, which rounds differently; below 8 the orders agree
+    total = (p if p.shape[-1] < 8 else np.ascontiguousarray(p)).sum(axis=-1, keepdims=True)
+    return shifted, p / total
 
 
 def posterior_mode(probs: np.ndarray, steps=0):

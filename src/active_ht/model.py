@@ -320,9 +320,9 @@ class ObservationModel:
         ``(M, *broadcast(a, z))``.  Symbols of a finite kernel are indices.
         """
         k = self.kernel
-        a, z = np.broadcast_arrays(a, z)
         if self.is_finite:
             return k.log_probs[:, a, z]
+        a, z = np.broadcast_arrays(a, z)
         return k.log_norm[:, a] - (z - k.means[:, a]) ** 2 / (2.0 * k.variances[:, a])
 
     def with_penalty(self, penalty: float) -> "ObservationModel":

@@ -53,7 +53,10 @@ same stream at any chunk size).
 inverse CDF of a finite row or the inverse normal CDF of a Gaussian one.  A
 trial's trajectory therefore does not depend on the other trials in its
 block, and a fixed-horizon rule written as a plain ``Policy`` sees the same
-trajectories in the engine.  Both paths declare ``belief.posterior_mode``,
+trajectories in the engine.  Per-trial arrays keep the trial axis innermost,
+so that a sum or maximum over a short axis runs across trials: uniforms are
+step-major (T, B), and the engine's posteriors are (B, M) views of
+hypothesis-major (M, B) arrays.  Both paths declare ``belief.posterior_mode``,
 the lowest index among masses tied up to rounding, and read the kernel's own
 tables and ``ObservationModel.log_likelihood``; the simulator keeps no copy
 of them.
@@ -154,11 +157,11 @@ def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
         result = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
         return result ^ result >> xshift
 
-    words = [word >> shift & mask for word in path for shift in range(0, max(word.bit_length(), 1), 32)]
-    entropy = [np.full(B, word, dtype=u32) for word in words]
+    # the path's words are shared by every trial, so they hash as scalars
+    entropy = [u32(word >> shift & mask) for word in path for shift in range(0, max(word.bit_length(), 1), 32)]
     entropy.append(np.arange(k0, k0 + B, dtype=u32))
     # an entropy shorter than the pool runs the hash out on zeros
-    entropy += [np.zeros(B, dtype=u32)] * (pool_size - len(entropy))
+    entropy += [u32(0)] * (pool_size - len(entropy))
     with np.errstate(over="ignore"):
         mixer = [hashmix(word) for word in entropy[:pool_size]]
         for src in range(pool_size):
@@ -251,7 +254,7 @@ class _Streams:
             self.incs.append((hi, lo))
 
     def random(self, rows, T: int) -> np.ndarray:
-        """The next T uniforms of each of ``rows`` (None: every row), as (rows, T).
+        """The next T uniforms of each of ``rows`` (None: every row), as (T, rows).
 
         Row 0 of ``hi``/``lo`` holds the current states and row t the states
         t draws on; rows [m, m + k) are rows [m - d, m - d + k) jumped by
@@ -283,7 +286,7 @@ class _Streams:
         np.bitwise_or(x, y, out=x)
         # Generator.random: the top 53 bits of each word, scaled to [0, 1)
         x >>= np.uint64(11)
-        return np.multiply(x.T, 2.0**-53, out=np.empty((n, T)))
+        return x * 2.0**-53
 
 
 def stratified_hypotheses(prior: np.ndarray, n: int) -> np.ndarray:
@@ -373,18 +376,20 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     """
     B, M, P = thetas.size, model.M, len(lower) + 1
     streams = _Streams(path, k0, B)
-    lm = np.tile(np.log(model.prior), (B, 1))
-    probs = np.tile(model.prior, (B, 1))
+    # (B, M) views of (M, B) arrays, so maxima and sums over M run across trials
+    lm = np.tile(np.log(model.prior)[:, None], (1, B)).T
+    probs = np.tile(model.prior[:, None], (1, B)).T
     tau = np.zeros((P, B), dtype=np.int64)
     final = np.empty((P, B, M))
     truncated = np.zeros((P, B), dtype=bool)
     live = np.arange(B)
-    U = np.empty((B, 2 * CHUNK))  # row b holds trial b's uniforms for CHUNK steps
+    U = np.empty((2 * CHUNK, B))  # column b holds trial b's uniforms for CHUNK steps
     horizon = policy.safety_horizon
     if lower:
         thresholds = np.array([threshold for threshold, _ in lower])
         horizons = np.array([math.inf if h is None else h for _, h in lower])
         passed = np.zeros(B, dtype=np.intp)  # lower points each live trial has stopped at
+        points = np.arange(P - 1)[:, None]
     t = 0
     while True:
         w, stop = policy.batch_weights(probs, t)
@@ -392,13 +397,15 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
             # lower points [passed, due) stop now; those past ``reached`` by their horizon
             reached = np.searchsorted(thresholds, probs.max(axis=1), side="right")
             due = np.maximum(reached, np.searchsorted(horizons, t, side="right"))
-            if (due > passed).any():
-                for p in range(passed.min(), due.max()):
-                    rows = (passed <= p) & (p < due)
-                    tau[p, live[rows]] = t
-                    final[p, live[rows]] = probs[rows]
-                    truncated[p, live[rows]] = reached[rows] <= p
-                passed = np.maximum(passed, due)
+            rows = np.flatnonzero(due > passed)
+            if rows.size:
+                # every (point, row) pair due now, in one scatter
+                p, row = np.nonzero((passed[rows] <= points) & (points < due[rows]))
+                row = rows[row]
+                tau[p, live[row]] = t
+                final[p, live[row]] = probs[row]
+                truncated[p, live[row]] = reached[row] <= p
+                passed[rows] = due[rows]
         if horizon is not None and t >= horizon:
             truncated[-1, live[~stop]] = True
             stop = np.ones(live.size, dtype=bool)
@@ -407,17 +414,18 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
             tau[-1, done] = t
             final[-1, done] = probs[stop]
             go = ~stop
-            live, lm, probs, w = live[go], lm[go], probs[go], w[go]
+            live, w = live[go], w[go]
+            lm, probs = (x.T.compress(go, axis=1).T for x in (lm, probs))  # x[go] is trial-major
             if live.size == 0:
                 return tau, final, truncated
             if lower:
                 passed = passed[go]
         j = t % CHUNK
         if j == 0:
-            U[live] = streams.random(live, 2 * CHUNK)
-        a = inverse_cdf_index(np.cumsum(w, axis=1), U[live, 2 * j])
-        z = draw_symbol(model.kernel, thetas[live], a, U[live, 2 * j + 1])
-        lm, probs = normalize(lm + model.log_likelihood(a, z).T)
+            U[:, live] = streams.random(live, 2 * CHUNK)
+        a = inverse_cdf_index(np.cumsum(w, axis=1), U[2 * j, live])
+        z = draw_symbol(model.kernel, thetas[live], a, U[2 * j + 1, live])
+        lm, probs = normalize((lm.T + model.log_likelihood(a, z)).T)  # lm.T is C-contiguous, so the sum is
         t += 1
 
 
@@ -430,12 +438,12 @@ def _fixed_rule_logmass_block(
     if n == 0:
         return np.tile(log_prior[:, None], (1, B))
     U = _Streams(path, k0, B).random(None, 2 * n)
-    actions = inverse_cdf_index(np.cumsum(weights), U[:, 0::2])
-    z = draw_symbol(model.kernel, thetas[:, None], actions, U[:, 1::2])
-    # log_likelihood's (M, B, n) result is laid out (B, n, M), so the sum
-    # over axis 2 adds each trial's n terms in step order.  On a C-contiguous
-    # copy numpy would sum them pairwise, which rounds differently for n >= 8.
-    return log_prior[:, None] + model.log_likelihood(actions, z).sum(axis=2)
+    actions = inverse_cdf_index(np.cumsum(weights), U[0::2])
+    z = draw_symbol(model.kernel, thetas, actions, U[1::2])
+    # the (M, n, B) log-likelihoods keep the step axis outside the trial axis, so
+    # the sum over it adds each trial's n terms in step order; along a contiguous
+    # axis numpy would add them pairwise, which rounds differently for n >= 8
+    return log_prior[:, None] + model.log_likelihood(actions, z).sum(axis=1)
 
 
 def _run_block(model, policy, block_thetas, path, k0, want_records, lower=()):

@@ -8,7 +8,8 @@ from uniforms.
 import math
 
 import numpy as np
-from numpy.testing import assert_allclose
+import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
 from active_ht import FiniteKernel, ObservationModel, kl
 from active_ht.belief import normalize, posterior_error, posterior_mode
@@ -40,6 +41,18 @@ class TestBayesUpdate:
         _, probs = _update(np.log([0.5, 0.5]), two_probe_model, 0, 0)
         assert_allclose(probs, [0.9 / 1.3, 0.4 / 1.3], rtol=1e-12)
         assert_allclose(probs, [0.692308, 0.307692], atol=5e-7)
+
+    @pytest.mark.parametrize("M", [2, 7, 8, 9, 16, 40])
+    def test_a_hypothesis_major_stack_keeps_its_layout_and_bits(self, M):
+        # the simulator's engine keeps its stacks hypothesis-major; numpy
+        # adds a contiguous row of 8 or more masses pairwise but a strided
+        # one in sequence, and the seed pins hold only with the former
+        lm = np.random.default_rng(M).normal(scale=5.0, size=(257, M))
+        shifted, probs = normalize(np.asfortranarray(lm))
+        assert shifted.flags.f_contiguous and probs.flags.f_contiguous
+        want_shifted, want_probs = normalize(lm)
+        assert_array_equal(shifted, want_shifted)
+        assert_array_equal(probs, want_probs)
 
     def test_uninformative_kernel_leaves_belief_unchanged(self):
         m = _uninformative_model()

@@ -48,6 +48,7 @@ from conftest import (
     make_gaussian_binary_model,
     make_garbled_model,
     make_two_probe_model,
+    random_finite_model,
     run_python,
 )
 
@@ -160,10 +161,10 @@ class TestRunTrials:
     @pytest.mark.parametrize("make_model", [make_two_probe_model, make_gaussian_binary_model])
     @pytest.mark.parametrize("n", [8, 9, 17])
     def test_fixed_rule_sums_each_trial_in_step_order(self, monkeypatch, make_model, n):
-        # The block's (M, B, n) log-likelihoods are laid out (B, n, M), so
-        # numpy adds a trial's n terms one after another.  Summed along a
-        # contiguous axis they would be added pairwise, which rounds
-        # differently from n = 8 on and moves the seed pins.
+        # The block's (M, n, B) log-likelihoods keep the step axis outside
+        # the trial axis, so numpy adds a trial's n terms one after another.
+        # Summed along a contiguous axis they would be added pairwise, which
+        # rounds differently from n = 8 on and moves the seed pins.
         model = make_model()
         seen = []
         log_likelihood = ObservationModel.log_likelihood
@@ -176,9 +177,9 @@ class TestRunTrials:
         thetas = np.arange(simulator.BLOCK) % model.M
         lm = simulator._fixed_rule_logmass_block(model, np.array([0.3, 0.7]), n, thetas, (53,), 0)
         (ll,) = seen
-        total = ll[:, :, 0]
+        total = ll[:, 0]
         for t in range(1, n):
-            total = total + ll[:, :, t]
+            total = total + ll[:, t]
         np.testing.assert_array_equal(lm, np.log(model.prior)[:, None] + total)
 
     def test_user_subclass_with_truncating_horizon(self, two_probe_model):
@@ -367,6 +368,44 @@ def test_seed_contract_pairwise_rates():
     assert rates.tolist() == SEED_CONTRACT_PAIRWISE
 
 
+# float.hex of (mean_tau, pe, se_pe) on random_finite_model(default_rng(200),
+# n_hypotheses=M), recorded while the engine's posteriors were trial-major.
+# numpy adds a contiguous row of 8 or more masses pairwise but a strided one
+# in sequence, so these pin the order in which the Bayes update sums a
+# hypothesis-major stack.  Both models have one action, so sn and sa play
+# alike through their two classes.
+SEED_CONTRACT_LARGE_M = {
+    9: ("0x1.099ba5e353f7dp+8", "0x1.a7730c259f66fp-13", "0x1.09ec9a4b6a41fp-20"),
+    12: ("0x1.a4289e60f04c7p+8", "0x1.9a5a183d93c1ep-14", "0x1.538d84eb75f4ap-22"),
+}
+
+# the same for sweep_L(M = 12 model, "sa", [100, 1000], 1500, (43, 2))
+SEED_CONTRACT_LARGE_M_SWEEP = [
+    ("0x1.92b900aec33e2p+7", "0x1.1dd6cb991d954p-7", "0x1.ef1ccd50c24e3p-16"),
+    ("0x1.3a606d3a06d3ap+8", "0x1.ca3882add596ep-11", "0x1.852d8dbfb6618p-19"),
+]
+
+
+def _hex_pin(summary):
+    return tuple(x.hex() for x in (summary.mean_tau, summary.pe, summary.se_pe))
+
+
+@pytest.mark.parametrize("M", list(SEED_CONTRACT_LARGE_M))
+@pytest.mark.parametrize("kind", ["sn", "sa"])
+def test_seed_contract_large_m(M, kind):
+    model = random_finite_model(np.random.default_rng(200), n_hypotheses=M)
+    rule = np.full(model.K, 1.0 / model.K)
+    policy = _sn(rule, model.penalty) if kind == "sn" else _sa(rule, [rule] * M, model.penalty)
+    summary, _ = run_trials(model, policy, 1500, (43, M))
+    assert _hex_pin(summary) == SEED_CONTRACT_LARGE_M[M]
+
+
+def test_seed_contract_large_m_sweep():
+    model = random_finite_model(np.random.default_rng(200), n_hypotheses=12)
+    _, summaries = sweep_L(model, "sa", [100.0, 1000.0], 1500, (43, 2), report=compute_bounds(model))
+    assert [_hex_pin(summary) for summary in summaries] == SEED_CONTRACT_LARGE_M_SWEEP
+
+
 _WORD = 2**32
 
 
@@ -407,9 +446,9 @@ def _uniform_blocks(draw):
 def test_block_uniforms_match_default_rng(case):
     path, k0, B, T = case
     got = simulator._Streams(path, k0, B).random(None, T)
-    assert got.shape == (B, T) and got.flags.c_contiguous
+    assert got.shape == (T, B) and got.flags.c_contiguous
     for b in range(B):
-        assert got[b].tolist() == np.random.default_rng((*path, k0 + b)).random(T).tolist()
+        assert got[:, b].tolist() == np.random.default_rng((*path, k0 + b)).random(T).tolist()
 
 
 @given(_uniform_blocks(), st.integers(1, 80), st.randoms(use_true_random=False))
@@ -421,10 +460,10 @@ def test_streams_continue_on_any_subset_of_rows(case, T2, random):
     streams = simulator._Streams(path, k0, B)
     first = streams.random(None, T1)
     second = streams.random(rows, T2)
-    assert second.shape == (rows.size, T2)
+    assert second.shape == (T2, rows.size)
     for i, b in enumerate(rows):
         want = np.random.default_rng((*path, k0 + b)).random(T1 + T2)
-        assert first[b].tolist() + second[i].tolist() == want.tolist()
+        assert first[:, b].tolist() + second[:, i].tolist() == want.tolist()
 
 
 def test_simulation_builds_no_generator(monkeypatch, two_probe_model, two_probe_report, gaussian_binary_model):
@@ -715,6 +754,42 @@ def test_fixed_threshold_sweep_is_one_pass(monkeypatch, two_probe_model):
     policy = build_policy("fixed", two_probe_model, rule=[0.5, 0.5], threshold=0.99)
     own, _ = run_trials(two_probe_model.with_penalty(10.0), policy, 1500, (48, 7, 0))
     assert summaries[0] == own
+
+
+def test_a_step_that_passes_several_points_records_each(two_probe_model, two_probe_report):
+    # thresholds this close put most trials past several lower points at
+    # one step, which the pass records in one scatter
+    L_values = [100.0, 100.5, 101.0, 101.5, 102.0]
+    _, summaries = sweep_L(two_probe_model, "sa", L_values, 1500, (48, 10), report=two_probe_report)
+    own = _point_runs(two_probe_model, "sa", L_values, 1500, (48, 10, 0), two_probe_report)
+    assert summaries == [summary for summary, _ in own]
+    taus = np.array([[record.tau for record in records] for _, records in own])
+    assert np.any((taus[1:-1] == taus[:-2]) & (taus[1:-1] == taus[2:]))
+
+
+class _LayoutProbe(Policy):
+    """Plays ``inner`` and records whether each stack it is handed is hypothesis-major."""
+
+    def __init__(self, inner):
+        self.inner, self.safety_horizon, self.seen = inner, inner.safety_horizon, []
+
+    def batch_weights(self, probs, step_count):
+        self.seen.append((probs.shape[0], probs.flags.f_contiguous))
+        return self.inner.batch_weights(probs, step_count)
+
+
+@pytest.mark.parametrize(
+    "make_model, kind", [(make_two_probe_model, "sa"), (make_garbled_model, "sn"), (make_gaussian_binary_model, "sa")]
+)
+def test_the_engine_hands_policies_hypothesis_major_stacks(make_model, kind):
+    # per-trial maxima and sums over a few hypotheses are fast only across
+    # trials; a trial-major stack still gives the same bits, only slower
+    model = make_model()
+    probe = _LayoutProbe(build_policy(kind, model, compute_bounds(model)))
+    run_trials(model, probe, 1100, 11)
+    live = [rows for rows, _ in probe.seen]
+    assert all(f_contiguous for _, f_contiguous in probe.seen)
+    assert len(set(live)) > 10 and min(live) < 64 < max(live)
 
 
 def test_unsorted_and_duplicate_penalties_come_back_in_input_order(two_probe_model, two_probe_report):
