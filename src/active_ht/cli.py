@@ -42,7 +42,7 @@ from .oracle import OracleBudget, backward_eval, exact_eval
 from .policies import build_policy
 from .simulator import BLOCK, estimate_error_exponent, run_trials, sweep_L
 
-ARTIFACT_VERSION = "0.10.0"
+ARTIFACT_VERSION = "0.11.0"
 
 SWEEP_HEADER = ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe", "cost", "cost_over_logL", "n_truncated"]
 SUMMARY_HEADER = [
@@ -51,7 +51,7 @@ SUMMARY_HEADER = [
 ]
 TRIALS_HEADER = ["index", "theta", "tau", "declared", "correct", "posterior_error", "truncated"]
 EXPONENTS_HEADER = [
-    "budget", "L", "mean_tau", "pe", "n_errors", "clean", "neg_log_pe", "tuned",
+    "budget", "L", "mean_tau", "pe", "n_errors", "clean", "neg_log_pe",
 ]
 
 
@@ -371,7 +371,6 @@ def _cmd_exponents(args) -> int:
             p.n_errors,
             p.clean,
             p.neg_log_pe,
-            p.tuned,
         ]
         for p in est.points
     ]

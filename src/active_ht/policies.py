@@ -130,8 +130,9 @@ def _stop_threshold(model: ObservationModel) -> float:
 
 
 def _safety_horizon(log_ratio: float, maxmin_value: float) -> int:
-    if not math.isfinite(maxmin_value) or maxmin_value <= 0.0:
-        raise AssumptionError("safety horizon undefined: max-min reliability is not positive")
+    if not 0.0 < maxmin_value < math.inf:
+        state = "infinite" if maxmin_value == math.inf else "not positive"
+        raise AssumptionError(f"safety horizon undefined: max-min reliability is {state}")
     return int(math.ceil(HORIZON_FACTOR * log_ratio / maxmin_value))
 
 

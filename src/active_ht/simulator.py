@@ -93,13 +93,9 @@ BLOCK = 1024
 # at any value, and 16 ran fastest of 2 to 32 replaying a sweep's refills.
 CHUNK = 16
 
-# _tune_penalty gives up once its log-L bracket is narrower than this: mean
-# tau is a step function of L, so a target band inside a step is never hit.
-MIN_LOG_L_BRACKET = 1e-3
-
-# estimate_error_exponent tunes a sequential family's penalty until the mean
-# stopping time is within this relative distance of the step budget.
-TUNE_REL_TOL = 0.02
+# estimate_error_exponent places a sequential family's budgets on a pilot
+# sweep over this many penalties, evenly spaced in log L.
+LADDER = 32
 
 # When a run observes zero wrong declarations, the error estimate is floored
 # at 1/(2N) and flagged: the tail of the posterior-error distribution is then
@@ -707,7 +703,7 @@ def pairwise_error_rates(model: ObservationModel, rule, n: int, n_trials: int, m
 
 @dataclass(frozen=True)
 class BudgetPoint:
-    """One expected-step budget of an exponent estimate."""
+    """One budget of an exponent estimate; ``penalty`` is None for a fixed horizon."""
 
     budget: float
     penalty: Optional[float]
@@ -716,12 +712,12 @@ class BudgetPoint:
     n_errors: int
     clean: bool
     neg_log_pe: float
-    tuned: bool
 
 
 @dataclass(frozen=True)
 class ExponentEstimate:
-    """Least-squares decay rate of -log P(error) against the step budget."""
+    """Least-squares decay rate of -log P(error) against the mean stopping
+    time; ``slope_stderr`` is infinite when the fit leaves no residual."""
 
     policy_kind: str
     slope: float
@@ -732,51 +728,26 @@ class ExponentEstimate:
     n_trials: int
 
 
-def _tune_penalty(
-    model,
-    policy_kind,
-    report,
-    target: float,
-    probe_trials: int,
-    path: tuple,
-    workers: int,
-):
-    """Bisection on log L until the probe's mean stopping time hits target.
+def _place_budgets(model, policy_kind, report, budgets, path: tuple, workers: int) -> list:
+    """The penalties at which ``policy_kind`` (``sn`` or ``sa``) meets each budget in mean tau.
 
-    The bisection accepts at half of ``TUNE_REL_TOL`` so that, with probe noise on
-    top, the final full-size run lands within the stated tolerance, and gives
-    up untuned once the bracket is narrower than ``MIN_LOG_L_BRACKET``.
+    One pilot ``sweep_L`` of ``BLOCK`` trials on seed path ``(*path,
+    len(budgets))`` runs ``LADDER`` penalties, evenly spaced in log L from 0.05
+    up to the report's exponent times the largest budget; the top doubles
+    until the pilot's largest mean tau reaches the largest budget.  Each
+    budget's log L is interpolated in the pilot's running maximum of mean tau.
     """
-
-    probes = itertools.count(7000)
-
-    def tau_at(logL: float) -> float:
-        model_L = model.with_penalty(math.exp(logL))
-        policy = build_policy(policy_kind, model_L, report_at_penalty(report, model_L))
-        seed = (*path, next(probes))
-        summary, _ = run_trials(model_L, policy, probe_trials, seed, workers=workers)
-        return summary.mean_tau
-
+    # a model the family cannot run on (an infinite max-min reliability) raises here, before any run
+    build_policy(policy_kind, model.with_penalty(math.exp(0.05)), report)
     rate = report.exponents.sa if policy_kind == "sa" else report.exponents.sn
-    lo = hi = max(0.05, rate * target)
-    t_lo = t_hi = tau_at(lo)
-    while t_lo > target and lo > 0.05:
-        lo = max(0.05, lo * 0.5)
-        t_lo = tau_at(lo)
-    while t_hi < target and hi < 200.0:
-        hi = min(200.0, hi * 1.6)
-        t_hi = tau_at(hi)
+    top, seed = max(0.05, rate * max(budgets)), (*path, len(budgets))
     while True:
-        mid = 0.5 * (lo + hi)
-        t_mid = tau_at(mid)
-        if abs(t_mid - target) <= 0.5 * TUNE_REL_TOL * target:
-            return math.exp(mid), True
-        if t_mid < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < MIN_LOG_L_BRACKET:
-            return math.exp(mid), False
+        log_L = np.linspace(0.05, top, LADDER)
+        pilot, _ = sweep_L(model, policy_kind, np.exp(log_L), BLOCK, seed, report=report, workers=workers)
+        tau = np.maximum.accumulate([p.mean_tau for p in pilot])
+        if tau[-1] >= max(budgets):
+            return np.exp(np.interp(budgets, tau, log_L)).tolist()
+        top *= 2.0
 
 
 def estimate_error_exponent(
@@ -793,10 +764,13 @@ def estimate_error_exponent(
     """Estimate how fast the error probability decays with the step budget.
 
     For fixed-horizon families (``nn``/``fixed``) the budget is the horizon
-    itself, a whole number; for sequential families the penalty is tuned by
-    bisection until the mean stopping time matches the budget within
-    ``TUNE_REL_TOL``.  Budgets must be a non-empty list of finite, positive numbers.  ``nn``, ``sn``
-    and ``sa`` need ``report`` and take no ``rule``; ``fixed`` plays ``rule``.
+    itself, a whole number; for sequential families it is a target mean
+    stopping time, and its penalty is read off one pilot ladder
+    (``_place_budgets``).  Budget i runs on seed path ``(*master_seed, i)``,
+    and -log P(error) is fitted against each run's measured mean stopping
+    time.  Budgets must be a non-empty list of finite, positive numbers.
+    ``nn``, ``sn`` and ``sa`` need ``report`` and take no ``rule``; ``fixed``
+    plays ``rule``.
     A budget with zero observed wrong declarations has its error estimate
     floored at 1/(2N) and flagged; flagged budgets are excluded from the
     least-squares fit when at least two trustworthy budgets remain, otherwise
@@ -816,20 +790,14 @@ def estimate_error_exponent(
         if report is None:
             raise ValueError(f"policy kind {policy_kind!r} needs a bounds report")
     path = _seed_path(master_seed)
-    probe_trials = max(4000, n_trials // 25)
+    if fixed_horizon:
+        use_rule = rule if policy_kind == "fixed" else report.d_hat_rule
+        runs = [(model, build_policy("fixed", model, rule=use_rule, n=int(budget)), None) for budget in budgets]
+    else:
+        models = [model.with_penalty(L) for L in _place_budgets(model, policy_kind, report, budgets, path, workers)]
+        runs = [(model_L, build_policy(policy_kind, model_L, report), model_L.penalty) for model_L in models]
     points = []
-    for idx, budget in enumerate(budgets):
-        if fixed_horizon:
-            use_rule = rule if policy_kind == "fixed" else report.d_hat_rule
-            policy = build_policy("fixed", model, rule=use_rule, n=int(budget))
-            model_L = model
-            penalty = None
-            tuned = True
-        else:
-            L, tuned = _tune_penalty(model, policy_kind, report, float(budget), probe_trials, (*path, idx), workers)
-            model_L = model.with_penalty(L)
-            policy = build_policy(policy_kind, model_L, report_at_penalty(report, model_L))
-            penalty = L
+    for idx, (budget, (model_L, policy, penalty)) in enumerate(zip(budgets, runs)):
         summary, _ = run_trials(model_L, policy, n_trials, (*path, idx), workers=workers)
         clean = summary.n_wrong > 0
         pe = summary.pe if clean else max(summary.pe, _pe_floor(n_trials))
@@ -842,7 +810,6 @@ def estimate_error_exponent(
                 n_errors=summary.n_wrong,
                 clean=clean,
                 neg_log_pe=-math.log(pe),
-                tuned=tuned,
             )
         )
 
@@ -850,7 +817,7 @@ def estimate_error_exponent(
     lower_bound_only = len(fit_points) < 2
     if lower_bound_only:
         fit_points = points
-    x = np.array([p.budget for p in fit_points])
+    x = np.array([p.mean_tau for p in fit_points])
     y = np.array([p.neg_log_pe for p in fit_points])
     if x.size < 2 or np.ptp(x) == 0.0:
         slope, intercept, slope_se = 0.0, float(y.mean()) if y.size else 0.0, math.inf
@@ -860,12 +827,9 @@ def estimate_error_exponent(
         sxx = float(((x - xbar) ** 2).sum())
         slope = float(((x - xbar) * (y - ybar)).sum() / sxx)
         intercept = float(ybar - slope * xbar)
-        dof = x.size - 2
-        if dof > 0:
-            rss = float(((y - slope * x - intercept) ** 2).sum())
-            slope_se = math.sqrt(rss / dof / sxx)
-        else:
-            slope_se = 0.0
+        rss = float(((y - slope * x - intercept) ** 2).sum())
+        # two points fit exactly and leave no residual to measure the slope by
+        slope_se = math.sqrt(rss / (x.size - 2) / sxx) if x.size > 2 else math.inf
     return ExponentEstimate(
         policy_kind=policy_kind,
         slope=slope,

@@ -72,6 +72,13 @@ def make_blind_model() -> ObservationModel:
     return ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=2.0)
 
 
+def make_perfect_probe_model(penalty: float = 100.0) -> ObservationModel:
+    """Action 0 reveals the hypothesis in one step (disjoint supports), so
+    every reliability, the max-min one included, is infinite."""
+    rows = [[[1.0, 0.0], [0.6, 0.4]], [[0.0, 1.0], [0.4, 0.6]]]
+    return ObservationModel(kernel=FiniteKernel(rows), prior=[0.5, 0.5], penalty=penalty)
+
+
 def run_python(*args, cwd=None, timeout=120) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with ``args``, importing this source tree's package."""
     src_dir = str(Path(active_ht.__file__).resolve().parents[1])
@@ -139,3 +146,8 @@ def gaussian_binary_model() -> ObservationModel:
 @pytest.fixture(scope="session")
 def garbled_model() -> ObservationModel:
     return make_garbled_model()
+
+
+@pytest.fixture(scope="session")
+def perfect_probe_model() -> ObservationModel:
+    return make_perfect_probe_model()

@@ -27,7 +27,7 @@ from active_ht import bounds, cli
 from active_ht.cli import _threads_default, main
 from active_ht.model import FiniteKernel, ObservationModel, save_model
 
-from conftest import make_blind_model, make_garbled_model, make_two_probe_model, run_python
+from conftest import make_blind_model, make_garbled_model, make_perfect_probe_model, make_two_probe_model, run_python
 
 MAXMIN_TP = 0.6506724213610958
 
@@ -41,6 +41,7 @@ def model_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("models")
     save_model(make_two_probe_model(), d / "two_probe.json")
     save_model(make_garbled_model(), d / "garbled.json")
+    save_model(make_perfect_probe_model(), d / "perfect_probe.json")
     twin = ObservationModel(
         kernel=FiniteKernel([[[0.5, 0.5]], [[0.5, 0.5]]]),
         prior=[0.5, 0.5],
@@ -369,10 +370,9 @@ class TestExponents:
         assert out.startswith("policy=fixed slope=")
         assert "lower_bound_only: false" in out.replace("=", ": ")
         _, header, rows = read_csv(f"{prefix}.csv")
-        assert header == ["budget", "L", "mean_tau", "pe", "n_errors", "clean",
-                          "neg_log_pe", "tuned"]
+        assert header == ["budget", "L", "mean_tau", "pe", "n_errors", "clean", "neg_log_pe"]
         assert [r[0] for r in rows] == ["4", "8"]
-        # fixed-rule runs have no tuned penalty column
+        # fixed-rule runs have no penalty
         assert all(r[1] == "nan" for r in rows)
         slope = float(out.split("slope=")[1].split()[0])
         assert slope > 0.0
@@ -387,6 +387,15 @@ class TestExponents:
                 "--trials", "100", "--seed", "1"]
         assert main(args) == 4
         assert capsys.readouterr().err.startswith(f"active-ht: usage: {policy} budgets must be")
+
+    @pytest.mark.parametrize("policy", ["sn", "sa"])
+    def test_infinite_maxmin_reliability_is_an_assumption_failure(self, model_dir, policy, capsys):
+        args = ["exponents", str(model_dir / "perfect_probe.json"), "--policy", policy,
+                "--budgets", "4,8", "--trials", "100", "--seed", "1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "active-ht: assumption: safety horizon undefined: max-min reliability is infinite\n"
+        )
 
     def test_built_policy_rejects_a_rule(self, two_probe_path, capsys):
         args = ["exponents", two_probe_path, "--policy", "nn", "--lambda", "0.5,0.5",

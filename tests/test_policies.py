@@ -331,6 +331,18 @@ class TestBuildPolicy:
         assert summary.n_truncated == 0
 
 
+    def test_the_safety_horizon_names_an_infinite_maxmin_reliability(self, perfect_probe_model):
+        report = compute_bounds(perfect_probe_model)
+        for kind in ("sn", "sa"):
+            with pytest.raises(AssumptionError, match="max-min reliability is infinite"):
+                build_policy(kind, perfect_probe_model, report)
+        with pytest.raises(AssumptionError, match="max-min reliability is infinite"):
+            build_policy("fixed", perfect_probe_model, rule=[0.5, 0.5], threshold=0.99)
+        twins = ObservationModel(kernel=FiniteKernel([[[0.5, 0.5]], [[0.5, 0.5]]]), prior=[0.5, 0.5], penalty=10.0)
+        with pytest.raises(AssumptionError, match="max-min reliability is not positive"):
+            build_policy("fixed", twins, rule=[1.0], threshold=0.99)
+
+
 class TestSingleActionModel:
     def test_all_families_play_the_only_action(self):
         m = ObservationModel(

@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose
 
 from active_ht import policies, simulator
 from active_ht import (
+    AssumptionError,
     FiniteKernel,
     FixedRulePolicy,
     ObservationModel,
@@ -859,8 +860,32 @@ def test_a_policy_subclass_never_shares_a_pass(cls):
     assert not simulator._share_a_pass(cls(**fields), sub(**fields))
 
 
-def test_exponent_probes_run_in_the_shared_pool(fresh_pool, monkeypatch, two_probe_model, two_probe_report):
-    opened, mapped, calls = [], [], []
+def _spy_exponent_calls(monkeypatch):
+    """Record each ``sweep_L`` call's penalties and each direct ``run_trials``
+    call's penalty (not the folds ``sweep_L`` makes of its own pass)."""
+    sweeps, runs = [], []
+    real_sweep_L, real_run_trials = simulator.sweep_L, simulator.run_trials
+
+    def sweep_spy(model, kind, L_values, *args, **kwargs):
+        sweeps.append(list(L_values))
+        return real_sweep_L(model, kind, L_values, *args, **kwargs)
+
+    def run_spy(*args, **kwargs):
+        if kwargs.get("_blocks") is None:
+            runs.append(args[0].penalty)
+        return real_run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "sweep_L", sweep_spy)
+    monkeypatch.setattr(simulator, "run_trials", run_spy)
+    return sweeps, runs
+
+
+def test_exponent_probes_run_in_the_shared_pool(fresh_pool, monkeypatch):
+    # sn under a non-uniform prior re-solves its rule at each L, so its pilot
+    # is one pass per ladder point and maps them through the pool
+    model = ObservationModel(kernel=FiniteKernel(TWO_PROBE_ROWS), prior=[0.6, 0.4], penalty=1000.0)
+    report = compute_bounds(model)
+    opened, mapped = [], []
 
     class _CountingPool(simulator.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -871,69 +896,41 @@ def test_exponent_probes_run_in_the_shared_pool(fresh_pool, monkeypatch, two_pro
             mapped.append(self)
             return super().map(*args, **kwargs)
 
-    real_run_trials = simulator.run_trials
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].penalty)
-        return real_run_trials(*args, **kwargs)
-
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", _CountingPool)
-    monkeypatch.setattr(simulator, "run_trials", spy)
+    sweeps, runs = _spy_exponent_calls(monkeypatch)
 
     def exponent(workers):
         mapped.clear()
-        calls.clear()
-        return estimate_error_exponent(
-            two_probe_model, "sa", [4], 2000, 36, report=two_probe_report, workers=workers
-        )
+        sweeps.clear()
+        runs.clear()
+        return estimate_error_exponent(model, "sn", [4, 6], 2000, 36, report=report, workers=workers)
 
     pooled = exponent(2)
-    # the bisection probes and the full run each map their blocks through the one pool
-    assert len(opened) == 1 and len(calls) > 2 and len(mapped) == len(calls)
+    # the pilot and each budget's run map their blocks through the one pool
+    assert len(opened) == 1 and len(sweeps) == 1 and len(runs) == 2
+    assert len(mapped) == len(sweeps) + len(runs)
     assert all(pool is opened[0] for pool in mapped)
     assert exponent(1) == pooled
     assert len(opened) == 1 and mapped == []
 
 
-def test_penalty_tuning_stops_when_the_bracket_stops_shrinking(
-    monkeypatch, two_probe_model, two_probe_report
-):
-    calls = []
-    real_run_trials = simulator.run_trials
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].penalty)
-        return real_run_trials(*args, **kwargs)
-
-    monkeypatch.setattr(simulator, "run_trials", counting)
-
-    def point(budget):
-        calls.clear()
-        est = estimate_error_exponent(two_probe_model, "sa", [budget], 2000, 36, report=two_probe_report)
-        return est.points[0]
-
-    # mean tau steps over the target band near L = 37: 42 probes without the stop
-    stuck = point(6)
-    assert not stuck.tuned and len(calls) - 1 < 20
-    tuned = point(4)
-    assert tuned.tuned
-    monkeypatch.setattr(simulator, "MIN_LOG_L_BRACKET", 0.0)
-    assert point(4) == tuned
+def test_a_budget_takes_one_pilot_sweep_and_one_run(monkeypatch, two_probe_model, two_probe_report):
+    # mean tau steps across budget 6 near L = 37, so no penalty hits it
+    # within 2%; placement still makes one pilot sweep and one run
+    sweeps, runs = _spy_exponent_calls(monkeypatch)
+    est = estimate_error_exponent(two_probe_model, "sa", [6], 2000, 36, report=two_probe_report)
+    assert len(sweeps) == 1 and len(sweeps[0]) == simulator.LADDER
+    assert runs == [est.points[0].penalty]
 
 
 @pytest.mark.parametrize("kind, budget", [("sn", 5), ("sa", 4), ("sa", 6)])
 def test_penalty_probes_never_repeat_a_penalty(monkeypatch, two_probe_model, two_probe_report, kind, budget):
-    penalties = []
-    real_run_trials = simulator.run_trials
-
-    def spy(*args, **kwargs):
-        penalties.append(args[0].penalty)
-        return real_run_trials(*args, **kwargs)
-
-    monkeypatch.setattr(simulator, "run_trials", spy)
+    sweeps, runs = _spy_exponent_calls(monkeypatch)
     estimate_error_exponent(two_probe_model, kind, [budget], 2000, 37, report=two_probe_report)
-    probes = penalties[:-1]
-    assert len(probes) > 1 and len(set(probes)) == len(probes)
+    # the pilot's ladder rises strictly, and the budget runs once
+    (ladder,) = sweeps
+    assert len(ladder) == simulator.LADDER and all(a < b for a, b in zip(ladder, ladder[1:]))
+    assert len(runs) == 1
 
 
 def test_pool_task_size_does_not_grow_with_trials(fresh_pool, monkeypatch, two_probe_model):
@@ -1135,7 +1132,7 @@ class TestExponentEstimate:
         est = estimate_error_exponent(
             two_probe_model,
             "sa",
-            [10, 15, 20, 25],
+            [10, 12, 22, 25],
             100_000,
             21001,
             report=two_probe_report,
@@ -1173,8 +1170,57 @@ class TestExponentEstimate:
             workers=4,
         )
         pt = est.points[0]
-        assert pt.tuned
         assert abs(pt.mean_tau - 8.0) <= 0.03 * 8.0
+
+    @pytest.mark.parametrize("kind", ["sn", "sa"])
+    def test_a_skewed_prior_widens_the_pilot_ladder(self, monkeypatch, kind):
+        # under prior [0.99, 0.01] the first ladder, sized by the exponent
+        # alone, stops short of budget 17, so its top doubles.  Mean tau is a
+        # staircase in L on this lattice model: near tau = 8, sa's rises by
+        # 0.39 (5%) at log L = 9.96, and this seed's pilot lands just past
+        # that riser (+6.4%), so the bound is one riser plus noise, not 5%
+        model = ObservationModel(kernel=FiniteKernel(TWO_PROBE_ROWS), prior=[0.99, 0.01], penalty=1000.0)
+        sweeps, runs = _spy_exponent_calls(monkeypatch)
+        budgets = [8, 12, 17]
+        est = estimate_error_exponent(model, kind, budgets, 20_000, 26, report=compute_bounds(model))
+        assert len(sweeps) >= 2 and sweeps[1][-1] > sweeps[0][-1]
+        assert len(runs) == len(budgets)
+        for pt, budget in zip(est.points, budgets):
+            assert abs(pt.mean_tau - budget) <= 0.08 * budget
+
+    def test_fixed_horizon_estimates_keep_their_bits(self, two_probe_model, two_probe_report):
+        # recorded before the fit moved from the budget to the measured mean
+        # stopping time, which for a fixed horizon is the budget exactly
+        pins = {
+            "nn": ("0x1.fad41051e5bb4p-3", "0x1.c8d92e10dd7ccp-6", "0x1.1e955a3b9ac4bp+0",
+                   ["0x1.e1295c5fe4edep-4", "0x1.431001a14a145p-4", "0x1.659ce723d8673p-5"]),
+            "fixed": ("0x1.dd09e4b611f7cp-3", "0x1.306574753e939p-8", "0x1.274bdbbaa7995p+0",
+                      ["0x1.ffc9ef9f9d879p-4", "0x1.3c11f6649a66fp-4", "0x1.9329f44e319c7p-5"]),
+        }
+        for kind, (slope, stderr, intercept, pes) in pins.items():
+            report, rule = (None, [0.5, 0.5]) if kind == "fixed" else (two_probe_report, None)
+            est = estimate_error_exponent(two_probe_model, kind, [4, 6, 8], 20_000, 25, report=report, rule=rule)
+            assert est.slope.hex() == slope
+            assert est.slope_stderr.hex() == stderr
+            assert est.intercept.hex() == intercept
+            assert [p.pe.hex() for p in est.points] == pes
+
+    def test_a_two_point_fit_has_an_infinite_stderr(self, two_probe_model, two_probe_report):
+        # two points fit exactly, so no residual measures the slope's spread
+        est = estimate_error_exponent(two_probe_model, "nn", [4, 8], 20_000, 27, report=two_probe_report)
+        assert all(p.clean for p in est.points) and not est.lower_bound_only
+        assert est.slope > 0.0 and est.slope_stderr == math.inf
+
+    @pytest.mark.parametrize("kind", ["sn", "sa"])
+    def test_an_infinite_maxmin_reliability_raises_before_any_run(
+        self, monkeypatch, perfect_probe_model, kind
+    ):
+        report = compute_bounds(perfect_probe_model)
+        assert report.maxmin_r == math.inf
+        sweeps, runs = _spy_exponent_calls(monkeypatch)
+        with pytest.raises(AssumptionError, match="max-min reliability is infinite"):
+            estimate_error_exponent(perfect_probe_model, kind, [4, 8], 1000, 1, report=report)
+        assert sweeps == [] and runs == []
 
     def test_fixed_horizon_budgets_run_exactly(self, two_probe_model, two_probe_report):
         est = estimate_error_exponent(
