@@ -28,7 +28,7 @@ from .belief import normalize, posterior_error
 from .bounds import alpha_max
 from .exceptions import BudgetError, HorizonError
 from .model import ObservationModel, RandomizedRule, as_weights, log0
-from .policies import Policy
+from .policies import Policy, _check_stop, stops
 
 # exact_pairwise scores count matrices in chunks of this many, so its
 # (chunk, M, M) comparison arrays stay small whatever the state count.
@@ -102,14 +102,15 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
     and its action-draw factors are common to all hypotheses, so for a
     policy that reads only (posterior, step) such paths merge exactly: a
     state is a count vector with the summed unnormalized posterior weights
-    of its paths.  Each depth makes one ``policy.batch_weights`` query;
-    zero-probability children are dropped exactly.  States the policy
-    truncates at its own safety horizon stop there (mirroring the
-    simulator); a state still live at ``budget.horizon`` raises
-    HorizonError, and visiting more than ``budget.nodes`` states raises
-    BudgetError.
+    of its paths.  Each depth stops states by ``policies.stops``, as the
+    simulator does, truncating at the policy's horizon, and makes one
+    ``policy.batch_weights`` query for the live ones; zero-probability
+    children are dropped exactly.  A state still live at ``budget.horizon``
+    raises HorizonError, and visiting more than ``budget.nodes`` states
+    raises BudgetError.
     """
     _require_finite(model)
+    _check_stop(policy)
     if budget is None:
         budget = OracleBudget()
     q = model.kernel.probs  # (M, K, Z)
@@ -117,7 +118,6 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
     C = K * Z
     cell_q = q.reshape(M, C).T  # (C, M): cell a * Z + z
     H = budget.horizon
-    fh = policy.safety_horizon
 
     entering, stopped = [], []
     exp_tau = err_mass = trunc_mass = 0.0
@@ -130,9 +130,8 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
         if nodes > budget.nodes:
             raise BudgetError(f"enumeration exceeded node budget {budget.nodes}")
         s = mass.sum(axis=1)
-        weights, stop = policy.batch_weights(mass / s[:, None], d)
-        truncates = ~stop if fh is not None and d >= fh else np.zeros_like(stop)
-        stop = stop | truncates
+        probs = mass / s[:, None]
+        stop, truncates = stops(policy, probs.max(axis=1), d)
         entering.append(float(s.sum()))
         stopped.append(float(s[stop].sum()))
         exp_tau += d * stopped[-1]
@@ -143,7 +142,7 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
             break
         if d >= H:
             raise HorizonError(f"path still live at horizon {H}")
-        w = np.repeat(weights[live], Z, axis=1)  # (S, C)
+        w = np.repeat(policy.batch_weights(probs[live], d), Z, axis=1)  # (S, C)
         children = ((w[:, :, None] * mass[live][:, None, :]) * cell_q[None]).reshape(-1, M)
         child_counts = (counts[live][:, None, :] + np.eye(C, dtype=np.int64)).reshape(-1, C)
         keep = children.sum(axis=1) > 0.0

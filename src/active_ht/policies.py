@@ -1,9 +1,10 @@
 """Sensing policies: which action to play and when to stop.
 
-A policy answers one query, ``batch_weights``: given the number of steps
-already taken and a stack of posteriors (B, M), one row per trial, it
-returns the action distribution of each row and which rows stop.  The
-simulator's lockstep engine and ``exact_eval`` ask it once per step, and
+A policy is an action rule and a stop.  The rule is ``batch_weights``:
+given the number of steps already taken and the posteriors (B, M) of the
+live trials, it returns each row's action distribution (B, K).  The stop is
+two fields, ``threshold`` and ``horizon``, which ``stops`` applies.  The
+simulator's lockstep engine and ``exact_eval`` ask both once per step, and
 the built-in families answer with array operations.  A policy does not
 choose the declaration: at the stop every evaluator declares
 ``belief.posterior_mode``, the MAP rule that every cost bound scores.
@@ -34,49 +35,53 @@ PHASE_THRESHOLD = 0.5
 
 
 class Policy:
-    """Interface shared by all policies."""
+    """Interface shared by all policies: an action rule and a stop (see ``stops``)."""
 
-    safety_horizon: Optional[int] = None
+    threshold: Optional[float] = None
+    horizon: Optional[int] = None
 
-    def batch_weights(self, probs: np.ndarray, step_count: int):
-        """The action distribution of each row of ``probs`` (B, M) at one step.
-
-        Returns ``(weights (B, K), stop (B,))``; the rows of ``weights``
-        where ``stop`` is True are unspecified.
-        """
+    def batch_weights(self, probs: np.ndarray, step_count: int) -> np.ndarray:
+        """The action distribution (B, K) of each row of ``probs`` (B, M) at one step."""
         raise NotImplementedError
+
+
+def _check_stop(policy: Policy) -> None:
+    """A policy stops: it has a threshold in (0, 1), a whole-number horizon >= 0, or both."""
+    if policy.threshold is None and policy.horizon is None:
+        raise ValueError("a policy needs a stop: a threshold, a horizon or both")
+    if policy.threshold is not None and not 0.0 < policy.threshold < 1.0:
+        raise ValueError("stopping threshold must lie in (0, 1)")
+    if policy.horizon is not None and not (isinstance(policy.horizon, (int, np.integer)) and policy.horizon >= 0):
+        raise ValueError(f"horizon must be a nonnegative integer, got {policy.horizon}")
+
+
+def stops(policy: Policy, top: np.ndarray, step: int):
+    """Which trials ``policy`` stops at ``step``, given their posterior modes' masses ``top`` (B,).
+
+    A trial stops once ``top`` reaches the threshold, or at the horizon.
+    Returns ``(stop (B,), truncated (B,))``: a horizon stop of a policy with
+    a threshold is a truncation, and a horizon-only policy is never truncated.
+    """
+    reached = top >= policy.threshold if policy.threshold is not None else np.zeros(top.shape, dtype=bool)
+    if policy.horizon is not None and step >= policy.horizon:
+        return np.ones_like(reached), ~reached & (policy.threshold is not None)
+    return reached, np.zeros_like(reached)
 
 
 @dataclass(frozen=True)
 class FixedRulePolicy(Policy):
-    """Draw actions i.i.d. from one rule; stop at a fixed horizon or a
-    posterior threshold (exactly one of the two must be given).  Only a
-    threshold rule takes a safety horizon: a fixed horizon already ends
-    every trial."""
+    """Draw actions i.i.d. from one rule, whatever the posterior."""
 
     weights: np.ndarray
-    n: Optional[int] = None
     threshold: Optional[float] = None
-    safety_horizon: Optional[int] = None
+    horizon: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", as_weights(self.weights))
-        if (self.n is None) == (self.threshold is None):
-            raise ValueError("specify exactly one of n (fixed horizon) or threshold")
-        if self.n is not None and self.safety_horizon is not None:
-            raise ValueError("a fixed-horizon rule takes no safety horizon")
-        if self.n is not None and self.n < 0:
-            raise ValueError("fixed horizon must be nonnegative")
-        if self.threshold is not None and not 0.0 < self.threshold < 1.0:
-            raise ValueError("stopping threshold must lie in (0, 1)")
+        _check_stop(self)
 
-    def batch_weights(self, probs: np.ndarray, step_count: int):
-        B = probs.shape[0]
-        if self.n is not None:
-            stop = np.full(B, step_count >= self.n)
-        else:
-            stop = probs.max(axis=1) >= self.threshold
-        return np.broadcast_to(self.weights, (B, self.weights.size)), stop
+    def batch_weights(self, probs: np.ndarray, step_count: int) -> np.ndarray:
+        return np.broadcast_to(self.weights, (probs.shape[0], self.weights.size))
 
 
 @dataclass(frozen=True)
@@ -84,15 +89,14 @@ class TwoPhasePolicy(Policy):
     """Explore with a robust rule, then exploit the posterior mode's rule.
 
     While the posterior mode is below ``phase_threshold`` actions come from
-    ``explore_weights``; afterwards from ``exploit_weights[mode]``.  Stops
-    once the mode reaches ``threshold``.
+    ``explore_weights``; afterwards from ``exploit_weights[mode]``.
     """
 
     explore_weights: np.ndarray
     exploit_weights: np.ndarray  # (M, K)
     phase_threshold: float
-    threshold: float
-    safety_horizon: Optional[int] = None
+    threshold: Optional[float] = None
+    horizon: Optional[int] = None
 
     def __post_init__(self):
         explore = as_weights(self.explore_weights)
@@ -100,16 +104,14 @@ class TwoPhasePolicy(Policy):
         w = np.vstack([as_weights(row, explore.size) for row in self.exploit_weights])
         w.setflags(write=False)
         object.__setattr__(self, "exploit_weights", w)
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("stop threshold must lie in (0, 1)")
+        _check_stop(self)
         if not 0.0 < self.phase_threshold <= 1.0:
             raise ValueError("phase threshold must lie in (0, 1]")
 
-    def batch_weights(self, probs: np.ndarray, step_count: int):
-        top = probs.max(axis=1)
+    def batch_weights(self, probs: np.ndarray, step_count: int) -> np.ndarray:
         weights = self.exploit_weights[probs.argmax(axis=1)]
-        weights[top < self.phase_threshold] = self.explore_weights
-        return weights, top >= self.threshold
+        weights[probs.max(axis=1) < self.phase_threshold] = self.explore_weights
+        return weights
 
 
 def fixed_lambda_policy(
@@ -119,10 +121,13 @@ def fixed_lambda_policy(
     threshold: Optional[float] = None,
     safety_horizon: Optional[int] = None,
 ) -> FixedRulePolicy:
-    """An i.i.d.-rule policy with either a fixed horizon or a posterior threshold."""
-    return FixedRulePolicy(
-        weights=as_weights(rule), n=n, threshold=threshold, safety_horizon=safety_horizon
-    )
+    """An i.i.d.-rule policy with a fixed horizon ``n`` or a posterior threshold;
+    only a threshold rule takes a ``safety_horizon``, a fixed one ends every trial."""
+    if (n is None) == (threshold is None):
+        raise ValueError("specify exactly one of n (fixed horizon) or threshold")
+    if n is not None and safety_horizon is not None:
+        raise ValueError("a fixed-horizon rule takes no safety horizon")
+    return FixedRulePolicy(weights=rule, threshold=threshold, horizon=safety_horizon if n is None else n)
 
 
 def _stop_threshold(model: ObservationModel) -> float:
@@ -144,9 +149,7 @@ def nn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:
     logL = math.log(model.penalty)
     spread = _log_prior_spreads(model.prior)[0].min()
     steps = (logL + math.log(model.M - 1) - spread) / report.d_hat
-    return FixedRulePolicy(
-        weights=report.d_hat_rule.weights, n=max(1, int(math.ceil(steps)))
-    )
+    return FixedRulePolicy(weights=report.d_hat_rule.weights, horizon=max(1, int(math.ceil(steps))))
 
 
 def sn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:
@@ -156,7 +159,7 @@ def sn_policy(model: ObservationModel, report: BoundsReport) -> FixedRulePolicy:
     return FixedRulePolicy(
         weights=report_at_penalty(report, model).cost_bounds.sn_upper_rule.weights,
         threshold=_stop_threshold(model),
-        safety_horizon=_safety_horizon(math.log(model.penalty), report.maxmin_r),
+        horizon=_safety_horizon(math.log(model.penalty), report.maxmin_r),
     )
 
 
@@ -168,7 +171,7 @@ def sa_policy(model: ObservationModel, report: BoundsReport) -> TwoPhasePolicy:
         exploit_weights=[rule for rule, _ in report.reliabilities],
         phase_threshold=PHASE_THRESHOLD,
         threshold=_stop_threshold(model),
-        safety_horizon=_safety_horizon(math.log(model.penalty), report.maxmin_r),
+        horizon=_safety_horizon(math.log(model.penalty), report.maxmin_r),
     )
 
 
@@ -197,7 +200,7 @@ def build_policy(
         if threshold is None:
             return policy
         _, maxmin_value = maxmin_reliability(model)
-        return replace(policy, safety_horizon=_safety_horizon(-math.log1p(-threshold), maxmin_value))
+        return replace(policy, horizon=_safety_horizon(-math.log1p(-threshold), maxmin_value))
     builders = {"nn": nn_policy, "sn": sn_policy, "sa": sa_policy}
     if kind not in builders:
         raise ValueError(f"unknown policy kind {kind!r}")

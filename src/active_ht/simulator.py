@@ -32,23 +32,23 @@ same way: a worker forked before the process's first Gaussian draw imports
 Gaussian draw (~0.3 s).
 
 Sequential policies run in a lockstep engine: all live trials of a block
-advance together, one ``Policy.batch_weights`` query and one vectorized
-log-domain Bayes update (``belief.normalize``) per step, and a trial retires when its policy stops
-or it reaches the policy's safety horizon (flagged as truncated).
+advance together, one ``policies.stops`` test, one ``Policy.batch_weights``
+query of the trials left and one vectorized log-domain Bayes update
+(``belief.normalize``) per step.
 One pass of the engine can also serve a stack of lower stops, (threshold,
 horizon) pairs below the policy's own: each records a trial at its first
 passage and the trial plays on to the policy's stop.  ``sweep_L`` runs each
 group of points whose policies differ only in their stops as one such pass,
 so every point of the group sees the same trials, and folds each point's
 summary straight from the pass's block results.
-A fixed-horizon ``FixedRulePolicy`` whose class keeps its ``batch_weights``
-takes a separate path that draws all of a trial's uniforms at once and sums
-the log-likelihoods without per-step normalization; a subclass that
-overrides ``batch_weights`` runs in the engine.  Both paths read one
-uniform stream per trial, in the same order on every kernel type: per
-step, the action uniform, then the symbol uniform (the engine continues the
-streams of its live trials in chunks of ``CHUNK`` steps, which yields the
-same stream at any chunk size).
+A ``FixedRulePolicy`` with a horizon and no threshold, whose class keeps
+its ``batch_weights``, takes a separate path that draws all of a trial's
+uniforms at once and sums the log-likelihoods without per-step
+normalization; a subclass that overrides ``batch_weights`` runs in the
+engine.  Both paths read one uniform stream per trial, in the same order on
+every kernel type: per step, the action uniform, then the symbol uniform
+(the engine continues the streams of its live trials in chunks of ``CHUNK``
+steps, which yields the same stream at any chunk size).
 ``model.draw_symbol`` turns the symbol uniform into a symbol, through the
 inverse CDF of a finite row or the inverse normal CDF of a Gaussian one.  A
 trial's trajectory therefore does not depend on the other trials in its
@@ -85,7 +85,7 @@ import numpy as np
 from .belief import normalize, posterior_error, posterior_mode
 from .bounds import BoundsReport, report_at_penalty
 from .model import ObservationModel, as_weights, draw_symbol, inverse_cdf_index
-from .policies import FixedRulePolicy, Policy, TwoPhasePolicy, build_policy
+from .policies import FixedRulePolicy, Policy, TwoPhasePolicy, _check_stop, build_policy, stops
 
 BLOCK = 1024
 
@@ -361,12 +361,12 @@ def _summary(sums: np.ndarray, L: float, path: tuple) -> SimulationSummary:
 def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, k0: int, lower=()):
     """Run trials k0, k0+1, ... (true hypotheses ``thetas``) in lockstep.
 
-    ``policy`` plays every step.  ``lower`` holds the (threshold, horizon)
-    stops of the points below ``policy``'s own, with thresholds and horizons
-    non-decreasing and none above ``policy``'s: point p stops a trial at the
-    first step where its posterior mode reaches its threshold, or at its
-    horizon (None: none), flagged truncated.  So a trial retires at
-    ``policy``'s own stop, the last.
+    ``policy`` plays every step and stops a trial by ``policies.stops``.
+    ``lower`` holds the (threshold, horizon) stops of the points below
+    ``policy``'s own, with thresholds and horizons non-decreasing and none
+    above ``policy``'s: point p stops a trial at the first step where its
+    posterior mode reaches its threshold, or at its horizon (None: none),
+    flagged truncated.  So a trial retires at ``policy``'s own stop, the last.
     Returns per-trial (tau (P, B), terminal posterior (P, B, M), truncated
     (P, B)), one row per point of ``lower`` and then ``policy``'s own.
     """
@@ -380,7 +380,6 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     truncated = np.zeros((P, B), dtype=bool)
     live = np.arange(B)
     U = np.empty((2 * CHUNK, B))  # column b holds trial b's uniforms for CHUNK steps
-    horizon = policy.safety_horizon
     if lower:
         thresholds = np.array([threshold for threshold, _ in lower])
         horizons = np.array([math.inf if h is None else h for _, h in lower])
@@ -388,10 +387,10 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
         points = np.arange(P - 1)[:, None]
     t = 0
     while True:
-        w, stop = policy.batch_weights(probs, t)
+        top = probs.max(axis=1)
         if lower:
             # lower points [passed, due) stop now; those past ``reached`` by their horizon
-            reached = np.searchsorted(thresholds, probs.max(axis=1), side="right")
+            reached = np.searchsorted(thresholds, top, side="right")
             due = np.maximum(reached, np.searchsorted(horizons, t, side="right"))
             rows = np.flatnonzero(due > passed)
             if rows.size:
@@ -402,20 +401,20 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
                 final[p, live[row]] = probs[row]
                 truncated[p, live[row]] = reached[row] <= p
                 passed[rows] = due[rows]
-        if horizon is not None and t >= horizon:
-            truncated[-1, live[~stop]] = True
-            stop = np.ones(live.size, dtype=bool)
+        stop, cut = stops(policy, top, t)
         if stop.any():
             done = live[stop]
             tau[-1, done] = t
             final[-1, done] = probs[stop]
+            truncated[-1, live[cut]] = True  # cut rows are stopped rows
             go = ~stop
-            live, w = live[go], w[go]
+            live = live[go]
             lm, probs = (x.T.compress(go, axis=1).T for x in (lm, probs))  # x[go] is trial-major
             if live.size == 0:
                 return tau, final, truncated
             if lower:
                 passed = passed[go]
+        w = policy.batch_weights(probs, t)
         j = t % CHUNK
         if j == 0:
             U[:, live] = streams.random(live, 2 * CHUNK)
@@ -445,17 +444,17 @@ def _fixed_rule_logmass_block(
 def _run_block(model, policy, block_thetas, path, k0, want_records, lower=()):
     """One block's (sums, records) at each stop: one per (threshold, horizon,
     penalty) of ``lower`` (see ``_lockstep_block``), then ``policy``'s own."""
-    if type(policy).batch_weights is FixedRulePolicy.batch_weights and policy.n is not None:
-        lm = _fixed_rule_logmass_block(model, policy.weights, policy.n, block_thetas, path, k0)
+    if type(policy).batch_weights is FixedRulePolicy.batch_weights and policy.threshold is None:
+        lm = _fixed_rule_logmass_block(model, policy.weights, policy.horizon, block_thetas, path, k0)
         _, final = normalize(lm.T)
-        tau = np.full(block_thetas.size, policy.n)
+        tau = np.full(block_thetas.size, policy.horizon)
         truncated = np.zeros(block_thetas.size, dtype=bool)
-        stops = [(tau, final, truncated, model.penalty)]
+        ends = [(tau, final, truncated, model.penalty)]
     else:
         taus, finals, truncs = _lockstep_block(model, policy, block_thetas, path, k0, [s[:2] for s in lower])
-        stops = zip(taus, finals, truncs, [s[2] for s in lower] + [model.penalty])
+        ends = zip(taus, finals, truncs, [s[2] for s in lower] + [model.penalty])
     out = []
-    for tau, final, truncated, L in stops:
+    for tau, final, truncated, L in ends:
         err = posterior_error(final)
         declared = posterior_mode(final, tau)
         wrong = declared != block_thetas
@@ -478,16 +477,10 @@ def _run_block(model, policy, block_thetas, path, k0, want_records, lower=()):
     return out
 
 
-def _block_tasks(
-    model: ObservationModel, policy: Policy, n_trials: int, path: tuple, want_records: bool = False, lower=()
-):
-    """``_run_block`` arguments for each block of ``BLOCK`` trials, in index order."""
-    _check_trials(n_trials)
-    thetas = stratified_hypotheses(model.prior, n_trials)
-    return [
-        (model, policy, thetas[k0 : k0 + BLOCK], path, k0, want_records, lower)
-        for k0 in range(0, n_trials, BLOCK)
-    ]
+def _block_tasks(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, want_records=False, lower=()):
+    """``_run_block`` arguments for each block of ``BLOCK`` trials (true hypotheses ``thetas``), in index order."""
+    starts = range(0, thetas.size, BLOCK)
+    return [(model, policy, thetas[k0 : k0 + BLOCK], path, k0, want_records, lower) for k0 in starts]
 
 
 def _block_task(task):
@@ -541,12 +534,12 @@ def _close_pool() -> None:
 def _share_a_pass(a: Policy, b: Policy) -> bool:
     """Whether one pass plays both ``a`` and ``b``: threshold rules of one
     built-in class (a subclass never shares) whose every field but their
-    stop (threshold and safety horizon) is equal."""
+    stop (threshold and horizon) is equal."""
     if type(a) is not type(b) or type(a) not in (FixedRulePolicy, TwoPhasePolicy):
         return False
     if a.threshold is None or b.threshold is None:
         return False
-    plays = [f.name for f in fields(a) if f.name not in ("threshold", "safety_horizon")]
+    plays = [f.name for f in fields(a) if f.name not in ("threshold", "horizon")]
     return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in plays)
 
 
@@ -570,7 +563,9 @@ def run_trials(
     """
     path = _seed_path(master_seed)
     if _blocks is None:
-        tasks = _block_tasks(model, policy, n_trials, path, record_trials)
+        _check_trials(n_trials)
+        _check_stop(policy)
+        tasks = _block_tasks(model, policy, stratified_hypotheses(model.prior, n_trials), path, record_trials)
         pool = _worker_pool(workers) if len(tasks) > 1 else None
         _blocks = (map if pool is None else pool.map)(_block_task, tasks)
     total, records = np.zeros(9), [] if record_trials else None
@@ -613,8 +608,8 @@ def sweep_L(
 
     The built families ``nn``, ``sn`` and ``sa`` need ``report``; ``fixed``
     takes ``rule`` and one of ``fixed_n`` / ``threshold`` (see ``build_policy``).
-    Points whose policies differ only in their stop (threshold and safety
-    horizon) form a group: threshold rules of one built-in class,
+    Points whose policies differ only in their stop (threshold and horizon)
+    form a group: threshold rules of one built-in class,
     ``FixedRulePolicy`` or ``TwoPhasePolicy``, whose every other field is
     equal, as ``sa``'s are at every L and ``sn``'s under a uniform prior.  A
     group builds its blocks once and runs them as one lockstep pass on the
@@ -626,6 +621,7 @@ def sweep_L(
     E[tau] + L * P(error) per point.
     """
     path = _seed_path(master_seed)
+    _check_trials(n_trials)
     runs = []
     for L in L_values:
         model_L = model.with_penalty(float(L))
@@ -641,10 +637,11 @@ def sweep_L(
             groups.append([idx])
         else:
             group.append(idx)
-    tasks = []
+    # every point has the model's prior, so one stratification serves them all
+    thetas, tasks = stratified_hypotheses(model.prior, n_trials), []
     for group in groups:
-        lower = [(runs[i][1].threshold, runs[i][1].safety_horizon, runs[i][0].penalty) for i in group[:-1]]
-        tasks += _block_tasks(*runs[group[-1]], n_trials, (*path, min(group)), lower=lower)
+        lower = [(runs[i][1].threshold, runs[i][1].horizon, runs[i][0].penalty) for i in group[:-1]]
+        tasks += _block_tasks(*runs[group[-1]], thetas, (*path, min(group)), lower=lower)
     n_blocks = -(-n_trials // BLOCK)
     summaries = [None] * len(runs)
     pool = _worker_pool(workers) if len(tasks) > 1 else None

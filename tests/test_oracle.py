@@ -114,14 +114,16 @@ def _raw_paths(model, policy, horizon):
 
     def walk(v, d):
         s = v.sum()
-        weights, stop = policy.batch_weights((v / s)[None], d)
-        w = weights[0]
-        if stop[0] or (policy.safety_horizon is not None and d >= policy.safety_horizon):
+        # the stop is tested here, not through policies.stops, so that this
+        # stays a reference independent of exact_eval and the simulator
+        reached = policy.threshold is not None and (v / s).max() >= policy.threshold
+        if reached or (policy.horizon is not None and d >= policy.horizon):
             totals[0] += d * s
             totals[1] += s - v.max()
-            totals[2] += 0.0 if stop[0] else s
+            totals[2] += s if policy.threshold is not None and not reached else 0.0
             return
         assert d < horizon
+        w = policy.batch_weights((v / s)[None], d)[0]
         for a in range(K):
             for z in range(Z):
                 child = w[a] * v * q[:, a, z]
@@ -135,10 +137,10 @@ def _raw_paths(model, policy, horizon):
 class _PosteriorMatching(Policy):
     """Plays each probe with its hypothesis' posterior mass."""
 
-    safety_horizon = 6
+    threshold, horizon = 0.9, 6
 
     def batch_weights(self, probs, step_count):
-        return probs.copy(), probs.max(axis=1) >= 0.9
+        return probs.copy()
 
 
 SEQUENTIAL_POLICIES = {
@@ -148,7 +150,7 @@ SEQUENTIAL_POLICIES = {
         exploit_weights=[[0.9, 0.1], [0.1, 0.9]],
         phase_threshold=0.7,
         threshold=0.97,
-        safety_horizon=7,
+        horizon=7,
     ),
     "user_subclass": _PosteriorMatching(),
 }
@@ -175,7 +177,7 @@ class TestSequentialPolicies:
                 exploit_weights=[[0.9, 0.1], [0.1, 0.9]],
                 phase_threshold=0.8,
                 threshold=0.999,
-                safety_horizon=60,
+                horizon=60,
             ),
         ],
         ids=["threshold", "two_phase"],
@@ -189,6 +191,23 @@ class TestSequentialPolicies:
         summary, _ = run_trials(two_probe_model, pol, 20_000, 2026)
         assert abs(summary.pe - ev.pe) <= 4.0 * summary.se_pe
         assert abs(summary.mean_tau - ev.expected_tau) <= 4.0 * summary.se_tau
+
+    def test_a_horizon_only_two_phase_policy_matches_monte_carlo(self, two_probe_model):
+        # sa's action rule stopped at a fixed horizon alone, the shape of an na
+        # policy: every path runs to the horizon and none is truncated
+        pol = TwoPhasePolicy(
+            explore_weights=[0.5, 0.5],
+            exploit_weights=[[0.0, 1.0], [1.0, 0.0]],
+            phase_threshold=0.5,
+            horizon=8,
+        )
+        ev = exact_eval(two_probe_model, pol, OracleBudget(horizon=8))
+        assert ev.stopped_mass[:8] == (0.0,) * 8 and ev.truncated_mass == 0.0
+        assert_allclose(ev.expected_tau, 8.0, rtol=1e-12)
+        assert max(ev.mass_residuals()) <= 1e-12
+        summary, _ = run_trials(two_probe_model, pol, 20_000, 2027)
+        assert (summary.mean_tau, summary.se_tau, summary.n_truncated) == (8.0, 0.0, 0)
+        assert abs(summary.pe - ev.pe) <= 4.0 * summary.se_pe
 
     def test_guards_apply_to_sequential_policies(self, two_probe_model):
         pol = SEQUENTIAL_POLICIES["two_phase"]

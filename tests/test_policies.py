@@ -28,35 +28,39 @@ from active_ht import (
     sn_policy,
 )
 from active_ht.model import inverse_cdf_index
-from active_ht.policies import PHASE_THRESHOLD
+from active_ht.policies import PHASE_THRESHOLD, stops
 from conftest import make_two_probe_model
 
 
 def _draws(policy, probs, step, rng, n):
     """n action draws for one posterior, through the simulator's inverse CDF."""
-    weights, stop = policy.batch_weights(np.tile(probs, (n, 1)), step)
-    assert not stop.any()
-    return inverse_cdf_index(np.cumsum(weights, axis=1), rng.random(n))
+    stack = np.tile(probs, (n, 1))
+    assert not stops(policy, stack.max(axis=1), step)[0].any()
+    return inverse_cdf_index(np.cumsum(policy.batch_weights(stack, step), axis=1), rng.random(n))
+
+
+def _stops_at(policy, probs, step):
+    """``stops`` of ``policy`` for the posterior stack ``probs`` at ``step``, as lists."""
+    stop, truncated = stops(policy, np.asarray(probs).max(axis=1), step)
+    return stop.tolist(), truncated.tolist()
 
 
 class TestFixedRulePolicy:
     def test_requires_exactly_one_stop_mode(self):
-        with pytest.raises(ValueError):
-            FixedRulePolicy(weights=[1.0], n=3, threshold=0.9)
-        with pytest.raises(ValueError):
-            FixedRulePolicy(weights=[1.0])
+        # fixed_lambda_policy takes a fixed horizon or a threshold, never both
+        with pytest.raises(ValueError, match="exactly one of n"):
+            fixed_lambda_policy([1.0], n=3, threshold=0.9)
+        with pytest.raises(ValueError, match="exactly one of n"):
+            fixed_lambda_policy([1.0])
 
     def test_zero_horizon_allowed_negative_rejected(self):
         p = fixed_lambda_policy([1.0], n=0)
-        assert p.batch_weights(np.array([[0.5, 0.5]]), 0)[1].tolist() == [True]
+        assert _stops_at(p, [[0.5, 0.5]], 0) == ([True], [False])
         with pytest.raises(ValueError):
             fixed_lambda_policy([1.0], n=-1)
 
     def test_fixed_horizon_takes_no_safety_horizon(self):
-        # The Monte Carlo runs a fixed-n rule to n; a safety horizon below n
-        # would truncate it in exact_eval alone.
-        with pytest.raises(ValueError, match="safety horizon"):
-            FixedRulePolicy(weights=[0.5, 0.5], n=10, safety_horizon=5)
+        # n and a safety horizon would both be the policy's one horizon
         with pytest.raises(ValueError, match="safety horizon"):
             fixed_lambda_policy([0.5, 0.5], n=10, safety_horizon=5)
 
@@ -69,13 +73,13 @@ class TestFixedRulePolicy:
     def test_fixed_horizon_stops_exactly(self):
         p = fixed_lambda_policy([0.5, 0.5], n=4)
         probs = np.array([[0.99, 0.01]])
-        assert [bool(p.batch_weights(probs, step)[1][0]) for step in range(6)] == [False] * 4 + [True] * 2
+        assert [_stops_at(p, probs, step)[0] for step in range(6)] == [[False]] * 4 + [[True]] * 2
 
     def test_threshold_stop(self):
         p = fixed_lambda_policy([1.0], threshold=0.9)
-        weights, stop = p.batch_weights(np.array([[0.89, 0.11], [0.91, 0.09]]), 7)
-        assert stop.tolist() == [False, True]
-        assert weights[0].tolist() == [1.0]
+        probs = np.array([[0.89, 0.11], [0.91, 0.09]])
+        assert _stops_at(p, probs, 7) == ([False, True], [False, False])
+        assert p.batch_weights(probs, 7).tolist() == [[1.0], [1.0]]
 
     def test_point_mass_draws_single_action(self):
         p = fixed_lambda_policy([0.0, 1.0, 0.0], n=100)
@@ -104,18 +108,81 @@ class TestFixedRulePolicy:
         assert exact_eval(m, p).pe == 0.5
 
 
+def _two_phase(**stop):
+    return TwoPhasePolicy(
+        explore_weights=[0.5, 0.5], exploit_weights=[[0.0, 1.0], [1.0, 0.0]], phase_threshold=0.5, **stop
+    )
+
+
+_CLASSES = {"fixed": lambda **stop: FixedRulePolicy(weights=[0.5, 0.5], **stop), "two_phase": _two_phase}
+
+
+class TestStops:
+    @pytest.mark.parametrize(
+        "stop, step, want",
+        [
+            # threshold only: stops where the mode reaches it, never truncated
+            (dict(threshold=0.9), 0, ([False, True, True], [False] * 3)),
+            (dict(threshold=0.9), 10**6, ([False, True, True], [False] * 3)),
+            # horizon only: every trial stops at the horizon, none truncated
+            (dict(horizon=3), 2, ([False] * 3, [False] * 3)),
+            (dict(horizon=3), 3, ([True] * 3, [False] * 3)),
+            (dict(horizon=3), 4, ([True] * 3, [False] * 3)),
+            (dict(horizon=0), 0, ([True] * 3, [False] * 3)),
+            # both: before the horizon the threshold stops; at it the rest are cut,
+            # and a threshold reached exactly at step == horizon is no truncation
+            (dict(threshold=0.9, horizon=3), 2, ([False, True, True], [False] * 3)),
+            (dict(threshold=0.9, horizon=3), 3, ([True] * 3, [True, False, False])),
+            (dict(threshold=0.9, horizon=0), 0, ([True] * 3, [True, False, False])),
+        ],
+    )
+    @pytest.mark.parametrize("cls", sorted(_CLASSES))
+    def test_truth_table(self, cls, stop, step, want):
+        # modes just below, exactly at and above the threshold
+        assert _stops_at(_CLASSES[cls](**stop), [[0.89, 0.11], [0.9, 0.1], [0.95, 0.05]], step) == want
+
+    @pytest.mark.parametrize(
+        "stop, match",
+        [
+            ({}, "needs a stop"),
+            (dict(horizon=-1), "horizon must be a nonnegative integer, got -1"),
+            # the fixed-horizon path would fail on a fractional horizon, and
+            # exact_eval would round it up
+            (dict(horizon=2.5), "horizon must be a nonnegative integer, got 2.5"),
+            (dict(threshold=0.0), "threshold must lie in"),
+            (dict(threshold=1.0), "threshold must lie in"),
+            (dict(threshold=1.0, horizon=5), "threshold must lie in"),
+        ],
+    )
+    @pytest.mark.parametrize("cls", sorted(_CLASSES))
+    def test_a_policy_needs_a_stop(self, cls, stop, match):
+        with pytest.raises(ValueError, match=match):
+            _CLASSES[cls](**stop)
+
+    def test_the_evaluators_reject_a_subclass_without_a_stop(self, two_probe_model):
+        # the engine and exact_eval would step such a policy forever
+        class _Endless(Policy):
+            def batch_weights(self, probs, step_count):
+                return np.full((probs.shape[0], 2), 0.5)
+
+        with pytest.raises(ValueError, match="needs a stop"):
+            run_trials(two_probe_model, _Endless(), 10, 1)
+        with pytest.raises(ValueError, match="needs a stop"):
+            exact_eval(two_probe_model, _Endless())
+
+
 class TestFixedHorizonSizing:
     def test_formula_arithmetic(self, two_probe_report):
         # Uniform binary prior, penalty e^10, unit-free rate 0.5:
         # ceil((10 + log 1 - 0) / 0.5) = 20 steps.
         rep = dataclasses.replace(two_probe_report, d_hat=0.5)
         m = make_two_probe_model(penalty=math.exp(10.0))
-        assert nn_policy(m, rep).n == 20
+        assert nn_policy(m, rep).horizon == 20
 
     def test_stops_on_every_path(self, two_probe_model, two_probe_report):
         pol = nn_policy(two_probe_model, two_probe_report)
         summary, records = run_trials(two_probe_model, pol, 200, 90, record_trials=True)
-        assert all(r.tau == pol.n for r in records)
+        assert all(r.tau == pol.horizon for r in records)
         assert summary.n_truncated == 0
 
     def test_rate_must_be_positive(self, two_probe_model, two_probe_report):
@@ -130,7 +197,7 @@ class TestThresholdPolicies:
         assert_allclose(p.threshold, 1.0 - 1.0 / two_probe_model.penalty, rtol=1e-15)
         assert_allclose(p.weights, [0.5, 0.5], atol=1e-9)
         want = math.ceil(1000.0 * math.log(1000.0) / two_probe_report.maxmin_r)
-        assert p.safety_horizon == want
+        assert p.horizon == want
 
     def test_sn_rule_follows_the_model_penalty(self):
         # under a non-uniform prior the sn rule moves with L, so a report
@@ -171,9 +238,8 @@ class TestThresholdPolicies:
             threshold=0.99,
         )
         probs = np.array([np.full(3, 1.0 / 3.0), [0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.995, 0.004, 0.001]])
-        weights, stop = p.batch_weights(probs, 3)
-        assert stop.tolist() == [False, False, False, True]
-        assert_allclose(weights[:3], [[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+        assert _stops_at(p, probs, 3)[0] == [False, False, False, True]
+        assert_allclose(p.batch_weights(probs[:3], 3), [[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize(
         "exploit",
@@ -239,7 +305,7 @@ def _policies_for(M, rng):
     K = 3
     w = rng.dirichlet(np.ones(K))
     return [
-        FixedRulePolicy(weights=w, n=4),
+        FixedRulePolicy(weights=w, horizon=4),
         FixedRulePolicy(weights=w, threshold=_STOP),
         FixedRulePolicy(weights=w, threshold=_PHASE),
         TwoPhasePolicy(
@@ -258,13 +324,10 @@ class TestBatchWeights:
         # Row b of a stack's answer is the answer for that row alone, so a
         # trial's play does not depend on the other trials of its block.
         for pol in _policies_for(probs.shape[1], np.random.default_rng(seed)):
-            weights, stop = pol.batch_weights(probs, step)
-            assert weights.shape[0] == stop.shape[0] == probs.shape[0]
+            weights = pol.batch_weights(probs, step)
+            assert weights.shape[0] == probs.shape[0]
             for b in range(probs.shape[0]):
-                w_b, stop_b = pol.batch_weights(probs[b][None], step)
-                assert stop_b.tolist() == [bool(stop[b])]
-                if not stop[b]:
-                    assert np.array_equal(weights[b], w_b[0])
+                assert np.array_equal(weights[b], pol.batch_weights(probs[b][None], step)[0])
 
 
 class TestPolicyInterface:
@@ -282,7 +345,7 @@ class TestBuildPolicy:
         assert isinstance(build_policy("sn", two_probe_model, two_probe_report), FixedRulePolicy)
         assert isinstance(build_policy("sa", two_probe_model, two_probe_report), TwoPhasePolicy)
         fx = build_policy("fixed", two_probe_model, rule=[0.5, 0.5], n=3)
-        assert isinstance(fx, FixedRulePolicy) and fx.n == 3
+        assert isinstance(fx, FixedRulePolicy) and fx.horizon == 3 and fx.threshold is None
 
     def test_unknown_kind_rejected(self, two_probe_model, two_probe_report):
         with pytest.raises(ValueError):
@@ -325,8 +388,8 @@ class TestBuildPolicy:
             return build_policy("fixed", make_two_probe_model(L), rule=[0.5, 0.5], threshold=0.999)
 
         near_one, pol = make_two_probe_model(1.001), build(1.001)
-        assert pol.safety_horizon == build(1000.0).safety_horizon == 10_617
-        assert pol.safety_horizon == math.ceil(1000.0 * math.log(1000.0) / two_probe_report.maxmin_r)
+        assert pol.horizon == build(1000.0).horizon == 10_617
+        assert pol.horizon == math.ceil(1000.0 * math.log(1000.0) / two_probe_report.maxmin_r)
         summary, _ = run_trials(near_one, pol, 2000, 93)
         assert summary.n_truncated == 0
 
@@ -359,5 +422,5 @@ class TestSingleActionModel:
             fixed_lambda_policy([1.0], n=5),
         ]
         for pol in pols:
-            weights, stop = pol.batch_weights(probs, 0)
-            assert not stop[0] and weights[0].tolist() == [1.0]
+            assert _stops_at(pol, probs, 0)[0] == [False]
+            assert pol.batch_weights(probs, 0).tolist() == [[1.0]]

@@ -1,9 +1,11 @@
 """The package's public names: every name in ``__all__`` resolves, and the set
 is frozen, so a change that drops or adds one must edit this list (and record
 a dropped name as deprecated in CHANGES.md).  The policy interface is frozen
-the same way: a policy answers ``batch_weights`` and nothing else."""
+the same way: a policy answers ``batch_weights`` and nothing else, and the
+built-in policies' fields, their stop among them, keep their names."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,13 @@ PUBLIC_NAMES = frozenset({
 
 POLICY_METHODS = frozenset({"batch_weights"})
 
+# simulator._share_a_pass tells a stop field from an action-rule field by
+# name, so renaming either is a deliberate edit here
+POLICY_FIELDS = {
+    FixedRulePolicy: ("weights", "threshold", "horizon"),
+    TwoPhasePolicy: ("explore_weights", "exploit_weights", "phase_threshold", "threshold", "horizon"),
+}
+
 
 def test_every_public_name_resolves():
     missing = [name for name in active_ht.__all__ if not hasattr(active_ht, name)]
@@ -50,6 +59,11 @@ def test_public_names_are_frozen():
 def test_policy_methods_are_frozen(cls):
     public = {name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
     assert public == POLICY_METHODS
+
+
+@pytest.mark.parametrize("cls", list(POLICY_FIELDS), ids=lambda cls: cls.__name__)
+def test_policy_fields_are_frozen(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == POLICY_FIELDS[cls]
 
 
 def test_import_loads_no_scipy_solvers():

@@ -3,6 +3,7 @@ error rates, and the error-exponent estimator."""
 
 import copy
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
@@ -59,11 +60,10 @@ class _Stepwise(Policy):
 
     def __init__(self, weights, n):
         self.weights = np.asarray(weights, dtype=float)
-        self.n = n
+        self.horizon = n
 
     def batch_weights(self, probs, step_count):
-        B = probs.shape[0]
-        return np.tile(self.weights, (B, 1)), np.full(B, step_count >= self.n)
+        return np.tile(self.weights, (probs.shape[0], 1))
 
 
 def _summaries_equal(a, b):
@@ -187,10 +187,10 @@ class TestRunTrials:
         # A user subclass that stops at a threshold is truncated at its own
         # safety horizon, like the built-in threshold rule.
         class _Capped(Policy):
-            safety_horizon = 6
+            threshold, horizon = 0.99, 6
 
             def batch_weights(self, probs, step_count):
-                return np.full((probs.shape[0], 2), 0.5), probs.max(axis=1) >= 0.99
+                return np.full((probs.shape[0], 2), 0.5)
 
         summary, records = run_trials(two_probe_model, _Capped(), 1500, 26, record_trials=True)
         taus = np.array([r.tau for r in records])
@@ -213,10 +213,9 @@ class TestRunTrials:
         # plays the override as exact_eval does.
         class _PlaysLeader(FixedRulePolicy):
             def batch_weights(self, probs, step_count):
-                _, stop = super().batch_weights(probs, step_count)
-                return np.eye(2)[probs.argmax(axis=1)], stop
+                return np.eye(2)[probs.argmax(axis=1)]
 
-        pol = _PlaysLeader(weights=[0.5, 0.5], n=6)
+        pol = _PlaysLeader(weights=[0.5, 0.5], horizon=6)
         summary, _ = run_trials(two_probe_model, pol, 20_000, 1)
         exact = exact_eval(two_probe_model, pol)
         assert summary.mean_tau == 6.0
@@ -275,7 +274,7 @@ def _skewed_three_model() -> ObservationModel:
 
 
 def _sn(weights, L, horizon=10_000):
-    return FixedRulePolicy(weights=weights, threshold=1.0 - 1.0 / L, safety_horizon=horizon)
+    return FixedRulePolicy(weights=weights, threshold=1.0 - 1.0 / L, horizon=horizon)
 
 
 def _sa(explore, exploit, L, horizon=10_000):
@@ -284,7 +283,7 @@ def _sa(explore, exploit, L, horizon=10_000):
         exploit_weights=exploit,
         phase_threshold=0.5,
         threshold=1.0 - 1.0 / L,
-        safety_horizon=horizon,
+        horizon=horizon,
     )
 
 
@@ -313,11 +312,11 @@ SEED_CONTRACT_CASES = {
         fixed_lambda_policy([0.5, 0.5], threshold=0.985, safety_horizon=5),
     ),
     # fixed horizons take the vectorized fixed-rule path, not the lockstep engine
-    "two_probe-n9": lambda: (make_two_probe_model(), FixedRulePolicy(weights=[0.5, 0.5], n=9)),
-    "garbled-n6": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], n=6)),
-    "gaussian-n6": lambda: (make_gaussian_binary_model(), FixedRulePolicy(weights=[0.3, 0.7], n=6)),
+    "two_probe-n9": lambda: (make_two_probe_model(), FixedRulePolicy(weights=[0.5, 0.5], horizon=9)),
+    "garbled-n6": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], horizon=6)),
+    "gaussian-n6": lambda: (make_gaussian_binary_model(), FixedRulePolicy(weights=[0.3, 0.7], horizon=6)),
     # 2n = 120 uniforms a trial, recorded when they came from one Generator per trial
-    "garbled-n60": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], n=60)),
+    "garbled-n60": lambda: (make_garbled_model(), FixedRulePolicy(weights=[0.7, 0.3], horizon=60)),
 }
 
 # (mean_tau, se_tau, pe, se_pe, cost, se_cost, n_wrong, n_truncated) of
@@ -772,7 +771,7 @@ class _LayoutProbe(Policy):
     """Plays ``inner`` and records whether each stack it is handed is hypothesis-major."""
 
     def __init__(self, inner):
-        self.inner, self.safety_horizon, self.seen = inner, inner.safety_horizon, []
+        self.inner, self.threshold, self.horizon, self.seen = inner, inner.threshold, inner.horizon, []
 
     def batch_weights(self, probs, step_count):
         self.seen.append((probs.shape[0], probs.flags.f_contiguous))
@@ -822,17 +821,40 @@ def test_a_sweep_group_runs_each_block_once(monkeypatch):
     assert stratified == [2500]
 
 
+def test_a_sweep_stratifies_once_across_its_groups(monkeypatch):
+    # under a non-uniform prior sn's rule moves with L, so each point is a
+    # group of its own; all of them share the model's prior and so one
+    # stratification
+    model = random_finite_model(np.random.default_rng(100), 4)
+    report = compute_bounds(model)
+    stratified = []
+    stratify = simulator.stratified_hypotheses
+
+    def counting(prior, n):
+        stratified.append(n)
+        return stratify(prior, n)
+
+    monkeypatch.setattr(simulator, "stratified_hypotheses", counting)
+    L_values = [100.0, 1000.0, 10_000.0]
+    built = [build_policy("sn", model.with_penalty(L), report) for L in L_values]
+    assert not any(simulator._share_a_pass(a, b) for a, b in itertools.combinations(built, 2))
+    _, summaries = sweep_L(model, "sn", L_values, 1100, (48, 11), report=report)
+    assert stratified == [1100]
+    for i, (L, policy) in enumerate(zip(L_values, built)):
+        assert summaries[i] == run_trials(model.with_penalty(L), policy, 1100, (48, 11, i))[0]
+
+
 _SHARING_BASES = {
-    FixedRulePolicy: dict(weights=[0.5, 0.5], threshold=0.99, safety_horizon=100),
+    FixedRulePolicy: dict(weights=[0.5, 0.5], threshold=0.99, horizon=100),
     TwoPhasePolicy: dict(
         explore_weights=[0.5, 0.5],
         exploit_weights=[[0.0, 1.0], [1.0, 0.0]],
         phase_threshold=0.5,
         threshold=0.99,
-        safety_horizon=100,
+        horizon=100,
     ),
 }
-_OTHER_STOPS = {"threshold": 0.999, "safety_horizon": 200}
+_OTHER_STOPS = {"threshold": 0.999, "horizon": 200}
 
 
 @pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in _SHARING_BASES for f in dataclasses.fields(cls)])
@@ -858,6 +880,15 @@ def test_a_policy_subclass_never_shares_a_pass(cls):
     assert simulator._share_a_pass(cls(**fields), cls(**fields))
     assert not simulator._share_a_pass(sub(**fields), sub(**fields))
     assert not simulator._share_a_pass(cls(**fields), sub(**fields))
+
+
+@pytest.mark.parametrize("cls", list(_SHARING_BASES))
+def test_a_horizon_only_policy_never_shares_a_pass(cls):
+    # without a threshold a policy has no lower stop to record in a pass
+    fields = {**_SHARING_BASES[cls], "threshold": None}
+    assert not simulator._share_a_pass(cls(**fields), cls(**fields))
+    assert not simulator._share_a_pass(cls(**fields), cls(**_SHARING_BASES[cls]))
+    assert not simulator._share_a_pass(cls(**_SHARING_BASES[cls]), cls(**fields))
 
 
 def _spy_exponent_calls(monkeypatch):
@@ -1044,7 +1075,7 @@ class TestSweep:
         assert all(pt.pe == 0.5 for pt in points)
         policy = build_policy("fixed", m, rule=[1.0, 0.0], threshold=0.99)
         _, maxmin = maxmin_reliability(m)
-        assert policy.safety_horizon == math.ceil(HORIZON_FACTOR * math.log(1.0 / (1.0 - 0.99)) / maxmin)
+        assert policy.horizon == math.ceil(HORIZON_FACTOR * math.log(1.0 / (1.0 - 0.99)) / maxmin)
 
     @pytest.mark.parametrize("kind", ["nn", "sn", "sa"])
     def test_built_families_need_a_report(self, two_probe_model, kind):
