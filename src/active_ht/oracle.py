@@ -28,7 +28,7 @@ from .belief import normalize, posterior_error
 from .bounds import alpha_max
 from .exceptions import BudgetError, HorizonError
 from .model import ObservationModel, RandomizedRule, as_weights, log0
-from .policies import Policy, _check_stop, stops
+from .policies import Policy, _check_count, _check_stop, stops
 
 # exact_pairwise scores count matrices in chunks of this many, so its
 # (chunk, M, M) comparison arrays stay small whatever the state count.
@@ -44,8 +44,7 @@ class OracleBudget:
     nodes: int = 10_000_000
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        _check_count(self.horizon, "horizon", positive=True)
         if self.nodes < 1:
             raise ValueError(f"node budget must be >= 1, got {self.nodes}")
 
@@ -228,8 +227,7 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
     underflow.  Deliberately different arithmetic from ``exact_eval``.
     """
     _require_finite(model)
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_count(n, "horizon")
     if budget is None:
         budget = OracleBudget()
     cell_prob, cell_loglike = _rule_cells(model, as_weights(rule, model.K))  # (M, C)
@@ -304,8 +302,7 @@ def exact_pairwise(model: ObservationModel, rule, n: int, budget: OracleBudget |
     pairwise error decay, computable to rate order only).
     """
     _require_finite(model)
-    if n < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_count(n, "horizon", positive=True)
     if budget is None:
         budget = OracleBudget()
     # validated once: alpha_max takes a RandomizedRule's weights unchanged, so

@@ -45,14 +45,21 @@ class Policy:
         raise NotImplementedError
 
 
+def _check_count(value, name: str, *, positive: bool = False) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a whole number,
+    an ``int`` or numpy integer, that is >= 0 (>= 1 if ``positive``)."""
+    if not (isinstance(value, (int, np.integer)) and value >= (1 if positive else 0)):
+        raise ValueError(f"{name} must be a {'positive' if positive else 'nonnegative'} integer, got {value}")
+
+
 def _check_stop(policy: Policy) -> None:
     """A policy stops: it has a threshold in (0, 1), a whole-number horizon >= 0, or both."""
     if policy.threshold is None and policy.horizon is None:
         raise ValueError("a policy needs a stop: a threshold, a horizon or both")
     if policy.threshold is not None and not 0.0 < policy.threshold < 1.0:
         raise ValueError("stopping threshold must lie in (0, 1)")
-    if policy.horizon is not None and not (isinstance(policy.horizon, (int, np.integer)) and policy.horizon >= 0):
-        raise ValueError(f"horizon must be a nonnegative integer, got {policy.horizon}")
+    if policy.horizon is not None:
+        _check_count(policy.horizon, "horizon")
 
 
 def stops(policy: Policy, top: np.ndarray, step: int):

@@ -16,9 +16,9 @@ Reproducibility rules:
   empirical frequencies within one trial of the prior at every prefix (for a
   uniform prior this is plain round-robin), which strips the prior-sampling
   variance out of every estimate;
-* trials are folded into fixed blocks of 1024, each reduced to one vector
-  of sums, and the block vectors are added in index order, so summaries
-  are bit-identical no matter how many workers processed them.
+* trials are folded into fixed blocks of 1024, each reduced to one row of
+  sums per stop, and a run's block rows are summed in index order, so
+  summaries are bit-identical no matter how many workers processed them.
 
 Blocks run in the process's one worker pool (``_worker_pool``), opened on
 the first call that needs more than one worker and kept for every later
@@ -72,7 +72,6 @@ it.
 from __future__ import annotations
 
 import gc
-import itertools
 import math
 import os
 import threading
@@ -85,7 +84,7 @@ import numpy as np
 from .belief import normalize, posterior_error, posterior_mode
 from .bounds import BoundsReport, report_at_penalty
 from .model import ObservationModel, as_weights, draw_symbol, inverse_cdf_index
-from .policies import FixedRulePolicy, Policy, TwoPhasePolicy, _check_stop, build_policy, stops
+from .policies import FixedRulePolicy, Policy, TwoPhasePolicy, _check_count, _check_stop, build_policy, stops
 
 BLOCK = 1024
 
@@ -121,9 +120,8 @@ def _seed_path(master_seed) -> tuple:
 
 
 def _check_trials(n_trials: int) -> None:
-    """Trial indices are one uint32 entropy word each, so at most 2**32 trials."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
+    """A whole, positive number of trials; trial indices are one uint32 entropy word each, so at most 2**32."""
+    _check_count(n_trials, "n_trials", positive=True)
     if n_trials > 2**32:
         raise ValueError(f"n_trials must be at most 2**32, got {n_trials}")
 
@@ -432,7 +430,7 @@ def _fixed_rule_logmass_block(
     log_prior = np.log(model.prior)
     if n == 0:
         return np.tile(log_prior[:, None], (1, B))
-    U = _Streams(path, k0, B).random(None, 2 * n)
+    U = _Streams(path, k0, B).random(None, 2 * int(n))  # a numpy integer has no bit_length
     actions = inverse_cdf_index(np.cumsum(weights), U[0::2])
     z = draw_symbol(model.kernel, thetas, actions, U[1::2])
     # the (M, n, B) log-likelihoods keep the step axis outside the trial axis, so
@@ -442,8 +440,9 @@ def _fixed_rule_logmass_block(
 
 
 def _run_block(model, policy, block_thetas, path, k0, want_records, lower=()):
-    """One block's (sums, records) at each stop: one per (threshold, horizon,
-    penalty) of ``lower`` (see ``_lockstep_block``), then ``policy``'s own."""
+    """One block's (P, 9) ``_block_sums``, a row per (threshold, horizon, penalty)
+    of ``lower`` (see ``_lockstep_block``) and then one for ``policy``'s own
+    stop, and that own stop's records (None unless ``want_records``)."""
     if type(policy).batch_weights is FixedRulePolicy.batch_weights and policy.threshold is None:
         lm = _fixed_rule_logmass_block(model, policy.weights, policy.horizon, block_thetas, path, k0)
         _, final = normalize(lm.T)
@@ -453,28 +452,28 @@ def _run_block(model, policy, block_thetas, path, k0, want_records, lower=()):
     else:
         taus, finals, truncs = _lockstep_block(model, policy, block_thetas, path, k0, [s[:2] for s in lower])
         ends = zip(taus, finals, truncs, [s[2] for s in lower] + [model.penalty])
-    out = []
+    sums = []
     for tau, final, truncated, L in ends:
         err = posterior_error(final)
         declared = posterior_mode(final, tau)
         wrong = declared != block_thetas
-        sums = _block_sums(tau.astype(float), err, wrong, truncated, L)
-        records = None
-        if want_records:
-            records = [
-                TrialRecord(
-                    index=k0 + b,
-                    theta=int(block_thetas[b]),
-                    tau=int(tau[b]),
-                    declared=int(declared[b]),
-                    correct=not wrong[b],
-                    posterior_error=float(err[b]),
-                    truncated=bool(truncated[b]),
-                )
-                for b in range(block_thetas.size)
-            ]
-        out.append((sums, records))
-    return out
+        sums.append(_block_sums(tau.astype(float), err, wrong, truncated, L))
+    records = None
+    if want_records:
+        # the loop ends on the own stop, the only one records are asked of
+        records = [
+            TrialRecord(
+                index=k0 + b,
+                theta=int(block_thetas[b]),
+                tau=int(tau[b]),
+                declared=int(declared[b]),
+                correct=not wrong[b],
+                posterior_error=float(err[b]),
+                truncated=bool(truncated[b]),
+            )
+            for b in range(block_thetas.size)
+        ]
+    return np.array(sums), records
 
 
 def _block_tasks(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, want_records=False, lower=()):
@@ -485,6 +484,12 @@ def _block_tasks(model: ObservationModel, policy: Policy, thetas: np.ndarray, pa
 
 def _block_task(task):
     return _run_block(*task)
+
+
+def _map_blocks(tasks: list, workers: int) -> list:
+    """``_run_block`` of each task, run in the process's pool, as a list in index order."""
+    pool = _worker_pool(workers) if len(tasks) > 1 else None
+    return list((map if pool is None else pool.map)(_block_task, tasks))
 
 
 # The process's worker pool, its worker count and the pid of the process that
@@ -557,23 +562,21 @@ def run_trials(
 
     The summary is a deterministic fold over trial indices: the same
     (model, policy, n_trials, master_seed) always produces the identical
-    summary, bit for bit, regardless of ``workers``.  ``_blocks`` is
-    ``sweep_L``'s iterable of this run's block results, already run by its
-    group's pass, folded in place of running the blocks.
+    summary, bit for bit, regardless of ``workers``: the (n_blocks, 9) array
+    of its blocks' ``_block_sums`` is summed in index order.  ``_blocks`` is
+    ``sweep_L``'s such array, this run's stop of its group's pass, folded in
+    place of running the blocks.
     """
-    path = _seed_path(master_seed)
+    path, records = _seed_path(master_seed), None
     if _blocks is None:
         _check_trials(n_trials)
         _check_stop(policy)
         tasks = _block_tasks(model, policy, stratified_hypotheses(model.prior, n_trials), path, record_trials)
-        pool = _worker_pool(workers) if len(tasks) > 1 else None
-        _blocks = (map if pool is None else pool.map)(_block_task, tasks)
-    total, records = np.zeros(9), [] if record_trials else None
-    for [(sums, recs)] in _blocks:
-        total += sums
+        results = _map_blocks(tasks, workers)
+        _blocks = np.concatenate([sums for sums, _ in results])
         if record_trials:
-            records.extend(recs)
-    return _summary(total, model.penalty, path), records
+            records = [record for _, block_records in results for record in block_records]
+    return _summary(_blocks.sum(axis=0), model.penalty, path), records
 
 
 @dataclass(frozen=True)
@@ -614,8 +617,8 @@ def sweep_L(
     equal, as ``sa``'s are at every L and ``sn``'s under a uniform prior.  A
     group builds its blocks once and runs them as one lockstep pass on the
     seed path ``(*master_seed, g)``, g the least index of its points; each
-    point's ``run_trials`` call folds that point's stop of each block, and
-    equals ``run_trials`` of that point's policy on that seed, bit for bit.
+    point's ``run_trials`` call folds its column of the group's block sums,
+    and equals ``run_trials`` of that point's policy on that seed, bit for bit.
     Any other point is a group of one.
     Returns (points, summaries) in the order of ``L_values``; cost is
     E[tau] + L * P(error) per point.
@@ -643,17 +646,13 @@ def sweep_L(
         lower = [(runs[i][1].threshold, runs[i][1].horizon, runs[i][0].penalty) for i in group[:-1]]
         tasks += _block_tasks(*runs[group[-1]], thetas, (*path, min(group)), lower=lower)
     n_blocks = -(-n_trials // BLOCK)
+    results = _map_blocks(tasks, workers)
     summaries = [None] * len(runs)
-    pool = _worker_pool(workers) if len(tasks) > 1 else None
-    results = (map if pool is None else pool.map)(_block_task, tasks)
-    # each point's run_trials folds its own column of its group's blocks, in
-    # index order; the group's first fold draws the blocks, the others read
-    # them again
-    for group in groups:
-        columns = itertools.tee(itertools.islice(results, n_blocks), len(group))
-        for pos, (idx, column) in enumerate(zip(group, columns)):
-            blocks = (block[pos : pos + 1] for block in column)
-            summaries[idx] = run_trials(*runs[idx], n_trials, (*path, min(group)), _blocks=blocks)[0]
+    # each point's run_trials folds its stop's (n_blocks, 9) view of its group's (n_blocks, P, 9) blocks
+    for g, group in enumerate(groups):
+        blocks = np.stack([sums for sums, _ in results[g * n_blocks : (g + 1) * n_blocks]])
+        for pos, idx in enumerate(group):
+            summaries[idx] = run_trials(*runs[idx], n_trials, (*path, min(group)), _blocks=blocks[:, pos])[0]
     points = [
         SweepPoint(
             L=float(L),
@@ -679,8 +678,7 @@ def pairwise_error_rates(model: ObservationModel, rule, n: int, n_trials: int, m
     Returns (rates, stderrs), both (M, M) with zero diagonals.
     """
     _check_trials(n_trials)
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_count(n, "horizon")
     w = as_weights(rule, model.K)
     path = _seed_path(master_seed)
     M = model.M
@@ -781,6 +779,7 @@ def estimate_error_exponent(
         raise ValueError(
             f"{policy_kind} budgets must be a non-empty list of {kind}, got {[float(b) for b in budgets]}"
         )
+    _check_trials(n_trials)
     if policy_kind != "fixed":
         if rule is not None:
             raise ValueError(f"policy kind {policy_kind!r} takes no rule")

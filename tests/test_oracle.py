@@ -105,6 +105,28 @@ class TestExactEval:
         with pytest.raises(ValueError):
             OracleBudget(nodes=0)
 
+    def test_fractional_horizons_are_rejected(self, two_probe_model):
+        # a horizon is a whole number of steps; a float is a usage error,
+        # not a failure deep inside the enumeration
+        policy = fixed_lambda_policy([0.5, 0.5], n=3)
+        calls = [
+            (lambda: exact_eval(two_probe_model, policy, OracleBudget(horizon=3.5)), "positive integer, got 3.5"),
+            (lambda: backward_eval(two_probe_model, [0.5, 0.5], 2.5), "nonnegative integer, got 2.5"),
+            (lambda: exact_pairwise(two_probe_model, [0.5, 0.5], 2.5), "positive integer, got 2.5"),
+        ]
+        for call, message in calls:
+            with pytest.raises(ValueError, match=f"horizon must be a {message}"):
+                call()
+
+    def test_numpy_integer_horizons_run(self, two_probe_model):
+        policy = fixed_lambda_policy([0.5, 0.5], n=3)
+        assert exact_eval(two_probe_model, policy, OracleBudget(horizon=np.int64(4))) == exact_eval(
+            two_probe_model, policy, OracleBudget(horizon=4)
+        )
+        assert backward_eval(two_probe_model, [0.5, 0.5], np.int64(3)) == backward_eval(two_probe_model, [0.5, 0.5], 3)
+        by_numpy = exact_pairwise(two_probe_model, [0.5, 0.5], np.int64(3))
+        assert_allclose(by_numpy.rates, exact_pairwise(two_probe_model, [0.5, 0.5], 3).rates, rtol=0, atol=0)
+
 
 def _raw_paths(model, policy, horizon):
     """(E[tau], pe, truncated mass) by walking every raw (action, symbol) path."""

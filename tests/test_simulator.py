@@ -112,6 +112,20 @@ class TestRunTrials:
         sharded, _ = run_trials(two_probe_model, pol, 4000, 12, workers=4)
         assert _summaries_equal(serial, sharded)
 
+    @pytest.mark.parametrize("kind", ["sa", "fixed-horizon"])
+    def test_records_come_back_in_trial_order_at_any_worker_count(self, two_probe_model, two_probe_report, kind):
+        # 2,500 trials are three blocks, the last one short; the engine and
+        # the fixed-horizon path each gather their records block by block
+        if kind == "sa":
+            pol = build_policy("sa", two_probe_model, two_probe_report)
+        else:
+            pol = fixed_lambda_policy([0.5, 0.5], n=4)
+        serial = run_trials(two_probe_model, pol, 2500, 15, record_trials=True, workers=1)
+        assert run_trials(two_probe_model, pol, 2500, 15, record_trials=True, workers=2) == serial
+        summary, records = serial
+        assert [record.index for record in records] == list(range(2500))
+        assert sum(record.tau for record in records) == round(summary.mean_tau * 2500)
+
     def test_fast_and_scalar_paths_agree(self, two_probe_model):
         # A fixed-horizon rule takes the vectorized path; the same behavior
         # expressed through per-step queries takes the generic loop.  Both
@@ -494,6 +508,37 @@ def test_more_than_2_to_the_32_trials_are_rejected_before_any_work(monkeypatch, 
         pairwise_error_rates(two_probe_model, [0.5, 0.5], 3, too_many, 1)
 
 
+@pytest.mark.parametrize("count", [2.5, 1024.5, 3.0])
+def test_fractional_trial_counts_are_rejected_before_any_work(monkeypatch, two_probe_model, two_probe_report, count):
+    # a trial count is a whole number: a float is refused, never rounded
+    # into a run of some other size
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulator, "stratified_hypotheses", refuse)
+    monkeypatch.setattr(simulator, "_fixed_rule_logmass_block", refuse)
+    calls = [
+        lambda: run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=3), count, 1),
+        lambda: sweep_L(two_probe_model, "sa", [10.0, 100.0], count, 1, report=two_probe_report),
+        lambda: pairwise_error_rates(two_probe_model, [0.5, 0.5], 3, count, 1),
+        lambda: estimate_error_exponent(two_probe_model, "sa", [4, 6], count, 1, report=two_probe_report),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"n_trials must be a positive integer, got {count}")):
+            call()
+
+
+def test_numpy_integer_counts_run(two_probe_model, two_probe_report):
+    n_trials, horizon = np.int64(1100), np.int64(3)
+    policy = fixed_lambda_policy([0.5, 0.5], n=3)
+    by_numpy = run_trials(two_probe_model, fixed_lambda_policy([0.5, 0.5], n=horizon), n_trials, 1)
+    assert by_numpy == run_trials(two_probe_model, policy, 1100, 1)
+    sweep = sweep_L(two_probe_model, "sa", [10.0, 100.0], n_trials, 1, report=two_probe_report)
+    assert sweep == sweep_L(two_probe_model, "sa", [10.0, 100.0], 1100, 1, report=two_probe_report)
+    rates, _ = pairwise_error_rates(two_probe_model, [0.5, 0.5], horizon, n_trials, 1)
+    assert np.array_equal(rates, pairwise_error_rates(two_probe_model, [0.5, 0.5], 3, 1100, 1)[0])
+
+
 def test_negative_seed_raises_as_default_rng_does(two_probe_model):
     with pytest.raises(ValueError) as expected:
         np.random.default_rng((-1, 0))
@@ -742,6 +787,30 @@ def test_nn_keeps_one_group_per_point(two_probe_model, two_probe_report):
         model_L = two_probe_model.with_penalty(L)
         policy = build_policy("nn", model_L, report_at_penalty(two_probe_report, model_L))
         assert summaries[idx] == run_trials(model_L, policy, 1500, (48, 6, idx))[0]
+
+
+@pytest.mark.parametrize("kind, L_values", [("sa", [100.0, 1000.0, 10_000.0]), ("nn", [100.0, 10_000.0])])
+def test_each_sweep_point_is_folded_by_one_run_trials_call(monkeypatch, two_probe_model, two_probe_report, kind, L_values):
+    # whether its group shares a pass (sa) or not (nn), each point's blocks
+    # reach one call of the module's run_trials, which a tracer can wrap:
+    # an (n_blocks, 9) array of that point's stop, with that point's policy
+    folds = []
+    real_run_trials = simulator.run_trials
+
+    def spy(model, policy, n_trials, master_seed, **kwargs):
+        folds.append((model.penalty, policy, kwargs.get("_blocks")))
+        return real_run_trials(model, policy, n_trials, master_seed, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_trials", spy)
+    _, summaries = sweep_L(two_probe_model, kind, L_values, 2500, (48, 12), report=two_probe_report)
+    assert [L for L, _, _ in folds] == L_values
+    for (L, policy, blocks), summary in zip(folds, summaries):
+        model_L = two_probe_model.with_penalty(L)
+        own = build_policy(kind, model_L, report_at_penalty(two_probe_report, model_L))
+        assert type(policy) is type(own)
+        assert all(np.array_equal(getattr(policy, f.name), getattr(own, f.name)) for f in dataclasses.fields(own))
+        assert isinstance(blocks, np.ndarray) and blocks.shape == (3, 9)
+        assert blocks[:, 0].sum() == summary.n_trials == 2500
 
 
 def test_fixed_threshold_sweep_is_one_pass(monkeypatch, two_probe_model):
@@ -1090,8 +1159,12 @@ class TestSweep:
 class TestPairwiseRates:
     @pytest.mark.parametrize(
         "n, n_trials, message",
-        [(4, 0, "n_trials must be positive"), (-1, 100, "horizon must be nonnegative")],
-        ids=["no-trials", "negative-horizon"],
+        [
+            (4, 0, "n_trials must be a positive integer, got 0"),
+            (-1, 100, "horizon must be a nonnegative integer, got -1"),
+            (2.5, 100, "horizon must be a nonnegative integer, got 2.5"),
+        ],
+        ids=["no-trials", "negative-horizon", "fractional-horizon"],
     )
     def test_rejects_bad_sizes(self, two_probe_model, n, n_trials, message):
         with pytest.raises(ValueError, match=message):
