@@ -28,7 +28,7 @@ from .belief import normalize, posterior_error
 from .bounds import alpha_max
 from .exceptions import BudgetError, HorizonError
 from .model import ObservationModel, RandomizedRule, as_weights, log0
-from .policies import Policy, _check_count, _check_stop, stops
+from .policies import Policy, _check_count, _check_stop, _stop_stack, _truncated, stops
 
 # exact_pairwise scores count matrices in chunks of this many, so its
 # (chunk, M, M) comparison arrays stay small whatever the state count.
@@ -45,8 +45,7 @@ class OracleBudget:
 
     def __post_init__(self):
         _check_count(self.horizon, "horizon", positive=True)
-        if self.nodes < 1:
-            raise ValueError(f"node budget must be >= 1, got {self.nodes}")
+        _check_count(self.nodes, "nodes", positive=True)
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,12 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
     and its action-draw factors are common to all hypotheses, so for a
     policy that reads only (posterior, step) such paths merge exactly: a
     state is a count vector with the summed unnormalized posterior weights
-    of its paths.  Each depth stops states by ``policies.stops``, as the
-    simulator does, truncating at the policy's horizon, and makes one
-    ``policy.batch_weights`` query for the live ones; zero-probability
-    children are dropped exactly.  A state still live at ``budget.horizon``
-    raises HorizonError, and visiting more than ``budget.nodes`` states
-    raises BudgetError.
+    of its paths.  Each depth stops states by ``policies.stops`` on a stack of
+    the policy's one stop, as the simulator does, flags truncations by
+    ``policies._truncated`` and makes one ``policy.batch_weights`` query for
+    the live ones; zero-probability children are dropped exactly.  A state
+    still live at ``budget.horizon`` raises HorizonError, and visiting more
+    than ``budget.nodes`` states raises BudgetError.
     """
     _require_finite(model)
     _check_stop(policy)
@@ -117,6 +116,7 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
     C = K * Z
     cell_q = q.reshape(M, C).T  # (C, M): cell a * Z + z
     H = budget.horizon
+    stack = _stop_stack([(policy.threshold, policy.horizon)])
 
     entering, stopped = [], []
     exp_tau = err_mass = trunc_mass = 0.0
@@ -130,12 +130,13 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
             raise BudgetError(f"enumeration exceeded node budget {budget.nodes}")
         s = mass.sum(axis=1)
         probs = mass / s[:, None]
-        stop, truncates = stops(policy, probs.max(axis=1), d)
+        top = probs.max(axis=1)
+        stop = stops(stack, top, d) == 1
         entering.append(float(s.sum()))
         stopped.append(float(s[stop].sum()))
         exp_tau += d * stopped[-1]
         err_mass += float(posterior_error(mass[stop]).sum())
-        trunc_mass += float(s[truncates].sum())
+        trunc_mass += float(s[stop & _truncated(stack, top[None])[0]].sum())
         live = ~stop
         if not live.any():
             break

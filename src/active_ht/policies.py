@@ -3,9 +3,10 @@
 A policy is an action rule and a stop.  The rule is ``batch_weights``:
 given the number of steps already taken and the posteriors (B, M) of the
 live trials, it returns each row's action distribution (B, K).  The stop is
-two fields, ``threshold`` and ``horizon``, which ``stops`` applies.  The
-simulator's lockstep engine and ``exact_eval`` ask both once per step, and
-the built-in families answer with array operations.  A policy does not
+two fields, ``threshold`` and ``horizon``; ``stops`` applies a stack of such
+stops, which the simulator tops with a policy's own and ``exact_eval`` runs
+as a stack of one.  Both ask ``stops`` and ``batch_weights`` once per step,
+and the built-in families answer with array operations.  A policy does not
 choose the declaration: at the stop every evaluator declares
 ``belief.posterior_mode``, the MAP rule that every cost bound scores.
 Policies are pure and hold no generator: the simulator maps a uniform from
@@ -62,17 +63,26 @@ def _check_stop(policy: Policy) -> None:
         _check_count(policy.horizon, "horizon")
 
 
-def stops(policy: Policy, top: np.ndarray, step: int):
-    """Which trials ``policy`` stops at ``step``, given their posterior modes' masses ``top`` (B,).
+def _stop_stack(pairs) -> np.ndarray:
+    """The (2, P) thresholds and horizons of the (threshold, horizon) stops
+    ``pairs``, None read as +inf; both rows must be non-decreasing."""
+    return np.array([[math.inf if x is None else x for x in row] for row in zip(*pairs)], dtype=float)
 
-    A trial stops once ``top`` reaches the threshold, or at the horizon.
-    Returns ``(stop (B,), truncated (B,))``: a horizon stop of a policy with
-    a threshold is a truncation, and a horizon-only policy is never truncated.
-    """
-    reached = top >= policy.threshold if policy.threshold is not None else np.zeros(top.shape, dtype=bool)
-    if policy.horizon is not None and step >= policy.horizon:
-        return np.ones_like(reached), ~reached & (policy.threshold is not None)
-    return reached, np.zeros_like(reached)
+
+def stops(stack: np.ndarray, top: np.ndarray, step: int) -> np.ndarray:
+    """How many stops of ``stack`` (see ``_stop_stack``) each trial meets at
+    ``step``, given its posterior mode's mass ``top`` (B,): a trial meets a
+    stop once ``top`` reaches its threshold, or at its horizon, and so meets
+    the first stops of a non-decreasing stack."""
+    thresholds, horizons = stack
+    return np.maximum(thresholds.searchsorted(top, "right"), horizons.searchsorted(step, "right"))
+
+
+def _truncated(stack: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Whether stop p of ``stack`` truncated a trial that met it with mode mass
+    ``top[p]`` (P, B): it was met below a threshold it has."""
+    thresholds = stack[0][:, None]
+    return (top < thresholds) & (thresholds < math.inf)
 
 
 @dataclass(frozen=True)

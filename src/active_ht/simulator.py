@@ -32,15 +32,15 @@ same way: a worker forked before the process's first Gaussian draw imports
 Gaussian draw (~0.3 s).
 
 Sequential policies run in a lockstep engine: all live trials of a block
-advance together, one ``policies.stops`` test, one ``Policy.batch_weights``
+advance together, one ``policies.stops`` count, one ``Policy.batch_weights``
 query of the trials left and one vectorized log-domain Bayes update
-(``belief.normalize``) per step.
-One pass of the engine can also serve a stack of lower stops, (threshold,
-horizon) pairs below the policy's own: each records a trial at its first
-passage and the trial plays on to the policy's stop.  ``sweep_L`` runs each
-group of points whose policies differ only in their stops as one such pass,
-so every point of the group sees the same trials, and folds each point's
-summary straight from the pass's block results.
+(``belief.normalize``) per step.  The engine runs a stack of (threshold,
+horizon) stops whose top is the policy's own; below it sit the stops of a
+sweep's lower points, if any.  Each stop records a trial at its first
+passage, and the trial plays on until it has met every stop of the stack.
+``sweep_L`` runs each group of points whose policies differ only in their
+stops as one such pass, so every point of the group sees the same trials,
+and folds each point's summary straight from the pass's block results.
 A ``FixedRulePolicy`` with a horizon and no threshold, whose class keeps
 its ``batch_weights``, takes a separate path that draws all of a trial's
 uniforms at once and sums the log-likelihoods without per-step
@@ -84,7 +84,8 @@ import numpy as np
 from .belief import normalize, posterior_error, posterior_mode
 from .bounds import BoundsReport, report_at_penalty
 from .model import ObservationModel, as_weights, draw_symbol, inverse_cdf_index
-from .policies import FixedRulePolicy, Policy, TwoPhasePolicy, _check_count, _check_stop, build_policy, stops
+from .policies import FixedRulePolicy, Policy, TwoPhasePolicy, build_policy, stops
+from .policies import _check_count, _check_stop, _stop_stack, _truncated
 
 BLOCK = 1024
 
@@ -356,62 +357,42 @@ def _summary(sums: np.ndarray, L: float, path: tuple) -> SimulationSummary:
     )
 
 
-def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, k0: int, lower=()):
+def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray, path: tuple, k0: int, stack):
     """Run trials k0, k0+1, ... (true hypotheses ``thetas``) in lockstep.
 
-    ``policy`` plays every step and stops a trial by ``policies.stops``.
-    ``lower`` holds the (threshold, horizon) stops of the points below
-    ``policy``'s own, with thresholds and horizons non-decreasing and none
-    above ``policy``'s: point p stops a trial at the first step where its
-    posterior mode reaches its threshold, or at its horizon (None: none),
-    flagged truncated.  So a trial retires at ``policy``'s own stop, the last.
-    Returns per-trial (tau (P, B), terminal posterior (P, B, M), truncated
-    (P, B)), one row per point of ``lower`` and then ``policy``'s own.
+    ``policy`` plays every step, and its own stop tops ``stack``, a
+    ``policies._stop_stack`` whose lower stops are those of the points
+    below it; ``policies.stops`` tells how many of the P stops each trial
+    meets at a step.  A trial is recorded at each stop it first meets, and
+    retires once it has met all P, at ``policy``'s own stop.  Returns per-trial (tau (P, B),
+    terminal posterior (P, B, M)), one row per stop of the stack.
     """
-    B, M, P = thetas.size, model.M, len(lower) + 1
+    B, M, P = thetas.size, model.M, stack.shape[1]
     streams = _Streams(path, k0, B)
     # (B, M) views of (M, B) arrays, so maxima and sums over M run across trials
     lm = np.tile(np.log(model.prior)[:, None], (1, B)).T
     probs = np.tile(model.prior[:, None], (1, B)).T
     tau = np.zeros((P, B), dtype=np.int64)
     final = np.empty((P, B, M))
-    truncated = np.zeros((P, B), dtype=bool)
     live = np.arange(B)
+    met = np.zeros(B, dtype=np.intp)  # stops each live trial has met
+    points = np.arange(P)[:, None]
     U = np.empty((2 * CHUNK, B))  # column b holds trial b's uniforms for CHUNK steps
-    if lower:
-        thresholds = np.array([threshold for threshold, _ in lower])
-        horizons = np.array([math.inf if h is None else h for _, h in lower])
-        passed = np.zeros(B, dtype=np.intp)  # lower points each live trial has stopped at
-        points = np.arange(P - 1)[:, None]
     t = 0
     while True:
-        top = probs.max(axis=1)
-        if lower:
-            # lower points [passed, due) stop now; those past ``reached`` by their horizon
-            reached = np.searchsorted(thresholds, top, side="right")
-            due = np.maximum(reached, np.searchsorted(horizons, t, side="right"))
-            rows = np.flatnonzero(due > passed)
-            if rows.size:
-                # every (point, row) pair due now, in one scatter
-                p, row = np.nonzero((passed[rows] <= points) & (points < due[rows]))
-                row = rows[row]
-                tau[p, live[row]] = t
-                final[p, live[row]] = probs[row]
-                truncated[p, live[row]] = reached[row] <= p
-                passed[rows] = due[rows]
-        stop, cut = stops(policy, top, t)
-        if stop.any():
-            done = live[stop]
-            tau[-1, done] = t
-            final[-1, done] = probs[stop]
-            truncated[-1, live[cut]] = True  # cut rows are stopped rows
-            go = ~stop
-            live = live[go]
-            lm, probs = (x.T.compress(go, axis=1).T for x in (lm, probs))  # x[go] is trial-major
-            if live.size == 0:
-                return tau, final, truncated
-            if lower:
-                passed = passed[go]
+        due = stops(stack, probs.max(axis=1), t)
+        # every (stop, row) pair met now, in one scatter
+        p, row = ((met <= points) & (points < due)).nonzero()
+        if row.size:
+            tau[p, live[row]] = t
+            final[p, live[row]] = probs[row]
+            np.maximum(met, due, out=met)
+            go = met < P
+            if not go.all():
+                live, met = live[go], met[go]
+                lm, probs = (x.T.compress(go, axis=1).T for x in (lm, probs))  # x[go] is trial-major
+                if live.size == 0:
+                    return tau, final
         w = policy.batch_weights(probs, t)
         j = t % CHUNK
         if j == 0:
@@ -440,18 +421,17 @@ def _fixed_rule_logmass_block(
 
 
 def _run_block(model, policy, block_thetas, path, k0, want_records, lower=()):
-    """One block's (P, 9) ``_block_sums``, a row per (threshold, horizon, penalty)
-    of ``lower`` (see ``_lockstep_block``) and then one for ``policy``'s own
-    stop, and that own stop's records (None unless ``want_records``)."""
+    """One block's (P, 9) ``_block_sums``, a row per (threshold, horizon,
+    penalty) of ``lower`` and then one for ``policy``'s own stop, the top of
+    their stack, and that own stop's records (None unless ``want_records``)."""
+    stack = _stop_stack([*(stop[:2] for stop in lower), (policy.threshold, policy.horizon)])
     if type(policy).batch_weights is FixedRulePolicy.batch_weights and policy.threshold is None:
         lm = _fixed_rule_logmass_block(model, policy.weights, policy.horizon, block_thetas, path, k0)
-        _, final = normalize(lm.T)
-        tau = np.full(block_thetas.size, policy.horizon)
-        truncated = np.zeros(block_thetas.size, dtype=bool)
-        ends = [(tau, final, truncated, model.penalty)]
+        taus, finals = np.full((1, block_thetas.size), policy.horizon), normalize(lm.T)[1][None]
     else:
-        taus, finals, truncs = _lockstep_block(model, policy, block_thetas, path, k0, [s[:2] for s in lower])
-        ends = zip(taus, finals, truncs, [s[2] for s in lower] + [model.penalty])
+        taus, finals = _lockstep_block(model, policy, block_thetas, path, k0, stack)
+    truncs = _truncated(stack, finals.max(axis=2))
+    ends = zip(taus, finals, truncs, [stop[2] for stop in lower] + [model.penalty])
     sums = []
     for tau, final, truncated, L in ends:
         err = posterior_error(final)

@@ -102,8 +102,11 @@ class TestExactEval:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             OracleBudget(horizon=0)
-        with pytest.raises(ValueError):
-            OracleBudget(nodes=0)
+        # every ``nodes > budget`` test is False under NaN, which would turn the cap off
+        for nodes in (0, math.nan, 2.5):
+            with pytest.raises(ValueError, match=f"nodes must be a positive integer, got {nodes}"):
+                OracleBudget(nodes=nodes)
+        assert OracleBudget(nodes=np.int64(10)).nodes == 10
 
     def test_fractional_horizons_are_rejected(self, two_probe_model):
         # a horizon is a whole number of steps; a float is a usage error,
@@ -230,6 +233,16 @@ class TestSequentialPolicies:
         summary, _ = run_trials(two_probe_model, pol, 20_000, 2027)
         assert (summary.mean_tau, summary.se_tau, summary.n_truncated) == (8.0, 0.0, 0)
         assert abs(summary.pe - ev.pe) <= 4.0 * summary.se_pe
+
+    @pytest.mark.parametrize("seed", [2028, 2029])
+    @pytest.mark.parametrize("name", sorted(SEQUENTIAL_POLICIES))
+    def test_monte_carlo_truncates_the_exact_mass(self, two_probe_model, name, seed):
+        # the engine and exact_eval apply one stop rule, so they cut the same mass
+        pol = SEQUENTIAL_POLICIES[name]
+        exact = exact_eval(two_probe_model, pol, OracleBudget(horizon=8)).truncated_mass
+        summary, _ = run_trials(two_probe_model, pol, 20_000, seed)
+        share = summary.n_truncated / summary.n_trials
+        assert abs(share - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / summary.n_trials)
 
     def test_guards_apply_to_sequential_policies(self, two_probe_model):
         pol = SEQUENTIAL_POLICIES["two_phase"]

@@ -28,21 +28,32 @@ from active_ht import (
     sn_policy,
 )
 from active_ht.model import inverse_cdf_index
-from active_ht.policies import PHASE_THRESHOLD, stops
+from active_ht.policies import PHASE_THRESHOLD, _stop_stack, _truncated, stops
 from conftest import make_two_probe_model
+
+
+def _stack_at(pairs, probs, step):
+    """For the stack of (threshold, horizon) stops ``pairs`` and the posterior
+    stack ``probs`` at ``step``: how many stops each row has met, and whether
+    each stop (P, B) was met with a truncation, as lists."""
+    stack, top = _stop_stack(pairs), np.asarray(probs).max(axis=1)
+    met = stops(stack, top, step)
+    cut = _truncated(stack, np.tile(top, (len(pairs), 1))) & (np.arange(len(pairs))[:, None] < met)
+    return met.tolist(), cut.tolist()
+
+
+def _stops_at(policy, probs, step):
+    """Whether the stack of ``policy``'s one stop stops, and truncates, each row of
+    the posterior stack ``probs`` at ``step``, as lists."""
+    met, (cut,) = _stack_at([(policy.threshold, policy.horizon)], probs, step)
+    return [m == 1 for m in met], cut
 
 
 def _draws(policy, probs, step, rng, n):
     """n action draws for one posterior, through the simulator's inverse CDF."""
     stack = np.tile(probs, (n, 1))
-    assert not stops(policy, stack.max(axis=1), step)[0].any()
+    assert not any(_stops_at(policy, stack, step)[0])
     return inverse_cdf_index(np.cumsum(policy.batch_weights(stack, step), axis=1), rng.random(n))
-
-
-def _stops_at(policy, probs, step):
-    """``stops`` of ``policy`` for the posterior stack ``probs`` at ``step``, as lists."""
-    stop, truncated = stops(policy, np.asarray(probs).max(axis=1), step)
-    return stop.tolist(), truncated.tolist()
 
 
 class TestFixedRulePolicy:
@@ -140,6 +151,22 @@ class TestStops:
     def test_truth_table(self, cls, stop, step, want):
         # modes just below, exactly at and above the threshold
         assert _stops_at(_CLASSES[cls](**stop), [[0.89, 0.11], [0.9, 0.1], [0.95, 0.05]], step) == want
+
+    @pytest.mark.parametrize(
+        "pairs, step, want",
+        [
+            # the mode at 0.95 meets two stops at one step, and below the horizons none is cut
+            ([(0.8, 5), (0.9, 6)], 0, ([1, 2, 2], [[False] * 3, [False] * 3])),
+            # a horizon met below a mid-stack threshold truncates that stop only
+            ([(0.85, 3), (0.92, 3), (0.99, 8)], 3, ([2, 2, 2], [[False] * 3, [True, True, False], [False] * 3])),
+            # a horizon-only top stop is never truncated; the one below it is
+            ([(0.92, 4), (None, 4)], 4, ([2, 2, 2], [[True, True, False], [False] * 3])),
+            # a mode exactly at the threshold at step == horizon is no truncation
+            ([(0.85, 2), (0.9, 3)], 3, ([2, 2, 2], [[False] * 3, [True, False, False]])),
+        ],
+    )
+    def test_stack_truth_table(self, pairs, step, want):
+        assert _stack_at(pairs, [[0.89, 0.11], [0.9, 0.1], [0.95, 0.05]], step) == want
 
     @pytest.mark.parametrize(
         "stop, match",
