@@ -40,8 +40,8 @@ from dataclasses import dataclass, fields, is_dataclass, replace as dc_replace
 import numpy as np
 
 from .divergences import _gaussian_tilted_exponent, tilted_exponent  # noqa: F401 (bounds.tilted_exponent)
-from .exceptions import AssumptionError
-from .model import ObservationModel, RandomizedRule, as_weights, check_hypotheses, validate
+from .exceptions import AssumptionError, BudgetError
+from .model import ObservationModel, RandomizedRule, _check_count, as_weights, check_hypotheses, validate
 
 # Infinite divergences are capped at this value inside the LPs and the
 # barrier solves; reports carry a flag whenever the cap was exercised.  The
@@ -217,20 +217,63 @@ def minmax_reliability(model: ObservationModel) -> float:
     return min(max_reliability(model, i)[1] for i in range(model.M))
 
 
+def _n_count_matrices(cells: int, n: int) -> int:
+    return math.comb(n + cells - 1, cells - 1)
+
+
+def _before(k: int, n: int) -> np.ndarray:
+    """comb(j + k - 2, k - 1) for j = 0 .. n + 1: with k cells left for m
+    draws, the count vectors whose first count exceeds m - j.  Built as
+    k - 1 cumsums of (0, 1, 1, ...), since comb(j + k - 2, k - 1) is the sum
+    over i <= j of comb(i + k - 3, k - 2).  Refused where it would wrap int64."""
+    if _n_count_matrices(k, n) > np.iinfo(np.int64).max:
+        raise BudgetError(f"count vectors of {n} draws over {k} cells outnumber int64 ranks")
+    table = np.ones(n + 2, dtype=np.int64)
+    table[0] = 0
+    for _ in range(k - 1):
+        table = np.cumsum(table)
+    return table
+
+
+def _count_matrices(cells: int, n: int, ranks: np.ndarray) -> np.ndarray:
+    """Count vectors of n draws over ``cells`` categories, by rank.
+
+    Rank r is the r-th vector in decreasing lexicographic order, (n, 0, ...)
+    first, so ``np.arange(_n_count_matrices(cells, n))`` lists them all.
+    Unranked one cell at a time against the ``_before`` table.
+    """
+    out = np.empty((ranks.size, cells), dtype=np.int64)
+    r = ranks.astype(np.int64)
+    left = np.full(ranks.size, n, dtype=np.int64)
+    for c in range(cells - 1):
+        before = _before(cells - c, n)
+        j = np.searchsorted(before, r, side="right") - 1
+        out[:, c] = left - j
+        r = r - before[j]
+        left = j
+    out[:, cells - 1] = left
+    return out
+
+
+def _count_ranks(counts: np.ndarray) -> np.ndarray:
+    """Rank of each count vector (row) among those of its total, the exact
+    inverse of ``_count_matrices``."""
+    cells = counts.shape[1]
+    after = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]  # after[:, c] = counts[:, c + 1:].sum(axis=1)
+    ranks = np.zeros(counts.shape[0], dtype=np.int64)
+    for c in range(cells - 1):
+        ranks += _before(cells - c, int(after.max()))[after[:, c]]
+    return ranks
+
+
 def simplex_grid(K: int, resolution: float) -> np.ndarray:
-    """All points of the regular simplex grid with the given resolution."""
+    """All points of the regular simplex grid with the given resolution: the
+    count vectors of n = round(1 / resolution) draws, by descending rank, / n."""
+    _check_count(K, "K", positive=True)
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     n = max(1, round(1.0 / resolution))
-    points = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], n, K)
-    return np.asarray(points, dtype=float) / n
+    return _count_matrices(K, n, np.arange(_n_count_matrices(K, n)))[::-1] / n
 
 
 def _first_feasible_step(ds: np.ndarray, s: np.ndarray) -> float:

@@ -238,6 +238,13 @@ def as_weights(rule, K: Optional[int] = None) -> np.ndarray:
     return w
 
 
+def _check_count(value, name: str, *, positive: bool = False) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a whole number,
+    an ``int`` or numpy integer, that is >= 0 (>= 1 if ``positive``)."""
+    if not (isinstance(value, (int, np.integer)) and value >= (1 if positive else 0)):
+        raise ValueError(f"{name} must be a {'positive' if positive else 'nonnegative'} integer, got {value}")
+
+
 def check_hypotheses(model, *indices) -> None:
     """Raise ValueError unless every index names one of the model's hypotheses."""
     for i in indices:

@@ -8,9 +8,9 @@ Two evaluators are provided on purpose:
 * ``backward_eval`` — a backward DP, depth by depth, over the count-matrix
   lattice of fixed-horizon i.i.d.-rule policies, finding children by rank.
 
-Both merge paths by count vector, but one pushes probability mass forward
-and the other pulls values back from the horizon, so their agreement
-(within accumulation error) is a meaningful cross-check of both.
+Both key count vectors by exact rank in the lattice ``bounds`` enumerates
+(``simplex_grid`` scales it by 1/n); one pushes mass forward, the other pulls
+values back from the horizon, so agreement to rounding cross-checks both.
 ``exact_pairwise`` additionally computes the exact pairwise
 posterior-comparison error rates under i.i.d. actions and the
 discrimination-exponent sandwich they are predicted to satisfy; the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import normalize, posterior_error
-from .bounds import alpha_max
+from .bounds import _count_matrices, _count_ranks, _n_count_matrices, alpha_max
 from .exceptions import BudgetError, HorizonError
 from .model import ObservationModel, RandomizedRule, as_weights, log0
 from .policies import Policy, _check_count, _check_stop, _stop_stack, _truncated, stops
@@ -40,7 +40,7 @@ class OracleBudget:
     """Hard caps on exact evaluation: depth, and total merged count-vector
     states visited (summed over depths)."""
 
-    horizon: int = 32
+    horizon: int = 32  # exact_eval's only: backward_eval and exact_pairwise run to their own n
     nodes: int = 10_000_000
 
     def __post_init__(self):
@@ -99,13 +99,14 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
     reaches the same (action, symbol) count vector has the same posterior,
     and its action-draw factors are common to all hypotheses, so for a
     policy that reads only (posterior, step) such paths merge exactly: a
-    state is a count vector with the summed unnormalized posterior weights
-    of its paths.  Each depth stops states by ``policies.stops`` on a stack of
-    the policy's one stop, as the simulator does, flags truncations by
-    ``policies._truncated`` and makes one ``policy.batch_weights`` query for
-    the live ones; zero-probability children are dropped exactly.  A state
-    still live at ``budget.horizon`` raises HorizonError, and visiting more
-    than ``budget.nodes`` states raises BudgetError.
+    state is a count vector, keyed by its exact rank, with the summed
+    unnormalized posterior weights of its paths.  Each depth stops states by
+    ``policies.stops`` on a stack of the policy's one stop, as the simulator
+    does, flags truncations by ``policies._truncated`` and makes one
+    ``policy.batch_weights`` query for the live ones; zero-probability children
+    are dropped exactly.  A state still live at ``budget.horizon`` raises
+    HorizonError, and visiting more than ``budget.nodes`` states raises
+    BudgetError.
     """
     _require_finite(model)
     _check_stop(policy)
@@ -146,8 +147,10 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
         children = ((w[:, :, None] * mass[live][:, None, :]) * cell_q[None]).reshape(-1, M)
         child_counts = (counts[live][:, None, :] + np.eye(C, dtype=np.int64)).reshape(-1, C)
         keep = children.sum(axis=1) > 0.0
-        counts, merged = np.unique(child_counts[keep], axis=0, return_inverse=True)
-        merged = merged.ravel()
+        kept = child_counts[keep]
+        # states in ascending lexicographic order (descending rank) fix every sum's order
+        _, first, merged = np.unique(-_count_ranks(kept[:, kept.any(axis=0)]), return_index=True, return_inverse=True)
+        counts = kept[first]
         mass = np.column_stack(
             [np.bincount(merged, weights=col, minlength=counts.shape[0]) for col in children[keep].T]
         )
@@ -161,53 +164,6 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
         entering_mass=tuple(entering),
         stopped_mass=tuple(stopped),
     )
-
-
-def _n_count_matrices(cells: int, n: int) -> int:
-    return math.comb(n + cells - 1, cells - 1)
-
-
-def _before(k: int, n: int) -> np.ndarray:
-    """comb(j + k - 2, k - 1) for j = 0 .. n + 1: with k cells left for m
-    draws, the count vectors whose first count exceeds m - j.  Built as
-    k - 1 cumsums of (0, 1, 1, ...), since comb(j + k - 2, k - 1) is the sum
-    over i <= j of comb(i + k - 3, k - 2)."""
-    table = np.ones(n + 2, dtype=np.int64)
-    table[0] = 0
-    for _ in range(k - 1):
-        table = np.cumsum(table)
-    return table
-
-
-def _count_matrices(cells: int, n: int, ranks: np.ndarray) -> np.ndarray:
-    """Count vectors of n draws over ``cells`` categories, by rank.
-
-    Rank r is the r-th vector in decreasing lexicographic order, (n, 0, ...)
-    first, so ``np.arange(_n_count_matrices(cells, n))`` lists them all.
-    Unranked one cell at a time against the ``_before`` table.
-    """
-    out = np.empty((ranks.size, cells), dtype=np.int64)
-    r = ranks.astype(np.int64)
-    left = np.full(ranks.size, n, dtype=np.int64)
-    for c in range(cells - 1):
-        before = _before(cells - c, n)
-        j = np.searchsorted(before, r, side="right") - 1
-        out[:, c] = left - j
-        r = r - before[j]
-        left = j
-    out[:, cells - 1] = left
-    return out
-
-
-def _count_ranks(counts: np.ndarray) -> np.ndarray:
-    """Rank of each count vector (row) among those of its total, the exact
-    inverse of ``_count_matrices``."""
-    cells = counts.shape[1]
-    after = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]  # after[:, c] = counts[:, c + 1:].sum(axis=1)
-    ranks = np.zeros(counts.shape[0], dtype=np.int64)
-    for c in range(cells - 1):
-        ranks += _before(cells - c, int(after.max()))[after[:, c]]
-    return ranks
 
 
 def _class_log_masses(offset, counts: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
@@ -233,7 +189,7 @@ def backward_eval(model: ObservationModel, rule, n: int, budget: OracleBudget | 
         budget = OracleBudget()
     cell_prob, cell_loglike = _rule_cells(model, as_weights(rule, model.K))  # (M, C)
     n_cells = cell_prob.shape[1]
-    total_states = sum(_n_count_matrices(n_cells, d) for d in range(n + 1))
+    total_states = _n_count_matrices(n_cells + 1, n)  # the states of depths 0 .. n
     if total_states > budget.nodes:
         raise BudgetError(
             f"backward DP needs {total_states} states, over node budget {budget.nodes}"

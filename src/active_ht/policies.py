@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BoundsReport, _log_prior_spreads, maxmin_reliability, report_at_penalty
 from .exceptions import AssumptionError
-from .model import ObservationModel, as_weights
+from .model import ObservationModel, _check_count, as_weights
 
 # Threshold-stopping policies abort a trial after this many multiples of
 # log(1 / (1 - T)) / maxmin reliability for a stop threshold T (log L for
@@ -44,13 +44,6 @@ class Policy:
     def batch_weights(self, probs: np.ndarray, step_count: int) -> np.ndarray:
         """The action distribution (B, K) of each row of ``probs`` (B, M) at one step."""
         raise NotImplementedError
-
-
-def _check_count(value, name: str, *, positive: bool = False) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a whole number,
-    an ``int`` or numpy integer, that is >= 0 (>= 1 if ``positive``)."""
-    if not (isinstance(value, (int, np.integer)) and value >= (1 if positive else 0)):
-        raise ValueError(f"{name} must be a {'positive' if positive else 'nonnegative'} integer, got {value}")
 
 
 def _check_stop(policy: Policy) -> None:

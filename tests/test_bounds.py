@@ -2,6 +2,7 @@
 the fixed-rule discrimination exponent, and the derived cost bounds."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -389,6 +390,25 @@ class TestSimplexGrid:
         pts = simplex_grid(3, 0.25)
         assert np.all(pts >= 0.0)
         assert_allclose(pts.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_order_is_ascending_lexicographic(self):
+        # d_hat's screen ranks its points in this order, so near-ties break by it
+        for K in range(1, 6):
+            for n in (1, 2, 4, 5):
+                compositions = sorted(
+                    [combo.count(c) for c in range(K)] for combo in combinations_with_replacement(range(K), n)
+                )
+                assert np.array_equal(simplex_grid(K, 1.0 / n), np.array(compositions) / n)
+        assert np.array_equal(simplex_grid(3, 1.5), np.eye(3)[::-1])  # above 1: the vertices
+
+    @pytest.mark.parametrize(
+        "K, resolution, name",
+        [(0, 0.1, "K"), (2.0, 0.1, "K"), (3, 0.0, "resolution"), (3, -0.1, "resolution"),
+         (3, math.nan, "resolution"), (3, math.inf, "resolution")],
+    )
+    def test_bad_input_is_named(self, K, resolution, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            simplex_grid(K, resolution)
 
 
 class TestDHat:

@@ -26,7 +26,7 @@ from active_ht import (
     fixed_lambda_policy,
     run_trials,
 )
-from active_ht.oracle import _count_matrices, _count_ranks
+from active_ht.bounds import _count_matrices, _count_ranks
 from conftest import random_finite_model
 
 HALF_RULE = RandomizedRule([0.5, 0.5])
@@ -269,6 +269,28 @@ def _finite_models(draw):
     return model, w, draw(st.integers(0, 5))
 
 
+class TestMergedStatesOnRandomModels:
+    @given(_finite_models())
+    @settings(max_examples=40, deadline=None)
+    def test_merged_states_equal_raw_paths(self, case):
+        # zero kernel entries leave cells empty, so states merge over the occupied cells only
+        model, w, n = case
+        horizon = min(n, 3)  # up to 12**3 raw paths
+        for pol in (
+            fixed_lambda_policy(w, threshold=0.9, safety_horizon=horizon),
+            TwoPhasePolicy(
+                explore_weights=w,
+                exploit_weights=np.eye(model.K)[np.arange(model.M) % model.K],
+                phase_threshold=0.6,
+                threshold=0.9,
+                horizon=horizon,
+            ),
+        ):
+            ev = exact_eval(model, pol, OracleBudget(horizon=max(horizon, 1)))
+            tau, pe, trunc = _raw_paths(model, pol, horizon)
+            assert_allclose([ev.expected_tau, ev.pe, ev.truncated_mass], [tau, pe, trunc], rtol=1e-12, atol=1e-12)
+
+
 class TestBackwardAgreement:
     @given(_finite_models())
     @settings(max_examples=60, deadline=None)
@@ -344,6 +366,17 @@ class TestExactPairwise:
                 ranks = np.arange(math.comb(n + cells - 1, cells - 1))
                 assert _count_ranks(_count_matrices(cells, n, ranks)).tolist() == ranks.tolist()
                 assert _count_ranks(_count_matrices(cells, n, ranks[::-2])).tolist() == ranks[::-2].tolist()
+
+    def test_ranks_refuse_to_wrap(self):
+        # 12 cells: 254 draws is the deepest lattice whose ranks fit int64
+        deepest = np.zeros((1, 12), dtype=np.int64)
+        deepest[0, -1] = 254
+        assert _count_ranks(deepest).tolist() == [math.comb(254 + 11, 11) - 1]
+        deepest[0, -1] = 300  # true rank 5.5e19 > 2**63 - 1
+        with pytest.raises(BudgetError, match="int64"):
+            _count_ranks(deepest)
+        with pytest.raises(BudgetError, match="int64"):
+            _count_matrices(12, 255, np.arange(1))
 
     @pytest.mark.parametrize(
         "weights, rates",
