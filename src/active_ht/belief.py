@@ -34,6 +34,24 @@ def normalize(log_masses: np.ndarray):
     return shifted, p / total
 
 
+def _first_max(x: np.ndarray) -> np.ndarray:
+    """``x.argmax(axis=-1)`` of a NaN-free ``x``: each row's first maximum,
+    the lowest index on exact ties, from M - 1 compares of whole columns.
+
+    numpy's ``argmax`` loops per row, and first copies a strided row
+    contiguous; the columns of a hypothesis-major (B, M) stack are
+    contiguous, so this is about twice as fast there at M <= 4.
+    """
+    M = x.shape[-1]
+    best, index = x[..., 0], np.zeros(x.shape[:-1], dtype=np.intp)
+    for k in range(1, M):
+        ahead = x[..., k] > best
+        index = ahead.astype(np.intp) if k == 1 else np.where(ahead, k, index)
+        if k + 1 < M:
+            best = np.maximum(best, x[..., k])
+    return index
+
+
 def posterior_mode(probs: np.ndarray, steps=0):
     """The posterior mode of each row, the lowest index among tied masses.
 
@@ -44,7 +62,7 @@ def posterior_mode(probs: np.ndarray, steps=0):
     as tied; ``steps`` is the step count of each row (at least 1 is used).
     """
     cut = probs.max(axis=-1) * np.exp(-TIE_TOL * np.maximum(steps, 1))
-    return (probs >= cut[..., None]).argmax(axis=-1)
+    return _first_max(probs >= cut[..., None])
 
 
 def posterior_error(probs: np.ndarray):

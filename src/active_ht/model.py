@@ -14,6 +14,13 @@ divergence table ``kl_table``.  Every posterior in the package reads
 between kernel rows that ``validate`` and ``bounds`` use is read from
 ``kl_table``.  Every draw maps one uniform to an index through
 ``inverse_cdf_index``, or to a symbol through ``draw_symbol``.
+
+``draw_symbol`` and ``log_likelihood`` gather entries by one flat ``take`` a
+table, from reshaped views: ``cdf`` as (M * K, Z) rows, ``means`` and
+``stds`` flat, at ``i * K + a``, and ``log_probs`` as (M, K * Z) at
+``a * Z + z``.  A flat index does not reject an index past its axis, so
+``log_likelihood`` checks its symbols; ``draw_symbol`` takes the
+simulator's in-range indices unchecked.
 """
 
 from __future__ import annotations
@@ -85,10 +92,12 @@ def draw_symbol(kernel, i, a, u):
     finite kernels loads numpy alone.
     """
     if isinstance(kernel, FiniteKernel):
-        return inverse_cdf_index(kernel.cdf[i, a], u)
+        M, K, Z = kernel.probs.shape
+        return inverse_cdf_index(kernel.cdf.reshape(M * K, Z).take(np.multiply(i, K) + a, axis=0), u)
     from scipy.special import ndtri
 
-    return kernel.means[i, a] + kernel.stds[i, a] * ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+    flat = np.multiply(i, kernel.means.shape[1]) + a
+    return kernel.means.take(flat) + kernel.stds.take(flat) * ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
 
 
 @dataclass(frozen=True)
@@ -324,13 +333,19 @@ class ObservationModel:
         """log q_i(z | a) for every hypothesis i, with log 0 = -inf.
 
         ``a`` and ``z`` broadcast together and the result has shape
-        ``(M, *broadcast(a, z))``.  Symbols of a finite kernel are indices.
+        ``(M, *broadcast(a, z))``.  Symbols of a finite kernel are indices
+        in [0, Z); any other raises ``IndexError``.
         """
         k = self.kernel
         if self.is_finite:
-            return k.log_probs[:, a, z]
-        a, z = np.broadcast_arrays(a, z)
-        return k.log_norm[:, a] - (z - k.means[:, a]) ** 2 / (2.0 * k.variances[:, a])
+            M, K, Z = k.probs.shape
+            z = np.asarray(z)
+            # a symbol past its axis would read the next action's entry
+            if z.size and (z.min() < 0 or z.max() >= Z):
+                raise IndexError(f"symbols must lie in [0, {Z}), got {z.min()} to {z.max()}")
+            return k.log_probs.reshape(M, K * Z).take(np.multiply(a, Z) + z, axis=1)
+        a = np.broadcast_arrays(a, z)[0]
+        return k.log_norm.take(a, axis=1) - (z - k.means.take(a, axis=1)) ** 2 / (2.0 * k.variances.take(a, axis=1))
 
     def with_penalty(self, penalty: float) -> "ObservationModel":
         return replace(self, penalty=float(penalty))

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .belief import _first_max
 from .bounds import BoundsReport, _log_prior_spreads, maxmin_reliability, report_at_penalty
 from .exceptions import AssumptionError
 from .model import ObservationModel, _check_count, as_weights
@@ -119,7 +120,7 @@ class TwoPhasePolicy(Policy):
             raise ValueError("phase threshold must lie in (0, 1]")
 
     def batch_weights(self, probs: np.ndarray, step_count: int) -> np.ndarray:
-        weights = self.exploit_weights[probs.argmax(axis=1)]
+        weights = self.exploit_weights[_first_max(probs)]
         weights[probs.max(axis=1) < self.phase_threshold] = self.explore_weights
         return weights
 

@@ -8,10 +8,13 @@ Reproducibility rules:
   of 4 words, then ``generate_state(4, uint64)``) over all of its trial
   indices at once in uint32 arrays, and ``_Streams`` runs PCG64 over the
   hashed rows, all trials at once, returning the uniforms
-  ``Generator.random`` would.  A seed word enters the hash as its uint32
-  words, as numpy splits it, and a trial index as one word, so a run has at
-  most 2**32 trials; a negative seed word raises numpy's own error, and any
-  word that is not an integer a ``TypeError`` naming it;
+  ``Generator.random`` would.  Its set-up is one stacked 128-bit product:
+  every trial's seeded state and its five jump increments come from one
+  multiply-add over a (6, B) stack, a constant multiplier per row.  A seed
+  word enters the hash as its uint32 words, as numpy splits it, and a trial
+  index as one word, so a run has at most 2**32 trials; a negative seed word
+  raises numpy's own error, and any word that is not an integer a
+  ``TypeError`` naming it;
 * true hypotheses are assigned by a deterministic quota scheme that keeps
   empirical frequencies within one trial of the prior at every prefix (for a
   uniform prior this is plain round-robin), which strips the prior-sampling
@@ -180,19 +183,28 @@ def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
+
+def _words(m) -> tuple:
+    """A 128-bit multiplier as ``_mul_add`` takes it: (high word, low word, low word's 32-bit limbs)."""
+    return m >> 64, m & 2**64 - 1, m & 2**32 - 1, m >> 32 & 2**32 - 1
+
+
 # A jump of d = 2**j draws maps the state to state * MULT**d + inc_d, with
-# inc_d = inc * (1 + MULT + ... + MULT**(d - 1)); _JUMPS[j] holds MULT**d as
-# uint64 (high word, low word, low word's 32-bit limbs).  _LANES caps d and so
-# the rows one jump fills: T draws take about log2(_LANES) + T / _LANES jumps.
+# inc_d = inc * S_d, S_d = 1 + MULT + ... + MULT**(d - 1); _JUMPS[j] holds
+# MULT**d as uint64 words.  _LANES caps d and so the rows one jump fills: T
+# draws take about log2(_LANES) + T / _LANES jumps.
 _LANES = 16
-_JUMPS = [
-    tuple(np.uint64(w) for w in (m >> 64, m & 2**64 - 1, m & 2**32 - 1, m >> 32 & 2**32 - 1))
-    for m in (pow(_PCG_MULT, 2**j, 2**128) for j in range(_LANES.bit_length()))
-]
+_JUMPS = [tuple(map(np.uint64, _words(pow(_PCG_MULT, 2**j, 2**128)))) for j in range(_LANES.bit_length())]
+
+# _Streams' set-up multiplies a stack of rows by these, one multiplier a row:
+# the seeded state by MULT, then inc by S_d for each jump d = 2**j of _JUMPS
+_SETUP = [_PCG_MULT] + [sum(pow(_PCG_MULT, k, 2**128) for k in range(2**j)) % 2**128 for j in range(len(_JUMPS))]
+_SETUP_WORDS = tuple(np.array(column, dtype=np.uint64)[:, None] for column in zip(*map(_words, _SETUP)))
 
 
 def _mul_add(hi, lo, mult, add_hi, add_lo, scratch):
-    """(hi:lo) = (hi:lo) * mult + (add_hi:add_lo) mod 2**128 in place, ``mult`` from ``_JUMPS``.
+    """(hi:lo) = (hi:lo) * mult + (add_hi:add_lo) mod 2**128 in place, ``mult``'s
+    words as ``_words`` gives them (uint64 scalars, or arrays that broadcast).
 
     The high word of lo * mult's low word is built from 32-bit limbs, the low
     words wrap in uint64; ``scratch`` holds five uint64 arrays shaped like ``hi``.
@@ -235,18 +247,18 @@ class _Streams:
 
     def __init__(self, path: tuple, k0: int, B: int):
         s0, s1, s2, s3 = _seed_rows(path, k0, B).T
-        scratch = np.empty((5, B), dtype=np.uint64)
-        # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * MULT + inc
-        inc = s2 << 1 | s3 >> 63, s3 << 1 | 1
-        self.lo = inc[1] + s1
-        self.hi = inc[0] + s0 + (self.lo < s1)
-        _mul_add(self.hi, self.lo, _JUMPS[0], *inc, scratch)
-        # incs[j] = inc_d for d = 2**j, from inc_2d = inc_d * MULT**d + inc_d
-        self.incs = [inc]
-        for mult in _JUMPS[:-1]:
-            hi, lo = (x.copy() for x in self.incs[-1])
-            _mul_add(hi, lo, mult, *self.incs[-1], scratch)
-            self.incs.append((hi, lo))
+        # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * MULT + inc.
+        # Row 0 of the stack becomes the state, row 1 + j the jump increment
+        # inc_d = inc * S_d for d = 2**j, all in one product.
+        hi, lo = np.empty((2, len(_SETUP), B), dtype=np.uint64)
+        hi[1:], lo[1:] = s2 << 1 | s3 >> 63, s3 << 1 | 1
+        lo[0] = lo[1] + s1
+        hi[0] = hi[1] + s0 + (lo[0] < s1)
+        add = np.zeros((2, *hi.shape), dtype=np.uint64)
+        add[:, 0] = hi[1], lo[1]
+        _mul_add(hi, lo, _SETUP_WORDS, *add, np.empty((5, *hi.shape), dtype=np.uint64))
+        self.hi, self.lo = hi[0], lo[0]
+        self.incs = list(zip(hi[1:], lo[1:]))
 
     def random(self, rows, T: int) -> np.ndarray:
         """The next T uniforms of each of ``rows`` (None: every row), as (T, rows).

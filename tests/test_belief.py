@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from active_ht import FiniteKernel, ObservationModel, kl
-from active_ht.belief import normalize, posterior_error, posterior_mode
+from active_ht.belief import _first_max, normalize, posterior_error, posterior_mode
 from active_ht.model import draw_symbol, log0
 
 
@@ -134,6 +134,26 @@ class TestNormalize:
         for got, row in zip(zip(*normalize(stack)), stack):
             for g, want in zip(got, normalize(row)):
                 assert_allclose(g, want, rtol=0.0, atol=0.0)
+
+
+class TestFirstMax:
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("hypothesis_major", [False, True])
+    def test_equals_argmax_with_planted_ties(self, M, hypothesis_major):
+        rng = np.random.default_rng(M)
+        x = rng.random((600, M))
+        x[:200] = rng.integers(0, 3, size=(200, M))  # small integers tie often
+        x[200:260] = x[200:260, :1]  # whole rows tied
+        x[260:300, -1] = x[260:300].max(axis=1)  # the last column ties the max
+        x[300:320] = -np.inf
+        if hypothesis_major:
+            x = np.asfortranarray(x)  # a (B, M) view of an (M, B) array, as the engine keeps
+        assert_array_equal(_first_max(x), x.argmax(axis=1))
+        mask = x >= np.median(x, axis=1, keepdims=True)
+        assert_array_equal(_first_max(mask), mask.argmax(axis=1))
+        stack = x.reshape(3, 200, M)
+        assert_array_equal(_first_max(stack), stack.argmax(axis=-1))
+        assert _first_max(x[0]) == x[0].argmax()
 
 
 class TestPosteriorMode:

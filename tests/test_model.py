@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
 from active_ht import (
     FiniteKernel,
@@ -194,6 +195,34 @@ class TestRoundTrip:
             assert_allclose(m2.prior, m.prior, atol=0.0)
 
 
+@st.composite
+def _draw_cases(draw):
+    """A finite or Gaussian kernel, hypotheses i (scalar or (B,)), actions (n, B) and uniforms (n, B).
+
+    Finite rows have zero entries, and one row may fall short of 1 by float
+    dust; the uniforms include every cdf step exactly, 0 and the largest
+    uniform below 1.
+    """
+    M, K, n, B = (draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 3), (1, 3), (1, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        Z = draw(st.integers(1, 5))
+        q = rng.dirichlet(np.ones(Z), size=(M, K))
+        q[rng.random((M, K, Z)) < 0.3] = 0.0
+        q[..., 0] += q.sum(axis=2) == 0.0
+        q /= q.sum(axis=2, keepdims=True)
+        if draw(st.booleans()):
+            q[rng.integers(M), rng.integers(K)] *= 1.0 - 2.0**-50
+        kernel = FiniteKernel(q)
+        special = np.concatenate([kernel.cdf.ravel(), [0.0, 1.0 - 2.0**-53]])
+    else:
+        kernel = GaussianKernel(rng.normal(size=(M, K)), rng.uniform(0.1, 4.0, size=(M, K)))
+        special = np.array([0.0, 1e-17, 0.5, 1.0 - 2.0**-53])
+    u = np.where(rng.random((n, B)) < 0.5, rng.choice(special, size=(n, B)), rng.random((n, B)))
+    i = int(rng.integers(M)) if draw(st.booleans()) else rng.integers(M, size=B)
+    return kernel, i, rng.integers(K, size=(n, B)), u
+
+
 class TestSampling:
     # one uniform a symbol, as the simulator draws them
     def test_finite_sample_frequencies(self, two_probe_model):
@@ -208,6 +237,23 @@ class TestSampling:
         draws = draw_symbol(gaussian_binary_model.kernel, 1, 0, rng.random(200_000))
         assert abs(draws.mean() - 1.0) < 3.0 * 2.0 / math.sqrt(draws.size)
         assert abs(draws.var() - 4.0) < 0.1
+
+    @given(_draw_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_draw_symbol_matches_per_element_reference(self, case):
+        # draw_symbol gathers by flat index; the reference inverts one row at a time
+        kernel, i, a, u = case
+        got = draw_symbol(kernel, i, a, u)
+        assert got.shape == a.shape
+        i_b = np.broadcast_to(i, a.shape)
+        for idx in np.ndindex(a.shape):
+            if isinstance(kernel, FiniteKernel):
+                row = kernel.cdf[i_b[idx], a[idx]]
+                want = min(np.searchsorted(row, u[idx], side="right"), row.size - 1)
+            else:
+                m, sd = kernel.means[i_b[idx], a[idx]], kernel.stds[i_b[idx], a[idx]]
+                want = m + sd * ndtri(np.clip(u[idx], 1e-16, 1.0 - 1e-16))
+            assert got[idx] == want, (idx, got[idx], want)
 
 
 @st.composite
@@ -226,11 +272,14 @@ def _likelihood_cases(draw):
         kernel = GaussianKernel(rng.normal(size=(M, K)), rng.uniform(0.1, 4.0, size=(M, K)))
         symbols = lambda shape: rng.normal(scale=3.0, size=shape)
     model = ObservationModel(kernel=kernel, prior=rng.dirichlet(np.full(M, 2.0)), penalty=50.0)
+    # indices may come as numpy int32 as well as int64 or int
+    index = draw(st.sampled_from([lambda x: x, np.int32]))
+    cast = lambda z: index(z) if model.is_finite else z
     if draw(st.booleans()):
-        return model, int(rng.integers(K)), symbols(())[()]
+        return model, index(int(rng.integers(K))), cast(symbols(())[()])
     shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     a = rng.integers(K, size=shape[-1:])  # broadcasts against z
-    return model, a, symbols(shape)
+    return model, index(a), cast(symbols(shape))
 
 
 def _scalar_log_density(model, i, a, z):
@@ -269,11 +318,20 @@ class TestLogLikelihood:
         _, got = normalize(np.log(model.prior) + model.log_likelihood(a, z))
         assert_allclose(got, want / want.sum(), rtol=1e-12, atol=1e-300)
 
+    @pytest.mark.parametrize("z", [4, -1, [0, 4], [[-1]]])
+    def test_out_of_range_symbols_raise(self, z):
+        # a flat index would read symbol 4 of action 0 as symbol 0 of action 1
+        with pytest.raises(IndexError, match=r"symbols must lie in \[0, 4\)"):
+            make_garbled_model().log_likelihood(0, z)
+
     def test_derived_tables_are_read_only_and_shared(self, two_probe_model):
         kernel = two_probe_model.kernel
-        assert two_probe_model.with_penalty(5.0).kernel.log_probs is kernel.log_probs
+        copy = two_probe_model.with_penalty(5.0).kernel
+        assert copy.log_probs is kernel.log_probs and copy.cdf is kernel.cdf
         for table in (kernel.log_probs, kernel.cdf):
             assert not table.flags.writeable
+            # the flat gathers reshape them, which is a view, not a copy per call, only if C-contiguous
+            assert table.flags.c_contiguous
 
 
 class TestKLTable:

@@ -455,7 +455,27 @@ def _uniform_blocks(draw):
     return path, k0, B, draw(st.integers(1, 160))
 
 
+@given(_seed_blocks())
+@settings(max_examples=30, deadline=None)
+def test_stream_setup_is_the_seeded_state_and_jump_increments(case):
+    # _Streams sets up its state and increments in one stacked product; the
+    # reference is PCG64's seeding and inc_d = inc * (1 + MULT + ... + MULT**(d - 1)),
+    # in Python integers
+    path, k0, B = case
+    streams = simulator._Streams(path, k0, B)
+    mult, wrap = simulator._PCG_MULT, 2**128
+    assert len(streams.incs) == 5
+    for b, (s0, s1, s2, s3) in enumerate(simulator._seed_rows(path, k0, B).tolist()):
+        inc = ((s2 << 64 | s3) << 1 | 1) % wrap
+        state = ((inc + (s0 << 64 | s1)) * mult + inc) % wrap
+        assert int(streams.hi[b]) << 64 | int(streams.lo[b]) == state
+        for j, (hi, lo) in enumerate(streams.incs):
+            s_d = sum(pow(mult, k, wrap) for k in range(2**j))
+            assert int(hi[b]) << 64 | int(lo[b]) == inc * s_d % wrap
+
+
 @given(_uniform_blocks())
+@example(((5,), 0, 3, 2 * simulator._LANES + 1))  # the lane cap and every jump level
 @settings(max_examples=60, deadline=None)
 def test_block_uniforms_match_default_rng(case):
     path, k0, B, T = case
