@@ -69,6 +69,9 @@ def posterior_error(probs: np.ndarray):
     """The mass off the mode of each row, over the last axis.
 
     Summed directly from the smaller masses: ``1 - max`` cancels, and reads
-    0 once the error is below the rounding of the largest mass.
+    0 once the error is below the rounding of the largest mass.  Two masses
+    need no sort: the sum is the smaller one alone.
     """
+    if probs.shape[-1] == 2:
+        return probs.min(axis=-1)
     return np.sort(probs, axis=-1)[..., :-1].sum(axis=-1)

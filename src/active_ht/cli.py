@@ -42,7 +42,7 @@ from .oracle import OracleBudget, backward_eval, exact_eval
 from .policies import build_policy
 from .simulator import BLOCK, estimate_error_exponent, run_trials, sweep_L
 
-ARTIFACT_VERSION = "0.11.0"
+ARTIFACT_VERSION = "0.12.0"
 
 SWEEP_HEADER = ["L", "logL", "mean_tau", "se_tau", "pe", "se_pe", "cost", "cost_over_logL", "n_truncated"]
 SUMMARY_HEADER = [

@@ -2,19 +2,17 @@
 
 Reproducibility rules:
 
-* trial k draws from ``default_rng((*master_seed, k))`` so every trial is an
-  independent stream that can be replayed on its own.  A block builds no
-  generator: ``_seed_rows`` runs numpy's ``SeedSequence`` hash (entropy pool
-  of 4 words, then ``generate_state(4, uint64)``) over all of its trial
-  indices at once in uint32 arrays, and ``_Streams`` runs PCG64 over the
-  hashed rows, all trials at once, returning the uniforms
-  ``Generator.random`` would.  Its set-up is one stacked 128-bit product:
-  every trial's seeded state and its five jump increments come from one
-  multiply-add over a (6, B) stack, a constant multiplier per row.  A seed
-  word enters the hash as its uint32 words, as numpy splits it, and a trial
-  index as one word, so a run has at most 2**32 trials; a negative seed word
-  raises numpy's own error, and any word that is not an integer a
-  ``TypeError`` naming it;
+* trial k of seed path S draws its own counter-based stream, so every trial
+  can be replayed on its own and no numpy generator is built.  S is hashed
+  once to a 64-bit word h (``_path_hash``); trial k's key is
+  seed_k = mix(mix(k * PHI + h) ^ h) and its odd step gamma_k =
+  mix(seed_k + PHI) | 1 (``_trial_keys``), and its uniform c = 1, 2, ... is
+  the top 53 bits of mix(seed_k + c * gamma_k), mix being SplitMix64's
+  output mix (``_uniforms``).  Each trial steps by its own gamma, so two
+  trials' streams are windows of one Weyl sequence only if their steps
+  coincide (chance about N**2 / 2**64 among N trials).  A run has at most
+  2**32 trials; a negative seed word raises numpy's own error, and any word
+  that is not an integer a ``TypeError`` naming it;
 * true hypotheses are assigned by a deterministic quota scheme that keeps
   empirical frequencies within one trial of the prior at every prefix (for a
   uniform prior this is plain round-robin), which strips the prior-sampling
@@ -50,8 +48,8 @@ uniforms at once and sums the log-likelihoods without per-step
 normalization; a subclass that overrides ``batch_weights`` runs in the
 engine.  Both paths read one uniform stream per trial, in the same order on
 every kernel type: per step, the action uniform, then the symbol uniform
-(the engine continues the streams of its live trials in chunks of ``CHUNK``
-steps, which yields the same stream at any chunk size).
+(the engine asks for its live trials' next ``CHUNK`` steps of uniforms at
+a counter offset, which yields the same stream at any chunk size).
 ``model.draw_symbol`` turns the symbol uniform into a symbol, through the
 inverse CDF of a finite row or the inverse normal CDF of a Gaussian one.  A
 trial's trajectory therefore does not depend on the other trials in its
@@ -124,176 +122,79 @@ def _seed_path(master_seed) -> tuple:
 
 
 def _check_trials(n_trials: int) -> None:
-    """A whole, positive number of trials; trial indices are one uint32 entropy word each, so at most 2**32."""
+    """A whole, positive number of trials, at most 2**32.
+
+    The stream takes any trial index below 2**64 (its keys are a bijection
+    of the index), so the cap is not the stream's: it is the run size the
+    seed contract has always admitted, kept so that a count one version
+    accepts the next accepts too.
+    """
     _check_count(n_trials, "n_trials", positive=True)
     if n_trials > 2**32:
         raise ValueError(f"n_trials must be at most 2**32, got {n_trials}")
 
 
-def _seed_rows(path: tuple, k0: int, B: int) -> np.ndarray:
-    """``SeedSequence((*path, k)).generate_state(4, np.uint64)`` for k0 <= k < k0 + B.
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio Weyl step
+# and the two multipliers of the output mix (Stafford's variant 13)
+_PHI, _M1, _M2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
-    numpy's hash (``mix_entropy`` into a pool of 4 words, then
-    ``generate_state``) run over uint32 arrays, one entry per trial.  Each
-    word of ``path`` enters as its little-endian uint32 words (0 as one
-    word), as numpy splits it; every k must lie in [0, 2**32), one word.
-    Returns (B, 4) uint64.
-    """
-    u32 = np.uint32
-    pool_size, mask = 4, 0xFFFFFFFF
-    xshift = u32(16)
-    hash_const = 0x43B0D7E5
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = hash_const * 0x931E8875 & mask
-        value = value * u32(hash_const)
-        return value ^ value >> xshift
+def _mix64(z):
+    """SplitMix64's output mix of uint64 values: an array is mixed in place,
+    a numpy scalar only under ``np.errstate(over="ignore")``."""
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
-    def mix(x, y):
-        result = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
-        return result ^ result >> xshift
 
-    # the path's words are shared by every trial, so they hash as scalars
-    entropy = [u32(word >> shift & mask) for word in path for shift in range(0, max(word.bit_length(), 1), 32)]
-    entropy.append(np.arange(k0, k0 + B, dtype=u32))
-    # an entropy shorter than the pool runs the hash out on zeros
-    entropy += [u32(0)] * (pool_size - len(entropy))
+def _path_hash(path: tuple) -> np.uint64:
+    """One 64-bit word of a seed path: each word enters as its count of
+    64-bit limbs and then its limbs, low first, so the encoding is prefix-free
+    and paths such as (2**64,) and (0, 1) differ."""
+    h = np.uint64(0)
     with np.errstate(over="ignore"):
-        mixer = [hashmix(word) for word in entropy[:pool_size]]
-        for src in range(pool_size):
-            for dst in range(pool_size):
-                if src != dst:
-                    mixer[dst] = mix(mixer[dst], hashmix(mixer[src]))
-        for word in entropy[pool_size:]:
-            for dst in range(pool_size):
-                mixer[dst] = mix(mixer[dst], hashmix(word))
-        state = np.empty((B, 2 * pool_size), dtype=u32)
-        hash_const = 0x8B51F9DD
-        for i in range(2 * pool_size):
-            value = mixer[i % pool_size] ^ u32(hash_const)
-            hash_const = hash_const * 0x58F38DED & mask
-            value = value * u32(hash_const)
-            state[:, i] = value ^ value >> xshift
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+        for word in path:
+            limbs = [word >> shift & 2**64 - 1 for shift in range(0, max(word.bit_length(), 1), 64)]
+            for x in [len(limbs), *limbs]:
+                h = _mix64((h + _PHI) ^ np.uint64(x))
+    return h
 
 
-# numpy's PCG64 multiplier: each draw maps the 128-bit state to state * MULT + inc
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+def _trial_keys(path: tuple, k0: int, B: int) -> np.ndarray:
+    """(2, B) uint64: the key seed_k and the odd step gamma_k of each trial k0 <= k < k0 + B.
 
-
-def _words(m) -> tuple:
-    """A 128-bit multiplier as ``_mul_add`` takes it: (high word, low word, low word's 32-bit limbs)."""
-    return m >> 64, m & 2**64 - 1, m & 2**32 - 1, m >> 32 & 2**32 - 1
-
-
-# A jump of d = 2**j draws maps the state to state * MULT**d + inc_d, with
-# inc_d = inc * S_d, S_d = 1 + MULT + ... + MULT**(d - 1); _JUMPS[j] holds
-# MULT**d as uint64 words.  _LANES caps d and so the rows one jump fills: T
-# draws take about log2(_LANES) + T / _LANES jumps.
-_LANES = 16
-_JUMPS = [tuple(map(np.uint64, _words(pow(_PCG_MULT, 2**j, 2**128)))) for j in range(_LANES.bit_length())]
-
-# _Streams' set-up multiplies a stack of rows by these, one multiplier a row:
-# the seeded state by MULT, then inc by S_d for each jump d = 2**j of _JUMPS
-_SETUP = [_PCG_MULT] + [sum(pow(_PCG_MULT, k, 2**128) for k in range(2**j)) % 2**128 for j in range(len(_JUMPS))]
-_SETUP_WORDS = tuple(np.array(column, dtype=np.uint64)[:, None] for column in zip(*map(_words, _SETUP)))
-
-
-def _mul_add(hi, lo, mult, add_hi, add_lo, scratch):
-    """(hi:lo) = (hi:lo) * mult + (add_hi:add_lo) mod 2**128 in place, ``mult``'s
-    words as ``_words`` gives them (uint64 scalars, or arrays that broadcast).
-
-    The high word of lo * mult's low word is built from 32-bit limbs, the low
-    words wrap in uint64; ``scratch`` holds five uint64 arrays shaped like ``hi``.
+    seed_k = mix(mix(k * PHI + h) ^ h), h the path's hash, and gamma_k =
+    mix(seed_k + PHI) | 1.  A step with fewer than 24 bit transitions is
+    xored with 0xAA...A, SplitMix's guard against weak Weyl steps (its
+    popcount is SWAR, as numpy < 2 has no ``bitwise_count``).
     """
-    m_hi, m_lo, m_lo0, m_lo1 = mult
-    a0, a1, t, u, carry = scratch
-    np.bitwise_and(lo, _M32, out=a0)
-    np.right_shift(lo, _S32, out=a1)
-    np.multiply(a0, m_lo0, out=t)
-    np.right_shift(t, _S32, out=t)
-    np.multiply(a1, m_lo0, out=u)
-    np.add(u, t, out=t)
-    np.bitwise_and(t, _M32, out=u)
-    np.multiply(a0, m_lo1, out=a0)
-    np.add(a0, u, out=u)
-    np.multiply(a1, m_lo1, out=a1)
-    np.right_shift(t, _S32, out=t)
-    np.add(a1, t, out=a1)
-    np.right_shift(u, _S32, out=u)
-    np.add(a1, u, out=a1)
-    np.multiply(hi, m_lo, out=hi)
-    np.add(hi, a1, out=hi)
-    np.multiply(lo, m_hi, out=a1)
-    np.add(hi, a1, out=hi)
-    np.multiply(lo, m_lo, out=lo)
-    np.add(lo, add_lo, out=lo)
-    np.less(lo, add_lo, out=carry)
-    np.add(hi, add_hi, out=hi)
-    np.add(hi, carry, out=hi)
+    h = _path_hash(path)
+    seed = _mix64(_mix64(np.arange(k0, k0 + B, dtype=np.uint64) * _PHI + h) ^ h)
+    gamma = _mix64(seed + _PHI) | np.uint64(1)
+    x = gamma ^ gamma >> np.uint64(1)
+    x -= x >> np.uint64(1) & np.uint64(0x5555555555555555)
+    x = (x & np.uint64(0x3333333333333333)) + (x >> np.uint64(2) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    weak = (x * np.uint64(0x0101010101010101)) >> np.uint64(56) < np.uint64(24)
+    gamma[weak] ^= np.uint64(0xAAAAAAAAAAAAAAAA)
+    return np.stack([seed, gamma])
 
 
-class _Streams:
-    """The uniform streams of trials k0 <= k < k0 + B: row b continues
-    ``default_rng((*path, k0 + b)).random``.
+def _uniforms(keys: np.ndarray, c0: int, T: int) -> np.ndarray:
+    """Uniforms c0 + 1 ... c0 + T of the trials whose ``_trial_keys`` columns are ``keys``, as (T, n).
 
-    Runs numpy's PCG64 (128-bit LCG, XSL-RR output) on the hashed seed rows
-    of the whole block at once, each 128-bit state and increment as two
-    uint64 arrays, so that no ``Generator`` is built.
+    Uniform c of a trial is the top 53 bits of mix(seed + c * gamma), scaled
+    to [0, 1): a counter, so a stream resumes at any c0 with no state kept.
     """
-
-    def __init__(self, path: tuple, k0: int, B: int):
-        s0, s1, s2, s3 = _seed_rows(path, k0, B).T
-        # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * MULT + inc.
-        # Row 0 of the stack becomes the state, row 1 + j the jump increment
-        # inc_d = inc * S_d for d = 2**j, all in one product.
-        hi, lo = np.empty((2, len(_SETUP), B), dtype=np.uint64)
-        hi[1:], lo[1:] = s2 << 1 | s3 >> 63, s3 << 1 | 1
-        lo[0] = lo[1] + s1
-        hi[0] = hi[1] + s0 + (lo[0] < s1)
-        add = np.zeros((2, *hi.shape), dtype=np.uint64)
-        add[:, 0] = hi[1], lo[1]
-        _mul_add(hi, lo, _SETUP_WORDS, *add, np.empty((5, *hi.shape), dtype=np.uint64))
-        self.hi, self.lo = hi[0], lo[0]
-        self.incs = list(zip(hi[1:], lo[1:]))
-
-    def random(self, rows, T: int) -> np.ndarray:
-        """The next T uniforms of each of ``rows`` (None: every row), as (T, rows).
-
-        Row 0 of ``hi``/``lo`` holds the current states and row t the states
-        t draws on; rows [m, m + k) are rows [m - d, m - d + k) jumped by
-        d = min(m, _LANES) draws.
-        """
-        rows = slice(None) if rows is None else rows
-        incs = [(c_hi[rows], c_lo[rows]) for c_hi, c_lo in self.incs[: min(T, _LANES).bit_length()]]
-        n = self.hi[rows].size
-        hi, lo = np.empty((2, T + 1, n), dtype=np.uint64)
-        hi[0], lo[0] = self.hi[rows], self.lo[rows]
-        scratch = np.empty((5, min(T, _LANES), n), dtype=np.uint64)
-        m = 1
-        while m <= T:
-            d = min(m, _LANES)
-            k = min(d, T + 1 - m)
-            j = d.bit_length() - 1
-            hi[m : m + k], lo[m : m + k] = hi[m - d : m - d + k], lo[m - d : m - d + k]
-            _mul_add(hi[m : m + k], lo[m : m + k], _JUMPS[j], *incs[j], scratch[:, :k])
-            m += k
-        self.hi[rows], self.lo[rows] = hi[T], lo[T]
-        # XSL-RR: rotate hi ^ lo right by the top 6 bits of hi; numpy's shift
-        # by 64 gives 0, so a rotation by 0 needs no mask
-        x, r = lo[1:], hi[1:]
-        np.bitwise_xor(x, r, out=x)
-        np.right_shift(r, np.uint64(58), out=r)
-        y = np.right_shift(x, r)
-        np.subtract(np.uint64(64), r, out=r)
-        np.left_shift(x, r, out=x)
-        np.bitwise_or(x, y, out=x)
-        # Generator.random: the top 53 bits of each word, scaled to [0, 1)
-        x >>= np.uint64(11)
-        return x * 2.0**-53
+    seed, gamma = keys
+    z = np.arange(c0 + 1, c0 + T + 1, dtype=np.uint64)[:, None] * gamma
+    z += seed
+    _mix64(z)
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 
 def stratified_hypotheses(prior: np.ndarray, n: int) -> np.ndarray:
@@ -380,7 +281,7 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     terminal posterior (P, B, M)), one row per stop of the stack.
     """
     B, M, P = thetas.size, model.M, stack.shape[1]
-    streams = _Streams(path, k0, B)
+    keys = _trial_keys(path, k0, B)
     # (B, M) views of (M, B) arrays, so maxima and sums over M run across trials
     lm = np.tile(np.log(model.prior)[:, None], (1, B)).T
     probs = np.tile(model.prior[:, None], (1, B)).T
@@ -408,7 +309,7 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
         w = policy.batch_weights(probs, t)
         j = t % CHUNK
         if j == 0:
-            U[:, live] = streams.random(live, 2 * CHUNK)
+            U[:, live] = _uniforms(keys[:, live], 2 * t, 2 * CHUNK)
         a = inverse_cdf_index(np.cumsum(w, axis=1), U[2 * j, live])
         z = draw_symbol(model.kernel, thetas[live], a, U[2 * j + 1, live])
         lm, probs = normalize((lm.T + model.log_likelihood(a, z)).T)  # lm.T is C-contiguous, so the sum is
@@ -423,7 +324,7 @@ def _fixed_rule_logmass_block(
     log_prior = np.log(model.prior)
     if n == 0:
         return np.tile(log_prior[:, None], (1, B))
-    U = _Streams(path, k0, B).random(None, 2 * int(n))  # a numpy integer has no bit_length
+    U = _uniforms(_trial_keys(path, k0, B), 0, 2 * n)
     actions = inverse_cdf_index(np.cumsum(weights), U[0::2])
     z = draw_symbol(model.kernel, thetas, actions, U[1::2])
     # the (M, n, B) log-likelihoods keep the step axis outside the trial axis, so

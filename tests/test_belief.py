@@ -198,3 +198,20 @@ class TestPosteriorError:
         row = np.array([1e-40, 1.0, 3e-41])
         assert 1.0 - row.max() == 0.0
         assert_allclose(posterior_error(row), 1.3e-40, rtol=1e-15)
+
+    @pytest.mark.parametrize("hypothesis_major", [False, True])
+    def test_two_masses_equal_the_sorted_sum_bit_for_bit(self, hypothesis_major):
+        # at M = 2 the smaller mass is taken without a sort
+        rng = np.random.default_rng(12)
+        probs = rng.dirichlet(np.ones(2), size=500)
+        probs[:50] = 0.5  # exact ties
+        probs[50:60] = [[1.0, 0.0], [0.0, 1.0]] * 5
+        probs[60:80] = rng.random((20, 1)) * 1e-300  # tied and subnormal
+        probs[80:100] = probs[80:100] * np.exp(-rng.random((20, 1)) * 700)  # unnormalized
+        if hypothesis_major:
+            probs = np.asfortranarray(probs)
+        for stack in (probs, probs.reshape(5, 100, 2), probs[0]):
+            want = np.sort(stack, axis=-1)[..., :-1].sum(axis=-1)
+            got = posterior_error(stack)
+            assert got.shape == want.shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -568,12 +568,21 @@ class TestOracleCheck:
         assert "monte_carlo: pe=0 se=0 " in out and "agreement: true" in out
 
     def test_monte_carlo_off_by_five_se_disagrees(self, two_probe_path, capsys, monkeypatch):
-        run_trials = cli.run_trials
+        # the estimate moves to 5 SE past the 4-SE band's edge, on the side of
+        # its observed gap, so it leaves the band whatever the draw
+        exact_eval, run_trials, exact = cli.exact_eval, cli.run_trials, []
+
+        def recorded(*args, **kwargs):
+            result = exact_eval(*args, **kwargs)
+            exact.append(result.pe)
+            return result
 
         def shifted(*args, **kwargs):
             summary, records = run_trials(*args, **kwargs)
-            return dataclasses.replace(summary, pe=summary.pe + 5.0 * summary.se_pe), records
+            side = 1.0 if summary.pe >= exact[0] else -1.0
+            return dataclasses.replace(summary, pe=exact[0] + side * (4.0 + 5.0) * summary.se_pe), records
 
+        monkeypatch.setattr(cli, "exact_eval", recorded)
         monkeypatch.setattr(cli, "run_trials", shifted)
         assert main(["oracle-check", two_probe_path, *self.RESOLVABLE]) == 1
         assert "agreement: false" in capsys.readouterr().out
