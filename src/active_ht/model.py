@@ -291,10 +291,12 @@ class ObservationModel:
                 violations.append("model needs at least one action")
             if K is not None:
                 violations.extend(self.kernel.violations(M, K))
-        if not (isinstance(self.penalty, (int, float)) and math.isfinite(self.penalty)):
+        penalty = self.penalty.item() if isinstance(self.penalty, np.generic) else self.penalty
+        object.__setattr__(self, "penalty", penalty)  # np.int64(1000) is stored as 1000
+        if type(penalty) not in (int, float) or not math.isfinite(penalty):
             violations.append("penalty must be a finite number")
-        elif self.penalty <= 1.0:
-            violations.append(f"penalty must exceed 1, got {self.penalty}")
+        elif penalty <= 1.0:
+            violations.append(f"penalty must exceed 1, got {penalty}")
         if violations:
             raise ModelValidationError(violations)
 
@@ -434,10 +436,11 @@ def _model_to_dict(model: ObservationModel) -> dict:
 
 
 def _model_from_dict(doc: dict) -> ObservationModel:
-    violations = []
-    for key in ("M", "K", "kernel", "prior", "L"):
-        if key not in doc:
-            violations.append(f"missing key {key!r}")
+    violations = [f"missing key {key!r}" for key in ("M", "K", "kernel", "prior", "L") if key not in doc]
+    for key in ("M", "K"):
+        value = doc.get(key, 0)
+        if not (type(value) is int or type(value) is float and value.is_integer()):
+            violations.append(f"{key} must be a whole number, got {value!r}")
     if violations:
         raise ModelValidationError(violations)
     kern_doc = doc["kernel"]
@@ -464,7 +467,7 @@ def _model_from_dict(doc: dict) -> ObservationModel:
             prior=np.asarray(doc["prior"], dtype=float),
             penalty=float(doc["L"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelValidationError([f"malformed model: {exc}"]) from exc
     declared = (int(doc["M"]), int(doc["K"]))
     if declared != (model.M, model.K):
@@ -486,7 +489,7 @@ def load_model(path) -> ObservationModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ModelValidationError([f"model file is not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ModelValidationError(["model file must contain a JSON object"])

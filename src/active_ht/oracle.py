@@ -131,13 +131,12 @@ def exact_eval(model: ObservationModel, policy: Policy, budget: OracleBudget | N
             raise BudgetError(f"enumeration exceeded node budget {budget.nodes}")
         s = mass.sum(axis=1)
         probs = mass / s[:, None]
-        top = probs.max(axis=1)
-        stop = stops(stack, top, d) == 1
+        stop = stops(stack, probs, d) == 1
         entering.append(float(s.sum()))
         stopped.append(float(s[stop].sum()))
         exp_tau += d * stopped[-1]
         err_mass += float(posterior_error(mass[stop]).sum())
-        trunc_mass += float(s[stop & _truncated(stack, top[None])[0]].sum())
+        trunc_mass += float(s[stop & _truncated(stack, probs[None])[0]].sum())
         live = ~stop
         if not live.any():
             break

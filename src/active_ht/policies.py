@@ -5,13 +5,14 @@ given the number of steps already taken and the posteriors (B, M) of the
 live trials, it returns each row's action distribution (B, K).  The stop is
 two fields, ``threshold`` and ``horizon``; ``stops`` applies a stack of such
 stops, which the simulator tops with a policy's own and ``exact_eval`` runs
-as a stack of one.  Both ask ``stops`` and ``batch_weights`` once per step,
-and the built-in families answer with array operations.  A policy does not
-choose the declaration: at the stop every evaluator declares
+as a stack of one.  Both hand the posterior rows to ``stops`` and
+``batch_weights`` once per step; only ``stops`` and ``_truncated`` read the
+stop statistic, the mode's mass, from such rows.  A policy does not choose
+the declaration: at the stop every evaluator declares
 ``belief.posterior_mode``, the MAP rule that every cost bound scores.
 Policies are pure and hold no generator: the simulator maps a uniform from
-each trial's generator through ``model.inverse_cdf_index``, so identical
-seeds replay identical trajectories.
+each trial's counter-based stream through ``model.inverse_cdf_index``, so
+identical seeds replay identical trajectories.
 """
 
 from __future__ import annotations
@@ -63,20 +64,20 @@ def _stop_stack(pairs) -> np.ndarray:
     return np.array([[math.inf if x is None else x for x in row] for row in zip(*pairs)], dtype=float)
 
 
-def stops(stack: np.ndarray, top: np.ndarray, step: int) -> np.ndarray:
+def stops(stack: np.ndarray, probs: np.ndarray, step: int) -> np.ndarray:
     """How many stops of ``stack`` (see ``_stop_stack``) each trial meets at
-    ``step``, given its posterior mode's mass ``top`` (B,): a trial meets a
-    stop once ``top`` reaches its threshold, or at its horizon, and so meets
-    the first stops of a non-decreasing stack."""
+    ``step``, given its posterior row of ``probs`` (B, M): a trial meets a
+    stop once its mode's mass reaches the stop's threshold, or at its
+    horizon, and so meets the first stops of a non-decreasing stack."""
     thresholds, horizons = stack
-    return np.maximum(thresholds.searchsorted(top, "right"), horizons.searchsorted(step, "right"))
+    return np.maximum(thresholds.searchsorted(probs.max(axis=1), "right"), horizons.searchsorted(step, "right"))
 
 
-def _truncated(stack: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Whether stop p of ``stack`` truncated a trial that met it with mode mass
-    ``top[p]`` (P, B): it was met below a threshold it has."""
+def _truncated(stack: np.ndarray, finals: np.ndarray) -> np.ndarray:
+    """Whether stop p of ``stack`` truncated a trial that met it with posterior
+    ``finals[p]`` (P, B, M): its mode's mass was below a threshold it has."""
     thresholds = stack[0][:, None]
-    return (top < thresholds) & (thresholds < math.inf)
+    return (finals.max(axis=2) < thresholds) & (thresholds < math.inf)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ uniforms at once and sums the log-likelihoods without per-step
 normalization; a subclass that overrides ``batch_weights`` runs in the
 engine.  Both paths read one uniform stream per trial, in the same order on
 every kernel type: per step, the action uniform, then the symbol uniform
-(the engine asks for its live trials' next ``CHUNK`` steps of uniforms at
-a counter offset, which yields the same stream at any chunk size).
+(the engine reads its live trials' two counters of each step, 2t + 1 and
+2t + 2, from their keys; a retired trial's keys leave with its posterior).
 ``model.draw_symbol`` turns the symbol uniform into a symbol, through the
 inverse CDF of a finite row or the inverse normal CDF of a Gaussian one.  A
 trial's trajectory therefore does not depend on the other trials in its
@@ -89,10 +89,6 @@ from .policies import FixedRulePolicy, Policy, TwoPhasePolicy, build_policy, sto
 from .policies import _check_count, _check_stop, _stop_stack, _truncated
 
 BLOCK = 1024
-
-# Steps of uniforms a lockstep trial draws per refill; the stream is the same
-# at any value, and 16 ran fastest of 2 to 32 replaying a sweep's refills.
-CHUNK = 16
 
 # estimate_error_exponent places a sequential family's budgets on a pilot
 # sweep over this many penalties, evenly spaced in log L.
@@ -277,8 +273,10 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     ``policies._stop_stack`` whose lower stops are those of the points
     below it; ``policies.stops`` tells how many of the P stops each trial
     meets at a step.  A trial is recorded at each stop it first meets, and
-    retires once it has met all P, at ``policy``'s own stop.  Returns per-trial (tau (P, B),
-    terminal posterior (P, B, M)), one row per stop of the stack.
+    retires once it has met all P, at ``policy``'s own stop: its keys and
+    true hypothesis leave with its posterior rows, so step t reads counters
+    2t + 1 and 2t + 2 of the live trials alone.  Returns per-trial (tau
+    (P, B), terminal posterior (P, B, M)), one row per stop of the stack.
     """
     B, M, P = thetas.size, model.M, stack.shape[1]
     keys = _trial_keys(path, k0, B)
@@ -290,10 +288,9 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     live = np.arange(B)
     met = np.zeros(B, dtype=np.intp)  # stops each live trial has met
     points = np.arange(P)[:, None]
-    U = np.empty((2 * CHUNK, B))  # column b holds trial b's uniforms for CHUNK steps
     t = 0
     while True:
-        due = stops(stack, probs.max(axis=1), t)
+        due = stops(stack, probs, t)
         # every (stop, row) pair met now, in one scatter
         p, row = ((met <= points) & (points < due)).nonzero()
         if row.size:
@@ -302,17 +299,15 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
             np.maximum(met, due, out=met)
             go = met < P
             if not go.all():
-                live, met = live[go], met[go]
+                live, met, thetas, keys = live[go], met[go], thetas[go], keys.compress(go, axis=1)
                 lm, probs = (x.T.compress(go, axis=1).T for x in (lm, probs))  # x[go] is trial-major
                 if live.size == 0:
                     return tau, final
         w = policy.batch_weights(probs, t)
-        j = t % CHUNK
-        if j == 0:
-            U[:, live] = _uniforms(keys[:, live], 2 * t, 2 * CHUNK)
-        a = inverse_cdf_index(np.cumsum(w, axis=1), U[2 * j, live])
-        z = draw_symbol(model.kernel, thetas[live], a, U[2 * j + 1, live])
-        lm, probs = normalize((lm.T + model.log_likelihood(a, z)).T)  # lm.T is C-contiguous, so the sum is
+        u = _uniforms(keys, 2 * t, 2)  # this step's action and symbol uniforms
+        a = inverse_cdf_index(np.cumsum(w, axis=1), u[0])
+        z = draw_symbol(model.kernel, thetas, a, u[1])
+        lm, probs = normalize((lm.T + model.log_likelihood(a, z)).T)  # lm.T is C-contiguous, so the sum is (M, B)
         t += 1
 
 
@@ -343,8 +338,7 @@ def _run_block(model, policy, block_thetas, path, k0, want_records, lower=()):
         taus, finals = np.full((1, block_thetas.size), policy.horizon), normalize(lm.T)[1][None]
     else:
         taus, finals = _lockstep_block(model, policy, block_thetas, path, k0, stack)
-    truncs = _truncated(stack, finals.max(axis=2))
-    ends = zip(taus, finals, truncs, [stop[2] for stop in lower] + [model.penalty])
+    ends = zip(taus, finals, _truncated(stack, finals), [stop[2] for stop in lower] + [model.penalty])
     sums = []
     for tau, final, truncated, L in ends:
         err = posterior_error(final)
@@ -458,12 +452,14 @@ def run_trials(
     summary, bit for bit, regardless of ``workers``: the (n_blocks, 9) array
     of its blocks' ``_block_sums`` is summed in index order.  ``_blocks`` is
     ``sweep_L``'s such array, this run's stop of its group's pass, folded in
-    place of running the blocks.
+    place of running the blocks.  A threshold stop needs a horizon as well.
     """
     path, records = _seed_path(master_seed), None
     if _blocks is None:
         _check_trials(n_trials)
         _check_stop(policy)
+        if policy.threshold is not None and policy.horizon is None:
+            raise ValueError("a threshold stop needs a horizon too, or a trial that never reaches it runs forever")
         tasks = _block_tasks(model, policy, stratified_hypotheses(model.prior, n_trials), path, record_trials)
         results = _map_blocks(tasks, workers)
         _blocks = np.concatenate([sums for sums, _ in results])

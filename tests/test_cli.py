@@ -110,6 +110,44 @@ class TestValidate:
         assert main(["validate", str(model_dir / "bad.json")]) == 2
         assert capsys.readouterr().err.startswith("active-ht: validation:")
 
+    def test_a_model_file_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"M": 2}')
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("active-ht: validation: model file is not valid JSON:")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("M", None, "M must be a whole number, got None"),
+            ("M", "two", "M must be a whole number, got 'two'"),
+            ("M", 2.9, "M must be a whole number, got 2.9"),
+            ("K", 1.5, "K must be a whole number, got 1.5"),
+            ("K", True, "K must be a whole number, got True"),
+            # a whole number too large for a float is a count that does not match, not a crash
+            ("M", 10**400, "declared (M, K)="),
+            ("L", 10**400, "malformed model: int too large to convert to float"),
+        ],
+    )
+    def test_a_malformed_number_is_a_validation_error(self, tmp_path, capsys, key, value, message):
+        doc = {
+            "M": 2, "K": 1, "L": 10.0, "prior": [0.5, 0.5],
+            "kernel": {"type": "finite", "rows": [[[0.7, 0.3]], [[0.5, 0.5]]]},
+        }
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"active-ht: validation: {message}")
+
+    def test_a_whole_float_dimension_is_read_as_an_integer(self, tmp_path, capsys):
+        path = tmp_path / "float_dimension.json"
+        path.write_text(json.dumps({
+            "M": 2.0, "K": 1.0, "L": 10.0, "prior": [0.5, 0.5],
+            "kernel": {"type": "finite", "rows": [[[0.7, 0.3]], [[0.5, 0.5]]]},
+        }))
+        assert main(["validate", str(path)]) == 0
+        assert "M=2 K=1 kernel=finite" in capsys.readouterr().out
+
     def test_violations_show_plain_floats(self, tmp_path, capsys):
         path = tmp_path / "off_simplex.json"
         path.write_text(json.dumps({

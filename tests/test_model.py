@@ -63,6 +63,20 @@ class TestConstruction:
             with pytest.raises(ModelValidationError):
                 make_two_probe_model(penalty=bad)
 
+    @pytest.mark.parametrize("scalar, plain", [(np.int64(1000), 1000), (np.float32(1000.0), 1000.0)])
+    def test_numpy_scalar_penalties_are_stored_as_python_numbers(self, tmp_path, scalar, plain):
+        m = make_two_probe_model(penalty=scalar)
+        assert m.penalty == plain and type(m.penalty) is type(plain)
+        save_model(m, tmp_path / "scalar.json")
+        save_model(make_two_probe_model(penalty=plain), tmp_path / "plain.json")
+        assert (tmp_path / "scalar.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert load_model(tmp_path / "scalar.json").penalty == plain
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), "1000", math.nan, np.float64(math.inf)])
+    def test_a_penalty_must_be_a_real_number(self, bad):
+        with pytest.raises(ModelValidationError, match="penalty must be a finite number"):
+            make_two_probe_model(penalty=bad)
+
     def test_tiny_masses_snap_to_zero(self):
         k = FiniteKernel([[[1.0 - 1e-305, 1e-305]], [[0.5, 0.5]]])
         assert k.probs[0, 0, 1] == 0.0

@@ -36,9 +36,9 @@ def _stack_at(pairs, probs, step):
     """For the stack of (threshold, horizon) stops ``pairs`` and the posterior
     stack ``probs`` at ``step``: how many stops each row has met, and whether
     each stop (P, B) was met with a truncation, as lists."""
-    stack, top = _stop_stack(pairs), np.asarray(probs).max(axis=1)
-    met = stops(stack, top, step)
-    cut = _truncated(stack, np.tile(top, (len(pairs), 1))) & (np.arange(len(pairs))[:, None] < met)
+    stack, probs = _stop_stack(pairs), np.asarray(probs)
+    met = stops(stack, probs, step)
+    cut = _truncated(stack, np.tile(probs, (len(pairs), 1, 1))) & (np.arange(len(pairs))[:, None] < met)
     return met.tolist(), cut.tolist()
 
 

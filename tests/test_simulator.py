@@ -96,7 +96,8 @@ class TestRunTrials:
         row = [0.4999999999999999, 0.5000000000000001]
         model = ObservationModel(kernel=two_probe_model.kernel, prior=row, penalty=10.0)
         assert posterior_mode(np.array(row)) == 0
-        for pol in (fixed_lambda_policy([0.5, 0.5], n=0), fixed_lambda_policy([0.5, 0.5], threshold=0.4)):
+        tied = (fixed_lambda_policy([0.5, 0.5], n=0), fixed_lambda_policy([0.5, 0.5], threshold=0.4, safety_horizon=1))
+        for pol in tied:
             _, records = run_trials(model, pol, 50, 3, record_trials=True)
             assert all(r.tau == 0 and r.declared == 0 for r in records)
 
@@ -163,9 +164,9 @@ class TestRunTrials:
         "make_model", [make_two_probe_model, make_garbled_model, make_gaussian_binary_model]
     )
     def test_fixed_rule_paths_agree_across_refills(self, make_model):
-        # the engine refills its uniforms every CHUNK steps; the fixed path
-        # draws a trial's 2n at once
-        n = 3 * simulator.CHUNK + 5
+        # the engine reads each step's two uniforms at counters 2t + 1 and
+        # 2t + 2 over a long horizon; the fixed path draws a trial's 2n at once
+        n = 53
         model = make_model()
         s_fast, _ = run_trials(model, fixed_lambda_policy([0.3, 0.7], n=n), 2500, 49)
         s_engine, _ = run_trials(model, _Stepwise([0.3, 0.7], n), 2500, 49)
@@ -494,6 +495,29 @@ def test_steps_are_odd_and_keys_distinct(case):
     assert len(set(seed)) == B and len(set(gamma)) == B
 
 
+@pytest.mark.parametrize(
+    "make_model", [make_two_probe_model, make_garbled_model, make_gaussian_binary_model]
+)
+def test_a_trial_replays_alone_in_the_engine(make_model):
+    # a trial's keys retire with its posterior, so trial k run as a block of
+    # one at k0 = k reads the same counters as row k of the full block
+    model = make_model()
+    report = compute_bounds(model)
+    thetas = stratified_hypotheses(model.prior, simulator.BLOCK)
+    for kind in ("sn", "sa"):
+        runs = [build_policy(kind, m, report_at_penalty(report, m)) for m in map(model.with_penalty, (1e2, 1e3, 1e4))]
+        top = runs[-1]
+        for stack in (
+            policies._stop_stack([(top.threshold, top.horizon)]),
+            policies._stop_stack([(p.threshold, p.horizon) for p in runs]),
+        ):
+            tau, final = simulator._lockstep_block(model, top, thetas, (59,), 0, stack)
+            for k in (0, 517, 1023):
+                tau_k, final_k = simulator._lockstep_block(model, top, thetas[k : k + 1], (59,), k, stack)
+                np.testing.assert_array_equal(tau_k[:, 0], tau[:, k])
+                np.testing.assert_array_equal(final_k[:, 0], final[:, k])
+
+
 # Stream quality at fixed seeds: no external battery runs offline, so these
 # are chi-square and correlation checks over 2**20 uniforms each, bounded to
 # fail only at p < 1e-6.  _Z is the two-sided normal quantile of 1e-6.
@@ -533,7 +557,8 @@ def test_simulation_builds_no_generator(monkeypatch, two_probe_model, two_probe_
     monkeypatch.setattr(np.random, "PCG64", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     run_trials(two_probe_model, build_policy("sn", two_probe_model, two_probe_report), 1100, 3)
-    run_trials(gaussian_binary_model, fixed_lambda_policy([0.5, 0.5], threshold=0.99), 1100, 4)
+    threshold_rule = fixed_lambda_policy([0.5, 0.5], threshold=0.99, safety_horizon=1000)
+    run_trials(gaussian_binary_model, threshold_rule, 1100, 4)
     run_trials(gaussian_binary_model, fixed_lambda_policy([0.5, 0.5], n=5), 1100, 5)
     sweep_L(two_probe_model, "sa", [10.0, 100.0], 600, 6, report=two_probe_report, workers=1)
 
@@ -552,6 +577,27 @@ def test_more_than_2_to_the_32_trials_are_rejected_before_any_work(monkeypatch, 
         sweep_L(two_probe_model, "sn", [10.0], too_many, 1, report=two_probe_report)
     with pytest.raises(ValueError, match=r"n_trials must be at most 2\*\*32"):
         pairwise_error_rates(two_probe_model, [0.5, 0.5], 3, too_many, 1)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        fixed_lambda_policy([1.0, 0.0], threshold=0.99),
+        TwoPhasePolicy(
+            explore_weights=[1.0, 0.0], exploit_weights=[[1.0, 0.0]] * 2, phase_threshold=0.5, threshold=0.99
+        ),
+    ],
+    ids=["fixed", "two-phase"],
+)
+def test_a_threshold_stop_with_no_horizon_is_rejected_before_any_block(monkeypatch, policy):
+    # the blind model's only action is uninformative, so no trial would ever
+    # reach the threshold; a refused block fails fast where the run would hang
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(simulator, "_map_blocks", refuse)
+    with pytest.raises(ValueError, match="threshold stop needs a horizon"):
+        run_trials(make_blind_model(), policy, 10, 1)
 
 
 @pytest.mark.parametrize("count", [2.5, 1024.5, 3.0])
@@ -653,7 +699,7 @@ def test_sweep_and_exponent_open_one_pool_each(fresh_pool, monkeypatch, two_prob
 
 
 def test_a_pool_with_a_killed_worker_is_reopened(fresh_pool, two_probe_model):
-    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99)
+    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99, safety_horizon=1000)
     first, _ = run_trials(two_probe_model, policy, 2500, 38, workers=2)
     pool = simulator._worker_pool(2)
     os.kill(next(iter(pool._processes)), signal.SIGKILL)
@@ -675,7 +721,7 @@ def _is_alive(pid):
 
 
 def test_a_new_worker_count_shuts_the_old_pool_down(fresh_pool, monkeypatch, two_probe_model):
-    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99)
+    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99, safety_horizon=1000)
     at_four, _ = run_trials(two_probe_model, policy, 4500, 39, workers=4)
     old = list(simulator._worker_pool(4)._processes)
     alive_at_fork = []
@@ -692,7 +738,7 @@ def test_a_new_worker_count_shuts_the_old_pool_down(fresh_pool, monkeypatch, two
 
 
 def test_a_forked_process_opens_its_own_pool(fresh_pool, two_probe_model):
-    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99)
+    policy = fixed_lambda_policy([0.5, 0.5], threshold=0.99, safety_horizon=1000)
     expected, _ = run_trials(two_probe_model, policy, 2500, 41, workers=2)
     pool = simulator._worker_pool(2)
 
