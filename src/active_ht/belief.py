@@ -69,9 +69,15 @@ def posterior_error(probs: np.ndarray):
     """The mass off the mode of each row, over the last axis.
 
     Summed directly from the smaller masses: ``1 - max`` cancels, and reads
-    0 once the error is below the rounding of the largest mass.  Two masses
-    need no sort: the sum is the smaller one alone.
+    0 once the error is below the rounding of the largest mass.  Two or three
+    masses need no sort: the sum is the smaller one alone, or the smallest
+    plus the middle one, the same single addition as the sorted sum's.
     """
-    if probs.shape[-1] == 2:
+    M = probs.shape[-1]
+    if M == 2:
         return probs.min(axis=-1)
+    if M == 3:
+        a, b, c = probs[..., 0], probs[..., 1], probs[..., 2]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        return np.minimum(lo, c) + np.maximum(lo, np.minimum(hi, c))
     return np.sort(probs, axis=-1)[..., :-1].sum(axis=-1)

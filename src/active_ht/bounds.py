@@ -306,7 +306,13 @@ def _minimize_weighted_inverse(pair_rows: np.ndarray, coeffs: np.ndarray):
     first-order extrapolation of the central path x(tau) ~ x* + v / tau:
     x + (x - x_prev) / 50, where x is the last center and x_prev the one
     before it (the starting point, for the second stage), pulled back to 0.99
-    of the way to the domain's edge if it would leave it.  Each Newton step is
+    of the way to the domain's edge if it would leave it.  A stage's centering
+    takes at most 50 Newton steps.  It ends once the Newton decrement is at
+    most 1e-6, or early after a full step from a decrement of at most 1e-3:
+    by quadratic convergence the next decrement is then about 1e-6, so its
+    solve is skipped.  A stage that ended early and meets the gap test
+    resumes its centering with no early end, so the solve returns only a
+    tested center.  Each Newton step is
     a least-squares solve, so a flat optimal face (several actions separating
     every pair at KL_CAP) yields a minimum-norm step instead of a singular
     system.  Its backtracking line search starts at the first power-of-two
@@ -342,22 +348,32 @@ def _barrier_rule(c: np.ndarray, rows: np.ndarray, w: np.ndarray, r: np.ndarray)
     N, rhs = np.zeros((m + n, K + n)), np.ones(m + n)
     h_entries = (np.arange(m, m + n), np.arange(K, K + n))
     x = np.concatenate([w, 0.5 * r])
-    x_prev = None
+    x_prev, early = None, False
     tau = m / np.sum(c / x[K:])
-    while m / tau > GAP_TOL * np.sum(c / x[K:]):
-        tau *= 50.0
-        start = x
-        if x_prev is not None:
-            # The central path is x* + v / tau to first order, so the next
-            # center lies near x + (x - x_prev) / 50; start there, or 0.99 of
-            # the way to the edge of the domain if that is nearer.
-            d = (x - x_prev) / 50.0
-            with np.errstate(divide="ignore"):
-                ratios = -(A @ x) / (A @ d)
-            edge = ratios[ratios > 0.0].min(initial=math.inf)
-            start = x + min(1.0, 0.99 * edge) * d
-        x_prev, x = x, start
-        for _ in range(50):  # Newton centering of tau * sum(c / t) - sum(log(A @ x))
+    while True:
+        # a stage that ended early and meets the gap test resumes its
+        # centering within the same 50 steps, with no early end: at large tau
+        # rounding can hold the decrement above 1e-6 after every full step
+        recheck = m / tau <= GAP_TOL * np.sum(c / x[K:])
+        if recheck and not early:
+            return _clean_weights(x[:K])
+        if not recheck:
+            steps_left = 50
+            tau *= 50.0
+            start = x
+            if x_prev is not None:
+                # The central path is x* + v / tau to first order, so the next
+                # center lies near x + (x - x_prev) / 50; start there, or 0.99 of
+                # the way to the edge of the domain if that is nearer.
+                d = (x - x_prev) / 50.0
+                with np.errstate(divide="ignore"):
+                    ratios = -(A @ x) / (A @ d)
+                edge = ratios[ratios > 0.0].min(initial=math.inf)
+                start = x + min(1.0, 0.99 * edge) * d
+            x_prev, x = x, start
+        early = False
+        while steps_left:  # Newton centering of tau * sum(c / t) - sum(log(A @ x))
+            steps_left -= 1
             s, t = A @ x, x[K:]
             # The quadratic model of the centering objective along Z is
             # ||L y - b||^2 / 2 up to a constant, so its minimizer is the Newton step.
@@ -383,7 +399,11 @@ def _barrier_rule(c: np.ndarray, rows: np.ndarray, w: np.ndarray, r: np.ndarray)
                 ):
                     step *= 0.5
             x = x + step * d
-    return _clean_weights(x[:K])
+            # Newton converges quadratically, so after a full step from a
+            # decrement of 1e-3 the next one is about 1e-6: skip that solve
+            if step == 1.0 and decrement <= 1e-3 and not recheck:
+                early = True
+                break
 
 
 def max_harmonic_reliability(model: ObservationModel):

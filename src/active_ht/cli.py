@@ -4,9 +4,11 @@ Subcommands: validate, bounds, simulate, sweep, exponents, gains, binary,
 oracle-check.  Exit codes are a stable scripting contract:
 
 * 0  success
-* 2  validation / assumption failure (bad model file, indistinguishable pairs)
+* 2  validation / assumption failure (bad or unreadable model file,
+     indistinguishable pairs)
 * 3  exact-evaluation state budget or horizon exhausted
-* 4  usage error (unknown flags, malformed values, wrong subcommand for model)
+* 4  usage error (unknown flags, malformed values, wrong subcommand for model,
+     an output that cannot be written)
 
 Errors print a single machine-parsable line ``active-ht: <kind>: <message>``
 on stderr.  Result CSVs open with a ``# manifest=<id>`` line naming the run
@@ -141,9 +143,28 @@ def _write_artifacts(args, tables, threads) -> None:
     manifest = make_manifest(
         args.command, args.model, parameters, getattr(args, "seed", None), threads
     )
-    for suffix, header, rows in tables:
-        emit_csv(f"{args.out}{suffix}.csv", header, rows, manifest["manifest_id"])
-    write_manifest(args.out, manifest)
+    try:
+        for suffix, header, rows in tables:
+            emit_csv(f"{args.out}{suffix}.csv", header, rows, manifest["manifest_id"])
+        write_manifest(args.out, manifest)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
+
+
+def _check_out(args) -> None:
+    """Refuse an ``--out`` prefix whose directory does not exist, before any work runs."""
+    out = getattr(args, "out", None)
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"cannot write output {out}: directory {os.path.dirname(out)} does not exist")
+
+
+def _load(path):
+    """``load_model``, with a file it cannot read (missing, a directory, not
+    permitted) reported as a validation error."""
+    try:
+        return load_model(path)
+    except OSError as exc:
+        raise ModelValidationError(f"cannot read model file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +253,7 @@ def build_parser() -> _Parser:
 # subcommands
 
 def _cmd_validate(args) -> int:
-    model = load_model(args.model)
+    model = _load(args.model)
     report = validate(model)
     kernel = "finite" if model.is_finite else "gaussian"
     print(f"M={model.M} K={model.K} kernel={kernel} L={_fmt(model.penalty)}")
@@ -251,7 +272,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    model = load_model(args.model)
+    model = _load(args.model)
     report = compute_bounds(model)
     print(report.to_json())
     _write_artifacts(args, [("", *report.csv_rows())], 1)
@@ -274,7 +295,7 @@ def _run_inputs(args):
             raise UsageError("fixed policies take exactly one of --n / --threshold")
     elif lam is not None or stops != [None, None]:
         raise UsageError(f"--policy {args.policy} takes no --lambda, --n or --threshold")
-    model = load_model(args.model)
+    model = _load(args.model)
     report = compute_bounds(model) if args.policy != "fixed" else None
     rule = np.asarray(lam, dtype=float) if lam is not None else None
     return model, _threads_default(args.threads), report, rule
@@ -379,7 +400,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_gains(args) -> int:
-    model = load_model(args.model)
+    model = _load(args.model)
     report = compute_bounds(model)
     g = report.gains
     print(f"sequentiality_coefficient: {_fmt(g.sequentiality_coefficient)}")
@@ -391,7 +412,7 @@ def _cmd_gains(args) -> int:
 
 
 def _cmd_binary(args) -> int:
-    model = load_model(args.model)
+    model = _load(args.model)
     if model.M != 2:
         raise UsageError(f"binary subcommand requires M == 2, model has M = {model.M}")
     rep = binary_specialize(model)
@@ -405,7 +426,7 @@ def _cmd_binary(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    model = load_model(args.model)
+    model = _load(args.model)
     threads = _threads_default(args.threads)
     if not model.is_finite:
         raise UsageError("oracle-check requires a finite-kernel model")
@@ -458,6 +479,7 @@ def _error_line(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         _error_line("usage", str(exc))
@@ -472,7 +494,7 @@ def main(argv=None) -> int:
     except AssumptionError as exc:
         _error_line("assumption", str(exc))
         return 2
-    except FileNotFoundError as exc:
+    except FileNotFoundError as exc:  # the model file, gone before its digest was read
         _error_line("validation", f"cannot read model file: {exc}")
         return 2
     except ActiveHTError as exc:

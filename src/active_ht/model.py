@@ -59,8 +59,10 @@ def inverse_cdf_index(cdf: np.ndarray, u) -> np.ndarray:
     ``<= u``.  ``cdf[..., k]`` broadcasts against ``u``.
     """
     u = np.asarray(u)
-    index = np.zeros(np.broadcast_shapes(cdf.shape[:-1], u.shape), dtype=np.int64)
-    for k in range(cdf.shape[-1] - 1):
+    if cdf.shape[-1] == 1:
+        return np.zeros(np.broadcast_shapes(cdf.shape[:-1], u.shape), dtype=np.int64)
+    index = (cdf[..., 0] <= u).astype(np.int64)
+    for k in range(1, cdf.shape[-1] - 1):
         index += cdf[..., k] <= u
     return index
 

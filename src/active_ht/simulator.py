@@ -25,6 +25,9 @@ Blocks run in the process's one worker pool (``_worker_pool``), opened on
 the first call that needs more than one worker and kept for every later
 ``run_trials``, ``sweep_L`` and ``estimate_error_exponent`` call; it is
 reopened when the worker count changes, a worker dies or the process forks.
+Its machinery (``concurrent.futures.process`` and ``multiprocessing``) loads
+with the first pool, so a process that never opens one does not import it
+(about 0.8 MB of peak RSS and 15-20 ms of import time).
 Workers are forked, so they see module state as it was when the pool
 opened: a test that patches an attribute the workers read must run at
 ``workers=1`` or close the pool first (``_close_pool``).  Modules load the
@@ -72,11 +75,13 @@ it.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import gc
 import math
 import os
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -146,10 +151,12 @@ def _mix64(z):
     return z
 
 
+@functools.lru_cache(maxsize=256)
 def _path_hash(path: tuple) -> np.uint64:
     """One 64-bit word of a seed path: each word enters as its count of
     64-bit limbs and then its limbs, low first, so the encoding is prefix-free
-    and paths such as (2**64,) and (0, 1) differ."""
+    and paths such as (2**64,) and (0, 1) differ.  Cached, since every block
+    of a run hashes the same path."""
     h = np.uint64(0)
     with np.errstate(over="ignore"):
         for word in path:
@@ -291,14 +298,17 @@ def _lockstep_block(model: ObservationModel, policy: Policy, thetas: np.ndarray,
     t = 0
     while True:
         due = stops(stack, probs, t)
-        # every (stop, row) pair met now, in one scatter
-        p, row = ((met <= points) & (points < due)).nonzero()
-        if row.size:
+        new = np.flatnonzero(due > met)  # the rows that meet a stop now
+        if new.size:
+            was, due = met[new], due[new]
+            # every (stop, row) pair met now, in one scatter
+            p, j = ((was <= points) & (points < due)).nonzero()
+            row = new[j]
             tau[p, live[row]] = t
             final[p, live[row]] = probs[row]
-            np.maximum(met, due, out=met)
-            go = met < P
-            if not go.all():
+            met[new] = due
+            if due.max() == P:
+                go = met < P
                 live, met, thetas, keys = live[go], met[go], thetas[go], keys.compress(go, axis=1)
                 lm, probs = (x.T.compress(go, axis=1).T for x in (lm, probs))  # x[go] is trial-major
                 if live.size == 0:
@@ -380,9 +390,21 @@ def _map_blocks(tasks: list, workers: int) -> list:
 
 
 # The process's worker pool, its worker count and the pid of the process that
-# opened it; see _worker_pool.
+# opened it, and whether _close_pool is registered to run at exit; see _worker_pool.
 _process_pool = None
 _process_pool_lock = threading.RLock()
+_closes_at_exit = False
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, loaded with ``concurrent.futures`` on first use
+    (PEP 562), so that a run that opens no pool does not import it."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _worker_pool(workers: int):
@@ -392,15 +414,16 @@ def _worker_pool(workers: int):
     the same worker count.  It is reopened when the worker count changes
     (the old pool is shut down before the new one forks), when it is broken
     (a worker died), or in a fork of the process that opened it, which must
-    not touch its parent's pool.  ``concurrent.futures`` joins the workers
-    at interpreter exit.
+    not touch its parent's pool.  The pool class is read through the module
+    (``__getattr__``), so ``concurrent.futures`` loads with the first pool,
+    and ``_close_pool`` is registered to run at interpreter exit then.
 
     Each worker freezes the objects it inherits from the parent.  Otherwise
     its first full collection, which comes sooner or later depending on the
     parent's allocation history, scans every inherited object and copies the
     pages they sit on.
     """
-    global _process_pool
+    global _process_pool, _closes_at_exit
     if workers <= 1:
         return None
     with _process_pool_lock:
@@ -409,8 +432,11 @@ def _worker_pool(workers: int):
             if owner == os.getpid() and size == workers and not pool._broken:
                 return pool
             _close_pool()
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
+        pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
         _process_pool = pool, workers, os.getpid()
+        if not _closes_at_exit:
+            atexit.register(_close_pool)
+            _closes_at_exit = True
         return pool
 
 

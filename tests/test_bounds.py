@@ -781,8 +781,9 @@ class TestBarrierSolvePins:
     def test_searches_take_few_iterations(self, monkeypatch):
         # Over these models the alpha search reads 6.8 evaluator calls per
         # _pair_optima call (49.0 for a golden-section search to a 1e-9
-        # bracket), and a barrier solve takes 39.0 Newton steps, one
-        # least-squares solve each (51.8 when each stage starts at the last center).
+        # bracket), and a barrier solve takes 33.7 least-squares solves, one a
+        # Newton step (39.0 when every centering ends on a decrement test, and
+        # 51.8 when also each stage starts at the last center).
         counts = dict(optima=0, evaluations=0, solves=0, steps=0)
 
         def counted(key, f):

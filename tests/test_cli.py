@@ -106,6 +106,12 @@ class TestValidate:
             "active-ht: validation: cannot read model file:"
         )
 
+    def test_a_directory_is_a_model_file_that_cannot_be_read(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "active-ht: validation: cannot read model file: [Errno 21] Is a directory:"
+        )
+
     def test_malformed_model_file(self, model_dir, capsys):
         assert main(["validate", str(model_dir / "bad.json")]) == 2
         assert capsys.readouterr().err.startswith("active-ht: validation:")
@@ -203,6 +209,28 @@ class TestBounds:
         assert "gap_tol" in settings
         assert not {"grid_resolution", "polish_evals"} & set(settings)
         assert main(["bounds", two_probe_path, "--grid", "0.1"]) == 4
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_a_missing_output_directory_is_refused_before_any_work(
+        self, monkeypatch, two_probe_path, tmp_path, capsys, command
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output was checked")
+
+        monkeypatch.setattr(cli, "load_model", no_work)
+        prefix = tmp_path / "missing" / "dir" / "x"
+        flags = TestSimulate.ARGS if command == "simulate" else []
+        assert main([command, two_probe_path, *flags, "--out", str(prefix)]) == 4
+        assert capsys.readouterr().err == (
+            f"active-ht: usage: cannot write output {prefix}: directory {prefix.parent} does not exist\n"
+        )
+
+    def test_an_output_write_error_is_a_usage_error(self, two_probe_path, tmp_path, capsys):
+        (tmp_path / "b.csv").mkdir()  # the table's path is taken
+        assert main(["bounds", two_probe_path, "--out", str(tmp_path / "b")]) == 4
+        assert capsys.readouterr().err.startswith(
+            "active-ht: usage: cannot write output: [Errno 21] Is a directory:"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from active_ht import (
     validate,
 )
 from active_ht.belief import normalize
-from active_ht.model import draw_symbol
+from active_ht.model import draw_symbol, inverse_cdf_index
 from conftest import make_garbled_model, make_two_probe_model, random_finite_model
 
 
@@ -268,6 +268,43 @@ class TestSampling:
                 m, sd = kernel.means[i_b[idx], a[idx]], kernel.stds[i_b[idx], a[idx]]
                 want = m + sd * ndtri(np.clip(u[idx], 1e-16, 1.0 - 1e-16))
             assert got[idx] == want, (idx, got[idx], want)
+
+
+@st.composite
+def _cdf_cases(draw):
+    """Non-decreasing cumulative masses (with flat steps, the last entry at or
+    below 1) and uniforms, some on a step, in broadcasting shapes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = draw(st.integers(1, 5))
+    cdf_shape, u_shape = draw(
+        st.sampled_from(
+            [((), ()), ((), (7,)), ((), (3, 7)), ((7,), (7,)), ((3, 7), (3, 7)), ((7,), (3, 7)), ((3, 1), (3, 7))]
+        )
+    )
+    q = rng.dirichlet(np.ones(K), size=cdf_shape)
+    q[rng.random(q.shape) < 0.3] = 0.0  # flat steps
+    cdf = np.cumsum(q, axis=-1) * draw(st.sampled_from([1.0, 1.0 - 2.0**-52, 0.75]))
+    # every case's u has the broadcast shape, so half its entries can sit on a step of their own row
+    steps = np.take_along_axis(np.broadcast_to(cdf, u_shape + (K,)), rng.integers(K, size=u_shape + (1,)), -1)
+    return cdf, np.where(rng.random(u_shape) < 0.5, steps[..., 0], rng.random(u_shape))
+
+
+class TestInverseCdfIndex:
+    @given(_cdf_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_searchsorted_clipped_to_the_last_index(self, case):
+        cdf, u = case
+        got = inverse_cdf_index(cdf, u)
+        shape = np.broadcast_shapes(cdf.shape[:-1], u.shape)
+        assert np.shape(got) == shape and np.asarray(got).dtype == np.int64
+        rows, points = np.broadcast_to(cdf, shape + cdf.shape[-1:]), np.broadcast_to(u, shape)
+        for idx in np.ndindex(shape):
+            want = min(np.searchsorted(rows[idx], points[idx], side="right"), cdf.shape[-1] - 1)
+            assert np.asarray(got)[idx] == want, (idx, rows[idx], points[idx])
+
+    def test_one_entry_draws_index_zero_in_the_broadcast_shape(self):
+        got = inverse_cdf_index(np.ones((3, 1, 1)), np.full((3, 4), 0.5))
+        assert got.shape == (3, 4) and got.dtype == np.int64 and not got.any()
 
 
 @st.composite

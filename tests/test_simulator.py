@@ -776,6 +776,35 @@ def test_no_worker_outlives_the_process():
     assert len(pids) == 2 and not any(_is_alive(pid) for pid in pids)
 
 
+_POOL_MACHINERY_ON_THE_FIRST_POOL = """
+import atexit, sys
+hooks, register = [], atexit.register
+atexit.register = lambda f, *args: hooks.append(f.__name__) or register(f, *args)
+from active_ht import build_policy, run_trials, simulator
+from conftest import make_two_probe_model
+
+print("concurrent.futures.process" in sys.modules)
+model = make_two_probe_model()
+policy = build_policy("fixed", model, rule=[0.5, 0.5], n=3)
+serial, _ = run_trials(model, policy, 2500, 42)
+print("concurrent.futures.process" in sys.modules)
+pooled, _ = run_trials(model, policy, 2500, 42, workers=2)
+simulator._close_pool()
+again, _ = run_trials(model, policy, 2500, 42, workers=2)
+print("concurrent.futures.process" in sys.modules, pooled == serial == again, hooks.count("_close_pool"))
+"""
+
+
+def test_the_pool_machinery_loads_with_the_first_pool():
+    # a process that opens no pool never imports concurrent.futures.process;
+    # one that opens two registers _close_pool to run at exit once, and exits
+    # without a warning
+    proc = run_python("-c", _POOL_MACHINERY_ON_THE_FIRST_POOL, cwd=Path(__file__).parent, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["False", "False", "True True 1"]
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("make_model, kind", [(make_two_probe_model, "sa"), (make_gaussian_binary_model, "sn")])
 def test_sweep_points_equal_their_own_run_trials(make_model, kind):
     # the points differ only in their stops, so they share one pass on the
